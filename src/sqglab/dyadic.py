@@ -121,8 +121,6 @@ def build_partition(grid: Grid2D) -> DyadicFamily:
             f"grid too coarse to host a dyadic annulus below the dealias cutoff "
             f"(n={grid.n_side}, L={grid.box_length:g})"
         )
-    kmag = kmag.copy()
-    kmag.flags.writeable = False
     return DyadicFamily(grid=grid, j_min=j_min, j_max=j_max, j_top=j_top, _kmag=kmag)
 
 

@@ -14,20 +14,16 @@ Representations are computed lazily and cached; fields are immutable
 from __future__ import annotations
 
 import io
+import math
+import os
 import struct
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid2D, fft2, ifft2
+from .grid import Grid2D, _read_only, fft2, ifft2
 
 _MAGIC = b"SQGF"
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 class SpectralField:
@@ -44,8 +40,8 @@ class SpectralField:
         for a, name in ((values, "values"), (coefficients, "coefficients")):
             if a is not None and a.shape not in ((n, n), (2, n, n)):
                 raise ConfigurationError(f"{name} shape {a.shape} does not match grid n={n}")
-        self._values = None if values is None else _freeze(np.asarray(values, dtype=np.float64))
-        self._coeffs = None if coefficients is None else _freeze(np.asarray(coefficients, dtype=np.complex128))
+        self._values = None if values is None else _read_only(np.asarray(values, dtype=np.float64))
+        self._coeffs = None if coefficients is None else _read_only(np.asarray(coefficients, dtype=np.complex128))
 
     # -- constructors --------------------------------------------------
 
@@ -74,14 +70,14 @@ class SpectralField:
         if self._values is None:
             n2 = self.grid.n_side**2
             vals = ifft2(self._coeffs) * (n2 / self.grid.box_length)
-            self._values = _freeze(vals.real)
+            self._values = _read_only(vals.real)
         return self._values
 
     @property
     def coefficients(self) -> np.ndarray:
         if self._coeffs is None:
             c = fft2(self._values) * (self.grid.box_length / self.grid.n_side**2)
-            self._coeffs = _freeze(c)
+            self._coeffs = _read_only(c)
         return self._coeffs
 
     # -- arithmetic (pointwise, grid-preserving) ---------------------------
@@ -144,9 +140,7 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with max(|k1|, |k2|) above the 2/3-Nyquist cutoff."""
-    mask = f.grid.dealias_mask()
-    c = f.coefficients * (mask if f.components == 1 else mask[None, :, :])
-    return SpectralField.from_coefficients(f.grid, c)
+    return SpectralField.from_coefficients(f.grid, f.coefficients * f.grid.dealias_mask())
 
 
 def parseval_mismatch(f: SpectralField) -> float:
@@ -175,11 +169,22 @@ def load_field(path) -> SpectralField:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ConfigurationError(f"not a field container: bad magic {magic!r}")
-        n, L, comps = struct.unpack("<QdQ", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ConfigurationError(f"truncated field header: {len(header)} of 24 bytes")
+        n, L, comps = struct.unpack("<QdQ", header)
+        if comps not in (1, 2) or not math.isfinite(L):
+            raise ConfigurationError(f"bad field header: components={comps}, box_length={L}")
+        grid = Grid2D(int(n), float(L))
         count = comps * n * n
-        payload = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        # compare sizes before reading, so an absurd n_side allocates nothing
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != count * 8:
+            raise ConfigurationError(f"field payload has {size} bytes, header declares {count * 8}")
+        data = fh.read(size)
     shape = (n, n) if comps == 1 else (2, n, n)
-    return SpectralField.from_values(Grid2D(int(n), float(L)), payload.reshape(shape).astype(np.float64))
+    payload = np.frombuffer(data, dtype="<f8", count=count)
+    return SpectralField.from_values(grid, payload.reshape(shape).astype(np.float64))
 
 
 def field_to_csv(f: SpectralField, path) -> None:

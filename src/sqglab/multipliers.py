@@ -11,6 +11,7 @@ symbols are zeroed on the unpaired Nyquist lines so real fields stay real.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealias
+from .grid import operator_table
 
 
 @dataclass(frozen=True)
@@ -53,22 +55,16 @@ def grad_perp() -> MultiplierSpec:
     return MultiplierSpec("grad_perp", sym, zero_mode=0.0)
 
 
-def _nyquist_line_mask(grid) -> np.ndarray:
-    """True away from the unpaired Nyquist index -n/2 on either axis."""
-    m = grid.mode_indices()
-    good = m != -(grid.n_side // 2)
-    return np.logical_and.outer(good, good)
+def _symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
+    """The symbol of ``m`` on ``grid``, checked finite, zero mode set per policy.
 
-
-def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
-    """Multiply the coefficients of ``f`` by the symbol; set k=0 per policy."""
-    grid = f.grid
+    Odd (vector) symbols are zeroed on the unpaired Nyquist lines.
+    """
     k1, k2 = grid.wavenumbers()
-    sym = np.asarray(m.symbol(k1, k2), dtype=np.complex128)
+    sym = np.array(m.symbol(k1, k2), dtype=np.complex128)
     vector_out = sym.ndim == 3
 
-    nonzero = ~((k1 == 0.0) & (k2 == 0.0))
-    check = sym[:, nonzero] if vector_out else sym[nonzero]
+    check = sym.reshape(-1, grid.n_side**2)[:, 1:]  # every wavenumber but k = 0
     if not np.all(np.isfinite(check)):
         raise ConfigurationError(f"symbol {m.name!r} not finite at a nonzero wavenumber")
     if m.zero_mode is None:
@@ -79,16 +75,39 @@ def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
             )
     else:
         sym[..., 0, 0] = m.zero_mode
-
-    c = f.coefficients
     if vector_out:
-        if f.components != 1:
-            raise ConfigurationError("vector-valued symbols act on scalar fields")
-        out = sym * c[None, :, :]
-        out *= _nyquist_line_mask(grid)[None, :, :]
-    else:
-        out = (sym[None, :, :] * c) if f.components == 2 else sym * c
-    return SpectralField.from_coefficients(grid, out)
+        sym *= operator_table(grid).nyquist
+    return sym
+
+
+def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
+    """Multiply the coefficients of ``f`` by the symbol; set k=0 per policy."""
+    sym = _symbol_array(f.grid, m)
+    if sym.ndim == 3 and f.components != 1:
+        raise ConfigurationError("vector-valued symbols act on scalar fields")
+    return SpectralField.from_coefficients(f.grid, sym * f.coefficients)
+
+
+def _biot_savart_symbol(k1, k2, beta: float) -> np.ndarray:
+    """i(-k2, k1)|k|^(beta-2), zero at k = 0: the constitutive symbol."""
+    ksq = k1 * k1 + k2 * k2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where(ksq > 0, ksq ** ((beta - 2.0) / 2.0), 0.0)
+    return np.stack([-1j * k2 * radial, 1j * k1 * radial])
+
+
+def _biot_savart(beta: float) -> MultiplierSpec:
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    return MultiplierSpec(f"biot_savart:{beta:g}",
+                          functools.partial(_biot_savart_symbol, beta=beta), zero_mode=0.0)
+
+
+@functools.lru_cache(maxsize=4)
+def _constitutive_symbol(grid, beta: float) -> np.ndarray:
+    sym = _symbol_array(grid, _biot_savart(beta))
+    sym.flags.writeable = False
+    return sym
 
 
 def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
@@ -97,14 +116,8 @@ def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if theta.components != 1:
         raise ConfigurationError("constitutive law takes a scalar field")
-
-    def sym(k1, k2):
-        ksq = k1 * k1 + k2 * k2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radial = np.where(ksq > 0, ksq ** ((beta - 2.0) / 2.0), 0.0)
-        return np.stack([-1j * k2 * radial, 1j * k1 * radial])
-
-    return apply_multiplier(theta, MultiplierSpec(f"biot_savart:{beta:g}", sym, zero_mode=0.0))
+    return SpectralField.from_coefficients(
+        theta.grid, _constitutive_symbol(theta.grid, beta) * theta.coefficients)
 
 
 # -- derivative helpers -------------------------------------------------------
@@ -112,34 +125,31 @@ def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
 
 def gradient(f: SpectralField) -> SpectralField:
     """Spectral gradient of a scalar field, shape (2, n, n)."""
-    def sym(k1, k2):
-        return np.stack([1j * k1, 1j * k2])
-
-    return apply_multiplier(f, MultiplierSpec("grad", sym, zero_mode=0.0))
+    if f.components != 1:
+        raise ConfigurationError("vector-valued symbols act on scalar fields")
+    ops = operator_table(f.grid)
+    c = f.coefficients * ops.nyquist
+    return SpectralField.from_coefficients(f.grid, np.stack([1j * ops.k1 * c, 1j * ops.k2 * c]))
 
 
 def derivative(f: SpectralField, alpha: tuple[int, int]) -> SpectralField:
     """Mixed partial derivative D^alpha of a scalar field."""
     a1, a2 = alpha
-
-    def sym(k1, k2):
-        return (1j * k1) ** a1 * (1j * k2) ** a2
-
-    out = apply_multiplier(f, MultiplierSpec(f"D^{alpha}", sym, zero_mode=1.0 if a1 == a2 == 0 else 0.0))
+    ops = operator_table(f.grid)
+    sym = (1j * ops.k1) ** a1 * (1j * ops.k2) ** a2
     if (a1 + a2) % 2 == 1:
-        c = out.coefficients * _nyquist_line_mask(f.grid)
-        out = SpectralField.from_coefficients(f.grid, c)
-    return out
+        sym = sym * ops.nyquist
+    return SpectralField.from_coefficients(f.grid, sym * f.coefficients)
 
 
 def divergence(u: SpectralField) -> SpectralField:
     """Spectral divergence of a vector field."""
     if u.components != 2:
         raise ConfigurationError("divergence takes a vector field")
-    k1, k2 = u.grid.wavenumbers()
+    ops = operator_table(u.grid)
     c = u.coefficients
-    out = 1j * k1 * c[0] + 1j * k2 * c[1]
-    return SpectralField.from_coefficients(u.grid, out * _nyquist_line_mask(u.grid))
+    out = 1j * ops.k1 * c[0] + 1j * ops.k2 * c[1]
+    return SpectralField.from_coefficients(u.grid, out * ops.nyquist)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -172,15 +182,5 @@ def parse_multiplier(spec: str) -> MultiplierSpec:
     if name == "grad_perp":
         return grad_perp()
     if name == "biot_savart":
-        beta = float(arg)
-        if not 0.0 < beta < 1.0:
-            raise DomainError(f"beta must lie in (0, 1), got {beta}")
-
-        def sym(k1, k2, beta=beta):
-            ksq = k1 * k1 + k2 * k2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                radial = np.where(ksq > 0, ksq ** ((beta - 2.0) / 2.0), 0.0)
-            return np.stack([-1j * k2 * radial, 1j * k1 * radial])
-
-        return MultiplierSpec(f"biot_savart:{beta:g}", sym, zero_mode=0.0)
+        return _biot_savart(float(arg))
     raise ConfigurationError(f"unknown multiplier preset {spec!r}")

@@ -1,6 +1,7 @@
 """Transport time-stepping, both constitutive laws, and the Picard scheme.
 
-The scalar obeys d(theta)/dt = -dealias(u . grad theta), advanced with RK4.
+The scalar obeys d(theta)/dt = -dealias(u . grad theta), advanced with RK4
+on its Fourier coefficients.
 The velocity comes either from the direct multiplier (``constitutive =
 'direct'``) or from the kernel-split reconstruction
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .dyadic import build_partition, smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
-from .fields import SpectralField, dealias
-from .grid import Grid2D
+from .fields import SpectralField
+from .grid import Grid2D, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
 from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_norm
@@ -48,7 +49,7 @@ class SolverConfig:
     n_side: int = 256
     box_length: float = 2.0 * np.pi
     record_norms: tuple = ("linf:theta", "l2:theta")
-    c_existence: float = 1.0  # 0 disables the existence-time cap
+    c_existence: float = 1.0  # simulate: 0 disables the existence-time cap; picard needs > 0
     sample_every: int = 0  # 0: pick automatically (<= ~64 stored samples)
     oversample: int = 4
 
@@ -57,6 +58,9 @@ class SolverConfig:
             raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
         if self.constitutive not in ("direct", "serfati"):
             raise ConfigurationError(f"unknown constitutive law {self.constitutive!r}")
+        for name in ("dt", "t_end", "r", "c_existence"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("need dt > 0 and t_end >= 0")
 
@@ -114,19 +118,27 @@ class IterationTrace:
 
 
 def advection_tendency(theta: SpectralField, u: SpectralField) -> SpectralField:
-    """-dealias(u . grad theta), products formed in physical space."""
-    gt = dealias(gradient(theta))
-    ud = dealias(u)
-    adv = ud.values[0] * gt.values[0] + ud.values[1] * gt.values[1]
-    return dealias(SpectralField.from_values(theta.grid, -adv))
+    """-dealias(u . grad theta), products formed in physical space.
+
+    The dealiased factors go to samples through real inverse transforms of
+    their half spectra (4 planes) and the product comes back through one
+    real forward transform.
+    """
+    ops = operator_table(theta.grid)
+    th = ops.half_spectrum(theta.coefficients) * ops.dealias_half
+    grad = ops.values_from_half(np.stack([1j * ops.k1 * th, 1j * ops.k2_half * th]))
+    vel = ops.values_from_half(ops.half_spectrum(u.coefficients) * ops.dealias_half)
+    adv = vel[0] * grad[0] + vel[1] * grad[1]
+    return SpectralField.from_coefficients(theta.grid, ops.coefficients(-adv) * ops.dealias)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
-    k1, k2 = u.grid.wavenumbers()
-    ksq = k1 * k1 + k2 * k2
-    ksq[0, 0] = 1.0
+    ops = operator_table(u.grid)
+    k1, k2 = ops.k1, ops.k2
     c = u.coefficients
-    div = (k1 * c[0] + k2 * c[1]) / ksq
+    with np.errstate(invalid="ignore"):
+        div = (k1 * c[0] + k2 * c[1]) / ops.ksq
+    div[0, 0] = 0.0
     out = np.stack([c[0] - k1 * div, c[1] - k2 * div])
     return SpectralField.from_coefficients(u.grid, out)
 
@@ -169,16 +181,22 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     else:
         u_of = lambda tt, thth: u_frozen
 
-    k1 = advection_tendency(th, u_of(t, th))
-    th2 = SpectralField.from_values(th.grid, th.values + 0.5 * dt * k1.values)
-    k2 = advection_tendency(th2, u_of(t + 0.5 * dt, th2))
-    th3 = SpectralField.from_values(th.grid, th.values + 0.5 * dt * k2.values)
-    k3 = advection_tendency(th3, u_of(t + 0.5 * dt, th3))
-    th4 = SpectralField.from_values(th.grid, th.values + dt * k3.values)
-    k4 = advection_tendency(th4, u_of(t + dt, th4))
+    grid = th.grid
+    c = th.coefficients
 
-    new_vals = th.values + (dt / 6.0) * (k1.values + 2 * k2.values + 2 * k3.values + k4.values)
-    new_theta = SpectralField.from_values(th.grid, new_vals)
+    def tendency(stage: SpectralField, tt: float) -> np.ndarray:
+        return advection_tendency(stage, u_of(tt, stage)).coefficients
+
+    k1 = tendency(th, t)
+    k2 = tendency(SpectralField.from_coefficients(grid, c + 0.5 * dt * k1), t + 0.5 * dt)
+    k3 = tendency(SpectralField.from_coefficients(grid, c + 0.5 * dt * k2), t + 0.5 * dt)
+    k4 = tendency(SpectralField.from_coefficients(grid, c + dt * k3), t + dt)
+
+    inc = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # samples advance by the increment's samples (the one transform the blow-up
+    # check needs), so a zero tendency leaves them bit for bit unchanged
+    new_theta = SpectralField(grid, values=th.values + operator_table(grid).values(inc),
+                              coefficients=c + inc)
     _check_blowup(new_theta, state.theta0_linf)
     u_new = u_of(t + dt, new_theta)
     return SimState(t=t + dt, theta=new_theta, u=u_new,
@@ -367,18 +385,29 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
 
 def _interp_velocity_time(times: np.ndarray, u_vals: np.ndarray, t: float) -> np.ndarray:
-    """Catmull-Rom interpolation in time of stacked velocity samples."""
+    """Catmull-Rom interpolation in time of stacked velocity samples.
+
+    Cubic Hermite on the interval of ``times`` (increasing, not necessarily
+    evenly spaced) that holds ``t``, with tangents (p_(i+1) - p_(i-1)) /
+    (t_(i+1) - t_(i-1)).  Past either end the missing neighbour is the end
+    sample mirrored in time.  Returns the stored samples at sample times.
+    """
     n = len(times)
     if n == 1:
         return u_vals[0]
-    dt = times[1] - times[0]
-    s = (t - times[0]) / dt
-    k = int(np.clip(np.floor(s), 0, n - 2))
-    x = s - k
-    i0, i1, i2, i3 = max(k - 1, 0), k, min(k + 1, n - 1), min(k + 2, n - 1)
-    p0, p1, p2, p3 = u_vals[i0], u_vals[i1], u_vals[i2], u_vals[i3]
-    return 0.5 * ((2 * p1) + (-p0 + p2) * x + (2 * p0 - 5 * p1 + 4 * p2 - p3) * x**2
-                  + (-p0 + 3 * p1 - 3 * p2 + p3) * x**3)
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, n - 2))
+    h = times[k + 1] - times[k]
+
+    def scaled_tangent(i):  # h times the tangent at sample i
+        lo, hi = max(i - 1, 0), min(i + 1, n - 1)
+        t_lo = times[lo] if lo < i else 2 * times[i] - times[hi]
+        t_hi = times[hi] if hi > i else 2 * times[i] - times[lo]
+        return (h / (t_hi - t_lo)) * (u_vals[hi] - u_vals[lo])
+
+    x = (t - times[k]) / h
+    x2, x3 = x * x, x * x * x
+    return ((2 * x3 - 3 * x2 + 1) * u_vals[k] + (x3 - 2 * x2 + x) * scaled_tangent(k)
+            + (3 * x2 - 2 * x3) * u_vals[k + 1] + (x3 - x2) * scaled_tangent(k + 1))
 
 
 def _bilinear_sample(vals: np.ndarray, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
@@ -463,6 +492,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     """
     if n_max < 2:
         raise ConfigurationError(f"need n_max >= 2, got {n_max}")
+    if config.c_existence <= 0:
+        raise ConfigurationError(
+            f"picard_iterate needs c_existence > 0 for its time bound, got {config.c_existence}")
     grid = theta0.grid
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
@@ -472,7 +504,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
 
     theta0_cr = zygmund_norm(theta0, config.r, family).value
     u0_linf = u0.linf()
-    t_bound = existence_time(u0_linf, theta0_cr, config.c_existence or 1.0)
+    t_bound = existence_time(u0_linf, theta0_cr, config.c_existence)
     t_end = config.t_end
     dt = cfl_dt(u0, grid, config.dt)
     n_steps = max(2, int(round(t_end / dt)))
@@ -491,7 +523,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     u_prev = [smooth_truncate_initial(u0, 2, family)] * (n_steps + 1)
 
     trace = IterationTrace(sample_times=sample_times, time_bound=t_bound)
-    c = config.c_existence or 1.0
+    c = config.c_existence
     denom = 1.0 - c * sample_times * (u0_linf + theta0_cr)
     with np.errstate(divide="ignore"):
         curve = np.where(denom > 0, c * (u0_linf + theta0_cr) / denom, np.inf)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,22 @@ class TestSerialization:
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ConfigurationError):
             load_field(p)
+
+    @pytest.mark.parametrize("cut", [4 + 10, 28 + 8 * 64 * 64 - 1])
+    def test_truncated_file_rejected(self, tmp_path, grid64, cut):
+        path = tmp_path / "t.fld"
+        save_field(random_real_field(grid64, seed=13), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ConfigurationError):
+            load_field(path)
+
+    @pytest.mark.parametrize("n, L, comps", [(2**40, 1.0, 1), (12, 1.0, 1), (64, np.nan, 1),
+                                             (64, 1.0, 3)])
+    def test_absurd_header_rejected(self, tmp_path, n, L, comps):
+        path = tmp_path / "a.fld"
+        path.write_bytes(b"SQGF" + struct.pack("<QdQ", n, L, comps) + b"\x00" * 64)
+        with pytest.raises(ConfigurationError):
+            load_field(path)
 
     def test_csv_export(self, tmp_path, grid64):
         f = random_real_field(grid64, seed=12)

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
-from sqglab.fields import SpectralField
+from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D
 from sqglab.kernels import build_split
-from sqglab.multipliers import biot_savart_velocity, divergence
-from sqglab.solver import (SimState, SolverConfig, existence_time, flow_map, leray_project,
-                           picard_iterate, polygon_area, simulate, step_transport,
-                           velocity_serfati)
+from sqglab.multipliers import biot_savart_velocity, divergence, gradient
+from sqglab.solver import (SimState, SolverConfig, _interp_velocity_time, existence_time,
+                           flow_map, leray_project, picard_iterate, polygon_area, simulate,
+                           step_transport, velocity_serfati)
 
 from conftest import random_real_field
+
+
+def dipole(grid, separation=0.6, amplitude=1.0):
+    x1, x2 = grid.coords_centered()
+    return SpectralField.from_values(
+        grid, amplitude * (np.exp(-((x1 - separation) ** 2 + x2**2) / 0.245)
+                           - np.exp(-((x1 + separation) ** 2 + (x2 - 0.1) ** 2) / 0.245)))
 
 
 def single_shell_state(grid, m=4, amplitude=1.0):
@@ -38,7 +46,64 @@ class TestExistenceTime:
             existence_time(-1.0, 0.0, 1.0)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("name", ["dt", "t_end", "r", "c_existence"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ConfigurationError):
+            SolverConfig(beta=0.5, **{name: bad})
+
+
+def values_space_rk4_step(theta, beta, dt):
+    """Reference: RK4 with stages formed from samples, complex transforms only."""
+    grid = theta.grid
+
+    def tendency(vals):
+        th = SpectralField.from_values(grid, vals)
+        gt = dealias(gradient(th))
+        ud = dealias(biot_savart_velocity(th, beta))
+        adv = ud.values[0] * gt.values[0] + ud.values[1] * gt.values[1]
+        return dealias(SpectralField.from_values(grid, -adv)).values
+
+    v = theta.values
+    k1 = tendency(v)
+    k2 = tendency(v + 0.5 * dt * k1)
+    k3 = tendency(v + 0.5 * dt * k2)
+    k4 = tendency(v + dt * k3)
+    return SpectralField.from_values(grid, v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
 class TestStepTransport:
+    def test_matches_values_space_reference(self, grid64):
+        theta0 = dipole(grid64)
+        st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
+                      theta0_linf=theta0.linf())
+        ref = theta0
+        for _ in range(10):
+            st = step_transport(st, None, 0.02, beta=0.5)
+            ref = values_space_rk4_step(ref, 0.5, 0.02)
+        assert (st.theta - ref).linf() <= 1e-13 * theta0.linf()
+        assert (st.u - biot_savart_velocity(ref, 0.5)).linf() <= 1e-13 * st.u.linf()
+
+    def test_transform_budget(self, grid64, monkeypatch):
+        # one direct step: 5 transform planes per RK4 stage, 1 for the blow-up check
+        theta0 = dipole(grid64)
+        st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
+                      theta0_linf=theta0.linf())
+        st = step_transport(st, None, 0.02, beta=0.5)  # a running state holds both representations
+        planes = []
+
+        def counting(fn):
+            def wrapped(x, *args, **kwargs):
+                planes.append(x.size // (x.shape[-1] * x.shape[-2]))
+                return fn(x, *args, **kwargs)
+            return wrapped
+
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn"):
+            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        step_transport(st, None, 0.02, beta=0.5)
+        assert 0 < sum(planes) <= 21
+
     def test_zero_velocity(self, grid64):
         th = random_real_field(grid64, seed=1)
         u0 = SpectralField.zeros(grid64, components=2)
@@ -170,6 +235,18 @@ class TestSerfati:
 
 
 class TestFlowMap:
+    def test_interpolant_hits_off_cadence_samples(self, grid64):
+        # 131 steps sampled every 2: the last sample is 0.01 after the one before
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=1.31, n_side=64, c_existence=0,
+                           sample_every=2, record_norms=())
+        traj = simulate(cfg, dipole(grid64, amplitude=0.5))
+        times = np.asarray(traj.times)
+        gaps = np.diff(times)
+        assert gaps[-1] == pytest.approx(0.5 * gaps[-2])
+        u_vals = np.stack([u.values for u in traj.us])
+        for i, t in enumerate(times):
+            np.testing.assert_array_equal(_interp_velocity_time(times, u_vals, t), u_vals[i])
+
     def test_zero_velocity_fixes_points(self, grid64):
         u = SpectralField.zeros(grid64, 2)
         pts = np.array([[1.0, 2.0], [3.0, 0.5]])
@@ -252,6 +329,14 @@ class TestPicard:
         ns = sorted(ratios)
         assert all(ratios[n] < 1.0 for n in ns[1:])
         assert trace.verdict == "ok"
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_nonpositive_existence_constant_rejected(self, picard_grid, c):
+        theta0 = single_shell_state(picard_grid)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0,
+                           c_existence=c)
+        with pytest.raises(ConfigurationError):
+            picard_iterate(cfg, theta0, n_max=2)
 
     def test_requires_two_iterates(self, picard_grid):
         theta0 = single_shell_state(picard_grid)
