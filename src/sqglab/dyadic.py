@@ -10,18 +10,21 @@ supported in the annulus 3/5 < |xi| < 5/3, nonnegative, with
 chi_hat + sum_{j>=0} phi_hat(2^-j xi) = 1 identically (exact telescoping,
 so the residual on the grid is pure roundoff).  Blocks are realized as
 Fourier multipliers: Delta_j = phi_hat(|k|/2^j), Delta_{-1} = chi_hat(|k|),
-S_n = chi_hat(|k|/2^(n+1)).
+S_n = chi_hat(|k|/2^(n+1)).  The family of a grid is built once
+(``build_partition`` is cached per grid) and builds each multiplier once, on
+first use; the multipliers are read-only and shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BlockRangeError, ConfigurationError
 from .fields import SpectralField
-from .grid import Grid2D
+from .grid import Grid2D, _read_only
 
 CHI_FLAT_RADIUS = 3.0 / 5.0
 CHI_SUPPORT_RADIUS = 5.0 / 6.0
@@ -69,12 +72,30 @@ class DyadicFamily:
     j_max: int
     j_top: int
     _kmag: np.ndarray = field(repr=False)
+    _multipliers: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def _cached(self, key: tuple, build) -> np.ndarray:
+        m = self._multipliers.get(key)
+        if m is None:
+            m = self._multipliers[key] = _read_only(build())
+        return m
 
     def block_multiplier(self, j: int) -> np.ndarray:
-        return phi_profile(self._kmag / 2.0**j)
+        """phi_hat(|k|/2^j) in fft layout (read-only, built once)."""
+        return self._cached(("phi", j), lambda: phi_profile(self._kmag / 2.0**j))
 
     def lowpass_multiplier(self, n: int) -> np.ndarray:
-        return chi_profile(self._kmag / 2.0 ** (n + 1))
+        """chi_hat(|k|/2^(n+1)) in fft layout (read-only, built once)."""
+        return self._cached(("chi", n), lambda: chi_profile(self._kmag / 2.0 ** (n + 1)))
+
+    def delta_multiplier(self, j: int, homogeneous: bool = False) -> np.ndarray:
+        """Delta_j: the low pass chi_hat(|k|) at j = -1 unless ``homogeneous``."""
+        if j == -1 and not homogeneous:
+            return self.lowpass_multiplier(-1)
+        return self.block_multiplier(j)
+
+    def block_js(self, homogeneous: bool = False) -> range:
+        return self.homogeneous_js() if homogeneous else self.inhomogeneous_js()
 
     def inhomogeneous_js(self) -> range:
         return range(-1, self.j_top + 1)
@@ -94,8 +115,9 @@ class DyadicFamily:
         return float(np.abs(1.0 - total[below]).max())
 
 
+@functools.lru_cache(maxsize=4)
 def build_partition(grid: Grid2D) -> DyadicFamily:
-    """Construct the dyadic family realizable on ``grid``.
+    """The dyadic family realizable on ``grid`` (cached per grid).
 
     Raises ``ConfigurationError`` if the grid cannot host a single annulus
     below the dealias cutoff.
@@ -128,7 +150,7 @@ def _apply(f: SpectralField, mult: np.ndarray) -> SpectralField:
     c = f.coefficients
     if f.components == 2:
         mult = mult[None, :, :]
-    return SpectralField.from_coefficients(f.grid, c * mult)
+    return SpectralField._adopt(f.grid, coefficients=c * mult)
 
 
 def project_block(f: SpectralField, j: int, mode: str = "inhomogeneous",
@@ -138,7 +160,7 @@ def project_block(f: SpectralField, j: int, mode: str = "inhomogeneous",
     if mode == "inhomogeneous":
         if j < -1 or j > fam.j_top:
             raise BlockRangeError(f"j={j} outside inhomogeneous range [-1, {fam.j_top}]")
-        mult = fam.lowpass_multiplier(-1) if j == -1 else fam.block_multiplier(j)
+        mult = fam.delta_multiplier(j)
     elif mode == "homogeneous":
         if j < fam.j_min or j > fam.j_top:
             raise BlockRangeError(f"j={j} outside homogeneous range [{fam.j_min}, {fam.j_top}]")

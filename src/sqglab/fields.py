@@ -7,8 +7,10 @@ under the package normalization
     c_k = (L / n^2) * sum_x f(x) exp(-i k.x),
 
 so that Parseval reads ``sum_k |c_k|^2 = spacing^2 * sum_x |f(x)|^2``.
-Representations are computed lazily and cached; fields are immutable
-(arrays are marked read-only) and every operation returns a new field.
+Representations are computed lazily and cached, through the real
+transforms of the grid's operator table; fields are immutable (arrays are
+marked read-only, and a caller's writeable array is copied first) and every
+operation returns a new field.
 """
 
 from __future__ import annotations
@@ -21,9 +23,19 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid2D, _read_only, fft2, ifft2
+from .grid import Grid2D, _read_only, operator_table
 
 _MAGIC = b"SQGF"
+
+
+def _frozen(a, dtype, adopt: bool) -> np.ndarray | None:
+    """``a`` as a read-only ``dtype`` array; a writeable array is copied unless adopted."""
+    if a is None:
+        return None
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable and not adopt:
+        a = a.copy()  # freezing it in place would freeze the caller's own array
+    return _read_only(a)
 
 
 class SpectralField:
@@ -33,15 +45,26 @@ class SpectralField:
 
     def __init__(self, grid: Grid2D, values: np.ndarray | None = None,
                  coefficients: np.ndarray | None = None):
+        self._init(grid, values, coefficients, adopt=False)
+
+    @classmethod
+    def _adopt(cls, grid: Grid2D, values: np.ndarray | None = None,
+               coefficients: np.ndarray | None = None) -> "SpectralField":
+        """Wrap freshly made arrays that nothing else holds, without copying them."""
+        f = cls.__new__(cls)
+        f._init(grid, values, coefficients, adopt=True)
+        return f
+
+    def _init(self, grid, values, coefficients, adopt: bool) -> None:
         if values is None and coefficients is None:
             raise ValueError("need values or coefficients")
         self.grid = grid
         n = grid.n_side
         for a, name in ((values, "values"), (coefficients, "coefficients")):
-            if a is not None and a.shape not in ((n, n), (2, n, n)):
-                raise ConfigurationError(f"{name} shape {a.shape} does not match grid n={n}")
-        self._values = None if values is None else _read_only(np.asarray(values, dtype=np.float64))
-        self._coeffs = None if coefficients is None else _read_only(np.asarray(coefficients, dtype=np.complex128))
+            if a is not None and np.shape(a) not in ((n, n), (2, n, n)):
+                raise ConfigurationError(f"{name} shape {np.shape(a)} does not match grid n={n}")
+        self._values = _frozen(values, np.float64, adopt)
+        self._coeffs = _frozen(coefficients, np.complex128, adopt)
 
     # -- constructors --------------------------------------------------
 
@@ -68,22 +91,19 @@ class SpectralField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            n2 = self.grid.n_side**2
-            vals = ifft2(self._coeffs) * (n2 / self.grid.box_length)
-            self._values = _read_only(vals.real)
+            self._values = _read_only(operator_table(self.grid).values(self._coeffs))
         return self._values
 
     @property
     def coefficients(self) -> np.ndarray:
         if self._coeffs is None:
-            c = fft2(self._values) * (self.grid.box_length / self.grid.n_side**2)
-            self._coeffs = _read_only(c)
+            self._coeffs = _read_only(operator_table(self.grid).coefficients(self._values))
         return self._coeffs
 
     # -- arithmetic (pointwise, grid-preserving) ---------------------------
 
     def _like(self, values=None, coefficients=None) -> "SpectralField":
-        return SpectralField(self.grid, values=values, coefficients=coefficients)
+        return SpectralField._adopt(self.grid, values=values, coefficients=coefficients)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._like(values=self.values + other.values)
@@ -140,7 +160,7 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
 
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with max(|k1|, |k2|) above the 2/3-Nyquist cutoff."""
-    return SpectralField.from_coefficients(f.grid, f.coefficients * f.grid.dealias_mask())
+    return SpectralField._adopt(f.grid, coefficients=f.coefficients * f.grid.dealias_mask())
 
 
 def parseval_mismatch(f: SpectralField) -> float:
@@ -184,7 +204,7 @@ def load_field(path) -> SpectralField:
         data = fh.read(size)
     shape = (n, n) if comps == 1 else (2, n, n)
     payload = np.frombuffer(data, dtype="<f8", count=count)
-    return SpectralField.from_values(grid, payload.reshape(shape).astype(np.float64))
+    return SpectralField._adopt(grid, values=payload.reshape(shape).astype(np.float64))
 
 
 def field_to_csv(f: SpectralField, path) -> None:

@@ -33,6 +33,11 @@ def ifft2(a: np.ndarray) -> np.ndarray:
     return scipy.fft.ifft2(a, workers=_FFT_WORKERS)
 
 
+def rfft2(a: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples over the last two axes, of any size (e.g. a patch)."""
+    return scipy.fft.rfft2(a, workers=_FFT_WORKERS)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -195,7 +200,7 @@ class OperatorTable:
     def coefficients(self, v: np.ndarray) -> np.ndarray:
         """Full-layout coefficients of real samples, in package normalization."""
         n = self.n_side
-        half = scipy.fft.rfft2(v, workers=_FFT_WORKERS)
+        half = rfft2(v)
         half *= self.box_length / (n * n)
         out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
         out[..., : n // 2 + 1] = half

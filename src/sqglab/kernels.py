@@ -440,7 +440,7 @@ def convolve_near(split: KernelSplit, theta: SpectralField) -> SpectralField:
         raise ConfigurationError("convolve_near takes a scalar field")
     t_hat = fft2(theta.values)
     out = ifft2(split._near_transfer * t_hat[None, :, :]).real
-    return SpectralField.from_values(split.grid, out)
+    return SpectralField._adopt(split.grid, values=out)
 
 
 def convolve_mid(split: KernelSplit, theta: SpectralField) -> SpectralField:
@@ -449,7 +449,7 @@ def convolve_mid(split: KernelSplit, theta: SpectralField) -> SpectralField:
         raise ConfigurationError("convolve_mid takes a scalar field")
     t_hat = fft2(theta.values)
     out = ifft2(split._mid_transfer * t_hat[None, :, :]).real
-    return SpectralField.from_values(split.grid, out)
+    return SpectralField._adopt(split.grid, values=out)
 
 
 def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField) -> SpectralField:
@@ -462,7 +462,7 @@ def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField) -> 
         p_hat = fft2(pj.values)
         for i in range(2):
             out[i] += ifft2(split._far_transfer[i, j] * p_hat).real
-    return SpectralField.from_values(split.grid, out)
+    return SpectralField._adopt(split.grid, values=out)
 
 
 def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:
@@ -516,7 +516,7 @@ def riesz_convolve(theta: SpectralField, beta: float, c_beta: float | None = Non
     grid = theta.grid
     transfer = riesz_transfer(grid, beta, c_beta, avg_radius)
     out = ifft2(transfer * fft2(theta.values)).real
-    return SpectralField.from_values(grid, out)
+    return SpectralField._adopt(grid, values=out)
 
 
 def verify_fundamental_solution(beta: float, grid: Grid2D, c_beta: float | None = None,

@@ -85,7 +85,7 @@ def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
     sym = _symbol_array(f.grid, m)
     if sym.ndim == 3 and f.components != 1:
         raise ConfigurationError("vector-valued symbols act on scalar fields")
-    return SpectralField.from_coefficients(f.grid, sym * f.coefficients)
+    return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
 
 
 def _biot_savart_symbol(k1, k2, beta: float) -> np.ndarray:
@@ -116,8 +116,8 @@ def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
     if theta.components != 1:
         raise ConfigurationError("constitutive law takes a scalar field")
-    return SpectralField.from_coefficients(
-        theta.grid, _constitutive_symbol(theta.grid, beta) * theta.coefficients)
+    return SpectralField._adopt(
+        theta.grid, coefficients=_constitutive_symbol(theta.grid, beta) * theta.coefficients)
 
 
 # -- derivative helpers -------------------------------------------------------
@@ -129,7 +129,7 @@ def gradient(f: SpectralField) -> SpectralField:
         raise ConfigurationError("vector-valued symbols act on scalar fields")
     ops = operator_table(f.grid)
     c = f.coefficients * ops.nyquist
-    return SpectralField.from_coefficients(f.grid, np.stack([1j * ops.k1 * c, 1j * ops.k2 * c]))
+    return SpectralField._adopt(f.grid, coefficients=np.stack([1j * ops.k1 * c, 1j * ops.k2 * c]))
 
 
 def derivative(f: SpectralField, alpha: tuple[int, int]) -> SpectralField:
@@ -139,7 +139,7 @@ def derivative(f: SpectralField, alpha: tuple[int, int]) -> SpectralField:
     sym = (1j * ops.k1) ** a1 * (1j * ops.k2) ** a2
     if (a1 + a2) % 2 == 1:
         sym = sym * ops.nyquist
-    return SpectralField.from_coefficients(f.grid, sym * f.coefficients)
+    return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
 
 
 def divergence(u: SpectralField) -> SpectralField:
@@ -149,13 +149,13 @@ def divergence(u: SpectralField) -> SpectralField:
     ops = operator_table(u.grid)
     c = u.coefficients
     out = 1j * ops.k1 * c[0] + 1j * ops.k2 * c[1]
-    return SpectralField.from_coefficients(u.grid, out * ops.nyquist)
+    return SpectralField._adopt(u.grid, coefficients=out * ops.nyquist)
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product formed in physical space after dealiasing both factors."""
     fd, gd = dealias(f), dealias(g)
-    return dealias(SpectralField.from_values(f.grid, fd.values * gd.values))
+    return dealias(SpectralField._adopt(f.grid, values=fd.values * gd.values))
 
 
 def kato_ponce_commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:

@@ -28,10 +28,8 @@ import scipy.fft
 from .dyadic import DyadicFamily, _ramp, build_partition
 from .errors import ConfigurationError, QuadratureBudgetError
 from .fields import SpectralField
-from .grid import Grid2D
+from .grid import Grid2D, operator_table, rfft2
 from .multipliers import bessel, derivative, frac_laplacian, apply_multiplier
-
-_FFT_WORKERS = 1  # patch transforms are small; keep them deterministic and cheap
 
 
 @dataclass(frozen=True)
@@ -71,27 +69,38 @@ def _multinomial(a: int, b: int) -> float:
 # -- Zygmund ------------------------------------------------------------------
 
 
+def block_sups(f: SpectralField, family: DyadicFamily | None = None,
+               homogeneous: bool = False) -> dict:
+    """||Delta_j f||_inf for every realizable block j, keyed by j.
+
+    The half spectrum of ``f`` is taken once; each block is one real inverse
+    transform per component against columns 0..n/2 of the family's cached
+    multiplier (the profiles are radial, so those columns determine the rest).
+    """
+    fam = family if family is not None else build_partition(f.grid)
+    ops = operator_table(f.grid)
+    half = ops.half_spectrum(f.coefficients)
+    cols = slice(0, f.grid.n_side // 2 + 1)
+    return {j: _linf(ops.values_from_half(half * fam.delta_multiplier(j, homogeneous)[:, cols]))
+            for j in fam.block_js(homogeneous)}
+
+
+def zygmund_from_sups(sups: dict, r: float, homogeneous: bool = False) -> NormReport:
+    """The Zygmund norm of order ``r`` from the block sups of :func:`block_sups`."""
+    if homogeneous:
+        profile = dict(sups)
+        kind = f"zygmund_hom:{r:g}"
+    else:
+        profile = {j: 2.0 ** (j * r) * sup for j, sup in sups.items()}
+        kind = f"zygmund:{r:g}"
+    return NormReport(kind=kind, value=max(profile.values()), block_profile=profile,
+                      tested_range=(min(sups), max(sups)))
+
+
 def zygmund_norm(f: SpectralField, r: float, family: DyadicFamily | None = None,
                  homogeneous: bool = False) -> NormReport:
     """Holder-Zygmund norm sup_j 2^(jr) ||Delta_j f||_inf over realizable blocks."""
-    fam = family if family is not None else build_partition(f.grid)
-    profile = {}
-    if homogeneous:
-        for j in fam.homogeneous_js():
-            c = f.coefficients * fam.block_multiplier(j)
-            block = SpectralField.from_coefficients(f.grid, c)
-            profile[j] = _linf(block.values)
-        rng = (fam.j_min, fam.j_top)
-        kind = f"zygmund_hom:{r:g}"
-    else:
-        for j in fam.inhomogeneous_js():
-            mult = fam.lowpass_multiplier(-1) if j == -1 else fam.block_multiplier(j)
-            block = SpectralField.from_coefficients(f.grid, f.coefficients * mult)
-            profile[j] = 2.0 ** (j * r) * _linf(block.values)
-        rng = (-1, fam.j_top)
-        kind = f"zygmund:{r:g}"
-    value = max(profile.values()) if profile else 0.0
-    return NormReport(kind=kind, value=value, block_profile=profile, tested_range=rng)
+    return zygmund_from_sups(block_sups(f, family, homogeneous), r, homogeneous)
 
 
 # -- classical Holder ---------------------------------------------------------
@@ -167,13 +176,9 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False,
 
     fam = family if family is not None else build_partition(f.grid)
     block_sq = {}
-    js = fam.homogeneous_js() if homogeneous else fam.inhomogeneous_js()
+    js = fam.block_js(homogeneous)
     for j in js:
-        if not homogeneous and j == -1:
-            mult = fam.lowpass_multiplier(-1)
-        else:
-            mult = fam.block_multiplier(j)
-        blk = _l2_from_coeffs(f.coefficients * mult)
+        blk = _l2_from_coeffs(f.coefficients * fam.delta_multiplier(j, homogeneous))
         block_sq[j] = 2.0 ** (2 * j * s) * blk**2
     lp_variant = float(np.sqrt(sum(block_sq.values())))
     kind = f"sobolev{'_hom' if homogeneous else ''}:{s:g}"
@@ -257,18 +262,23 @@ class WindowFamily:
                 yield patch * prof
 
 
-def _hs_norm_patch(vals: np.ndarray, h: float, s: float, homogeneous: bool) -> float:
-    """H^s norm of a (possibly vector) patch sample array, spectral route."""
-    pts = vals.shape[-1]
-    length = pts * h
+def _hs_patch_weight(pts: int, h: float, s: float, homogeneous: bool) -> np.ndarray:
+    """Weight w with ||patch||_(H^s)^2 = sum w |rfft2(patch)|^2 for real patches.
+
+    The Bessel (or |k|^(2s)) weight on the rfft2 layout, times the Hermitian
+    column multiplicity (1 for column 0 and, for even ``pts``, the Nyquist
+    column; 2 for the rest, which stand for their unstored mirrors), times the
+    squared package normalization (length / pts^2)^2.
+    """
     k = 2.0 * np.pi * np.fft.fftfreq(pts, d=h)
-    k1, k2 = np.meshgrid(k, k, indexing="ij")
-    ksq = k1 * k1 + k2 * k2
+    k_half = 2.0 * np.pi * np.fft.rfftfreq(pts, d=h)
+    ksq = k[:, None] ** 2 + k_half[None, :] ** 2
     weight = ksq**s if homogeneous else (1.0 + ksq) ** s
-    c = scipy.fft.fft2(vals, workers=_FFT_WORKERS) * (length / pts**2)
-    comps = c if c.ndim == 3 else c[None]
-    total = sum(float(np.sum(weight * np.abs(cc) ** 2)) for cc in comps)
-    return float(np.sqrt(total))
+    mult = np.full(len(k_half), 2.0)
+    mult[0] = 1.0
+    if pts % 2 == 0:
+        mult[-1] = 1.0
+    return weight * mult * (h / pts) ** 2
 
 
 def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,
@@ -282,7 +292,7 @@ def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,
     sigma = s - m
     if sigma <= 0:
         raise ConfigurationError(f"Slobodeckij order must be non-integer, got {s}")
-    f = SpectralField.from_values(grid, vals)
+    f = SpectralField._adopt(grid, values=vals)
     l2sq = float(np.sum(np.abs(f.coefficients) ** 2))
     gradm_sq = 0.0
     semi_quad = 0.0
@@ -302,8 +312,9 @@ def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,
         db = derivative(f, beta)
         gradm_sq += w * float(np.sum(np.abs(db.coefficients) ** 2))
         v = db.values
-        # sum_x |v(x+d)-v(x)|^2 = 2||v||^2 - 2 autocorr(d), all offsets via FFT
-        ac = scipy.fft.ifft2(np.abs(scipy.fft.fft2(v)) ** 2).real
+        # sum_x |v(x+d)-v(x)|^2 = 2||v||^2 - 2 autocorr(d), all offsets at once:
+        # autocorr = (L / h^2) * samples of |coefficients|^2
+        ac = operator_table(grid).values(np.abs(db.coefficients) ** 2) * (grid.box_length / h**2)
         sums = 2.0 * (float(np.sum(v**2)) * full - ac * full)
         acc = float(np.sum(sums))
         # exact tail: beyond reach_len the supports of the two copies are disjoint
@@ -326,8 +337,11 @@ def uniformly_local_norm(f: SpectralField, param: float, windows: WindowFamily,
         raise ConfigurationError("window lattice does not cover the torus")
     per_window = []
     if kind == "Hs_ul":
+        pts = windows.patch_pts or grid.n_side
+        weight = _hs_patch_weight(pts, grid.spacing, param, homogeneous)
         for patch in windows.iter_patches(f.values):
-            per_window.append(_hs_norm_patch(patch, grid.spacing, param, homogeneous))
+            c = rfft2(patch)
+            per_window.append(float(np.sqrt(np.sum(weight * (c.real**2 + c.imag**2)))))
     elif kind == "Lp_ul":
         h2 = grid.spacing**2
         for patch in windows.iter_patches(f.values):

@@ -117,19 +117,26 @@ class IterationTrace:
 # -- basic operators -----------------------------------------------------------
 
 
-def advection_tendency(theta: SpectralField, u: SpectralField) -> SpectralField:
+def velocity_samples(u: SpectralField) -> np.ndarray:
+    """Samples of dealias(u), the advecting factor of :func:`advection_tendency`
+    (one real inverse transform per component)."""
+    ops = operator_table(u.grid)
+    return ops.values_from_half(ops.half_spectrum(u.coefficients) * ops.dealias_half)
+
+
+def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralField:
     """-dealias(u . grad theta), products formed in physical space.
 
-    The dealiased factors go to samples through real inverse transforms of
-    their half spectra (4 planes) and the product comes back through one
-    real forward transform.
+    ``u_samples`` are the dealiased velocity samples from
+    :func:`velocity_samples`.  The dealiased gradient goes to samples through
+    real inverse transforms of its half spectrum (2 planes) and the product
+    comes back through one real forward transform.
     """
     ops = operator_table(theta.grid)
     th = ops.half_spectrum(theta.coefficients) * ops.dealias_half
     grad = ops.values_from_half(np.stack([1j * ops.k1 * th, 1j * ops.k2_half * th]))
-    vel = ops.values_from_half(ops.half_spectrum(u.coefficients) * ops.dealias_half)
-    adv = vel[0] * grad[0] + vel[1] * grad[1]
-    return SpectralField.from_coefficients(theta.grid, ops.coefficients(-adv) * ops.dealias)
+    adv = u_samples[0] * grad[0] + u_samples[1] * grad[1]
+    return SpectralField._adopt(theta.grid, coefficients=ops.coefficients(-adv) * ops.dealias)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -140,7 +147,7 @@ def leray_project(u: SpectralField) -> SpectralField:
         div = (k1 * c[0] + k2 * c[1]) / ops.ksq
     div[0, 0] = 0.0
     out = np.stack([c[0] - k1 * div, c[1] - k2 * div])
-    return SpectralField.from_coefficients(u.grid, out)
+    return SpectralField._adopt(u.grid, coefficients=out)
 
 
 def cfl_dt(u: SpectralField, grid: Grid2D, dt: float) -> float:
@@ -175,30 +182,46 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     if u_frozen is None:
         if beta is None:
             raise ConfigurationError("self-consistent stepping needs beta")
-        u_of = lambda tt, thth: biot_savart_velocity(thth, beta)
-    elif callable(u_frozen):
-        u_of = lambda tt, thth: u_frozen(tt)
+
+        def stage_velocity(tt, stage):
+            u = biot_savart_velocity(stage, beta)
+            return u, velocity_samples(u)
     else:
-        u_of = lambda tt, thth: u_frozen
+        # a frozen velocity depends on time alone: take each distinct one to
+        # samples once (a fixed field serves all 4 stages; on a trajectory,
+        # stages 2 and 3 share t + dt/2 and stage 4 the new state's velocity)
+        field_at = u_frozen if callable(u_frozen) else (lambda tt: u_frozen)
+        memo = {}
+
+        def stage_velocity(tt, stage):
+            key = tt if callable(u_frozen) else None
+            if key not in memo:
+                u = field_at(tt)
+                memo[key] = (u, velocity_samples(u))
+            return memo[key]
 
     grid = th.grid
     c = th.coefficients
 
     def tendency(stage: SpectralField, tt: float) -> np.ndarray:
-        return advection_tendency(stage, u_of(tt, stage)).coefficients
+        return advection_tendency(stage, stage_velocity(tt, stage)[1]).coefficients
+
+    def stage_theta(coeffs: np.ndarray) -> SpectralField:
+        return SpectralField._adopt(grid, coefficients=coeffs)
 
     k1 = tendency(th, t)
-    k2 = tendency(SpectralField.from_coefficients(grid, c + 0.5 * dt * k1), t + 0.5 * dt)
-    k3 = tendency(SpectralField.from_coefficients(grid, c + 0.5 * dt * k2), t + 0.5 * dt)
-    k4 = tendency(SpectralField.from_coefficients(grid, c + dt * k3), t + dt)
+    k2 = tendency(stage_theta(c + 0.5 * dt * k1), t + 0.5 * dt)
+    k3 = tendency(stage_theta(c + 0.5 * dt * k2), t + 0.5 * dt)
+    k4 = tendency(stage_theta(c + dt * k3), t + dt)
 
     inc = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     # samples advance by the increment's samples (the one transform the blow-up
     # check needs), so a zero tendency leaves them bit for bit unchanged
-    new_theta = SpectralField(grid, values=th.values + operator_table(grid).values(inc),
-                              coefficients=c + inc)
+    new_theta = SpectralField._adopt(grid, values=th.values + operator_table(grid).values(inc),
+                                     coefficients=c + inc)
     _check_blowup(new_theta, state.theta0_linf)
-    u_new = u_of(t + dt, new_theta)
+    u_new = (biot_savart_velocity(new_theta, beta) if u_frozen is None
+             else stage_velocity(t + dt, new_theta)[0])
     return SimState(t=t + dt, theta=new_theta, u=u_new,
                     far_accumulator=state.far_accumulator, far_prev=state.far_prev,
                     far_time=state.far_time, theta0_linf=state.theta0_linf)
@@ -216,7 +239,7 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
             )
         acc_vals = state.far_accumulator.values
     near = convolve_near(split, state.theta - theta0)
-    return SpectralField.from_values(u0.grid, u0.values + near.values - acc_vals)
+    return SpectralField._adopt(u0.grid, values=u0.values + near.values - acc_vals)
 
 
 # -- existence time -------------------------------------------------------------
@@ -342,8 +365,8 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             new = step_transport(state, None, dt, beta=config.beta)
             if split is not None:
                 integ = convolve_far(split, new.theta, new.u)
-                new.far_accumulator = SpectralField.from_values(
-                    grid, state.far_accumulator.values
+                new.far_accumulator = SpectralField._adopt(
+                    grid, values=state.far_accumulator.values
                     + 0.5 * dt * (state.far_prev.values + integ.values))
                 new.far_prev = integ
                 new.far_time = new.t
@@ -354,13 +377,13 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             # trapezoid leg with predictor/corrector for the new-boundary integrand
             base = state.far_accumulator.values + 0.5 * dt * state.far_prev.values
             integ_pred = convolve_far(split, new.theta, u_adv)
-            new.far_accumulator = SpectralField.from_values(
-                grid, base + 0.5 * dt * integ_pred.values)
+            new.far_accumulator = SpectralField._adopt(
+                grid, values=base + 0.5 * dt * integ_pred.values)
             new.far_time = new.t
             u_star = velocity_serfati(new, u0, theta0, split)
             integ = convolve_far(split, new.theta, u_star)
-            new.far_accumulator = SpectralField.from_values(
-                grid, base + 0.5 * dt * integ.values)
+            new.far_accumulator = SpectralField._adopt(
+                grid, values=base + 0.5 * dt * integ.values)
             new.far_prev = integ
             # the reconstruction is divergence-free in the continuum; project
             # away the sampling residue so the state velocity stays solenoidal
@@ -384,34 +407,49 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 # -- flow map --------------------------------------------------------------------
 
 
-def _interp_velocity_time(times: np.ndarray, u_vals: np.ndarray, t: float) -> np.ndarray:
-    """Catmull-Rom interpolation in time of stacked velocity samples.
+def _catmull_rom_weights(times: np.ndarray, t: float) -> tuple[list, np.ndarray]:
+    """Sample indices and weights of Catmull-Rom interpolation in time at ``t``.
 
-    Cubic Hermite on the interval of ``times`` (increasing, not necessarily
-    evenly spaced) that holds ``t``, with tangents (p_(i+1) - p_(i-1)) /
-    (t_(i+1) - t_(i-1)).  Past either end the missing neighbour is the end
-    sample mirrored in time.  Returns the stored samples at sample times.
+    The interpolant is sum_i w_i p_(idx_i): the cubic Hermite on the interval
+    of ``times`` (increasing, not necessarily evenly spaced) that holds ``t``,
+    with tangents (p_(i+1) - p_(i-1)) / (t_(i+1) - t_(i-1)).  Past either end
+    the missing neighbour is the end sample mirrored in time.  At a sample
+    time the weights are 1 on that sample and 0 elsewhere.
     """
     n = len(times)
     if n == 1:
-        return u_vals[0]
-    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, n - 2))
+        return [0], np.ones(1)
+    k = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), n - 2)
     h = times[k + 1] - times[k]
-
-    def scaled_tangent(i):  # h times the tangent at sample i
+    x = (t - times[k]) / h
+    x2, x3 = x * x, x * x * x
+    # slots 0..3 hold samples k-1..k+2 (clipped at the ends, where they carry 0)
+    idx = [min(max(i, 0), n - 1) for i in range(k - 1, k + 3)]
+    w = np.array([0.0, 2 * x3 - 3 * x2 + 1, 3 * x2 - 2 * x3, 0.0])
+    for i, basis in ((k, x3 - 2 * x2 + x), (k + 1, x3 - x2)):
+        # basis times h times the tangent at sample i
         lo, hi = max(i - 1, 0), min(i + 1, n - 1)
         t_lo = times[lo] if lo < i else 2 * times[i] - times[hi]
         t_hi = times[hi] if hi > i else 2 * times[i] - times[lo]
-        return (h / (t_hi - t_lo)) * (u_vals[hi] - u_vals[lo])
-
-    x = (t - times[k]) / h
-    x2, x3 = x * x, x * x * x
-    return ((2 * x3 - 3 * x2 + 1) * u_vals[k] + (x3 - 2 * x2 + x) * scaled_tangent(k)
-            + (3 * x2 - 2 * x3) * u_vals[k + 1] + (x3 - x2) * scaled_tangent(k + 1))
+        scale = basis * h / (t_hi - t_lo)
+        w[hi - k + 1] += scale
+        w[lo - k + 1] -= scale
+    return idx, w
 
 
-def _bilinear_sample(vals: np.ndarray, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Periodic bilinear interpolation of (2, n, n) values at points (m, 2)."""
+def _interp_velocity_time(times: np.ndarray, u_vals, t: float) -> np.ndarray:
+    """Catmull-Rom interpolation in time (:func:`_catmull_rom_weights`) of a
+    sequence of sample arrays; returns the stored samples at sample times."""
+    idx, w = _catmull_rom_weights(times, t)
+    out = w[0] * u_vals[idx[0]]
+    for i, wi in zip(idx[1:], w[1:]):
+        out += wi * u_vals[i]
+    return out
+
+
+def _bilinear_sample(fields_vals, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Periodic bilinear interpolation at points (m, 2) of each (2, n, n) array
+    in ``fields_vals``; shape (len(fields_vals), m, 2)."""
     h = grid.spacing
     n = grid.n_side
     q = pts / h
@@ -420,21 +458,21 @@ def _bilinear_sample(vals: np.ndarray, pts: np.ndarray, grid: Grid2D) -> np.ndar
     i0 %= n
     i1 = (i0 + 1) % n
     fx, fy = frac[:, 0], frac[:, 1]
-    out = np.empty_like(pts)
-    for c in range(2):
-        v = vals[c]
-        out[:, c] = ((1 - fx) * (1 - fy) * v[i0[:, 0], i0[:, 1]]
-                     + fx * (1 - fy) * v[i1[:, 0], i0[:, 1]]
-                     + (1 - fx) * fy * v[i0[:, 0], i1[:, 1]]
-                     + fx * fy * v[i1[:, 0], i1[:, 1]])
-    return out
+    # the 4 corners as flat indices into an (n, n) plane, and their weights
+    flat = np.stack([i0[:, 0] * n + i0[:, 1], i1[:, 0] * n + i0[:, 1],
+                     i0[:, 0] * n + i1[:, 1], i1[:, 0] * n + i1[:, 1]])
+    wgt = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
+    corners = np.stack([vals.reshape(2, -1)[:, flat] for vals in fields_vals])
+    return (corners * wgt).sum(axis=2).transpose(0, 2, 1)
 
 
 def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
     """Integrate particle paths dX/dt = u(t, X) with RK4.
 
     ``u_trajectory`` is either a ``Trajectory`` or a pair (times, fields).
-    Velocity is bilinear in space and Catmull-Rom (cubic) in time.
+    Velocity is bilinear in space and Catmull-Rom (cubic) in time; each
+    evaluation samples the (at most 4) time nodes at the particles and then
+    combines them in time, so it costs O(particles), not O(n^2).
     Returns an array of positions (n_times, n_particles, 2) including t=0.
     """
     if isinstance(u_trajectory, Trajectory):
@@ -444,7 +482,7 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
         times, fields = u_trajectory
         times = np.asarray(times)
     grid = fields[0].grid
-    u_vals = np.stack([f.values for f in fields])
+    u_vals = [f.values for f in fields]
     t_end = times[-1] if t_end is None else t_end
 
     pts = np.asarray(particles, dtype=np.float64).copy()
@@ -455,8 +493,9 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
     t = 0.0
 
     def vel(tq, p):
-        uv = _interp_velocity_time(times, u_vals, min(tq, times[-1]))
-        return _bilinear_sample(uv, p % L, grid)
+        idx, w = _catmull_rom_weights(times, min(tq, times[-1]))
+        samples = _bilinear_sample([u_vals[i] for i in idx], p % L, grid)
+        return np.tensordot(w, samples, axes=1)
 
     for _ in range(n_steps):
         k1 = vel(t, pts)
@@ -514,9 +553,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     sample_times = step_times[sample_idx]
 
     def frozen_interp(fields):
-        vals = np.stack([f.values for f in fields])
-        return lambda t: SpectralField.from_values(
-            grid, _interp_velocity_time(step_times, vals, min(t, t_end)))
+        vals = [f.values for f in fields]
+        return lambda t: SpectralField._adopt(
+            grid, values=_interp_velocity_time(step_times, vals, min(t, t_end)))
 
     # n = 1: time-frozen smoothed data
     th_prev = [smooth_truncate_initial(theta0, 2, family)] * (n_steps + 1)
@@ -548,12 +587,12 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         integ_prev = convolve_far(split, th_new[0], u_prev[0])
         for k in range(1, n_steps + 1):
             integ = convolve_far(split, th_new[k], u_prev[k])
-            acc = SpectralField.from_values(
-                grid, acc.values + 0.5 * dt * (integ_prev.values + integ.values))
+            acc = SpectralField._adopt(
+                grid, values=acc.values + 0.5 * dt * (integ_prev.values + integ.values))
             integ_prev = integ
             near = convolve_near(split, th_new[k] - th_init)
-            u_new.append(SpectralField.from_values(
-                grid, u_new[0].values + near.values - acc.values))
+            u_new.append(SpectralField._adopt(
+                grid, values=u_new[0].values + near.values - acc.values))
 
         dn = np.empty(len(sample_idx))
         for m, idx in enumerate(sample_idx):

@@ -21,10 +21,10 @@ from .grid import Grid2D
 from .kernels import build_split, convolve_near
 from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, dealiased_product,
                           frac_laplacian, gradient)
-from .norms import (WindowFamily, classical_holder_norm, uniformly_local_norm,
-                    zygmund_norm)
+from .norms import (WindowFamily, block_sups, classical_holder_norm, uniformly_local_norm,
+                    zygmund_from_sups, zygmund_norm)
 from .report import VerificationReport
-from .solver import SolverConfig, Trajectory, simulate
+from .solver import SolverConfig, Trajectory, advection_tendency, simulate, velocity_samples
 
 # sanity caps per check; the substantive criterion is ensemble stability
 RATIO_CEILINGS = {
@@ -80,7 +80,7 @@ def make_field(grid: Grid2D, spec: EnsembleSpec, trial: int) -> SpectralField:
         env[band] = kmag[band] ** (-spec.gamma)
         c = _hermitian_symmetrize(env * z)
         c[0, 0] = 0.0
-        f = SpectralField.from_coefficients(grid, c)
+        f = SpectralField._adopt(grid, coefficients=c)
     else:
         x1, x2 = grid.coords_centered()
         vals = np.zeros((n, n))
@@ -95,7 +95,7 @@ def make_field(grid: Grid2D, spec: EnsembleSpec, trial: int) -> SpectralField:
                 vals += amp * np.exp(-((x1 - cx) ** 2 + (x2 - cy) ** 2) / (2.0 * sig**2))
             if spec.field_class == "constant_plus_bump":
                 vals += rng.uniform(0.2, 1.0)
-        f = SpectralField.from_values(grid, vals)
+        f = SpectralField._adopt(grid, values=vals)
     peak = f.linf()
     if peak == 0.0:
         return f
@@ -212,20 +212,24 @@ def _push(rows, measured, grid_ratios, ratio, key, j, trial):
 # -- commutator checks -------------------------------------------------------------
 
 
-def _u_dot_grad(u: SpectralField, f: SpectralField) -> SpectralField:
-    gf = gradient(f)
-    return (dealiased_product(u.component(0), SpectralField.from_values(u.grid, gf.values[0]))
-            + dealiased_product(u.component(1), SpectralField.from_values(u.grid, gf.values[1])))
+def _u_dot_grad(u_samples: np.ndarray, f: SpectralField) -> SpectralField:
+    """dealias(u . grad f) with dealiased factors, from ``velocity_samples(u)``."""
+    return SpectralField._adopt(f.grid, coefficients=-advection_tendency(f, u_samples).coefficients)
 
 
-def lp_commutator(u: SpectralField, theta: SpectralField, j: int, fam,
-                  advection: SpectralField | None = None) -> SpectralField:
+def lp_commutator(u: SpectralField, theta: SpectralField, j: int, fam) -> SpectralField:
     """[u.grad, Delta_j] theta with dealiased products."""
-    tj = project_block(theta, j, "inhomogeneous", fam)
-    first = _u_dot_grad(u, tj)
-    adv = advection if advection is not None else _u_dot_grad(u, theta)
-    second = project_block(adv, j, "inhomogeneous", fam)
-    return first - second
+    u_samples = velocity_samples(u)
+    return _lp_commutator(u_samples, theta, j, fam, _u_dot_grad(u_samples, theta))
+
+
+def _lp_commutator(u_samples: np.ndarray, theta: SpectralField, j: int, fam,
+                   advection: SpectralField) -> SpectralField:
+    """:func:`lp_commutator` from ``velocity_samples(u)`` and ``advection`` =
+    dealias(u . grad theta), which every block of a trial shares."""
+    first = _u_dot_grad(u_samples, project_block(theta, j, "inhomogeneous", fam))
+    second = project_block(advection, j, "inhomogeneous", fam)
+    return SpectralField._adopt(theta.grid, coefficients=first.coefficients - second.coefficients)
 
 
 def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
@@ -263,17 +267,22 @@ def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
                 theta = g
                 grad_u_inf = max(gradient(u.component(0)).linf(),
                                  gradient(u.component(1)).linf())
-                rhs1 = (gradient(theta).linf() * zygmund_norm(u, r, fam).value
-                        + grad_u_inf * zygmund_norm(theta, r, fam).value)
-                rhs2 = (theta.linf() * zygmund_norm(u, r + 1.0, fam).value
-                        + grad_u_inf * zygmund_norm(theta, r, fam).value)
+                # block sups once per field; the orders differ only in the weights
+                u_sups, theta_sups = block_sups(u, fam), block_sups(theta, fam)
+                theta_cr = zygmund_from_sups(theta_sups, r).value
+                rhs1 = (gradient(theta).linf() * zygmund_from_sups(u_sups, r).value
+                        + grad_u_inf * theta_cr)
+                rhs2 = (theta.linf() * zygmund_from_sups(u_sups, r + 1.0).value
+                        + grad_u_inf * theta_cr)
                 if min(rhs1, rhs2) < 1e-14:
                     skipped += 1
                     continue
-                advection = _u_dot_grad(u, theta)
+                u_samples = velocity_samples(u)  # shared by every commutator of the trial
+                advection = _u_dot_grad(u_samples, theta)
                 worst1 = worst2 = 0.0
                 for j in range(-1, fam.j_max):
-                    cr = zygmund_norm(lp_commutator(u, theta, j, fam, advection), r, fam).value
+                    comm = _lp_commutator(u_samples, theta, j, fam, advection)
+                    cr = zygmund_norm(comm, r, fam).value
                     worst1 = max(worst1, cr / rhs1)
                     worst2 = max(worst2, cr / rhs2)
                 cs.append(worst1)

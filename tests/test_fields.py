@@ -85,6 +85,26 @@ class TestTransform:
             SpectralField.from_values(grid64, np.zeros((32, 32)))
 
 
+class TestOwnership:
+    def test_from_values_leaves_caller_array_writeable(self, grid64):
+        a = np.zeros((64, 64))
+        f = SpectralField.from_values(grid64, a)
+        a[0, 0] = 1.0
+        assert f.values[0, 0] == 0.0
+        assert not f.values.flags.writeable
+
+    def test_from_coefficients_leaves_caller_array_writeable(self, grid64):
+        c = np.zeros((2, 64, 64), dtype=np.complex128)
+        f = SpectralField.from_coefficients(grid64, c)
+        c[0, 0, 0] = 1.0
+        assert f.coefficients[0, 0, 0] == 0.0
+        assert np.all(f.values == 0.0)
+
+    def test_read_only_input_is_shared(self, grid64):
+        f = random_real_field(grid64, seed=3)
+        assert SpectralField.from_values(grid64, f.values).values is f.values
+
+
 class TestDealias:
     def test_band_limited_unchanged(self, grid64):
         X, _ = grid64.coords()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 
+from sqglab.dyadic import build_partition, chi_profile, phi_profile
 from sqglab.errors import QuadratureBudgetError
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D
@@ -8,6 +10,45 @@ from sqglab.norms import (WindowFamily, classical_holder_norm, sobolev_norm,
                           uniformly_local_norm, window_profile, zygmund_norm)
 
 from conftest import random_real_field
+
+
+def full_layout_coefficients(f):
+    """Package-normalized coefficients by the complex full-layout transform."""
+    return scipy.fft.fft2(f.values) * (f.grid.box_length / f.grid.n_side**2)
+
+
+def reference_zygmund_profile(f, r, homogeneous):
+    """Block profile by the full-layout route: Re(ifft2(c * multiplier)) per block,
+    with the multiplier evaluated afresh from the profiles."""
+    grid = f.grid
+    fam = build_partition(grid)
+    kmag = grid.k_magnitude()
+    c = full_layout_coefficients(f)
+    js = fam.homogeneous_js() if homogeneous else fam.inhomogeneous_js()
+    profile = {}
+    for j in js:
+        mult = chi_profile(kmag) if j == -1 and not homogeneous else phi_profile(kmag / 2.0**j)
+        vals = scipy.fft.ifft2(c * mult).real * (grid.n_side**2 / grid.box_length)
+        sup = np.sqrt((vals**2).sum(axis=0)).max() if vals.ndim == 3 else np.abs(vals).max()
+        profile[j] = sup if homogeneous else 2.0 ** (j * r) * sup
+    return profile
+
+
+def reference_hs_ul_profile(f, s, windows, homogeneous):
+    """Per-window H^s norms by the full-layout route: a k meshgrid and a complex
+    fft2 for every window."""
+    h = f.grid.spacing
+    out = []
+    for patch in windows.iter_patches(f.values):
+        pts = patch.shape[-1]
+        k = 2.0 * np.pi * np.fft.fftfreq(pts, d=h)
+        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        ksq = k1 * k1 + k2 * k2
+        weight = ksq**s if homogeneous else (1.0 + ksq) ** s
+        c = scipy.fft.fft2(patch) * (pts * h / pts**2)
+        comps = c if c.ndim == 3 else c[None]
+        out.append(np.sqrt(sum(np.sum(weight * np.abs(cc) ** 2) for cc in comps)))
+    return np.asarray(out)
 
 
 class TestZygmund:
@@ -50,6 +91,20 @@ class TestZygmund:
     def test_zero_iff_zero(self, grid64):
         z = SpectralField.zeros(grid64)
         assert zygmund_norm(z, 1.5).value == 0.0
+
+
+    # the box of 16 puts homogeneous blocks at j <= -1 on the grid
+    @pytest.mark.parametrize("n, box", [(64, 2 * np.pi), (128, 2 * np.pi), (64, 16.0)])
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_matches_full_layout_reference(self, n, box, components, homogeneous):
+        f = random_real_field(Grid2D(n, box), seed=n + components, components=components)
+        rep = zygmund_norm(f, 1.5, homogeneous=homogeneous)
+        ref = reference_zygmund_profile(f, 1.5, homogeneous)
+        assert list(rep.block_profile) == list(ref)
+        for j, v in ref.items():
+            assert abs(rep.block_profile[j] - v) <= 1e-13 * v
+        assert abs(rep.value - max(ref.values())) <= 1e-13 * rep.value
 
 
 class TestClassicalHolder:
@@ -162,6 +217,29 @@ class TestUniformlyLocal:
             ratios.append(b / a)
         assert 0.5 <= min(ratios) and max(ratios) <= 2.5
         assert max(ratios) / min(ratios) <= 1.6
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_hs_ul_matches_full_layout_reference(self, grid64, homogeneous):
+        f = random_real_field(grid64, seed=21, components=2)
+        wf = WindowFamily.build(grid64)
+        rep = uniformly_local_norm(f, 1.5, wf, "Hs_ul", homogeneous=homogeneous)
+        ref = reference_hs_ul_profile(f, 1.5, wf, homogeneous)
+        got = np.asarray(list(rep.block_profile.values()))
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_hs_ul_odd_patch_matches_full_layout_reference(self, components):
+        grid = Grid2D(128, 16.0)
+        built = WindowFamily.build(grid)
+        assert 0 < built.patch_pts < grid.n_side
+        wf = WindowFamily(grid=grid, scale=built.scale, centers_idx=built.centers_idx,
+                          patch_pts=built.patch_pts + 1 - built.patch_pts % 2)
+        assert wf.patch_pts % 2 == 1
+        f = random_real_field(grid, seed=22, components=components)
+        rep = uniformly_local_norm(f, 1.2, wf, "Hs_ul")
+        ref = reference_hs_ul_profile(f, 1.2, wf, False)
+        got = np.asarray(list(rep.block_profile.values()))
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
 
     def test_slobodeckij_matches_bessel_bracket(self):
         grid = Grid2D(64)

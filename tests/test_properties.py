@@ -1,14 +1,21 @@
 """Property tests of the spectral operators served by the per-grid tables."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from sqglab.fields import dealias, parseval_mismatch
+from sqglab import grid as grid_module
+from sqglab.dyadic import build_partition
+from sqglab.fields import SpectralField, dealias, load_field, parseval_mismatch, save_field
 from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_savart_velocity,
                                 divergence, frac_laplacian)
+from sqglab.norms import zygmund_norm
 from sqglab.solver import leray_project
 
 from conftest import random_real_field
@@ -79,8 +86,12 @@ def test_cached_tables_read_only(n):
     ops = operator_table(grid)
     assert operator_table(Grid2D(n)) is ops
     arrays = [v for v in vars(ops).values() if isinstance(v, np.ndarray)]
+    fam = build_partition(grid)
+    assert build_partition(Grid2D(n)) is fam
+    assert fam.block_multiplier(1) is fam.block_multiplier(1)
     arrays += [*grid.wavenumbers(), grid.k_magnitude(), grid.dealias_mask(),
-               _constitutive_symbol(grid, 0.5)]
+               _constitutive_symbol(grid, 0.5), fam.block_multiplier(1),
+               fam.lowpass_multiplier(-1)]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -90,3 +101,36 @@ def test_cached_tables_read_only(n):
     np.testing.assert_array_equal(biot_savart_velocity(f, 0.5).coefficients,
                                   _constitutive_symbol(grid, 0.5) * f.coefficients)
 
+
+
+@PROPERTY
+@given(st.sampled_from([8, 16]).flatmap(lambda n: st.tuples(
+    st.builds(Grid2D, st.just(n), st.floats(1e-3, 1e3)),
+    arrays(np.float64, st.sampled_from([(n, n), (2, n, n)]),
+           elements=st.floats(allow_nan=False, allow_infinity=False)))))
+def test_save_load_round_trip_is_exact(grid_and_values):
+    grid, values = grid_and_values
+    f = SpectralField.from_values(grid, values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.fld"
+        save_field(f, path)
+        back = load_field(path)
+    assert back.grid == grid
+    assert back.values.tobytes() == f.values.tobytes()
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]), st.booleans())
+def test_results_do_not_depend_on_fft_worker_count(grid, seed, components, homogeneous):
+    c = random_coefficients(grid, seed, components)
+    f = random_real_field(grid, seed, components)
+    runs = []
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module, "_FFT_WORKERS", workers)
+            values = SpectralField.from_coefficients(grid, c).values
+            fresh = SpectralField.from_values(grid, f.values)
+            runs.append((values, zygmund_norm(fresh, 1.5, homogeneous=homogeneous).block_profile))
+    (v1, z1), (v2, z2) = runs
+    assert v1.tobytes() == v2.tobytes()
+    assert z1 == z2

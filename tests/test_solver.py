@@ -85,12 +85,8 @@ class TestStepTransport:
         assert (st.theta - ref).linf() <= 1e-13 * theta0.linf()
         assert (st.u - biot_savart_velocity(ref, 0.5)).linf() <= 1e-13 * st.u.linf()
 
-    def test_transform_budget(self, grid64, monkeypatch):
-        # one direct step: 5 transform planes per RK4 stage, 1 for the blow-up check
-        theta0 = dipole(grid64)
-        st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
-                      theta0_linf=theta0.linf())
-        st = step_transport(st, None, 0.02, beta=0.5)  # a running state holds both representations
+    @staticmethod
+    def count_planes(monkeypatch) -> list:
         planes = []
 
         def counting(fn):
@@ -101,8 +97,46 @@ class TestStepTransport:
 
         for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn"):
             monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        return planes
+
+    def test_transform_budget(self, grid64, monkeypatch):
+        # one direct step: 5 transform planes per RK4 stage, 1 for the blow-up check
+        theta0 = dipole(grid64)
+        st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
+                      theta0_linf=theta0.linf())
+        st = step_transport(st, None, 0.02, beta=0.5)  # a running state holds both representations
+        planes = self.count_planes(monkeypatch)
         step_transport(st, None, 0.02, beta=0.5)
         assert 0 < sum(planes) <= 21
+
+    def test_serfati_mode_transform_budget(self, grid64, monkeypatch):
+        # a velocity fixed over the step goes to samples once (2 planes); each
+        # stage then costs 3 planes (grad theta and the product), plus 1 for
+        # the blow-up check
+        theta0 = dipole(grid64)
+        u = leray_project(biot_savart_velocity(theta0, 0.5))
+        st = SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf())
+        st = step_transport(st, u, 0.02)
+        planes = self.count_planes(monkeypatch)
+        step_transport(st, u, 0.02)
+        assert 0 < sum(planes) <= 15
+
+    def test_frozen_trajectory_evaluated_once_per_time(self, grid64):
+        # stages 2 and 3 share t + dt/2, and stage 4 the new state's velocity
+        theta0 = dipole(grid64)
+        u = biot_savart_velocity(theta0, 0.5)
+        calls = []
+
+        def u_of(t):
+            calls.append(t)
+            return u
+
+        st = SimState(t=0.1, theta=theta0, u=u, theta0_linf=theta0.linf())
+        fixed = step_transport(st, u, 0.02)
+        frozen = step_transport(st, u_of, 0.02)
+        assert sorted(calls) == [0.1, 0.1 + 0.01, 0.1 + 0.02]
+        assert frozen.u is u
+        np.testing.assert_array_equal(frozen.theta.values, fixed.theta.values)
 
     def test_zero_velocity(self, grid64):
         th = random_real_field(grid64, seed=1)
@@ -234,7 +268,69 @@ class TestSerfati:
         assert (leray_project(pu) - pu).linf() <= 1e-12
 
 
+def reference_flow_map(times, fields, particles, dt, t_end):
+    """RK4 particle paths by the whole-field route: Catmull-Rom-interpolate the
+    stacked (T, 2, n, n) velocity samples in time, then sample bilinearly."""
+    times = np.asarray(times)
+    grid = fields[0].grid
+    u_vals = np.stack([f.values for f in fields])
+    n_t, n, h, L = len(times), grid.n_side, grid.spacing, grid.box_length
+
+    def interp(t):
+        k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, n_t - 2))
+        step = times[k + 1] - times[k]
+
+        def scaled_tangent(i):
+            lo, hi = max(i - 1, 0), min(i + 1, n_t - 1)
+            t_lo = times[lo] if lo < i else 2 * times[i] - times[hi]
+            t_hi = times[hi] if hi > i else 2 * times[i] - times[lo]
+            return (step / (t_hi - t_lo)) * (u_vals[hi] - u_vals[lo])
+
+        x = (t - times[k]) / step
+        return ((2 * x**3 - 3 * x**2 + 1) * u_vals[k] + (x**3 - 2 * x**2 + x) * scaled_tangent(k)
+                + (3 * x**2 - 2 * x**3) * u_vals[k + 1] + (x**3 - x**2) * scaled_tangent(k + 1))
+
+    def vel(t, p):
+        v = interp(min(t, times[-1]))
+        q = (p % L) / h
+        i0 = np.floor(q).astype(int)
+        fx, fy = (q - i0).T
+        i0 %= n
+        i1 = (i0 + 1) % n
+        return np.stack([(1 - fx) * (1 - fy) * v[c][i0[:, 0], i0[:, 1]]
+                         + fx * (1 - fy) * v[c][i1[:, 0], i0[:, 1]]
+                         + (1 - fx) * fy * v[c][i0[:, 0], i1[:, 1]]
+                         + fx * fy * v[c][i1[:, 0], i1[:, 1]] for c in range(2)], axis=1)
+
+    pts = np.asarray(particles, dtype=np.float64)
+    out = [pts]
+    n_steps = max(1, int(round(t_end / dt)))
+    dt = t_end / n_steps
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = vel(t, pts)
+        k2 = vel(t + dt / 2, pts + dt / 2 * k1)
+        k3 = vel(t + dt / 2, pts + dt / 2 * k2)
+        k4 = vel(t + dt, pts + dt * k3)
+        pts = pts + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        out.append(pts)
+    return np.stack(out)
+
+
 class TestFlowMap:
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 6),
+                                       np.array([0.0, 0.05, 0.2, 0.23, 0.4, 0.5])],
+                             ids=["uniform", "non_uniform"])
+    def test_matches_whole_field_reference(self, grid64, times):
+        fields = [dealias(random_real_field(grid64, seed=40 + i, components=2)) * 4.0
+                  for i in range(len(times))]
+        pts = np.random.default_rng(5).uniform(0.0, grid64.box_length, size=(32, 2))
+        paths = flow_map((times, fields), pts, dt=0.01)
+        ref = reference_flow_map(times, fields, pts, 0.01, times[-1])
+        assert np.abs(paths - ref).max() <= 1e-12
+        assert np.abs(paths[-1] - pts).max() > 0.1  # the particles did move
+
     def test_interpolant_hits_off_cadence_samples(self, grid64):
         # 131 steps sampled every 2: the last sample is 0.01 after the one before
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=1.31, n_side=64, c_existence=0,
