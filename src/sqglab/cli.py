@@ -360,7 +360,6 @@ def main(argv=None) -> int:
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    np.random.seed(cfg.seed)  # library code uses Generator seeds; this is belt and braces
     _write_manifest(cfg, outdir)
 
     runner = {"verify": _run_verify, "simulate": _run_simulate, "iterate": _run_iterate,

@@ -122,7 +122,9 @@ class SpectralField:
     def component(self, i: int) -> "SpectralField":
         if self.components == 1:
             raise ValueError("scalar field has no components to select")
-        return self._like(values=self.values[i])
+        # slice whichever representations are cached, transforming nothing
+        v, c = (None if a is None else a[i] for a in (self._values, self._coeffs))
+        return self._like(values=v, coefficients=c)
 
     # -- diagnostics --------------------------------------------------------
 

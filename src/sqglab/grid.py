@@ -29,10 +29,6 @@ def fft2(a: np.ndarray) -> np.ndarray:
     return scipy.fft.fft2(a, workers=_FFT_WORKERS)
 
 
-def ifft2(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.ifft2(a, workers=_FFT_WORKERS)
-
-
 def rfft2(a: np.ndarray) -> np.ndarray:
     """Half spectrum of real samples over the last two axes, of any size (e.g. a patch)."""
     return scipy.fft.rfft2(a, workers=_FFT_WORKERS)

@@ -29,8 +29,11 @@ where Q is the regularized upper incomplete gamma.  Short parts decay like
 exp(-alpha |x|^2) and are sampled exactly (no wrap images); long parts are
 handled analytically in Fourier space.  The k = 0 mode of every transfer
 is gauged to zero (the continuum integrals vanish by the divergence
-theorem; compare ``far_flux_integral``).  The stored ``near``/``far``
-arrays remain the plain one-period samplings of the analytic kernels.
+theorem; compare ``far_flux_integral``).  The far contraction is taken
+through the mid transfer, far * (theta u) = mid * div(theta u), which is
+the structure the integration by parts produces, so no far transfer is
+stored.  The stored ``near``/``far`` arrays remain the plain one-period
+samplings of the analytic kernels.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField
-from .grid import Grid2D, fft2, ifft2
-from .multipliers import biot_savart_velocity, dealiased_product, frac_laplacian, apply_multiplier
+from .grid import Grid2D, fft2, operator_table
+from .multipliers import (apply_multiplier, biot_savart_velocity, dealiased_product, divergence,
+                          frac_laplacian)
 from .report import VerificationReport
 
 _EPERP = np.array([[0.0, -1.0], [1.0, 0.0]])  # d(x_perp)_i / dx_j
+_AVG_RADIUS = 0.45  # samples this close to a kernel singularity are cell averages
 
 
 def riesz_constant(beta: float) -> float:
@@ -162,13 +167,22 @@ def phi_long_hat(kmag: np.ndarray, beta: float, c: float, alpha: float) -> np.nd
 # -- kernel samplers ----------------------------------------------------------
 
 
-def _gauss_legendre_cell(n_nodes: int = 6):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    return 0.5 * x, 0.5 * w  # nodes/weights on [-1/2, 1/2]
+def _cell_average(profile, cx: np.ndarray, cy: np.ndarray, h: float) -> np.ndarray:
+    """6x6 Gauss-Legendre averages of ``profile(X, Y, R)`` over the h-cells
+    centred at (cx, cy), with R = |(X, Y)| kept off zero.
+
+    The caller selects the cells from its own displacement arrays; the
+    profile may carry leading axes, which the result keeps, shape (..., m).
+    """
+    x, w = np.polynomial.legendre.leggauss(6)
+    nodes, weights = 0.5 * x * h, 0.5 * w  # on [-h/2, h/2]; weights of the unit cell
+    X, Y = np.broadcast_arrays(cx[:, None, None] + nodes[None, :, None],
+                               cy[:, None, None] + nodes[None, None, :])
+    R = np.maximum(np.hypot(X, Y), 1e-300)
+    return (np.outer(weights, weights) * profile(X, Y, R)).sum(axis=(-2, -1))
 
 
-def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA,
-                avg_radius: float = 0.45) -> np.ndarray:
+def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
     """Sample grad_perp(a Phi) on wrapped displacements, cell-averaging the core.
 
     The origin cell integrates to zero exactly (odd kernel), matching the
@@ -189,20 +203,11 @@ def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA,
     out[1] = x1 * g
 
     # cell averages near the singularity (midpoint elsewhere)
-    h = grid.spacing
-    nodes, weights = _gauss_legendre_cell()
-    origin = (x1 == 0) & (x2 == 0)
-    cells = np.argwhere((rho <= avg_radius) & ~origin)
-    if len(cells):
-        ci, cj = cells[:, 0], cells[:, 1]
-        gx = x1[ci, cj][:, None, None] + (nodes * h)[None, :, None]
-        gy = x2[ci, cj][:, None, None] + (nodes * h)[None, None, :]
-        R = np.maximum(np.hypot(gx, gy), 1e-300)
-        G = np.where(R < cutoff.outer, n_rad_over_rho(R), 0.0)
-        W = np.outer(weights, weights)[None, :, :]
-        out[0, ci, cj] = (W * (-gy) * G).sum(axis=(1, 2))
-        out[1, ci, cj] = (W * gx * G).sum(axis=(1, 2))
-    out[:, origin] = 0.0
+    cells = (rho <= _AVG_RADIUS) & (rho > 0)
+    # radial factor first, so the stacked (-Y, X) does not coexist with its temporaries
+    out[:, cells] = _cell_average(
+        lambda X, Y, R: np.where(R < cutoff.outer, n_rad_over_rho(R), 0.0) * np.stack([-Y, X]),
+        x1[cells], x2[cells], grid.spacing)
     return out
 
 
@@ -219,17 +224,13 @@ def _far_entries(rho, x1, x2, Gp, Gpp):
     return out
 
 
-def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA,
-               short_alpha: float | None = None) -> np.ndarray:
-    """Sample grad grad_perp((1-a) Phi) (or its short part) on displacements."""
+def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
+    """Sample grad grad_perp((1-a) Phi) on displacements."""
     x1, x2 = grid.coords_centered()
     rho = np.hypot(x1, x2)
     mask = rho > cutoff.inner
     r = rho[mask]
-    if short_alpha is None:
-        p, p1, p2 = _phi_derivs(r, beta, c)
-    else:
-        p, p1, p2 = _phi_short_derivs(r, beta, c, short_alpha)
+    p, p1, p2 = _phi_derivs(r, beta, c)
     one_a = 1.0 - cutoff.a(r)
     da = cutoff.da(r)
     d2a = cutoff.d2a(r)
@@ -241,31 +242,18 @@ def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA,
     return out
 
 
-def sample_mid(grid: Grid2D, beta: float, c: float, cutoff: CutoffA,
-               short_alpha: float | None = None) -> np.ndarray:
-    """Sample grad_perp((1-a) Phi) (or its short part) on displacements."""
+def sample_mid(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, alpha: float) -> np.ndarray:
+    """Sample the short part grad_perp((1-a) Phi_short) on displacements."""
     x1, x2 = grid.coords_centered()
     rho = np.hypot(x1, x2)
     mask = rho > cutoff.inner
     r = rho[mask]
-    if short_alpha is None:
-        _, p1, _ = _phi_derivs(r, beta, c)
-    else:
-        _, p1, _ = _phi_short_derivs(r, beta, c, short_alpha)
-    one_a = 1.0 - cutoff.a(r)
-    da = cutoff.da(r)
-    Gp = -da * _phi_like(r, beta, c, short_alpha) + one_a * p1
-    g = Gp / r
+    p, p1, _ = _phi_short_derivs(r, beta, c, alpha)
+    g = (-cutoff.da(r) * p + (1.0 - cutoff.a(r)) * p1) / r
     out = np.zeros((2,) + rho.shape)
     out[0, mask] = -x2[mask] * g
     out[1, mask] = x1[mask] * g
     return out
-
-
-def _phi_like(r, beta, c, short_alpha):
-    if short_alpha is None:
-        return c * r ** (-beta)
-    return _phi_short_derivs(r, beta, c, short_alpha)[0]
 
 
 def far_flux_integral(beta: float, c: float, radius: float) -> np.ndarray:
@@ -294,9 +282,7 @@ class KernelSplit:
     far: np.ndarray = field(repr=False)
     tail_bound: float = 0.0
     _near_transfer: np.ndarray = field(repr=False, default=None)
-    _far_transfer: np.ndarray = field(repr=False, default=None)
     _mid_transfer: np.ndarray = field(repr=False, default=None)
-    meta: dict = field(default_factory=dict)
 
     def near_l1(self) -> float:
         mag = np.sqrt(self.near[0] ** 2 + self.near[1] ** 2)
@@ -323,13 +309,10 @@ class KernelSplit:
         apot = self.cutoff.a(rho) * self.c_beta * rho ** (-self.beta)
         apot[rho > self.cutoff.outer] = 0.0
         # average the singular origin cell
-        h = self.grid.spacing
-        nodes, weights = _gauss_legendre_cell()
-        X, Y = np.meshgrid(nodes * h, nodes * h, indexing="ij")
-        R = np.maximum(np.hypot(X, Y), 1e-300)
-        W = np.outer(weights, weights)
-        apot[0, 0] = float(np.sum(W * self.c_beta * R ** (-self.beta)))
-        t = fft2(apot) * h**2
+        origin = np.zeros(1)
+        apot[0, 0] = _cell_average(lambda X, Y, R: self.c_beta * R ** (-self.beta),
+                                   origin, origin, self.grid.spacing)[0]
+        t = fft2(apot) * self.grid.spacing**2
         kmag = self.grid.k_magnitude()
         return float(np.abs(kmag ** (2.0 - self.beta) * t).max())
 
@@ -348,15 +331,14 @@ def _restrict_transfer(t_fine: np.ndarray, grid: Grid2D, q: int) -> np.ndarray:
 
 
 def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
-                mode: str = "ewald", oversample: int = 4) -> KernelSplit:
+                oversample: int = 4) -> KernelSplit:
     """Build the sampled kernel split with cached convolution transfers.
 
-    ``mode='ewald'`` (default) corrects the far-side transfers with the
-    analytic long-range transform; ``mode='single_copy'`` uses the plain
-    one-period sampling (kept for error measurements and oracle tests).
-    The near transfer is computed from an ``oversample``-times-refined
-    sampling of the singular kernel (its transform decays only like
-    |k|^(beta-1), so plain-rate sampling aliases visibly).
+    The mid transfer (of grad_perp((1-a) Phi)) is corrected with the
+    analytic long-range transform.  The near transfer is computed from an
+    ``oversample``-times-refined sampling of the singular kernel (its
+    transform decays only like |k|^(beta-1), so plain-rate sampling aliases
+    visibly); ``oversample=1`` transforms the stored ``near`` samples.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
@@ -376,9 +358,7 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
     h = grid.spacing
 
     near = sample_near(grid, beta, c, cutoff)
-    far = sample_far(grid, beta, c, cutoff)
-
-    if mode == "ewald" and oversample > 1:
+    if oversample > 1:
         fine = Grid2D(oversample * grid.n_side, grid.box_length)
         near_fine = sample_near(fine, beta, c, cutoff)
         t_fine = fft2(near_fine) * fine.spacing**2
@@ -387,82 +367,65 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
     else:
         near_transfer = fft2(near) * h**2
     near_transfer[..., 0, 0] = 0.0
+    far = sample_far(grid, beta, c, cutoff)
 
+    alpha = _ewald_alpha(grid.box_length, cutoff.outer)
     k1, k2 = grid.wavenumbers()
-    kmag = grid.k_magnitude()
-
-    if mode == "ewald":
-        alpha = _ewald_alpha(grid.box_length, cutoff.outer)
-        mid_short = sample_mid(grid, beta, c, cutoff, short_alpha=alpha)
-        x1, x2 = grid.coords_centered()
-        rho = np.hypot(x1, x2)
-        a_phi_long = cutoff.a(rho) * phi_long_values(rho, beta, c, alpha)
-        long_hat = phi_long_hat(kmag, beta, c, alpha) - fft2(a_phi_long) * h**2
-        ikp = np.stack([-1j * k2, 1j * k1])
-        mid_transfer = fft2(mid_short) * h**2 + ikp * long_hat
-        mid_transfer[..., 0, 0] = 0.0
-        # realize grad grad_perp((1-a)Phi) as the spectral gradient of the mid
-        # transfer: this keeps the contraction equal to mid * div(theta u),
-        # the exact structure the integration by parts produces
-        far_transfer = np.empty((2, 2) + kmag.shape, dtype=np.complex128)
-        for i in range(2):
-            far_transfer[i, 0] = 1j * k1 * mid_transfer[i]
-            far_transfer[i, 1] = 1j * k2 * mid_transfer[i]
-        remainder = math.exp(-alpha * (grid.box_length / 2.0 - cutoff.outer) ** 2)
-    elif mode == "single_copy":
-        alpha = 0.0
-        mid_transfer = fft2(sample_mid(grid, beta, c, cutoff)) * h**2
-        far_transfer = fft2(far) * h**2
-        remainder = 1.0  # truncation error not controlled in this mode
-    else:
-        raise ConfigurationError(f"unknown build mode {mode!r}")
-
+    x1, x2 = grid.coords_centered()
+    rho = np.hypot(x1, x2)
+    a_phi_long = cutoff.a(rho) * phi_long_values(rho, beta, c, alpha)
+    long_hat = phi_long_hat(grid.k_magnitude(), beta, c, alpha) - fft2(a_phi_long) * h**2
+    ikp = np.stack([-1j * k2, 1j * k1])
+    mid_transfer = fft2(sample_mid(grid, beta, c, cutoff, alpha)) * h**2 + ikp * long_hat
     mid_transfer[..., 0, 0] = 0.0
-    far_transfer[..., 0, 0] = 0.0
 
     tail = 2.0 * math.pi * c * (beta + 3.0) * (grid.box_length / 2.0) ** (-beta)
     return KernelSplit(
         grid=grid, beta=beta, c_beta=c, cutoff=cutoff, alpha=alpha,
         near=near, far=far, tail_bound=tail,
-        _near_transfer=near_transfer, _far_transfer=far_transfer,
-        _mid_transfer=mid_transfer,
-        meta={"mode": mode, "ewald_remainder": remainder,
-              "truncation_tail_l1": tail, "oversample": oversample},
+        _near_transfer=near_transfer, _mid_transfer=mid_transfer,
     )
 
 
 # -- convolutions -------------------------------------------------------------
 
 
+def _convolve(transfer: np.ndarray, theta: SpectralField) -> SpectralField:
+    """Periodic convolution by a transfer function h^2 fft2(kernel).
+
+    Package coefficients times the transfer are the convolution's
+    coefficients, so this is Re(ifft2(transfer * fft2(theta))).
+    """
+    ops = operator_table(theta.grid)
+    return SpectralField._adopt(theta.grid, values=ops.values(transfer * theta.coefficients))
+
+
 def convolve_near(split: KernelSplit, theta: SpectralField) -> SpectralField:
     """Periodic convolution of the near kernel with a scalar field."""
     if theta.components != 1:
         raise ConfigurationError("convolve_near takes a scalar field")
-    t_hat = fft2(theta.values)
-    out = ifft2(split._near_transfer * t_hat[None, :, :]).real
-    return SpectralField._adopt(split.grid, values=out)
+    return _convolve(split._near_transfer, theta)
 
 
 def convolve_mid(split: KernelSplit, theta: SpectralField) -> SpectralField:
     """Periodic convolution of grad_perp((1-a) Phi) with a scalar field."""
     if theta.components != 1:
         raise ConfigurationError("convolve_mid takes a scalar field")
-    t_hat = fft2(theta.values)
-    out = ifft2(split._mid_transfer * t_hat[None, :, :]).real
-    return SpectralField._adopt(split.grid, values=out)
+    return _convolve(split._mid_transfer, theta)
 
 
 def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField) -> SpectralField:
-    """Far-field contraction: component i is sum_j far_ij * (theta u_j)."""
+    """Far-field contraction: component i is sum_j far_ij * (theta u_j).
+
+    Computed as mid * div(theta u), with the flux theta u dealiased.
+    """
     if theta.components != 1 or u.components != 2:
         raise ConfigurationError("convolve_far takes (scalar, vector)")
-    out = np.zeros((2, split.grid.n_side, split.grid.n_side))
-    for j in range(2):
-        pj = dealiased_product(theta, u.component(j))
-        p_hat = fft2(pj.values)
-        for i in range(2):
-            out[i] += ifft2(split._far_transfer[i, j] * p_hat).real
-    return SpectralField._adopt(split.grid, values=out)
+    # dealias a shallow copy: the caller's u must not cache its coefficients,
+    # or every velocity a caller keeps (Picard keeps each step's) keeps them
+    u_copy = SpectralField._adopt(u.grid, values=u._values, coefficients=u._coeffs)
+    flux_div = divergence(dealiased_product(theta, u_copy))
+    return _convolve(split._mid_transfer, flux_div)
 
 
 def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:
@@ -480,8 +443,7 @@ def _gaussian_bump(grid: Grid2D, sigma: float, amp: float = 1.0) -> SpectralFiel
     return SpectralField.from_values(grid, amp * np.exp(-(x1**2 + x2**2) / (2.0 * sigma**2)))
 
 
-def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None,
-                   avg_radius: float = 0.45) -> np.ndarray:
+def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None) -> np.ndarray:
     """Transfer function of torus convolution with Phi_beta, by the Gamma split.
 
     The singular short-range part is sampled in physical space with cell
@@ -491,32 +453,23 @@ def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None,
     |k|^(beta-2) to quadrature accuracy.
     """
     c = riesz_constant(beta) if c_beta is None else c_beta
-    alpha = max(0.25, 30.0 / (grid.box_length / 2.0) ** 2)
+    alpha = _ewald_alpha(grid.box_length, 0.0)
     x1, x2 = grid.coords_centered()
     rho = np.hypot(x1, x2)
     short = np.zeros_like(rho)
     nz = rho > 0
-    short[nz] = c * rho[nz] ** (-beta) * gammaincc(beta / 2.0, alpha * rho[nz] ** 2)
-    h = grid.spacing
-    nodes, weights = _gauss_legendre_cell()
-    W = np.outer(weights, weights)
-    for ci, cj in np.argwhere(rho <= avg_radius):
-        cx, cy = x1[ci, cj], x2[ci, cj]
-        X, Y = np.meshgrid(cx + nodes * h, cy + nodes * h, indexing="ij")
-        R = np.maximum(np.hypot(X, Y), 1e-300)
-        short[ci, cj] = float(np.sum(W * c * R ** (-beta) * gammaincc(beta / 2.0, alpha * R**2)))
-    transfer = fft2(short) * h**2 + phi_long_hat(grid.k_magnitude(), beta, c, alpha)
+    short[nz] = _phi_short_derivs(rho[nz], beta, c, alpha)[0]
+    cells = rho <= _AVG_RADIUS
+    short[cells] = _cell_average(lambda X, Y, R: _phi_short_derivs(R, beta, c, alpha)[0],
+                                 x1[cells], x2[cells], grid.spacing)
+    transfer = fft2(short) * grid.spacing**2 + phi_long_hat(grid.k_magnitude(), beta, c, alpha)
     transfer[0, 0] = 0.0
     return transfer
 
 
-def riesz_convolve(theta: SpectralField, beta: float, c_beta: float | None = None,
-                   avg_radius: float = 0.45) -> SpectralField:
+def riesz_convolve(theta: SpectralField, beta: float, c_beta: float | None = None) -> SpectralField:
     """Torus convolution Phi_beta * theta (see ``riesz_transfer``)."""
-    grid = theta.grid
-    transfer = riesz_transfer(grid, beta, c_beta, avg_radius)
-    out = ifft2(transfer * fft2(theta.values)).real
-    return SpectralField._adopt(grid, values=out)
+    return _convolve(riesz_transfer(theta.grid, beta, c_beta), theta)
 
 
 def verify_fundamental_solution(beta: float, grid: Grid2D, c_beta: float | None = None,

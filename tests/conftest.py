@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.fields import SpectralField
 from sqglab.grid import Grid2D
@@ -18,6 +19,26 @@ def grid128():
 @pytest.fixture(scope="session")
 def grid256():
     return Grid2D(256)
+
+
+@pytest.fixture
+def count_planes(monkeypatch):
+    """``count_planes()`` starts counting scipy.fft 2-D transforms and returns
+    the list it appends to: one entry per call, the planes of a stacked input."""
+    def start() -> list:
+        planes = []
+
+        def counting(fn):
+            def wrapped(x, *args, **kwargs):
+                planes.append(x.size // (x.shape[-1] * x.shape[-2]))
+                return fn(x, *args, **kwargs)
+            return wrapped
+
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn"):
+            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+        return planes
+
+    return start
 
 
 def random_real_field(grid, seed=0, components=1):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sqglab.cli import main, validate_config
@@ -23,6 +24,16 @@ class TestConfigValidation:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "simulate", "params": {"nope": 1}}))
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+class TestGlobalState:
+    def test_main_leaves_global_rng_alone(self, tmp_path):
+        # the library draws from seeded Generators; the global numpy RNG is the caller's
+        before = np.random.get_state()
+        assert main(["verify", "--out", str(tmp_path), "--seed", "9731"]) == 0
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
 
 
 class TestVerifyCommand:

@@ -105,6 +105,17 @@ class TestOwnership:
         assert SpectralField.from_values(grid64, f.values).values is f.values
 
 
+class TestComponent:
+    def test_slices_cached_coefficients(self, grid64, count_planes):
+        # a coefficients-only vector field: selecting a component transforms nothing
+        f = SpectralField.from_coefficients(
+            grid64, random_real_field(grid64, seed=5, components=2).coefficients)
+        planes = count_planes()
+        comp = f.component(1)
+        assert sum(planes) == 0
+        assert np.array_equal(comp.values, f.values[1])
+
+
 class TestDealias:
     def test_band_limited_unchanged(self, grid64):
         X, _ = grid64.coords()

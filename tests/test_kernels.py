@@ -9,6 +9,8 @@ from sqglab.kernels import (CutoffA, build_split, convolve_far, convolve_near, f
                             split_consistency_error, verify_fundamental_solution)
 from sqglab.multipliers import biot_savart_velocity, dealiased_product, frac_laplacian, apply_multiplier
 
+from conftest import random_real_field
+
 
 @pytest.fixture(scope="module")
 def split256():
@@ -17,8 +19,8 @@ def split256():
 
 @pytest.fixture(scope="module")
 def split128_raw():
-    # plain one-period sampling, no long-range correction: the quadrature oracle target
-    return build_split(Grid2D(128, 16.0), 0.5, mode="single_copy")
+    # near transfer of the plain one-period samples: the quadrature oracle target
+    return build_split(Grid2D(128, 16.0), 0.5, oversample=1)
 
 
 class TestCutoff:
@@ -165,18 +167,46 @@ class TestConvolutions:
         theta = SpectralField.from_values(g, np.exp(-(x1**2 + x2**2) / (2 * 0.6**2)))
         u = biot_savart_velocity(theta, split128_raw.beta)
         out = convolve_far(split128_raw, theta, u)
-        h = g.spacing
         n = g.n_side
         import scipy.fft
+        # the far tensor's transfer is the spectral gradient of the mid transfer
+        k = g.wavenumbers()
         direct = np.zeros((2, n, n))
         for j in range(2):
             pj = dealiased_product(theta, u.component(j)).values
             pj_hat = scipy.fft.fft2(pj)
             for i in range(2):
-                ker_hat = scipy.fft.fft2(split128_raw.far[i, j])
-                direct[i] += scipy.fft.ifft2(ker_hat * pj_hat).real * h**2
+                ker_hat = 1j * k[j] * split128_raw._mid_transfer[i]
+                direct[i] += scipy.fft.ifft2(ker_hat * pj_hat).real
         rel = np.abs(out.values - direct).max() / max(np.abs(direct).max(), 1e-300)
         assert rel <= 1e-10
+
+    def test_far_transform_budget(self, split128_raw, count_planes):
+        # theta holding both representations, u holding samples: theta and u
+        # dealiased to samples (1 + 2 + 2), the flux back (2), the result (2)
+        g = split128_raw.grid
+        theta = random_real_field(g, seed=1)
+        theta.coefficients
+        u = SpectralField.from_values(g, biot_savart_velocity(theta, 0.5).values)
+        planes = count_planes()
+        convolve_far(split128_raw, theta, u)
+        assert 0 < sum(planes) <= 9
+
+    def test_near_transform_budget(self, split128_raw, count_planes):
+        g = split128_raw.grid
+        theta = SpectralField.from_coefficients(g, random_real_field(g, seed=2).coefficients)
+        planes = count_planes()
+        convolve_near(split128_raw, theta)
+        assert 0 < sum(planes) <= 2
+
+    def test_far_leaves_velocity_uncached(self, split128_raw):
+        # a caller keeping many velocities (Picard keeps every step's) must
+        # not find their coefficients cached on them afterwards
+        g = split128_raw.grid
+        theta = random_real_field(g, seed=3)
+        u = random_real_field(g, seed=4, components=2)
+        convolve_far(split128_raw, theta, u)
+        assert u._coeffs is None
 
     def test_far_gauge_kills_constants(self, split256):
         ones = SpectralField.from_values(split256.grid, np.ones((256, 256)))

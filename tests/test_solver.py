@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
 from sqglab.fields import SpectralField, dealias
@@ -85,31 +84,17 @@ class TestStepTransport:
         assert (st.theta - ref).linf() <= 1e-13 * theta0.linf()
         assert (st.u - biot_savart_velocity(ref, 0.5)).linf() <= 1e-13 * st.u.linf()
 
-    @staticmethod
-    def count_planes(monkeypatch) -> list:
-        planes = []
-
-        def counting(fn):
-            def wrapped(x, *args, **kwargs):
-                planes.append(x.size // (x.shape[-1] * x.shape[-2]))
-                return fn(x, *args, **kwargs)
-            return wrapped
-
-        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn"):
-            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
-        return planes
-
-    def test_transform_budget(self, grid64, monkeypatch):
+    def test_transform_budget(self, grid64, count_planes):
         # one direct step: 5 transform planes per RK4 stage, 1 for the blow-up check
         theta0 = dipole(grid64)
         st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
                       theta0_linf=theta0.linf())
         st = step_transport(st, None, 0.02, beta=0.5)  # a running state holds both representations
-        planes = self.count_planes(monkeypatch)
+        planes = count_planes()
         step_transport(st, None, 0.02, beta=0.5)
         assert 0 < sum(planes) <= 21
 
-    def test_serfati_mode_transform_budget(self, grid64, monkeypatch):
+    def test_serfati_mode_transform_budget(self, grid64, count_planes):
         # a velocity fixed over the step goes to samples once (2 planes); each
         # stage then costs 3 planes (grad theta and the product), plus 1 for
         # the blow-up check
@@ -117,7 +102,7 @@ class TestStepTransport:
         u = leray_project(biot_savart_velocity(theta0, 0.5))
         st = SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf())
         st = step_transport(st, u, 0.02)
-        planes = self.count_planes(monkeypatch)
+        planes = count_planes()
         step_transport(st, u, 0.02)
         assert 0 < sum(planes) <= 15
 
