@@ -25,10 +25,6 @@ from .errors import ConfigurationError
 _FFT_WORKERS = int(os.environ.get("SQGLAB_FFT_WORKERS", "0")) or min(4, os.cpu_count() or 1)
 
 
-def fft2(a: np.ndarray) -> np.ndarray:
-    return scipy.fft.fft2(a, workers=_FFT_WORKERS)
-
-
 def rfft2(a: np.ndarray) -> np.ndarray:
     """Half spectrum of real samples over the last two axes, of any size (e.g. a patch)."""
     return scipy.fft.rfft2(a, workers=_FFT_WORKERS)

@@ -12,8 +12,16 @@ cutoff ``a`` (1 on B_1, 0 outside B_2) the velocity kernel splits into
     far  = grad grad_perp((1 - a) Phi) (smooth, decays like |x|^(-beta-2))
 
 All radial profiles are differentiated in closed form and sampled on the
-wrapped displacement grid; the near kernel is cell-averaged around its
-|x|^(-beta-1) singularity.
+wrapped displacement grid, built once per split; the near kernel is
+cell-averaged around its |x|^(-beta-1) singularity.
+
+Near transfer.  The near kernel's transform decays only like |k|^(beta-1),
+so its transfer is taken from a q-times finer sampling.  That grid is never
+formed: writing a fine index as X = q a + s, the fine transform at a coarse
+mode m is the twiddled sum over the q^2 cosets s of their size-n transforms,
+T(m) = (h/q)^2 sum_s exp(-2 pi i m.s/(q n)) F_s(m), and each coset is
+sampled only where the kernel is supported.  Every transfer is built from
+real transforms of size n.
 
 Periodization.  (1-a)Phi and its first derivative are not absolutely
 integrable at infinity, so box truncation of the far-side kernels leaves
@@ -46,7 +54,7 @@ from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField
-from .grid import Grid2D, fft2, operator_table
+from .grid import Grid2D, operator_table
 from .multipliers import (apply_multiplier, biot_savart_velocity, dealiased_product, divergence,
                           frac_laplacian)
 from .report import VerificationReport
@@ -123,6 +131,11 @@ def _phi_derivs(rho: np.ndarray, beta: float, c: float):
     return p, -beta * p / rho, beta * (beta + 1.0) * p / rho**2
 
 
+def _phi_short_values(rho: np.ndarray, beta: float, c: float, alpha: float) -> np.ndarray:
+    """Phi_short = c rho^(-beta) Q(beta/2, alpha rho^2) alone; valid for rho > 0."""
+    return c * rho ** (-beta) * gammaincc(beta / 2.0, alpha * rho**2)
+
+
 def _phi_short_derivs(rho: np.ndarray, beta: float, c: float, alpha: float):
     """Phi_short and derivatives; valid for rho > 0."""
     a2 = beta / 2.0
@@ -182,15 +195,14 @@ def _cell_average(profile, cx: np.ndarray, cy: np.ndarray, h: float) -> np.ndarr
     return (np.outer(weights, weights) * profile(X, Y, R)).sum(axis=(-2, -1))
 
 
-def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
-    """Sample grad_perp(a Phi) on wrapped displacements, cell-averaging the core.
+def _near_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray, h: float,
+                  beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
+    """grad_perp(a Phi) at the displacements (x1, x2) with |x| = rho, the
+    samples within ``_AVG_RADIUS`` of the singularity averaged over h-cells.
 
     The origin cell integrates to zero exactly (odd kernel), matching the
     assigned sample 0.
     """
-    x1, x2 = grid.coords_centered()
-    rho = np.hypot(x1, x2)
-
     def n_rad_over_rho(r):
         p, p1, _ = _phi_derivs(r, beta, c)
         return (cutoff.da(r) * p + cutoff.a(r) * p1) / r
@@ -207,27 +219,14 @@ def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndar
     # radial factor first, so the stacked (-Y, X) does not coexist with its temporaries
     out[:, cells] = _cell_average(
         lambda X, Y, R: np.where(R < cutoff.outer, n_rad_over_rho(R), 0.0) * np.stack([-Y, X]),
-        x1[cells], x2[cells], grid.spacing)
+        x1[cells], x2[cells], h)
     return out
 
 
-def _far_entries(rho, x1, x2, Gp, Gpp):
-    """Matrix d_j (grad_perp G)_i = g'(r) x_j (x_perp)_i / r + g(r) E_ij."""
-    g = Gp / rho
-    gp = (Gpp * rho - Gp) / rho**2
-    xp = (-x2, x1)
-    xx = (x1, x2)
-    out = np.zeros((2, 2) + rho.shape)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = gp * xx[j] * xp[i] / rho + g * _EPERP[i, j]
-    return out
-
-
-def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
-    """Sample grad grad_perp((1-a) Phi) on displacements."""
-    x1, x2 = grid.coords_centered()
-    rho = np.hypot(x1, x2)
+def _far_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
+                 beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
+    """grad grad_perp((1-a) Phi) at the displacements: entry (i, j) is
+    d_j (grad_perp G)_i = g'(r) x_j (x_perp)_i / r + g(r) E_ij with g = G'/r."""
     mask = rho > cutoff.inner
     r = rho[mask]
     p, p1, p2 = _phi_derivs(r, beta, c)
@@ -236,16 +235,21 @@ def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarr
     d2a = cutoff.d2a(r)
     Gp = -da * p + one_a * p1
     Gpp = -d2a * p - 2.0 * da * p1 + one_a * p2
-    sub = _far_entries(r, x1[mask], x2[mask], Gp, Gpp)
+    del p, p1, p2, one_a, da, d2a  # six fewer n^2 arrays alive at the peak
+    g = Gp / r
+    gp = (Gpp * r - Gp) / r**2
+    xx = (x1[mask], x2[mask])
+    xp = (-xx[1], xx[0])
     out = np.zeros((2, 2) + rho.shape)
-    out[:, :, mask] = sub
+    for i in range(2):
+        for j in range(2):
+            out[i, j, mask] = gp * xx[j] * xp[i] / r + g * _EPERP[i, j]
     return out
 
 
-def sample_mid(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, alpha: float) -> np.ndarray:
-    """Sample the short part grad_perp((1-a) Phi_short) on displacements."""
-    x1, x2 = grid.coords_centered()
-    rho = np.hypot(x1, x2)
+def _mid_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
+                 beta: float, c: float, cutoff: CutoffA, alpha: float) -> np.ndarray:
+    """The short part grad_perp((1-a) Phi_short) at the displacements."""
     mask = rho > cutoff.inner
     r = rho[mask]
     p, p1, _ = _phi_short_derivs(r, beta, c, alpha)
@@ -254,6 +258,26 @@ def sample_mid(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, alpha: floa
     out[0, mask] = -x2[mask] * g
     out[1, mask] = x1[mask] * g
     return out
+
+
+def _displacements(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x1, x2 = grid.coords_centered()
+    return x1, x2, np.hypot(x1, x2)
+
+
+def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
+    """Sample grad_perp(a Phi) on wrapped displacements, cell-averaging the core."""
+    return _near_samples(*_displacements(grid), grid.spacing, beta, c, cutoff)
+
+
+def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
+    """Sample grad grad_perp((1-a) Phi) on displacements."""
+    return _far_samples(*_displacements(grid), beta, c, cutoff)
+
+
+def sample_mid(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, alpha: float) -> np.ndarray:
+    """Sample the short part grad_perp((1-a) Phi_short) on displacements."""
+    return _mid_samples(*_displacements(grid), beta, c, cutoff, alpha)
 
 
 def far_flux_integral(beta: float, c: float, radius: float) -> np.ndarray:
@@ -290,8 +314,7 @@ class KernelSplit:
 
     def far_decay_exponent(self) -> float:
         """Log-log slope of |far| over the outermost resolved dyadic shell."""
-        x1, x2 = self.grid.coords_centered()
-        rho = np.hypot(x1, x2)
+        rho = _displacements(self.grid)[2]
         mag = np.sqrt((self.far**2).sum(axis=(0, 1)))
         r_hi = self.grid.box_length / 2.0
         r_lo = r_hi / 2.0
@@ -304,15 +327,14 @@ class KernelSplit:
     def near_potential_transform_max(self) -> float:
         """Max over the grid of |F((-Laplace)^(1-beta/2)(a Phi))| (finite by
         the near-field estimate; reported as its measured value)."""
-        x1, x2 = self.grid.coords_centered()
-        rho = np.maximum(np.hypot(x1, x2), 1e-300)
+        rho = np.maximum(_displacements(self.grid)[2], 1e-300)
         apot = self.cutoff.a(rho) * self.c_beta * rho ** (-self.beta)
         apot[rho > self.cutoff.outer] = 0.0
         # average the singular origin cell
         origin = np.zeros(1)
         apot[0, 0] = _cell_average(lambda X, Y, R: self.c_beta * R ** (-self.beta),
                                    origin, origin, self.grid.spacing)[0]
-        t = fft2(apot) * self.grid.spacing**2
+        t = self.grid.box_length * operator_table(self.grid).coefficients(apot)
         kmag = self.grid.k_magnitude()
         return float(np.abs(kmag ** (2.0 - self.beta) * t).max())
 
@@ -323,11 +345,44 @@ def _ewald_alpha(L: float, core: float) -> float:
     return max(0.25, 30.0 / d**2)
 
 
-def _restrict_transfer(t_fine: np.ndarray, grid: Grid2D, q: int) -> np.ndarray:
-    """Restrict a fine-lattice transfer function to the coarse wavenumber lattice."""
-    m = grid.mode_indices()
-    idx = m % (q * grid.n_side)
-    return t_fine[..., idx[:, None], idx[None, :]]
+def _near_transfer(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, q: int) -> np.ndarray:
+    """h_f^2 fft2 of the near kernel sampled on the q-times finer grid (spacing
+    h_f = L/(q n)), at the coarse modes m, without forming the fine grid.
+
+    With fine index X = q a + s (a in [0, n)^2, coset s in [0, q)^2), the fine
+    transform at m splits into the size-n transforms F_s of the cosets:
+
+        T(m) = h_f^2 sum_s exp(-2 pi i m.s / (q n)) F_s(m mod n),
+
+    one radix-q decimation-in-time step (Cooley & Tukey 1965).  m is signed,
+    Nyquist at -n/2, as ``m % (q n)`` picks the fine modes; F_s is Hermitian
+    mod n but the twiddles are not, so the sum runs in the full layout.
+    """
+    n, L = grid.n_side, grid.box_length
+    ops = operator_table(grid)
+    # the fine grid's wrapped coordinates, as Grid2D(q n, L).coords_centered()
+    xf = np.arange(q * n) * (L / (q * n))
+    xf = (xf + L / 2.0) % L - L / 2.0
+    # the kernel vanishes for rho >= cutoff.outer: only offsets |a| <= reach
+    # carry samples, so sample the fine points q a + s of those a only, once
+    reach = math.ceil(cutoff.outer / grid.spacing) + 1
+    a = np.unique(np.r_[0:reach + 1, -reach:0] % n)
+    xs = xf[(q * a[:, None] + np.arange(q)).ravel()]  # s runs fastest: coset s is xs[s::q]
+    x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+    patch = _near_samples(x1, x2, np.hypot(x1, x2), L / (q * n), beta, c, cutoff)
+    twiddle = np.exp(-2j * np.pi * np.outer(np.arange(q), grid.mode_indices()) / (q * n))
+    coset = np.zeros((2, n, n))
+    transfer = np.zeros((2, n, n), dtype=np.complex128)
+    for s1 in range(q):
+        for s2 in range(q):
+            coset[:, a[:, None], a[None, :]] = patch[:, s1::q, s2::q]
+            f = ops.coefficients(coset)  # F_s in package normalization, L/n^2 F_s
+            f *= twiddle[s1][:, None]
+            f *= twiddle[s2]
+            transfer += f
+    transfer *= L / q**2  # h_f^2 = (L/n^2) (L/q^2)
+    transfer[:, 0, 0] = 0.0
+    return transfer
 
 
 def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
@@ -335,10 +390,13 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
     """Build the sampled kernel split with cached convolution transfers.
 
     The mid transfer (of grad_perp((1-a) Phi)) is corrected with the
-    analytic long-range transform.  The near transfer is computed from an
+    analytic long-range transform.  The near transfer is that of an
     ``oversample``-times-refined sampling of the singular kernel (its
     transform decays only like |k|^(beta-1), so plain-rate sampling aliases
-    visibly); ``oversample=1`` transforms the stored ``near`` samples.
+    visibly), summed from the transforms of the fine grid's oversample^2
+    cosets, each of size n (``_near_transfer``); the fine grid itself is
+    never formed.  ``oversample=1`` transforms the plain ``near`` sampling.
+    Every transfer comes from real transforms of size n.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
@@ -355,31 +413,26 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
         raise ConfigurationError(f"oversample must be a power of two, got {oversample}")
     cutoff = cutoff or CutoffA()
     c = riesz_constant(beta)
-    h = grid.spacing
+    L = grid.box_length
+    ops = operator_table(grid)
 
-    near = sample_near(grid, beta, c, cutoff)
-    if oversample > 1:
-        fine = Grid2D(oversample * grid.n_side, grid.box_length)
-        near_fine = sample_near(fine, beta, c, cutoff)
-        t_fine = fft2(near_fine) * fine.spacing**2
-        near_transfer = np.ascontiguousarray(_restrict_transfer(t_fine, grid, oversample))
-        del t_fine, near_fine
-    else:
-        near_transfer = fft2(near) * h**2
-    near_transfer[..., 0, 0] = 0.0
-    far = sample_far(grid, beta, c, cutoff)
+    near_transfer = _near_transfer(grid, beta, c, cutoff, oversample)
+    x1, x2, rho = _displacements(grid)
+    near = _near_samples(x1, x2, rho, grid.spacing, beta, c, cutoff)
+    far = _far_samples(x1, x2, rho, beta, c, cutoff)
 
-    alpha = _ewald_alpha(grid.box_length, cutoff.outer)
-    k1, k2 = grid.wavenumbers()
-    x1, x2 = grid.coords_centered()
-    rho = np.hypot(x1, x2)
-    a_phi_long = cutoff.a(rho) * phi_long_values(rho, beta, c, alpha)
-    long_hat = phi_long_hat(grid.k_magnitude(), beta, c, alpha) - fft2(a_phi_long) * h**2
-    ikp = np.stack([-1j * k2, 1j * k1])
-    mid_transfer = fft2(sample_mid(grid, beta, c, cutoff, alpha)) * h**2 + ikp * long_hat
+    # h^2 fft2(v) of real samples v is L times their package coefficients
+    alpha = _ewald_alpha(L, cutoff.outer)
+    mid_transfer = L * ops.coefficients(_mid_samples(x1, x2, rho, beta, c, cutoff, alpha))
+    a_phi_long = np.zeros_like(rho)
+    core = rho < cutoff.outer  # a = 0 beyond
+    a_phi_long[core] = cutoff.a(rho[core]) * phi_long_values(rho[core], beta, c, alpha)
+    long_hat = phi_long_hat(grid.k_magnitude(), beta, c, alpha) - L * ops.coefficients(a_phi_long)
+    mid_transfer[0] += -1j * ops.k2 * long_hat  # i k_perp long_hat, k_perp = (-k2, k1)
+    mid_transfer[1] += 1j * ops.k1 * long_hat
     mid_transfer[..., 0, 0] = 0.0
 
-    tail = 2.0 * math.pi * c * (beta + 3.0) * (grid.box_length / 2.0) ** (-beta)
+    tail = 2.0 * math.pi * c * (beta + 3.0) * (L / 2.0) ** (-beta)
     return KernelSplit(
         grid=grid, beta=beta, c_beta=c, cutoff=cutoff, alpha=alpha,
         near=near, far=far, tail_bound=tail,
@@ -454,15 +507,15 @@ def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None) -> np
     """
     c = riesz_constant(beta) if c_beta is None else c_beta
     alpha = _ewald_alpha(grid.box_length, 0.0)
-    x1, x2 = grid.coords_centered()
-    rho = np.hypot(x1, x2)
+    x1, x2, rho = _displacements(grid)
     short = np.zeros_like(rho)
     nz = rho > 0
-    short[nz] = _phi_short_derivs(rho[nz], beta, c, alpha)[0]
+    short[nz] = _phi_short_values(rho[nz], beta, c, alpha)
     cells = rho <= _AVG_RADIUS
-    short[cells] = _cell_average(lambda X, Y, R: _phi_short_derivs(R, beta, c, alpha)[0],
+    short[cells] = _cell_average(lambda X, Y, R: _phi_short_values(R, beta, c, alpha),
                                  x1[cells], x2[cells], grid.spacing)
-    transfer = fft2(short) * grid.spacing**2 + phi_long_hat(grid.k_magnitude(), beta, c, alpha)
+    transfer = (grid.box_length * operator_table(grid).coefficients(short)
+                + phi_long_hat(grid.k_magnitude(), beta, c, alpha))
     transfer[0, 0] = 0.0
     return transfer
 

@@ -77,6 +77,9 @@ class SimState:
     far_prev: SpectralField | None = None
     far_time: float = 0.0
     theta0_linf: float = 0.0
+    # (trajectory, t, (u, dealiased samples of u)) when a step by a frozen
+    # trajectory made this state: the trajectory at t, reused while u is this u
+    _velocity: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -192,6 +195,11 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
         # stages 2 and 3 share t + dt/2 and stage 4 the new state's velocity)
         field_at = u_frozen if callable(u_frozen) else (lambda tt: u_frozen)
         memo = {}
+        # the step that made this state evaluated the same trajectory at t
+        if callable(u_frozen) and state._velocity is not None:
+            source, made_at, pair = state._velocity
+            if source is u_frozen and made_at == t and pair[0] is state.u:
+                memo[t] = pair
 
         def stage_velocity(tt, stage):
             key = tt if callable(u_frozen) else None
@@ -222,9 +230,12 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     _check_blowup(new_theta, state.theta0_linf)
     u_new = (biot_savart_velocity(new_theta, beta) if u_frozen is None
              else stage_velocity(t + dt, new_theta)[0])
-    return SimState(t=t + dt, theta=new_theta, u=u_new,
-                    far_accumulator=state.far_accumulator, far_prev=state.far_prev,
-                    far_time=state.far_time, theta0_linf=state.theta0_linf)
+    out = SimState(t=t + dt, theta=new_theta, u=u_new,
+                   far_accumulator=state.far_accumulator, far_prev=state.far_prev,
+                   far_time=state.far_time, theta0_linf=state.theta0_linf)
+    if callable(u_frozen):
+        out._velocity = (u_frozen, out.t, memo[out.t])
+    return out
 
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,

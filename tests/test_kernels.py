@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField
@@ -120,6 +123,31 @@ class TestBuildSplit:
             # boundary cells are jagged at scale h; bound the mismatch accordingly
             edge = 2 * np.pi * R * g.spacing * 0.5 * split256.c_beta * (0.5 + 3) * R ** (-2.5)
             assert np.abs(disc - oracle).max() <= 2 * edge
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_near_transfer_matches_fine_grid(self, n, q):
+        # oracle: h_f^2 fft2 of the near kernel sampled on the q-times finer
+        # grid, restricted to the coarse modes (signed, Nyquist at -n/2)
+        grid = Grid2D(n, 16.0)
+        split = build_split(grid, 0.5, oversample=q)
+        fine = Grid2D(q * n, 16.0)
+        t_fine = scipy.fft.fft2(sample_near(fine, 0.5, split.c_beta, split.cutoff)) * fine.spacing**2
+        idx = grid.mode_indices() % (q * n)
+        oracle = t_fine[:, idx[:, None], idx[None, :]]
+        oracle[:, 0, 0] = 0.0
+        assert np.abs(split._near_transfer - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_build_split_memory_budget(self):
+        # 4x oversampling without the 4x finer grid, whose arrays alone peaked
+        # at 58 MiB at this size
+        tracemalloc.start()
+        try:
+            build_split(Grid2D(256, 16.0), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
 
     def test_near_potential_transform_finite(self, split256):
         m = split256.near_potential_transform_max()

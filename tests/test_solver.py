@@ -106,6 +106,34 @@ class TestStepTransport:
         step_transport(st, u, 0.02)
         assert 0 < sum(planes) <= 15
 
+    def test_picard_mode_transform_budget(self, grid64, count_planes):
+        # on a running state, stage 1 reuses the velocity samples of the
+        # previous step's stage 4: 2 new times x (2 forward + 2 inverse), then
+        # 3 planes per stage and 1 for the blow-up check
+        theta0 = dipole(grid64)
+        u = biot_savart_velocity(theta0, 0.5).values
+
+        def traj(scale):
+            return lambda t: SpectralField.from_values(grid64, (1.0 + scale * t) * u)
+
+        u_of = traj(1.0)
+        st = SimState(t=0.0, theta=theta0, u=u_of(0.0), theta0_linf=theta0.linf())
+        st = step_transport(st, u_of, 0.02)
+        planes = count_planes()
+        reused = step_transport(st, u_of, 0.02)
+        assert 0 < sum(planes) <= 21
+
+        # the same step from a state that carries nothing, bit for bit; another
+        # trajectory from the running state reuses nothing
+        def fresh():
+            return SimState(t=st.t, theta=st.theta, u=st.u, theta0_linf=st.theta0_linf)
+
+        np.testing.assert_array_equal(reused.theta.values,
+                                      step_transport(fresh(), u_of, 0.02).theta.values)
+        other = traj(-3.0)
+        np.testing.assert_array_equal(step_transport(st, other, 0.02).theta.values,
+                                      step_transport(fresh(), other, 0.02).theta.values)
+
     def test_frozen_trajectory_evaluated_once_per_time(self, grid64):
         # stages 2 and 3 share t + dt/2, and stage 4 the new state's velocity
         theta0 = dipole(grid64)
