@@ -3,7 +3,18 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 captured output).  Grid sizes, tolerances, and parameter sweeps are fixed
 here, not configurable.
+
+Every number a detail string prints is also compared, at the precision it
+is printed with, against the full-precision value kept in
+``golden/acceptance.json``, so a change that moves a reported number fails
+here rather than going unnoticed.  The one exemption is a roundoff-floor
+D_12 of criterion 7 (recorded below ``D12_FLOOR``), which only has to stay
+below that floor.  A deliberate change to a reported number updates the
+file in the same commit.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +32,42 @@ from sqglab.verify import (EnsembleSpec, check_apriori_bounds, check_multiplier_
 from test_multipliers import pure_mode
 
 
-def report(criterion: str, passed: bool, detail: str = ""):
-    line = f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'}"
-    if detail:
-        line += f"  ({detail})"
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "acceptance.json").read_text())
+D12_FLOOR = 1e-13
+
+
+class Printed:
+    """Formats the numbers of a detail string and keeps them for the golden check."""
+
+    def __init__(self):
+        self.values = {}
+
+    def __call__(self, key: str, value: float, fmt: str) -> str:
+        self.values[key] = (float(value), fmt)
+        return format(value, fmt)
+
+
+def check_golden(criterion: str, printed: Printed) -> list:
+    """Keys whose printed value differs from the golden record's."""
+    golden = GOLDEN[criterion.split()[0]]
+    assert set(golden) == set(printed.values), f"golden keys {sorted(golden)}"
+    bad = []
+    for key, (value, fmt) in printed.values.items():
+        if key.startswith("D_12") and golden[key] < D12_FLOOR:
+            ok = value < D12_FLOOR
+        else:
+            ok = format(value, fmt) == format(golden[key], fmt)
+        if not ok:
+            bad.append(f"{key} {format(value, fmt)} vs golden {format(golden[key], fmt)}")
+    return bad
+
+
+def report(criterion: str, passed: bool, detail: str, printed: Printed):
+    line = f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'}  ({detail})"
     print(line)
     assert passed, line
+    bad = check_golden(criterion, printed)
+    assert not bad, f"{line}: printed values moved: {'; '.join(bad)}"
 
 
 # -- 1. partition of unity ------------------------------------------------------
@@ -41,7 +82,9 @@ def test_criterion_01_partition_of_unity():
     for j in range(0, fam.j_top + 1):
         total = total + phi_profile(kmag / 2.0**j)
     residual = float(np.abs(1.0 - total[below]).max())
-    report("1 partition of unity", residual <= 1e-12, f"residual {residual:.2e}")
+    p = Printed()
+    report("1 partition of unity", residual <= 1e-12, f"residual {p('residual', residual, '.2e')}",
+           p)
 
 
 # -- 2. plane-wave multiplier exactness -------------------------------------------
@@ -67,7 +110,9 @@ def test_criterion_02_plane_wave_exactness():
             expect = -gain * np.sin(k * X)
             worst = max(worst, np.abs(u.values[1] - expect).max() / gain)
             worst = max(worst, np.abs(u.values[0]).max() / gain)
-    report("2 plane-wave multiplier exactness", worst <= 1e-12, f"max rel err {worst:.2e}")
+    p = Printed()
+    report("2 plane-wave multiplier exactness", worst <= 1e-12,
+           f"max rel err {p('max_rel_err', worst, '.2e')}", p)
 
 
 # -- 3. dyadic multiplier bound suites ---------------------------------------------
@@ -80,6 +125,7 @@ def test_criterion_03_dyadic_bound_suites():
     ps = (2.0, np.inf)
     ok = True
     details = []
+    p = Printed()
 
     # single-mode ratios exactly 1
     grid = Grid2D(128)
@@ -107,8 +153,9 @@ def test_criterion_03_dyadic_bound_suites():
         spreads = rep.details["per_grid_stat"]
         drift = abs(spreads[256] - spreads[128]) / spreads[128]
         ok &= rep.verdict == "pass" and max(spreads.values()) <= 4.0 and drift <= 0.5
-        details.append(f"{name} spread {max(spreads.values()):.2f} drift {drift:.2f}")
-    report("3 Bernstein/dyadic bound suites", ok, "; ".join(details))
+        details.append(f"{name} spread {p(name + ' spread', max(spreads.values()), '.2f')} "
+                       f"drift {p(name + ' drift', drift, '.2f')}")
+    report("3 Bernstein/dyadic bound suites", ok, "; ".join(details), p)
 
 
 # -- 4. fundamental solution --------------------------------------------------------
@@ -117,13 +164,14 @@ def test_criterion_03_dyadic_bound_suites():
 def test_criterion_04_fundamental_solution():
     ok = True
     details = []
+    p = Printed()
     for beta in (0.25, 0.5, 0.75):
         rep = verify_fundamental_solution(beta, Grid2D(512, 16 * np.pi))
         errs = rep.measured
         decreasing = all(b < a for a, b in zip(errs, errs[1:]))
         ok &= rep.verdict == "pass" and errs[-1] <= 1e-2 and decreasing
-        details.append(f"beta={beta}: {errs[-1]:.2e}")
-    report("4 fundamental solution", ok, "; ".join(details))
+        details.append(f"beta={beta}: {p(f'beta={beta}', errs[-1], '.2e')}")
+    report("4 fundamental solution", ok, "; ".join(details), p)
 
 
 # -- 5. Serfati identity consistency -------------------------------------------------
@@ -162,9 +210,11 @@ def test_criterion_05_serfati_identity():
     dt_comp_1 = (e1 - e2).linf() / un
     tol_ok = gaps[0.0125] <= 1e-3
     halving_ok = dt_comp_0 >= 2.0 * dt_comp_1
+    p = Printed()
     report("5 Serfati identity consistency", tol_ok and halving_ok,
-           f"gap {gaps[0.0125]:.2e} (tol 1e-3); dt-component "
-           f"{dt_comp_0:.2e} -> {dt_comp_1:.2e} (ratio {dt_comp_0 / dt_comp_1:.1f})")
+           f"gap {p('gap', gaps[0.0125], '.2e')} (tol 1e-3); dt-component "
+           f"{p('dt_comp_0', dt_comp_0, '.2e')} -> {p('dt_comp_1', dt_comp_1, '.2e')} "
+           f"(ratio {p('ratio', dt_comp_0 / dt_comp_1, '.1f')})", p)
 
 
 # -- 6. stationary radial solution ----------------------------------------------------
@@ -178,7 +228,9 @@ def test_criterion_06_stationary_radial():
                        record_norms=("linf:theta",), sample_every=250)
     traj = simulate(cfg, theta0)
     drift = (traj.thetas[-1] - theta0).linf() / theta0.linf()
-    report("6 stationary radial solution", drift <= 1e-6, f"drift {drift:.2e} over t in [0,1]")
+    p = Printed()
+    report("6 stationary radial solution", drift <= 1e-6,
+           f"drift {p('drift', drift, '.2e')} over t in [0,1]", p)
 
 
 # -- 7. Picard contraction -------------------------------------------------------------
@@ -187,6 +239,7 @@ def test_criterion_06_stationary_radial():
 def test_criterion_07_picard_contraction():
     ok = True
     details = []
+    p = Printed()
     rhos = {}
     for n in (128, 256):
         grid = Grid2D(n, 16.0)
@@ -209,10 +262,12 @@ def test_criterion_07_picard_contraction():
         # partial sums of D_n Cauchy: increments below 1e-6 by n = 12
         d12 = trace.decrements[12][-1] if 12 in trace.decrements else 0.0
         ok &= d12 <= 1e-6
-        details.append(f"n={n}: rho~{rhos[n]:.3f}, D_12 {d12:.1e}")
+        details.append(f"n={n}: rho~{p(f'rho n={n}', rhos[n], '.3f')}, "
+                       f"D_12 {p(f'D_12 n={n}', d12, '.1e')}")
     drift = abs(rhos[256] - rhos[128]) / max(rhos[128], 1e-300)
     ok &= drift <= 0.5
-    report("7 Picard contraction", ok, "; ".join(details) + f"; rho drift {drift:.2f}")
+    report("7 Picard contraction", ok,
+           "; ".join(details) + f"; rho drift {p('rho drift', drift, '.2f')}", p)
 
 
 # -- 8. a priori bounds ------------------------------------------------------------------
@@ -237,15 +292,18 @@ def test_criterion_08_apriori_bounds():
 
     ok = True
     details = []
+    p = Printed()
     rep_k = check_apriori_bounds(trajs[256], "hsul_theorem_3_4", {"s": 2.5},
                                  refinement_trajectory=trajs[512])
     ok &= rep_k.verdict == "pass" and rep_k.stability <= 0.5
-    details.append(f"K {rep_k.measured[0]:.3g}/{rep_k.measured[1]:.3g}")
+    details.append(f"K {p('K 256', rep_k.measured[0], '.3g')}/"
+                   f"{p('K 512', rep_k.measured[1], '.3g')}")
 
     rep_c = check_apriori_bounds(trajs[256], "holder_bound", {"r": 2.5},
                                  refinement_trajectory=trajs[512])
     ok &= rep_c.verdict in ("pass", "warning") and rep_c.stability <= 0.5
-    details.append(f"C {rep_c.measured[0]:.3g}/{rep_c.measured[1]:.3g}")
+    details.append(f"C {p('C 256', rep_c.measured[0], '.3g')}/"
+                   f"{p('C 512', rep_c.measured[1], '.3g')}")
 
     # bound curves dominate the measured norms at every sample time
     for n in (256, 512):
@@ -265,7 +323,7 @@ def test_criterion_08_apriori_bounds():
         denom = 1.0 - c_fit * ts * psi[0]
         ok &= bool(np.all(denom > 0))
         ok &= bool(np.all(psi <= c_fit * psi[0] / denom * (1 + 1e-9)))
-    report("8 a priori bounds", ok, "; ".join(details))
+    report("8 a priori bounds", ok, "; ".join(details), p)
 
 
 # -- 9. norm equivalence suites ------------------------------------------------------------
@@ -274,6 +332,7 @@ def test_criterion_08_apriori_bounds():
 def test_criterion_09_norm_equivalences():
     ok = True
     details = []
+    p = Printed()
 
     # H^s: dyadic block sum vs multiplier route, two grids
     stats = {}
@@ -288,7 +347,8 @@ def test_criterion_09_norm_equivalences():
         ok &= 0.25 <= stats[n][0] and stats[n][1] <= 4.0
     drift = abs(stats[256][1] - stats[128][1]) / stats[128][1]
     ok &= drift <= 0.5
-    details.append(f"block/multiplier in [{stats[256][0]:.2f},{stats[256][1]:.2f}]")
+    details.append(f"block/multiplier in [{p('block min', stats[256][0], '.2f')},"
+                   f"{p('block max', stats[256][1], '.2f')}]")
 
     # H^s_ul vs W^(s,2)_ul at n=64 within the analytic symbol bracket
     grid64 = Grid2D(64)
@@ -302,7 +362,8 @@ def test_criterion_09_norm_equivalences():
         ws = uniformly_local_norm(f, 2.5, wf64, "Ws2_ul").value
         ratio_sq = (ws / hs) ** 2
         ok &= c1 * 0.9 <= ratio_sq <= c2 * 1.1
-    details.append(f"Slobodeckij/Bessel in bracket [{c1:.2f},{c2:.2f}]")
+    details.append(f"Slobodeckij/Bessel in bracket [{p('bracket lo', c1, '.2f')},"
+                   f"{p('bracket hi', c2, '.2f')}]")
 
     # window-scale equivalence, two grids
     scale_stats = {}
@@ -319,7 +380,8 @@ def test_criterion_09_norm_equivalences():
         ok &= 0.25 <= min(rr) and max(rr) <= 4.0
     drift = abs(scale_stats[256][1] - scale_stats[128][1]) / scale_stats[128][1]
     ok &= drift <= 0.5
-    details.append(f"window-scale ratio [{scale_stats[256][0]:.2f},{scale_stats[256][1]:.2f}]")
+    details.append(f"window-scale ratio [{p('window min', scale_stats[256][0], '.2f')},"
+                   f"{p('window max', scale_stats[256][1], '.2f')}]")
 
     # Sobolev embedding constant stable across two grid sizes
     cs = {}
@@ -334,8 +396,9 @@ def test_criterion_09_norm_equivalences():
         cs[n] = max(vals)
     drift = abs(cs[256] - cs[128]) / cs[128]
     ok &= drift <= 0.5 and cs[256] <= 20.0
-    details.append(f"embedding C {cs[256]:.2f} drift {drift:.2f}")
-    report("9 norm equivalences", ok, "; ".join(details))
+    details.append(f"embedding C {p('embedding C', cs[256], '.2f')} "
+                   f"drift {p('embedding drift', drift, '.2f')}")
+    report("9 norm equivalences", ok, "; ".join(details), p)
 
 
 # -- 10. twin-run uniqueness ------------------------------------------------------------------
@@ -359,6 +422,8 @@ def test_criterion_10_twin_run_uniqueness():
         gaps = np.asarray(rep.details["gaps"][delta])
         ts = np.linspace(0, cfg.t_end, len(gaps))
         ok &= bool(np.all(gaps <= ks[i] * delta * np.exp(lams[i] * ts) * (1 + 1e-9)))
+    p = Printed()
     report("10 twin-run uniqueness", ok,
-           f"K in [{min(ks):.2f},{max(ks):.2f}], Lambda in [{min(lams):.2f},{max(lams):.2f}], "
-           f"stability {rep.stability:.2f}")
+           f"K in [{p('K min', min(ks), '.2f')},{p('K max', max(ks), '.2f')}], "
+           f"Lambda in [{p('Lambda min', min(lams), '.2f')},{p('Lambda max', max(lams), '.2f')}], "
+           f"stability {p('stability', rep.stability, '.2f')}", p)
