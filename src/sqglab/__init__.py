@@ -9,14 +9,18 @@ kernel split behind the Serfati velocity identity, a Picard approximation
 scheme, and a harness that turns inequalities into measured-constant checks.
 
 Transform normalization (used everywhere): for a field f sampled on an
-n x n grid over [0, L)^2 with spacing h = L/n, the stored coefficients are
+n x n grid over [0, L)^2 with spacing h = L/n, the coefficients are
 
     c_k = (L / n^2) * sum_x f(x) exp(-i k.x),
 
-i.e. the continuum Fourier integral over the box divided by L.  With this
-choice Parseval reads  sum_k |c_k|^2 = h^2 * sum_x |f(x)|^2  exactly, the
-k = 0 coefficient of a constant c equals c*L, and L^2 norms computed in
-either representation agree.
+i.e. the continuum Fourier integral over the box divided by L.  They are
+stored in the layout of ``rfft2``, columns 0..n/2 of the lattice (shape
+(n, n/2 + 1)), since c_(-k) = conj(c_k) for a real field.  With this
+choice Parseval reads  sum_k |c_k|^2 = h^2 * sum_x |f(x)|^2  exactly, where
+the sum over all modes counts each stored column other than 0 and n/2
+twice; the k = 0 coefficient of a constant c equals c*L, and L^2 norms
+computed in either representation agree.  The full n x n layout exists
+only through ``fields.full_coefficients``.
 """
 
 from .grid import Grid2D

@@ -12,7 +12,8 @@ so the residual on the grid is pure roundoff).  Blocks are realized as
 Fourier multipliers: Delta_j = phi_hat(|k|/2^j), Delta_{-1} = chi_hat(|k|),
 S_n = chi_hat(|k|/2^(n+1)).  The family of a grid is built once
 (``build_partition`` is cached per grid) and builds each multiplier once, on
-first use; the multipliers are read-only and shared by every caller.
+first use, on the ``rfft2`` layout of the coefficients; the multipliers are
+read-only and shared by every caller.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import BlockRangeError, ConfigurationError
 from .fields import SpectralField
-from .grid import Grid2D, _read_only
+from .grid import Grid2D, _read_only, operator_table
 
 CHI_FLAT_RADIUS = 3.0 / 5.0
 CHI_SUPPORT_RADIUS = 5.0 / 6.0
@@ -81,11 +82,11 @@ class DyadicFamily:
         return m
 
     def block_multiplier(self, j: int) -> np.ndarray:
-        """phi_hat(|k|/2^j) in fft layout (read-only, built once)."""
+        """phi_hat(|k|/2^j) on the coefficient layout (read-only, built once)."""
         return self._cached(("phi", j), lambda: phi_profile(self._kmag / 2.0**j))
 
     def lowpass_multiplier(self, n: int) -> np.ndarray:
-        """chi_hat(|k|/2^(n+1)) in fft layout (read-only, built once)."""
+        """chi_hat(|k|/2^(n+1)) on the coefficient layout (read-only, built once)."""
         return self._cached(("chi", n), lambda: chi_profile(self._kmag / 2.0 ** (n + 1)))
 
     def delta_multiplier(self, j: int, homogeneous: bool = False) -> np.ndarray:
@@ -122,7 +123,7 @@ def build_partition(grid: Grid2D) -> DyadicFamily:
     Raises ``ConfigurationError`` if the grid cannot host a single annulus
     below the dealias cutoff.
     """
-    kmag = grid.k_magnitude()
+    kmag = operator_table(grid).kmag
     k_fund = grid.k_fundamental
     k_cut = grid.dealias_k_cutoff
 

@@ -6,7 +6,12 @@ under the package normalization
 
     c_k = (L / n^2) * sum_x f(x) exp(-i k.x),
 
-so that Parseval reads ``sum_k |c_k|^2 = spacing^2 * sum_x |f(x)|^2``.
+stored in the layout of ``rfft2``: shape ``(n, n/2 + 1)`` or
+``(2, n, n/2 + 1)``, columns 0..n/2 of the lattice, since c_(-k) =
+conj(c_k) for a real field.  Parseval reads ``sum_k |c_k|^2 = spacing^2 *
+sum_x |f(x)|^2``, where each stored column other than 0 and n/2 counts
+twice (``OperatorTable.multiplicity``).  The full n x n layout exists only
+through :func:`full_coefficients`, for tests and inspection.
 Representations are computed lazily and cached, through the real
 transforms of the grid's operator table; fields are immutable (arrays are
 marked read-only, and a caller's writeable array is copied first) and every
@@ -60,8 +65,8 @@ class SpectralField:
             raise ValueError("need values or coefficients")
         self.grid = grid
         n = grid.n_side
-        for a, name in ((values, "values"), (coefficients, "coefficients")):
-            if a is not None and np.shape(a) not in ((n, n), (2, n, n)):
+        for a, name, m in ((values, "values", n), (coefficients, "coefficients", n // 2 + 1)):
+            if a is not None and np.shape(a) not in ((n, m), (2, n, m)):
                 raise ConfigurationError(f"{name} shape {np.shape(a)} does not match grid n={n}")
         self._values = _frozen(values, np.float64, adopt)
         self._coeffs = _frozen(coefficients, np.complex128, adopt)
@@ -160,15 +165,27 @@ def transform(f: SpectralField, direction: str) -> SpectralField:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
+def full_coefficients(f: SpectralField) -> np.ndarray:
+    """The coefficients of ``f`` in the full n x n fft layout, shape (n, n) or
+    (2, n, n): the stored columns 0..n/2, and c_(-k) = conj(c_k) on the rest.
+
+    For tests and inspection; no computation in the package uses it.
+    """
+    c = f.coefficients
+    neg = -np.arange(f.grid.n_side) % f.grid.n_side  # the index of -k
+    return np.concatenate([c, np.conj(c[..., neg[:, None], neg[None, c.shape[-1]:]])], axis=-1)
+
+
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes with max(|k1|, |k2|) above the 2/3-Nyquist cutoff."""
-    return SpectralField._adopt(f.grid, coefficients=f.coefficients * f.grid.dealias_mask())
+    return SpectralField._adopt(f.grid,
+                                coefficients=f.coefficients * operator_table(f.grid).dealias)
 
 
 def parseval_mismatch(f: SpectralField) -> float:
-    """Relative gap between h^2*sum|values|^2 and sum|coefficients|^2."""
+    """Relative gap between h^2*sum|values|^2 and sum_k |c_k|^2 over all modes."""
     phys = np.sum(f.values**2) * f.grid.spacing**2
-    spec = np.sum(np.abs(f.coefficients) ** 2)
+    spec = np.sum(operator_table(f.grid).multiplicity * np.abs(f.coefficients) ** 2)
     return abs(phys - spec) / max(phys, 1e-300)
 
 

@@ -5,8 +5,9 @@ Every other module builds on the conventions fixed here: the box is
 wavenumbers are (2*pi/L) times the signed integer lattice with Nyquist
 index n_side/2, and quadratic products are protected by the 2/3 rule
 (modes with max(|k1|, |k2|) above two thirds of the Nyquist wavenumber
-are zeroed).  The spectral arrays of a grid are built once, cached and
-read-only (``operator_table``).
+are zeroed).  Coefficients live in the layout of ``rfft2``: rows 0..n-1,
+columns 0..n/2.  The spectral arrays of a grid are built once, in that
+layout, cached and read-only (``operator_table``).
 """
 
 from __future__ import annotations
@@ -87,16 +88,6 @@ class Grid2D:
         """Signed integer frequencies per axis, fft layout (Nyquist at -n/2)."""
         return np.fft.fftfreq(self.n_side, d=1.0 / self.n_side).astype(np.int64)
 
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """(k1, k2) of physical wavenumbers in fft layout, as read-only (n, n) views."""
-        ops = operator_table(self)
-        shape = (self.n_side, self.n_side)
-        return np.broadcast_to(ops.k1, shape), np.broadcast_to(ops.k2, shape)
-
-    def k_magnitude(self) -> np.ndarray:
-        """|k| in fft layout (read-only, shared by every caller)."""
-        return operator_table(self).kmag
-
     # -- dealiasing --------------------------------------------------------
 
     @property
@@ -107,10 +98,6 @@ class Grid2D:
     @property
     def dealias_k_cutoff(self) -> float:
         return self.dealias_index_cutoff * self.k_fundamental
-
-    def dealias_mask(self) -> np.ndarray:
-        """True on the modes the 2/3 rule keeps (read-only, shared by every caller)."""
-        return operator_table(self).dealias
 
     def __str__(self) -> str:  # pragma: no cover
         return f"Grid2D(n={self.n_side}, L={self.box_length:.6g})"
@@ -123,82 +110,61 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class OperatorTable:
-    """The spectral arrays of one grid, and the half-spectrum adapter.
+    """The spectral arrays of one grid, in the ``rfft2`` layout, and its transforms.
 
     Built once per grid by :func:`operator_table`.  Every array is read-only
     and shared by all callers: multiply by them, never write into them.
 
-    ``k`` is the 1-D wavenumber vector in fft layout; ``k1`` (shape (n, 1))
-    and ``k2`` (shape (1, n)) are views of it that broadcast to the lattice.
-    ``ksq`` and ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask
-    and ``nyquist`` is True away from the unpaired Nyquist lines.  The
-    ``*_half`` arrays are their columns 0..n/2, the layout of ``rfft2``.
+    Coefficients of real fields are stored on rows 0..n-1 (fft layout) and
+    columns 0..n/2; c_(-k) = conj(c_k) determines the rest.  ``k1`` (shape
+    (n, 1)) and ``k2`` (shape (1, n/2 + 1)) are the wavenumbers, signed with
+    the Nyquist index at -n/2, and broadcast to the layout.  ``ksq`` and
+    ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask and
+    ``nyquist`` is False on the unpaired Nyquist lines (row n/2, column n/2).
+    ``multiplicity`` (shape (1, n/2 + 1)) is 1 on columns 0 and n/2 and 2 on
+    the others, which stand for their unstored mirrors as well, so
+    sum_k |c_k|^2 over all modes is sum(multiplicity * |c|^2).
     """
 
     def __init__(self, grid: Grid2D):
         n = grid.n_side
         self.n_side = n
         self.box_length = grid.box_length
+        half = n // 2 + 1
         m = grid.mode_indices()
-        self.k = _read_only(m * grid.k_fundamental)
-        self.k1 = self.k[:, None]
-        self.k2 = self.k[None, :]
+        k = m * grid.k_fundamental
+        self.k1 = _read_only(k[:, None])
+        self.k2 = _read_only(k[None, :half])
         self.ksq = _read_only(self.k1 * self.k1 + self.k2 * self.k2)
         self.kmag = _read_only(np.sqrt(self.ksq))
         keep = np.abs(m) <= grid.dealias_index_cutoff
-        self.dealias = _read_only(np.logical_and.outer(keep, keep))
+        self.dealias = _read_only(np.logical_and.outer(keep, keep[:half]))
         paired = m != -(n // 2)
-        self.nyquist = _read_only(np.logical_and.outer(paired, paired))
-        half = n // 2 + 1
-        self.k2_half = self.k2[:, :half]
-        self.dealias_half = _read_only(self.dealias[:, :half])
+        self.nyquist = _read_only(np.logical_and.outer(paired, paired[:half]))
+        multiplicity = np.full((1, half), 2.0)
+        multiplicity[0, [0, -1]] = 1.0
+        self.multiplicity = _read_only(multiplicity)
 
-    # The adapter between the full ``coefficients`` layout of a real field and
-    # the half spectrum that real transforms use.  c_(-k) = conj(c_k) for real
-    # samples, so columns 0..n/2 determine the rest.
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """Real samples of coefficients c, shape (..., n, n): irfft2(c) n^2/L.
 
-    def half_spectrum(self, c: np.ndarray) -> np.ndarray:
-        """Hermitian part (c_k + conj(c_-k)) / 2 of full-layout coefficients,
-        on columns 0..n/2.  Its samples equal Re(ifft2(c)) to rounding, so any
-        complex input is accepted."""
+        On the self-mirrored columns 0 and n/2 the transform keeps the
+        Hermitian part of c, so any complex c has the samples Re(ifft2) of
+        its Hermitian extension."""
         n = self.n_side
-        out = np.empty(c.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-        # c at -k: row and column indices negated modulo n
-        cols = slice(n - 1, n // 2 - 1, -1)
-        out[..., 0, 0] = c[..., 0, 0]
-        out[..., 0, 1:] = c[..., 0, cols]
-        out[..., 1:, 0] = c[..., :0:-1, 0]
-        out[..., 1:, 1:] = c[..., :0:-1, cols]
-        np.conjugate(out, out=out)
-        out += c[..., : n // 2 + 1]
-        out *= 0.5
-        return out
-
-    def values_from_half(self, half: np.ndarray) -> np.ndarray:
-        """Real samples of a Hermitian half spectrum, shape (..., n, n)."""
-        n = self.n_side
-        out = np.empty(half.shape[:-1] + (n,))
+        out = np.empty(c.shape[:-1] + (n,))
         # one plane per call: a stacked irfft2 ran about twice as slow as this
         # loop at n = 256 (scipy 1.17, x86-64)
-        for i in np.ndindex(half.shape[:-2]):
-            out[i] = scipy.fft.irfft2(half[i], s=(n, n), workers=_FFT_WORKERS)
+        for i in np.ndindex(c.shape[:-2]):
+            out[i] = scipy.fft.irfft2(c[i], s=(n, n), workers=_FFT_WORKERS)
         out *= n * n / self.box_length
         return out
 
-    def values(self, c: np.ndarray) -> np.ndarray:
-        """Re(ifft2) of full-layout coefficients, in package normalization."""
-        return self.values_from_half(self.half_spectrum(c))
-
     def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """Full-layout coefficients of real samples, in package normalization."""
-        n = self.n_side
-        half = rfft2(v)
-        half *= self.box_length / (n * n)
-        out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-        out[..., : n // 2 + 1] = half
-        np.conjugate(half[..., 0, n // 2 - 1:0:-1], out=out[..., 0, n // 2 + 1:])
-        np.conjugate(half[..., :0:-1, n // 2 - 1:0:-1], out=out[..., 1:, n // 2 + 1:])
-        return out
+        """Coefficients of real samples v, in package normalization: rfft2(v) L/n^2."""
+        c = rfft2(v)
+        c *= self.box_length / (self.n_side * self.n_side)
+        return c
 
 
 @functools.lru_cache(maxsize=8)

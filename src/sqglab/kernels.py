@@ -21,7 +21,9 @@ formed: writing a fine index as X = q a + s, the fine transform at a coarse
 mode m is the twiddled sum over the q^2 cosets s of their size-n transforms,
 T(m) = (h/q)^2 sum_s exp(-2 pi i m.s/(q n)) F_s(m), and each coset is
 sampled only where the kernel is supported.  Every transfer is built from
-real transforms of size n.
+real transforms of size n and stored on the rfft2 layout of the
+coefficients as its Hermitian part (T(k) + conj(T(-k)))/2, which is all a
+convolution of real fields keeps (``_convolve``).
 
 Periodization.  (1-a)Phi and its first derivative are not absolutely
 integrable at infinity, so box truncation of the far-side kernels leaves
@@ -223,6 +225,22 @@ def _near_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray, h: float,
     return out
 
 
+def _outer_cutoff(cutoff: CutoffA, r: np.ndarray):
+    """1 - a, a' and a'' at radii r > cutoff.inner, as ``CutoffA`` gives them.
+
+    The ramp is evaluated once, and only where r < outer: beyond, 1 - a = 1
+    and a' = a'' = 0 exactly.
+    """
+    one_a, da, d2a = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+    ramp = r < cutoff.outer
+    S, S1, S2 = _ramp_with_derivs(cutoff._t(r[ramp]))
+    width = cutoff.outer - cutoff.inner
+    one_a[ramp] = 1.0 - (1.0 - S)
+    da[ramp] = -S1 / width
+    d2a[ramp] = -S2 / width**2
+    return one_a, da, d2a
+
+
 def _far_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
                  beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
     """grad grad_perp((1-a) Phi) at the displacements: entry (i, j) is
@@ -230,9 +248,7 @@ def _far_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
     mask = rho > cutoff.inner
     r = rho[mask]
     p, p1, p2 = _phi_derivs(r, beta, c)
-    one_a = 1.0 - cutoff.a(r)
-    da = cutoff.da(r)
-    d2a = cutoff.d2a(r)
+    one_a, da, d2a = _outer_cutoff(cutoff, r)
     Gp = -da * p + one_a * p1
     Gpp = -d2a * p - 2.0 * da * p1 + one_a * p2
     del p, p1, p2, one_a, da, d2a  # six fewer n^2 arrays alive at the peak
@@ -253,7 +269,8 @@ def _mid_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
     mask = rho > cutoff.inner
     r = rho[mask]
     p, p1, _ = _phi_short_derivs(r, beta, c, alpha)
-    g = (-cutoff.da(r) * p + (1.0 - cutoff.a(r)) * p1) / r
+    one_a, da, _ = _outer_cutoff(cutoff, r)
+    g = (-da * p + one_a * p1) / r
     out = np.zeros((2,) + rho.shape)
     out[0, mask] = -x2[mask] * g
     out[1, mask] = x1[mask] * g
@@ -268,16 +285,6 @@ def _displacements(grid: Grid2D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sample_near(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
     """Sample grad_perp(a Phi) on wrapped displacements, cell-averaging the core."""
     return _near_samples(*_displacements(grid), grid.spacing, beta, c, cutoff)
-
-
-def sample_far(grid: Grid2D, beta: float, c: float, cutoff: CutoffA) -> np.ndarray:
-    """Sample grad grad_perp((1-a) Phi) on displacements."""
-    return _far_samples(*_displacements(grid), beta, c, cutoff)
-
-
-def sample_mid(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, alpha: float) -> np.ndarray:
-    """Sample the short part grad_perp((1-a) Phi_short) on displacements."""
-    return _mid_samples(*_displacements(grid), beta, c, cutoff, alpha)
 
 
 def far_flux_integral(beta: float, c: float, radius: float) -> np.ndarray:
@@ -334,9 +341,9 @@ class KernelSplit:
         origin = np.zeros(1)
         apot[0, 0] = _cell_average(lambda X, Y, R: self.c_beta * R ** (-self.beta),
                                    origin, origin, self.grid.spacing)[0]
-        t = self.grid.box_length * operator_table(self.grid).coefficients(apot)
-        kmag = self.grid.k_magnitude()
-        return float(np.abs(kmag ** (2.0 - self.beta) * t).max())
+        ops = operator_table(self.grid)
+        t = self.grid.box_length * ops.coefficients(apot)
+        return float(np.abs(ops.kmag ** (2.0 - self.beta) * t).max())
 
 
 def _ewald_alpha(L: float, core: float) -> float:
@@ -346,17 +353,20 @@ def _ewald_alpha(L: float, core: float) -> float:
 
 
 def _near_transfer(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, q: int) -> np.ndarray:
-    """h_f^2 fft2 of the near kernel sampled on the q-times finer grid (spacing
-    h_f = L/(q n)), at the coarse modes m, without forming the fine grid.
+    """Hermitian part of h_f^2 fft2 of the near kernel sampled on the q-times
+    finer grid (spacing h_f = L/(q n)), at the coarse modes m of the rfft2
+    layout, without forming the fine grid.
 
     With fine index X = q a + s (a in [0, n)^2, coset s in [0, q)^2), the fine
     transform at m splits into the size-n transforms F_s of the cosets:
 
-        T(m) = h_f^2 sum_s exp(-2 pi i m.s / (q n)) F_s(m mod n),
+        T(m) = h_f^2 sum_s w_s(m) F_s(m mod n),   w_s(m) = exp(-2 pi i m.s / (q n)),
 
     one radix-q decimation-in-time step (Cooley & Tukey 1965).  m is signed,
-    Nyquist at -n/2, as ``m % (q n)`` picks the fine modes; F_s is Hermitian
-    mod n but the twiddles are not, so the sum runs in the full layout.
+    Nyquist at -n/2, as ``m % (q n)`` picks the fine modes.  As F_s(-m) =
+    conj(F_s(m)), the Hermitian part (T(m) + conj(T(-m)))/2 is the same sum
+    with (w_s(m) + conj(w_s(-m)))/2, whose two twiddles differ only on the
+    Nyquist index, the one signed index that is its own mirror.
     """
     n, L = grid.n_side, grid.box_length
     ops = operator_table(grid)
@@ -370,17 +380,19 @@ def _near_transfer(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, q: int)
     xs = xf[(q * a[:, None] + np.arange(q)).ravel()]  # s runs fastest: coset s is xs[s::q]
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     patch = _near_samples(x1, x2, np.hypot(x1, x2), L / (q * n), beta, c, cutoff)
-    twiddle = np.exp(-2j * np.pi * np.outer(np.arange(q), grid.mode_indices()) / (q * n))
+    half = n // 2 + 1
+    w = np.exp(-2j * np.pi * np.outer(np.arange(q), grid.mode_indices()) / (q * n))
+    w_mirror = w.copy()  # conj(w_s(-m)): w_s(m) but on the Nyquist index
+    w_mirror[:, n // 2] = np.conj(w[:, n // 2])
     coset = np.zeros((2, n, n))
-    transfer = np.zeros((2, n, n), dtype=np.complex128)
+    transfer = np.zeros((2, n, half), dtype=np.complex128)
     for s1 in range(q):
         for s2 in range(q):
             coset[:, a[:, None], a[None, :]] = patch[:, s1::q, s2::q]
             f = ops.coefficients(coset)  # F_s in package normalization, L/n^2 F_s
-            f *= twiddle[s1][:, None]
-            f *= twiddle[s2]
+            f *= (np.outer(w[s1], w[s2, :half]) + np.outer(w_mirror[s1], w_mirror[s2, :half]))
             transfer += f
-    transfer *= L / q**2  # h_f^2 = (L/n^2) (L/q^2)
+    transfer *= L / (2 * q**2)  # h_f^2 = (L/n^2) (L/q^2), and the 1/2 of the Hermitian part
     transfer[:, 0, 0] = 0.0
     return transfer
 
@@ -427,9 +439,14 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
     a_phi_long = np.zeros_like(rho)
     core = rho < cutoff.outer  # a = 0 beyond
     a_phi_long[core] = cutoff.a(rho[core]) * phi_long_values(rho[core], beta, c, alpha)
-    long_hat = phi_long_hat(grid.k_magnitude(), beta, c, alpha) - L * ops.coefficients(a_phi_long)
-    mid_transfer[0] += -1j * ops.k2 * long_hat  # i k_perp long_hat, k_perp = (-k2, k1)
-    mid_transfer[1] += 1j * ops.k1 * long_hat
+    long_hat = phi_long_hat(ops.kmag, beta, c, alpha) - L * ops.coefficients(a_phi_long)
+    # i k_perp long_hat, k_perp = (-k2, k1), in its Hermitian part: i k1 has
+    # none on the Nyquist row, i k2 none on the Nyquist column
+    k1, k2 = ops.k1.copy(), ops.k2.copy()
+    k1[grid.n_side // 2] = 0.0
+    k2[0, grid.n_side // 2] = 0.0
+    mid_transfer[0] += -1j * k2 * long_hat
+    mid_transfer[1] += 1j * k1 * long_hat
     mid_transfer[..., 0, 0] = 0.0
 
     tail = 2.0 * math.pi * c * (beta + 3.0) * (L / 2.0) ** (-beta)
@@ -444,10 +461,12 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
 
 
 def _convolve(transfer: np.ndarray, theta: SpectralField) -> SpectralField:
-    """Periodic convolution by a transfer function h^2 fft2(kernel).
+    """Periodic convolution by a transfer function h^2 fft2(kernel), stored
+    on the rfft2 layout as its Hermitian part Th = (T(k) + conj(T(-k)))/2.
 
     Package coefficients times the transfer are the convolution's
-    coefficients, so this is Re(ifft2(transfer * fft2(theta))).
+    coefficients: for a real theta, Th * coefficients are those of
+    Re(ifft2(T * fft2(theta))), so no other layout is needed.
     """
     ops = operator_table(theta.grid)
     return SpectralField._adopt(theta.grid, values=ops.values(transfer * theta.coefficients))
@@ -514,8 +533,8 @@ def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None) -> np
     cells = rho <= _AVG_RADIUS
     short[cells] = _cell_average(lambda X, Y, R: _phi_short_values(R, beta, c, alpha),
                                  x1[cells], x2[cells], grid.spacing)
-    transfer = (grid.box_length * operator_table(grid).coefficients(short)
-                + phi_long_hat(grid.k_magnitude(), beta, c, alpha))
+    ops = operator_table(grid)
+    transfer = grid.box_length * ops.coefficients(short) + phi_long_hat(ops.kmag, beta, c, alpha)
     transfer[0, 0] = 0.0
     return transfer
 

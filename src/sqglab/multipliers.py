@@ -5,8 +5,11 @@ Presets: ``frac_laplacian(s)`` with symbol |k|^s and zero mode 0,
 i(-k2, k1), and the constitutive map ``biot_savart_velocity`` realizing
 u = grad_perp (-Laplace)^(-1+beta/2) theta, i.e. the vector symbol
 i(-k2, k1)|k|^(beta-2) with the k = 0 mode gauged to zero (velocity is
-computed from the mean-free part of the scalar).  Odd (derivative-like)
-symbols are zeroed on the unpaired Nyquist lines so real fields stay real.
+computed from the mean-free part of the scalar).  Symbols are evaluated
+on the ``rfft2`` layout of the coefficients (``OperatorTable``), so they must
+be those of real operators, symbol(-k) = conj(symbol(k)); odd
+(derivative-like) symbols are zeroed on the unpaired Nyquist lines so real
+fields stay real.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealias
-from .grid import operator_table
+from .grid import _read_only, operator_table
 
 
 @dataclass(frozen=True)
@@ -56,15 +59,16 @@ def grad_perp() -> MultiplierSpec:
 
 
 def _symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
-    """The symbol of ``m`` on ``grid``, checked finite, zero mode set per policy.
+    """The symbol of ``m`` on the coefficient layout of ``grid``, checked
+    finite, zero mode set per policy.
 
     Odd (vector) symbols are zeroed on the unpaired Nyquist lines.
     """
-    k1, k2 = grid.wavenumbers()
-    sym = np.array(m.symbol(k1, k2), dtype=np.complex128)
+    ops = operator_table(grid)
+    sym = np.array(m.symbol(*np.broadcast_arrays(ops.k1, ops.k2)), dtype=np.complex128)
     vector_out = sym.ndim == 3
 
-    check = sym.reshape(-1, grid.n_side**2)[:, 1:]  # every wavenumber but k = 0
+    check = sym.reshape(-1, ops.ksq.size)[:, 1:]  # every wavenumber but k = 0
     if not np.all(np.isfinite(check)):
         raise ConfigurationError(f"symbol {m.name!r} not finite at a nonzero wavenumber")
     if m.zero_mode is None:
@@ -76,7 +80,7 @@ def _symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
     else:
         sym[..., 0, 0] = m.zero_mode
     if vector_out:
-        sym *= operator_table(grid).nyquist
+        sym *= ops.nyquist
     return sym
 
 
@@ -88,26 +92,13 @@ def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
     return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
 
 
-def _biot_savart_symbol(k1, k2, beta: float) -> np.ndarray:
-    """i(-k2, k1)|k|^(beta-2), zero at k = 0: the constitutive symbol."""
-    ksq = k1 * k1 + k2 * k2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radial = np.where(ksq > 0, ksq ** ((beta - 2.0) / 2.0), 0.0)
-    return np.stack([-1j * k2 * radial, 1j * k1 * radial])
-
-
-def _biot_savart(beta: float) -> MultiplierSpec:
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    return MultiplierSpec(f"biot_savart:{beta:g}",
-                          functools.partial(_biot_savart_symbol, beta=beta), zero_mode=0.0)
-
-
 @functools.lru_cache(maxsize=4)
 def _constitutive_symbol(grid, beta: float) -> np.ndarray:
-    sym = _symbol_array(grid, _biot_savart(beta))
-    sym.flags.writeable = False
-    return sym
+    """i(-k2, k1)|k|^(beta-2), zero at k = 0 and on the Nyquist lines."""
+    ops = operator_table(grid)
+    with np.errstate(divide="ignore"):
+        radial = np.where(ops.ksq > 0, ops.ksq ** ((beta - 2.0) / 2.0), 0.0)
+    return _read_only(np.stack([-1j * ops.k2 * radial, 1j * ops.k1 * radial]) * ops.nyquist)
 
 
 def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
@@ -124,7 +115,7 @@ def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
 
 
 def gradient(f: SpectralField) -> SpectralField:
-    """Spectral gradient of a scalar field, shape (2, n, n)."""
+    """Spectral gradient of a scalar field."""
     if f.components != 1:
         raise ConfigurationError("vector-valued symbols act on scalar fields")
     ops = operator_table(f.grid)
@@ -133,11 +124,12 @@ def gradient(f: SpectralField) -> SpectralField:
 
 
 def derivative(f: SpectralField, alpha: tuple[int, int]) -> SpectralField:
-    """Mixed partial derivative D^alpha of a scalar field."""
+    """Mixed partial derivative D^alpha of a scalar field; the unpaired
+    Nyquist lines are zeroed when either order is odd."""
     a1, a2 = alpha
     ops = operator_table(f.grid)
     sym = (1j * ops.k1) ** a1 * (1j * ops.k2) ** a2
-    if (a1 + a2) % 2 == 1:
+    if a1 % 2 or a2 % 2:
         sym = sym * ops.nyquist
     return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
 
@@ -168,19 +160,3 @@ def kato_ponce_commutator(f: SpectralField, g: SpectralField, s: float) -> Spect
     lhs = apply_multiplier(dealiased_product(f, g), js)
     rhs = dealiased_product(f, apply_multiplier(g, js))
     return lhs - rhs
-
-
-# -- preset registry ("name:param" strings in config files) -------------------
-
-
-def parse_multiplier(spec: str) -> MultiplierSpec:
-    name, _, arg = spec.partition(":")
-    if name == "frac_laplacian":
-        return frac_laplacian(float(arg))
-    if name == "bessel":
-        return bessel(float(arg))
-    if name == "grad_perp":
-        return grad_perp()
-    if name == "biot_savart":
-        return _biot_savart(float(arg))
-    raise ConfigurationError(f"unknown multiplier preset {spec!r}")

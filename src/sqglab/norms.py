@@ -3,7 +3,7 @@
 Conventions shared by all estimators:
 
 * L^2 norms are continuum box norms, computed spectrally (Parseval is exact
-  under the package normalization).
+  under the package normalization, with the rfft2 column multiplicity).
 * L-infinity of a vector field is the max pointwise Euclidean magnitude.
 * The Zygmund norm is sup over blocks of 2^(j r) ||Delta_j f||_inf including
   the weight at j = -1; the homogeneous variant follows the stated
@@ -54,8 +54,9 @@ def _linf(values: np.ndarray) -> float:
     return float(np.abs(values).max())
 
 
-def _l2_from_coeffs(c: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(c) ** 2)))
+def _sum_sq(c: np.ndarray, grid: Grid2D) -> float:
+    """sum_k |c_k|^2 over every mode of coefficients c in the rfft2 layout."""
+    return float(np.sum(operator_table(grid).multiplicity * (c.real**2 + c.imag**2)))
 
 
 def _multiindices(m: int):
@@ -73,15 +74,13 @@ def block_sups(f: SpectralField, family: DyadicFamily | None = None,
                homogeneous: bool = False) -> dict:
     """||Delta_j f||_inf for every realizable block j, keyed by j.
 
-    The half spectrum of ``f`` is taken once; each block is one real inverse
-    transform per component against columns 0..n/2 of the family's cached
-    multiplier (the profiles are radial, so those columns determine the rest).
+    Each block is one real inverse transform per component of the
+    coefficients times the family's cached multiplier.
     """
     fam = family if family is not None else build_partition(f.grid)
     ops = operator_table(f.grid)
-    half = ops.half_spectrum(f.coefficients)
-    cols = slice(0, f.grid.n_side // 2 + 1)
-    return {j: _linf(ops.values_from_half(half * fam.delta_multiplier(j, homogeneous)[:, cols]))
+    c = f.coefficients
+    return {j: _linf(ops.values(c * fam.delta_multiplier(j, homogeneous)))
             for j in fam.block_js(homogeneous)}
 
 
@@ -172,14 +171,14 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False,
                  family: DyadicFamily | None = None) -> NormReport:
     """H^s norm via the multiplier route, with the dyadic block sum recorded."""
     op = frac_laplacian(s) if homogeneous else bessel(s)
-    value = _l2_from_coeffs(apply_multiplier(f, op).coefficients)
+    value = math.sqrt(_sum_sq(apply_multiplier(f, op).coefficients, f.grid))
 
     fam = family if family is not None else build_partition(f.grid)
     block_sq = {}
     js = fam.block_js(homogeneous)
     for j in js:
-        blk = _l2_from_coeffs(f.coefficients * fam.delta_multiplier(j, homogeneous))
-        block_sq[j] = 2.0 ** (2 * j * s) * blk**2
+        blk_sq = _sum_sq(f.coefficients * fam.delta_multiplier(j, homogeneous), f.grid)
+        block_sq[j] = 2.0 ** (2 * j * s) * blk_sq
     lp_variant = float(np.sqrt(sum(block_sq.values())))
     kind = f"sobolev{'_hom' if homogeneous else ''}:{s:g}"
     return NormReport(kind=kind, value=value,
@@ -292,8 +291,9 @@ def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,
     sigma = s - m
     if sigma <= 0:
         raise ConfigurationError(f"Slobodeckij order must be non-integer, got {s}")
+    ops = operator_table(grid)
     f = SpectralField._adopt(grid, values=vals)
-    l2sq = float(np.sum(np.abs(f.coefficients) ** 2))
+    l2sq = _sum_sq(f.coefficients, grid)
     gradm_sq = 0.0
     semi_quad = 0.0
     h = grid.spacing
@@ -310,11 +310,13 @@ def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,
     for beta in _multiindices(m):
         w = _multinomial(*beta)
         db = derivative(f, beta)
-        gradm_sq += w * float(np.sum(np.abs(db.coefficients) ** 2))
+        c = db.coefficients
+        power = c.real**2 + c.imag**2
+        gradm_sq += w * float(np.sum(ops.multiplicity * power))
         v = db.values
         # sum_x |v(x+d)-v(x)|^2 = 2||v||^2 - 2 autocorr(d), all offsets at once:
         # autocorr = (L / h^2) * samples of |coefficients|^2
-        ac = operator_table(grid).values(np.abs(db.coefficients) ** 2) * (grid.box_length / h**2)
+        ac = ops.values(power) * (grid.box_length / h**2)
         sums = 2.0 * (float(np.sum(v**2)) * full - ac * full)
         acc = float(np.sum(sums))
         # exact tail: beyond reach_len the supports of the two copies are disjoint

@@ -1,7 +1,7 @@
 """Transport time-stepping, both constitutive laws, and the Picard scheme.
 
 The scalar obeys d(theta)/dt = -dealias(u . grad theta), advanced with RK4
-on its Fourier coefficients.
+on its Fourier coefficients (the rfft2 layout of ``fields``).
 The velocity comes either from the direct multiplier (``constitutive =
 'direct'``) or from the kernel-split reconstruction
 
@@ -124,7 +124,7 @@ def velocity_samples(u: SpectralField) -> np.ndarray:
     """Samples of dealias(u), the advecting factor of :func:`advection_tendency`
     (one real inverse transform per component)."""
     ops = operator_table(u.grid)
-    return ops.values_from_half(ops.half_spectrum(u.coefficients) * ops.dealias_half)
+    return ops.values(u.coefficients * ops.dealias)
 
 
 def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralField:
@@ -132,14 +132,21 @@ def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralF
 
     ``u_samples`` are the dealiased velocity samples from
     :func:`velocity_samples`.  The dealiased gradient goes to samples through
-    real inverse transforms of its half spectrum (2 planes) and the product
-    comes back through one real forward transform.
+    two real inverse transforms and the product comes back through one real
+    forward transform.
     """
     ops = operator_table(theta.grid)
-    th = ops.half_spectrum(theta.coefficients) * ops.dealias_half
-    grad = ops.values_from_half(np.stack([1j * ops.k1 * th, 1j * ops.k2_half * th]))
-    adv = u_samples[0] * grad[0] + u_samples[1] * grad[1]
-    return SpectralField._adopt(theta.grid, coefficients=ops.coefficients(-adv) * ops.dealias)
+    th = theta.coefficients * ops.dealias
+    grad = np.empty((2,) + th.shape, dtype=np.complex128)
+    np.multiply(1j * ops.k1, th, out=grad[0])
+    np.multiply(1j * ops.k2, th, out=grad[1])
+    adv = ops.values(grad)  # products and sign in place: no further n^2 temporaries
+    adv *= u_samples
+    adv[0] += adv[1]
+    np.negative(adv[0], out=adv[0])
+    c = ops.coefficients(adv[0])
+    c *= ops.dealias
+    return SpectralField._adopt(theta.grid, coefficients=c)
 
 
 def leray_project(u: SpectralField) -> SpectralField:

@@ -17,7 +17,7 @@ import numpy as np
 from .dyadic import build_partition, project_block
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField
-from .grid import Grid2D
+from .grid import Grid2D, operator_table
 from .kernels import build_split, convolve_near
 from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, dealiased_product,
                           frac_laplacian, gradient)
@@ -62,9 +62,13 @@ class EnsembleSpec:
 # -- random field generators ---------------------------------------------------
 
 
-def _hermitian_symmetrize(c: np.ndarray) -> np.ndarray:
-    flipped = np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1)))
-    return 0.5 * (c + flipped)
+def _hermitian_symmetrize(z: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """The Hermitian part ((env z)_k + conj((env z)_-k)) / 2 of an (n, n) fft-layout
+    array z times an even real envelope ``env``, on columns 0..n/2 (``env``'s shape)."""
+    n = z.shape[-1]
+    neg = -np.arange(n) % n  # the index of -k
+    half = env.shape[-1]
+    return 0.5 * (env * z[:, :half] + np.conj(env * z[neg[:, None], neg[None, :half]]))
 
 
 def make_field(grid: Grid2D, spec: EnsembleSpec, trial: int) -> SpectralField:
@@ -72,13 +76,14 @@ def make_field(grid: Grid2D, spec: EnsembleSpec, trial: int) -> SpectralField:
     rng = np.random.default_rng([spec.seed, trial, grid.n_side])
     n = grid.n_side
     if spec.field_class == "band_limited":
-        kmag = grid.k_magnitude()
+        kmag = operator_table(grid).kmag
+        # the full lattice's normals, so the stream does not depend on the layout
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         k_hi = 0.9 * grid.dealias_k_cutoff
         env = np.zeros_like(kmag)
         band = (kmag > 0) & (kmag <= k_hi)
         env[band] = kmag[band] ** (-spec.gamma)
-        c = _hermitian_symmetrize(env * z)
+        c = _hermitian_symmetrize(z, env)
         c[0, 0] = 0.0
         f = SpectralField._adopt(grid, coefficients=c)
     else:

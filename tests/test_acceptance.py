@@ -20,7 +20,7 @@ import numpy as np
 
 from sqglab.dyadic import build_partition, chi_profile, phi_profile, project_block
 from sqglab.fields import SpectralField, dealias
-from sqglab.grid import Grid2D
+from sqglab.grid import Grid2D, operator_table
 from sqglab.kernels import build_split, verify_fundamental_solution
 from sqglab.multipliers import apply_multiplier, bessel, biot_savart_velocity, frac_laplacian
 from sqglab.norms import WindowFamily, classical_holder_norm, sobolev_norm, uniformly_local_norm, zygmund_norm
@@ -76,7 +76,7 @@ def report(criterion: str, passed: bool, detail: str, printed: Printed):
 def test_criterion_01_partition_of_unity():
     grid = Grid2D(256)
     fam = build_partition(grid)
-    kmag = grid.k_magnitude()
+    kmag = operator_table(grid).kmag
     below = kmag <= grid.k_nyquist
     total = chi_profile(kmag)
     for j in range(0, fam.j_top + 1):

@@ -5,7 +5,7 @@ from sqglab.dyadic import (build_partition, chi_profile, phi_profile, project_bl
                            smooth_truncate_initial)
 from sqglab.errors import BlockRangeError
 from sqglab.fields import SpectralField, dealias
-from sqglab.grid import Grid2D
+from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import gradient
 from sqglab.norms import WindowFamily, uniformly_local_norm
 
@@ -43,7 +43,7 @@ class TestProfiles:
     def test_partition_residual_random_wavenumbers(self, grid256):
         fam = build_partition(grid256)
         rng = np.random.default_rng(0)
-        kmag = grid256.k_magnitude()
+        kmag = operator_table(grid256).kmag
         below = np.argwhere(kmag <= grid256.k_nyquist)
         pick = below[rng.choice(len(below), size=512, replace=False)]
         vals = kmag[pick[:, 0], pick[:, 1]]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sqglab.errors import ConfigurationError
-from sqglab.fields import (SpectralField, dealias, field_to_csv, load_field,
+from sqglab.fields import (SpectralField, dealias, field_to_csv, full_coefficients, load_field,
                            parseval_mismatch, save_field, transform)
-from sqglab.grid import Grid2D
+from sqglab.grid import Grid2D, operator_table
 
 from conftest import random_real_field
 
@@ -26,9 +26,12 @@ class TestGrid2D:
 
     def test_wavenumber_lattice(self):
         g = Grid2D(16, 4.0)
-        k1, k2 = g.wavenumbers()
+        ops = operator_table(g)
+        k1, k2 = ops.k1, ops.k2
         assert k1[1, 0] == pytest.approx(2 * np.pi / 4.0)
         assert k1[8, 0] == pytest.approx(-8 * 2 * np.pi / 4.0)  # Nyquist index n/2
+        assert k2.shape == (1, 9)  # the rfft2 layout: columns 0..n/2
+        assert k2[0, 8] == pytest.approx(-8 * 2 * np.pi / 4.0)
 
     def test_centered_coords_wrap(self):
         g = Grid2D(8, 8.0)
@@ -72,7 +75,7 @@ class TestTransform:
         assert np.abs(lhs - rhs).max() / scale <= 1e-12
 
     def test_conjugate_symmetry(self, grid64):
-        c = random_real_field(grid64, seed=5).coefficients
+        c = full_coefficients(random_real_field(grid64, seed=5))
         flipped = np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1)))
         assert np.abs(c - flipped).max() <= 1e-10 * np.abs(c).max()
 
@@ -94,7 +97,7 @@ class TestOwnership:
         assert not f.values.flags.writeable
 
     def test_from_coefficients_leaves_caller_array_writeable(self, grid64):
-        c = np.zeros((2, 64, 64), dtype=np.complex128)
+        c = np.zeros((2, 64, 33), dtype=np.complex128)
         f = SpectralField.from_coefficients(grid64, c)
         c[0, 0, 0] = 1.0
         assert f.coefficients[0, 0, 0] == 0.0

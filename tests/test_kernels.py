@@ -6,9 +6,10 @@ import scipy.fft
 
 from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField
-from sqglab.grid import Grid2D
-from sqglab.kernels import (CutoffA, build_split, convolve_far, convolve_near, far_flux_integral,
-                            riesz_constant, riesz_convolve, riesz_transfer, sample_near,
+from sqglab.grid import Grid2D, operator_table
+from sqglab.kernels import (CutoffA, _mid_samples, _phi_derivs, _phi_short_derivs, build_split,
+                            convolve_far, convolve_near, far_flux_integral, riesz_constant,
+                            riesz_convolve, riesz_transfer, sample_near,
                             split_consistency_error, verify_fundamental_solution)
 from sqglab.multipliers import biot_savart_velocity, dealiased_product, frac_laplacian, apply_multiplier
 
@@ -64,7 +65,7 @@ class TestRieszConstant:
         for n in (128, 256):
             g = Grid2D(n, 16.0)
             T = riesz_transfer(g, beta)
-            kmag = g.k_magnitude()
+            kmag = operator_table(g).kmag
             sel = (kmag > 0.3) & (kmag < 6.0)
             rels[n] = float(np.abs(T[sel] - kmag[sel] ** (beta - 2)).max()
                             / kmag[sel][np.argmax(np.abs(T[sel] - kmag[sel] ** (beta - 2)))]
@@ -128,7 +129,8 @@ class TestBuildSplit:
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_near_transfer_matches_fine_grid(self, n, q):
         # oracle: h_f^2 fft2 of the near kernel sampled on the q-times finer
-        # grid, restricted to the coarse modes (signed, Nyquist at -n/2)
+        # grid, restricted to the coarse modes (signed, Nyquist at -n/2), and
+        # its Hermitian part (T(k) + conj(T(-k)))/2 on columns 0..n/2
         grid = Grid2D(n, 16.0)
         split = build_split(grid, 0.5, oversample=q)
         fine = Grid2D(q * n, 16.0)
@@ -136,7 +138,42 @@ class TestBuildSplit:
         idx = grid.mode_indices() % (q * n)
         oracle = t_fine[:, idx[:, None], idx[None, :]]
         oracle[:, 0, 0] = 0.0
+        neg = -np.arange(n) % n
+        oracle = 0.5 * (oracle[..., : n // 2 + 1]
+                        + np.conj(oracle[:, neg[:, None], neg[None, : n // 2 + 1]]))
         assert np.abs(split._near_transfer - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+    def test_far_and_mid_samples_match_public_cutoff(self):
+        # the samplers evaluate the ramp once and only on inner < rho < outer;
+        # beyond outer, 1 - a = 1 and a' = a'' = 0, so the samples keep their bits
+        grid = Grid2D(128, 16.0)
+        split = build_split(grid, 0.5)
+        cut, c = split.cutoff, split.c_beta
+        x1, x2 = grid.coords_centered()
+        rho = np.hypot(x1, x2)
+        mask = rho > cut.inner
+        r = rho[mask]
+        assert r.max() > cut.outer
+        one_a, da, d2a = 1.0 - cut.a(r), cut.da(r), cut.d2a(r)
+        p, p1, p2 = _phi_derivs(r, 0.5, c)
+        Gp = -da * p + one_a * p1
+        Gpp = -d2a * p - 2.0 * da * p1 + one_a * p2
+        g = Gp / r
+        gp = (Gpp * r - Gp) / r**2
+        xx = (x1[mask], x2[mask])
+        xp = (-xx[1], xx[0])
+        eperp = np.array([[0.0, -1.0], [1.0, 0.0]])
+        far = np.zeros((2, 2) + rho.shape)
+        for i in range(2):
+            for j in range(2):
+                far[i, j, mask] = gp * xx[j] * xp[i] / r + g * eperp[i, j]
+        np.testing.assert_array_equal(split.far, far)
+        ps, ps1, _ = _phi_short_derivs(r, 0.5, c, split.alpha)
+        gm = (-da * ps + one_a * ps1) / r
+        mid = np.zeros((2,) + rho.shape)
+        mid[0, mask] = -x2[mask] * gm
+        mid[1, mask] = x1[mask] * gm
+        np.testing.assert_array_equal(_mid_samples(x1, x2, rho, 0.5, c, cut, split.alpha), mid)
 
     def test_build_split_memory_budget(self):
         # 4x oversampling without the 4x finer grid, whose arrays alone peaked
@@ -198,14 +235,15 @@ class TestConvolutions:
         n = g.n_side
         import scipy.fft
         # the far tensor's transfer is the spectral gradient of the mid transfer
-        k = g.wavenumbers()
+        ops = operator_table(g)
+        k = (ops.k1, ops.k2)
         direct = np.zeros((2, n, n))
         for j in range(2):
             pj = dealiased_product(theta, u.component(j)).values
-            pj_hat = scipy.fft.fft2(pj)
+            pj_hat = scipy.fft.rfft2(pj)
             for i in range(2):
                 ker_hat = 1j * k[j] * split128_raw._mid_transfer[i]
-                direct[i] += scipy.fft.ifft2(ker_hat * pj_hat).real
+                direct[i] += scipy.fft.irfft2(ker_hat * pj_hat, s=(n, n))
         rel = np.abs(out.values - direct).max() / max(np.abs(direct).max(), 1e-300)
         assert rel <= 1e-10
 
@@ -262,13 +300,14 @@ class TestSplitConsistency:
         rng = np.random.default_rng(0)
         l1 = split256.near_l1()
         g = split256.grid
-        kmag = g.k_magnitude()
+        k = g.mode_indices() * g.k_fundamental
+        kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
         for trial in range(4):
             z = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
             env = np.where((kmag > 0) & (kmag < 4.0), 1.0, 0.0)
             c = env * z
             c = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1))))
-            theta = SpectralField.from_coefficients(g, c)
+            theta = SpectralField.from_coefficients(g, c[:, :129])
             out = convolve_near(split256, theta)
             assert out.linf() <= l1 * theta.linf() * 1.01
 

@@ -6,7 +6,7 @@ from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField
 from sqglab.multipliers import (MultiplierSpec, apply_multiplier, bessel, biot_savart_velocity,
                                 dealiased_product, derivative, divergence, frac_laplacian,
-                                grad_perp, gradient, kato_ponce_commutator, parse_multiplier)
+                                grad_perp, gradient, kato_ponce_commutator)
 
 from conftest import random_real_field
 
@@ -17,7 +17,7 @@ def pure_mode(grid, m1, m2, amplitude=1.0):
     c = np.zeros((n, n), dtype=complex)
     c[m1 % n, m2 % n] = amplitude * grid.box_length / 2.0
     c[-m1 % n, -m2 % n] = amplitude * grid.box_length / 2.0
-    return SpectralField.from_coefficients(grid, c)
+    return SpectralField.from_coefficients(grid, c[:, : n // 2 + 1])
 
 
 class TestPresets:
@@ -55,15 +55,15 @@ class TestPresets:
         u = apply_multiplier(f, grad_perp())
         assert divergence(u).linf() <= 1e-12 * max(u.linf(), 1.0)
 
-    def test_parse_registry(self):
-        assert parse_multiplier("frac_laplacian:0.5").name == "frac_laplacian:0.5"
-        assert parse_multiplier("bessel:2").name == "bessel:2"
-        assert parse_multiplier("grad_perp").name == "grad_perp"
-        assert parse_multiplier("biot_savart:0.25").name == "biot_savart:0.25"
-        with pytest.raises(ConfigurationError):
-            parse_multiplier("what:1")
+    def test_preset_names_and_domain(self, grid64):
+        assert frac_laplacian(0.5).name == "frac_laplacian:0.5"
+        assert bessel(2).name == "bessel:2"
+        assert grad_perp().name == "grad_perp"
+        f = random_real_field(grid64, seed=4)
         with pytest.raises(DomainError):
-            parse_multiplier("biot_savart:1.5")
+            biot_savart_velocity(f, 1.5)
+        with pytest.raises(ConfigurationError):
+            biot_savart_velocity(random_real_field(grid64, seed=4, components=2), 0.25)
 
     def test_singular_symbol_needs_policy(self, grid64):
         f = random_real_field(grid64, seed=3)

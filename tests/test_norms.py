@@ -22,7 +22,8 @@ def reference_zygmund_profile(f, r, homogeneous):
     with the multiplier evaluated afresh from the profiles."""
     grid = f.grid
     fam = build_partition(grid)
-    kmag = grid.k_magnitude()
+    k = grid.mode_indices() * grid.k_fundamental
+    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
     c = full_layout_coefficients(f)
     js = fam.homogeneous_js() if homogeneous else fam.inhomogeneous_js()
     profile = {}

@@ -11,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from sqglab import grid as grid_module
 from sqglab.dyadic import build_partition
-from sqglab.fields import SpectralField, dealias, load_field, parseval_mismatch, save_field
+from sqglab.errors import ConfigurationError
+from sqglab.fields import (SpectralField, dealias, full_coefficients, load_field,
+                           parseval_mismatch, save_field)
 from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_savart_velocity,
                                 divergence, frac_laplacian)
@@ -29,10 +31,22 @@ exponents = st.floats(-2.0, 2.0)
 
 
 def random_coefficients(grid, seed, components=1):
-    """Arbitrary complex coefficients: no Hermitian symmetry."""
+    """Arbitrary complex coefficients in the rfft2 layout: columns 0 and n/2
+    not Hermitian either."""
     rng = np.random.default_rng(seed)
-    shape = (grid.n_side,) * 2 if components == 1 else (2,) + (grid.n_side,) * 2
+    shape = (components,) * (components - 1) + (grid.n_side, grid.n_side // 2 + 1)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def hermitian_extension(c):
+    """The n x n array with columns 0..n/2 from c and c_(-k) = conj(c_k) beyond."""
+    n = c.shape[-2]
+    out = np.empty(c.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., : n // 2 + 1] = c
+    neg = -np.arange(n) % n
+    cols = np.arange(n // 2 + 1, n)
+    out[..., cols] = np.conj(c[..., neg[:, None], neg[None, cols]])
+    return out
 
 
 @PROPERTY
@@ -69,15 +83,36 @@ def test_frac_laplacian_composes(grid, seed, a, b):
 
 @PROPERTY
 @given(grids, seeds, st.sampled_from([1, 2]))
-def test_half_spectrum_adapter_matches_complex_transforms(grid, seed, components):
-    ops = operator_table(grid)
-    n2, L = grid.n_side**2, grid.box_length
+def test_full_coefficients_match_complex_transform(grid, seed, components):
+    f = random_real_field(grid, seed, components)
+    expected = scipy.fft.fft2(f.values) * (grid.box_length / grid.n_side**2)
+    assert np.abs(full_coefficients(f) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]))
+def test_half_layout_parseval_with_column_multiplicity(grid, seed, components):
+    f = random_real_field(grid, seed, components)
+    phys = np.sum(f.values**2) * grid.spacing**2
+    spec = np.sum(operator_table(grid).multiplicity * np.abs(f.coefficients) ** 2)
+    assert abs(spec - phys) <= 1e-13 * phys
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]))
+def test_any_half_array_has_the_samples_of_its_hermitian_extension(grid, seed, components):
     c = random_coefficients(grid, seed, components)
-    expected = scipy.fft.ifft2(c).real * (n2 / L)
-    assert np.abs(ops.values(c) - expected).max() <= 1e-13 * np.abs(expected).max()
-    v = random_real_field(grid, seed, components).values
-    expected = scipy.fft.fft2(v) * (L / n2)
-    assert np.abs(ops.coefficients(v) - expected).max() <= 1e-13 * np.abs(expected).max()
+    expected = scipy.fft.ifft2(hermitian_extension(c)).real * (grid.n_side**2 / grid.box_length)
+    got = SpectralField.from_coefficients(grid, c).values
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]))
+def test_full_layout_coefficients_rejected(grid, seed, components):
+    full = hermitian_extension(random_coefficients(grid, seed, components))
+    with pytest.raises(ConfigurationError):
+        SpectralField.from_coefficients(grid, full)
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -89,9 +124,11 @@ def test_cached_tables_read_only(n):
     fam = build_partition(grid)
     assert build_partition(Grid2D(n)) is fam
     assert fam.block_multiplier(1) is fam.block_multiplier(1)
-    arrays += [*grid.wavenumbers(), grid.k_magnitude(), grid.dealias_mask(),
-               _constitutive_symbol(grid, 0.5), fam.block_multiplier(1),
+    arrays += [_constitutive_symbol(grid, 0.5), fam.block_multiplier(1),
                fam.lowpass_multiplier(-1)]
+    half = (n, n // 2 + 1)  # every table is on (or broadcasts to) the rfft2 layout
+    assert all(np.broadcast_shapes(a.shape[-2:], half) == half for a in arrays)
+    assert ops.ksq.shape == half and ops.k2.shape == ops.multiplicity.shape == (1, n // 2 + 1)
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,22 @@ class TestStepTransport:
         planes = count_planes()
         step_transport(st, None, 0.02, beta=0.5)
         assert 0 < sum(planes) <= 21
+
+    def test_direct_step_memory_budget(self):
+        # one direct step on a running state at n = 256 keeps its coefficient
+        # arrays at n x (n/2 + 1): 9.3 MiB in the full n x n layout
+        grid = Grid2D(256)
+        theta0 = dipole(grid)
+        st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
+                      theta0_linf=theta0.linf())
+        st = step_transport(st, None, 0.01, beta=0.5)
+        tracemalloc.start()
+        try:
+            step_transport(st, None, 0.01, beta=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
     def test_serfati_mode_transform_budget(self, grid64, count_planes):
         # a velocity fixed over the step goes to samples once (2 planes); each

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.dyadic import build_partition, project_block
 from sqglab.errors import ConfigurationError
 from sqglab.fields import SpectralField
-from sqglab.grid import Grid2D
+from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import biot_savart_velocity, gradient
 from sqglab.solver import SolverConfig, simulate
 from sqglab.verify import (EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
@@ -12,6 +13,25 @@ from sqglab.verify import (EnsembleSpec, _outlier_free, check_apriori_bounds, ch
                            lp_commutator, make_field, twin_run_experiment)
 
 from test_multipliers import pure_mode
+
+
+def full_layout_band_limited(grid, spec, trial):
+    """Samples of a band-limited ensemble field by the full-layout route: the
+    Hermitian part of env z on the whole n x n lattice, then a complex inverse
+    transform."""
+    rng = np.random.default_rng([spec.seed, trial, grid.n_side])
+    n = grid.n_side
+    k = grid.mode_indices() * grid.k_fundamental
+    kmag = np.sqrt(k[:, None] ** 2 + k[None, :] ** 2)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    env = np.zeros_like(kmag)
+    band = (kmag > 0) & (kmag <= 0.9 * grid.dealias_k_cutoff)
+    env[band] = kmag[band] ** (-spec.gamma)
+    c = env * z
+    c = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1))))
+    c[0, 0] = 0.0
+    vals = scipy.fft.ifft2(c).real * (n * n / grid.box_length)
+    return vals * (spec.amplitude / np.abs(vals).max())
 
 
 class TestEnsembles:
@@ -31,10 +51,21 @@ class TestEnsembles:
             assert np.isrealobj(f.values)
             assert f.linf() == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("seed", [7, 1234])
+    def test_band_limited_stream_matches_full_layout_route(self, n, seed):
+        # the half-layout field draws the same (n, n) normals as the full one
+        grid = Grid2D(n)
+        spec = EnsembleSpec(seed=seed)
+        for trial in (0, 5):
+            expect = full_layout_band_limited(grid, spec, trial)
+            got = make_field(grid, spec, trial).values
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
     def test_band_limited_is_band_limited(self, grid64):
         f = make_field(grid64, EnsembleSpec(), 1)
         c = np.abs(f.coefficients)
-        kmag = grid64.k_magnitude()
+        kmag = operator_table(grid64).kmag
         assert c[kmag > 0.95 * grid64.dealias_k_cutoff].max() <= 1e-14
 
 
