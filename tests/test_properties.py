@@ -34,7 +34,9 @@ def random_coefficients(grid, seed, components=1):
     """Arbitrary complex coefficients in the rfft2 layout: columns 0 and n/2
     not Hermitian either."""
     rng = np.random.default_rng(seed)
-    shape = (components,) * (components - 1) + (grid.n_side, grid.n_side // 2 + 1)
+    shape = (grid.n_side, grid.n_side // 2 + 1)
+    if components == 2:
+        shape = (2,) + shape
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
