@@ -83,8 +83,11 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid2D, components: int = 1) -> "SpectralField":
-        shape = (grid.n_side, grid.n_side) if components == 1 else (2, grid.n_side, grid.n_side)
-        return cls(grid, values=np.zeros(shape))
+        """The zero field, holding both representations: it never costs a transform."""
+        n = grid.n_side
+        lead = () if components == 1 else (2,)
+        return cls._adopt(grid, values=np.zeros(lead + (n, n)),
+                          coefficients=np.zeros(lead + (n, n // 2 + 1), dtype=np.complex128))
 
     # -- representations -------------------------------------------------
 
@@ -106,23 +109,42 @@ class SpectralField:
         return self._coeffs
 
     # -- arithmetic (pointwise, grid-preserving) ---------------------------
+    #
+    # Linear operations stay in the representations the operands already
+    # hold: samples when both hold samples (bit for bit the sample
+    # arithmetic), else coefficients when both hold coefficients, else the
+    # missing samples are computed.  So sums of coefficient-only fields
+    # (convolutions, multipliers) cost no transform.
 
     def _like(self, values=None, coefficients=None) -> "SpectralField":
         return SpectralField._adopt(self.grid, values=values, coefficients=coefficients)
 
+    def _combine(self, other: "SpectralField", op) -> "SpectralField":
+        if self._values is not None and other._values is not None:
+            return self._like(values=op(self._values, other._values))
+        if self._coeffs is not None and other._coeffs is not None:
+            return self._like(coefficients=op(self._coeffs, other._coeffs))
+        return self._like(values=op(self.values, other.values))
+
+    def _map(self, op) -> "SpectralField":
+        if self._values is not None:
+            return self._like(values=op(self._values))
+        return self._like(coefficients=op(self._coeffs))
+
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return self._like(values=self.values + other.values)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self._like(values=self.values - other.values)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return self._like(values=self.values * float(scalar))
+        scalar = float(scalar)
+        return self._map(lambda a: a * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return self._like(values=-self.values)
+        return self._map(np.negative)
 
     def component(self, i: int) -> "SpectralField":
         if self.components == 1:

@@ -76,7 +76,9 @@ def riesz_constant(beta: float) -> float:
 def _ramp_with_derivs(t: np.ndarray):
     """The exp(-1/t) smoothstep S with S' and S'' (stable at the endpoints)."""
     t = np.asarray(t, dtype=np.float64)
-    S = np.where(t >= 1.0, 1.0, 0.0)
+    # S = 1 from where the ramp formula stops (exp(-1/(1 - t)) underflows
+    # long before), so no band below t = 1 is left at 0
+    S = np.where(t >= 1.0 - 1e-12, 1.0, 0.0)
     S1 = np.zeros_like(t)
     S2 = np.zeros_like(t)
     inside = (t > 1e-12) & (t < 1.0 - 1e-12)
@@ -466,10 +468,10 @@ def _convolve(transfer: np.ndarray, theta: SpectralField) -> SpectralField:
 
     Package coefficients times the transfer are the convolution's
     coefficients: for a real theta, Th * coefficients are those of
-    Re(ifft2(T * fft2(theta))), so no other layout is needed.
+    Re(ifft2(T * fft2(theta))), so no other layout is needed.  The result
+    holds coefficients only; its samples are computed when read.
     """
-    ops = operator_table(theta.grid)
-    return SpectralField._adopt(theta.grid, values=ops.values(transfer * theta.coefficients))
+    return SpectralField._adopt(theta.grid, coefficients=transfer * theta.coefficients)
 
 
 def convolve_near(split: KernelSplit, theta: SpectralField) -> SpectralField:

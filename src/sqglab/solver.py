@@ -11,7 +11,12 @@ with the time integral accumulated by the trapezoid rule at step
 boundaries.  In serfati mode the advecting field is additionally Leray-
 projected: the reconstruction is divergence-free in the continuum, and the
 projection removes the sampling residue so transport stays conservative
-(the raw reconstruction is what ``velocity_serfati`` returns).
+(the raw reconstruction is what ``velocity_serfati`` returns).  The
+reconstruction is linear, so it is formed on coefficients: the kernel
+convolutions return coefficient fields, and the far accumulator, the
+reconstructed velocity and its projection live in coefficients, taken to
+samples only where a caller reads them.  The Picard sequence keeps its
+reconstruction on samples (``picard_iterate``).
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -150,13 +155,26 @@ def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralF
 
 
 def leray_project(u: SpectralField) -> SpectralField:
+    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients.
+
+    Every product lands in the one output array; the operations and their
+    order are those of the plain expression, so the bits are too.
+    """
     ops = operator_table(u.grid)
     k1, k2 = ops.k1, ops.k2
     c = u.coefficients
+    out = np.empty_like(c)
+    div = out[0]  # (k . c) / |k|^2 lives in out[0] until the last product
+    np.multiply(k1, c[0], out=div)
+    np.multiply(k2, c[1], out=out[1])
+    div += out[1]
     with np.errstate(invalid="ignore"):
-        div = (k1 * c[0] + k2 * c[1]) / ops.ksq
+        div /= ops.ksq
     div[0, 0] = 0.0
-    out = np.stack([c[0] - k1 * div, c[1] - k2 * div])
+    np.multiply(k2, div, out=out[1])
+    np.subtract(c[1], out[1], out=out[1])
+    np.multiply(k1, div, out=out[0])
+    np.subtract(c[0], out[0], out=out[0])
     return SpectralField._adopt(u.grid, coefficients=out)
 
 
@@ -247,17 +265,21 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
                      split: KernelSplit) -> SpectralField:
-    """Reconstructed velocity u0 + near*(theta - theta0) - far accumulator."""
-    if state.far_accumulator is None:
-        acc_vals = 0.0
-    else:
-        if abs(state.far_time - state.t) > 1e-9 * max(1.0, abs(state.t)):
-            raise SimulationError(
-                f"far accumulator at t={state.far_time} but state at t={state.t}"
-            )
-        acc_vals = state.far_accumulator.values
-    near = convolve_near(split, state.theta - theta0)
-    return SpectralField._adopt(u0.grid, values=u0.values + near.values - acc_vals)
+    """Reconstructed velocity u0 + near*(theta - theta0) - far accumulator.
+
+    Linear in its terms, so it is formed on coefficients: the result holds
+    coefficients only, and costs no transform when its inputs hold
+    coefficients.
+    """
+    if state.far_accumulator is not None and \
+            abs(state.far_time - state.t) > 1e-9 * max(1.0, abs(state.t)):
+        raise SimulationError(
+            f"far accumulator at t={state.far_time} but state at t={state.t}"
+        )
+    dtheta = SpectralField._adopt(u0.grid,
+                                  coefficients=state.theta.coefficients - theta0.coefficients)
+    u = u0 + convolve_near(split, dtheta)
+    return u if state.far_accumulator is None else u - state.far_accumulator
 
 
 # -- existence time -------------------------------------------------------------
@@ -383,9 +405,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             new = step_transport(state, None, dt, beta=config.beta)
             if split is not None:
                 integ = convolve_far(split, new.theta, new.u)
-                new.far_accumulator = SpectralField._adopt(
-                    grid, values=state.far_accumulator.values
-                    + 0.5 * dt * (state.far_prev.values + integ.values))
+                new.far_accumulator = state.far_accumulator + 0.5 * dt * (state.far_prev + integ)
                 new.far_prev = integ
                 new.far_time = new.t
             state = new
@@ -393,15 +413,12 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             u_adv = leray_project(state.u)
             new = step_transport(state, u_adv, dt)
             # trapezoid leg with predictor/corrector for the new-boundary integrand
-            base = state.far_accumulator.values + 0.5 * dt * state.far_prev.values
-            integ_pred = convolve_far(split, new.theta, u_adv)
-            new.far_accumulator = SpectralField._adopt(
-                grid, values=base + 0.5 * dt * integ_pred.values)
+            base = state.far_accumulator + 0.5 * dt * state.far_prev
+            new.far_accumulator = base + 0.5 * dt * convolve_far(split, new.theta, u_adv)
             new.far_time = new.t
             u_star = velocity_serfati(new, u0, theta0, split)
             integ = convolve_far(split, new.theta, u_star)
-            new.far_accumulator = SpectralField._adopt(
-                grid, values=base + 0.5 * dt * integ.values)
+            new.far_accumulator = base + 0.5 * dt * integ
             new.far_prev = integ
             # the reconstruction is divergence-free in the continuum; project
             # away the sampling residue so the state velocity stays solenoidal
@@ -615,7 +632,10 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         dn = np.empty(len(sample_idx))
         for m, idx in enumerate(sample_idx):
             v = (u_new[idx] - u_prev[idx]).linf()
-            eta = zygmund_norm(th_new[idx] - th_prev[idx], config.r - 1.0, family).value
+            # on samples although th_prev may hold coefficients only (the first
+            # iterate's): D_n keeps the bits it was recorded with
+            dth = SpectralField._adopt(grid, values=th_new[idx].values - th_prev[idx].values)
+            eta = zygmund_norm(dth, config.r - 1.0, family).value
             dn[m] = v + eta
         trace.decrements[n + 1] = dn
         trace.iterates.append({"n": n + 1,

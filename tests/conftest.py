@@ -21,24 +21,26 @@ def grid256():
     return Grid2D(256)
 
 
+def counting_planes(mp: pytest.MonkeyPatch) -> list:
+    """Count scipy.fft 2-D transforms while ``mp`` is active; returns the list
+    it appends to: one entry per call, the planes of a stacked input."""
+    planes = []
+
+    def counting(fn):
+        def wrapped(x, *args, **kwargs):
+            planes.append(x.size // (x.shape[-1] * x.shape[-2]))
+            return fn(x, *args, **kwargs)
+        return wrapped
+
+    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn"):
+        mp.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
+    return planes
+
+
 @pytest.fixture
 def count_planes(monkeypatch):
-    """``count_planes()`` starts counting scipy.fft 2-D transforms and returns
-    the list it appends to: one entry per call, the planes of a stacked input."""
-    def start() -> list:
-        planes = []
-
-        def counting(fn):
-            def wrapped(x, *args, **kwargs):
-                planes.append(x.size // (x.shape[-1] * x.shape[-2]))
-                return fn(x, *args, **kwargs)
-            return wrapped
-
-        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn"):
-            monkeypatch.setattr(scipy.fft, name, counting(getattr(scipy.fft, name)))
-        return planes
-
-    return start
+    """``count_planes()`` starts counting (see :func:`counting_planes`)."""
+    return lambda: counting_planes(monkeypatch)
 
 
 def random_real_field(grid, seed=0, components=1):

@@ -46,6 +46,27 @@ class TestCutoff:
         assert np.abs(a.da(rho) - fd1).max() <= 1e-6
         assert np.abs(a.d2a(rho) - fd2).max() <= 1e-4
 
+    def test_reaches_zero_just_inside_outer(self):
+        # the ramp formula stops 1e-12 short of t = 1; S is 1 from there on,
+        # not 0, so a does not jump back to 1 in that band
+        a = CutoffA()
+        rho = 2.0 - np.array([2e-11, 1e-11, 2e-12, 1e-12, 5e-13, 1e-13, 0.0])
+        v = a.a(rho)
+        assert a.a(2.0 - 5e-13) == 0.0
+        assert np.all(v[2:] == 0.0)
+        assert np.all(np.diff(v) <= 0.0)
+        assert np.all(a.da(rho[3:]) == 0.0) and np.all(a.d2a(rho[3:]) == 0.0)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_no_sample_radius_in_the_mended_band(self, n):
+        # the band fix leaves the near, mid and far samples (and the q = 4
+        # finer near sampling) bit for bit unchanged: no radius falls in it
+        cut = CutoffA()
+        for m in (n, 4 * n):
+            x1, x2 = Grid2D(m, 16.0).coords_centered()
+            t = cut._t(np.hypot(x1, x2))
+            assert not np.any((t >= 1.0 - 1e-12) & (t < 1.0))
+
     def test_bad_radii(self):
         with pytest.raises(ConfigurationError):
             CutoffA(inner=2.0, outer=1.0)
@@ -259,11 +280,15 @@ class TestConvolutions:
         assert 0 < sum(planes) <= 9
 
     def test_near_transform_budget(self, split128_raw, count_planes):
+        # the convolution is formed on coefficients; its samples cost 2 planes
+        # when read
         g = split128_raw.grid
         theta = SpectralField.from_coefficients(g, random_real_field(g, seed=2).coefficients)
         planes = count_planes()
-        convolve_near(split128_raw, theta)
-        assert 0 < sum(planes) <= 2
+        out = convolve_near(split128_raw, theta)
+        assert sum(planes) == 0
+        out.values
+        assert sum(planes) == 2
 
     def test_far_leaves_velocity_uncached(self, split128_raw):
         # a caller keeping many velocities (Picard keeps every step's) must

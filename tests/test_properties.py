@@ -20,7 +20,7 @@ from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_sav
 from sqglab.norms import zygmund_norm
 from sqglab.solver import leray_project
 
-from conftest import random_real_field
+from conftest import counting_planes, random_real_field
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -173,3 +173,53 @@ def test_results_do_not_depend_on_fft_worker_count(grid, seed, components, homog
     (v1, z1), (v2, z2) = runs
     assert v1.tobytes() == v2.tobytes()
     assert z1 == z2
+
+
+# -- field arithmetic: the representation rule ---------------------------------
+
+HOLDS = ("values", "coefficients", "both")
+
+
+def holding(f: SpectralField, holds: str) -> SpectralField:
+    """A copy of ``f`` holding only the named representation (or both)."""
+    v = f.values if holds != "coefficients" else None
+    c = f.coefficients if holds != "values" else None
+    return SpectralField(f.grid, values=v, coefficients=c)
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]), st.floats(-1e3, 1e3))
+def test_values_arithmetic_is_bit_for_bit_sample_arithmetic(grid, seed, components, s):
+    f = random_real_field(grid, seed, components)
+    g = random_real_field(grid, seed + 1, components)
+    for holds in ("values", "both"):
+        a, b = holding(f, holds), holding(g, holds)
+        assert (a + b).values.tobytes() == (f.values + g.values).tobytes()
+        assert (a - b).values.tobytes() == (f.values - g.values).tobytes()
+        assert (s * a).values.tobytes() == (f.values * s).tobytes()
+        assert (-a).values.tobytes() == (-f.values).tobytes()
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]), st.floats(-1e3, 1e3))
+def test_coefficient_only_arithmetic_costs_no_transform(grid, seed, components, s):
+    a = holding(random_real_field(grid, seed, components), "coefficients")
+    b = holding(random_real_field(grid, seed + 1, components), "coefficients")
+    with pytest.MonkeyPatch.context() as mp:
+        planes = counting_planes(mp)
+        out = [a + b, a - b, s * a, -a, (a - b) * s + a]
+    assert planes == []
+    assert all(f._values is None for f in out)
+
+
+@PROPERTY
+@given(grids, seeds, st.sampled_from([1, 2]), st.sampled_from(HOLDS), st.sampled_from(HOLDS),
+       st.floats(-1e3, 1e3))
+def test_every_route_agrees(grid, seed, components, holds_a, holds_b, s):
+    f = random_real_field(grid, seed, components)
+    g = random_real_field(grid, seed + 1, components)
+    a, b = holding(f, holds_a), holding(g, holds_b)
+    for got, expected in ((a + b, f.values + g.values), (a - b, f.values - g.values),
+                          (s * a - b, s * f.values - g.values), (-b, -g.values)):
+        scale = max(np.abs(expected).max(), np.abs(f.values).max() * max(abs(s), 1.0))
+        assert np.abs(got.values - expected).max() <= 1e-13 * scale

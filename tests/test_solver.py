@@ -1,12 +1,14 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sqglab import kernels, multipliers
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
 from sqglab.fields import SpectralField, dealias
-from sqglab.grid import Grid2D
-from sqglab.kernels import build_split
+from sqglab.grid import Grid2D, operator_table
+from sqglab.kernels import build_split, convolve_far, convolve_near
 from sqglab.multipliers import biot_savart_velocity, divergence, gradient
 from sqglab.solver import (SimState, SolverConfig, _interp_velocity_time, existence_time,
                            flow_map, leray_project, picard_iterate, polygon_area, simulate,
@@ -252,6 +254,57 @@ class TestSimulate:
         assert traj.final_state.t < 1.0  # capped by the existence-time estimate
 
 
+@pytest.fixture(scope="module")
+def split128():
+    return build_split(Grid2D(128, 16.0), 0.5, oversample=2)
+
+
+def dipole16(grid):
+    x1, x2 = grid.coords_centered()
+    return SpectralField.from_values(
+        grid, np.exp(-((x1 - 1.5) ** 2 + x2**2) / 1.28)
+        - np.exp(-((x1 + 1.5) ** 2 + x2**2) / 1.28))
+
+
+def split_config(mode, steps, dt=0.0125):
+    return SolverConfig(beta=0.5, dt=dt, t_end=steps * dt, constitutive=mode, n_side=128,
+                        box_length=16.0, c_existence=0.0)
+
+
+def values_space_reconstruction(state, u0, theta0, split):
+    """u0 + near * (theta - theta0) - accumulator, every sum formed on samples."""
+    grid = u0.grid
+    near = convolve_near(split, SpectralField.from_values(grid, state.theta.values - theta0.values))
+    return SpectralField.from_values(grid, u0.values + near.values - state.far_accumulator.values)
+
+
+def values_space_serfati_run(theta0, split, dt, n_steps):
+    """The serfati loop of ``simulate`` with the reconstruction, its trapezoid
+    accumulator and every sum formed on samples."""
+    grid, n = theta0.grid, theta0.grid.n_side
+    u0 = biot_savart_velocity(theta0, 0.5)
+    state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf(),
+                     far_accumulator=SpectralField.from_values(grid, np.zeros((2, n, n))),
+                     far_prev=convolve_far(split, theta0, u0))
+    for _ in range(n_steps):
+        u_adv = leray_project(state.u)
+        new = step_transport(state, u_adv, dt)
+        base = state.far_accumulator.values + 0.5 * dt * state.far_prev.values
+        integ = convolve_far(split, new.theta, u_adv)
+        new.far_accumulator = SpectralField.from_values(grid, base + 0.5 * dt * integ.values)
+        new.far_time = new.t
+        integ = convolve_far(split, new.theta, values_space_reconstruction(new, u0, theta0, split))
+        new.far_accumulator = SpectralField.from_values(grid, base + 0.5 * dt * integ.values)
+        new.far_prev = integ
+        new.u = leray_project(values_space_reconstruction(new, u0, theta0, split))
+        state = new
+    return state, u0
+
+
+def rel_gap(f, g):
+    return (f - g).linf() / g.linf()
+
+
 class TestSerfati:
     def test_velocity_at_t0_is_u0(self):
         grid = Grid2D(128, 16.0)
@@ -297,6 +350,94 @@ class TestSerfati:
         pu = leray_project(u)
         assert divergence(pu).linf() <= 1e-10 * max(pu.linf(), 1.0)
         assert (leray_project(pu) - pu).linf() <= 1e-12
+
+    def test_leray_projection_bit_for_bit_plain_expression(self, grid64):
+        u = random_real_field(grid64, seed=6, components=2)
+        ops = operator_table(grid64)
+        c = u.coefficients
+        with np.errstate(invalid="ignore"):
+            div = (ops.k1 * c[0] + ops.k2 * c[1]) / ops.ksq
+        div[0, 0] = 0.0
+        expected = np.stack([c[0] - ops.k1 * div, c[1] - ops.k2 * div])
+        assert leray_project(u).coefficients.tobytes() == expected.tobytes()
+
+    def test_serfati_step_transform_budget(self, split128, count_planes):
+        # the reconstruction, its accumulator and the projection stay on
+        # coefficients: a step costs the transport step (15 planes) and two
+        # far contractions (5 each); 39 planes when they went through samples
+        grid = split128.grid
+        vals = dipole16(grid).values
+        planes = count_planes()
+        simulate(split_config("serfati", 1), SpectralField.from_values(grid, vals), split=split128)
+        one = sum(planes)
+        planes.clear()
+        simulate(split_config("serfati", 2), SpectralField.from_values(grid, vals), split=split128)
+        assert sum(planes) - one <= 25
+
+    def test_reconstruction_matches_values_space_formulas(self, split128):
+        grid = split128.grid
+        theta0 = dipole16(grid)
+        traj = simulate(split_config("serfati", 3), theta0, split=split128)
+        st = traj.final_state
+        ref, u0 = values_space_serfati_run(theta0, split128, traj.diagnostics["dt"],
+                                           traj.diagnostics["n_steps"])
+        assert rel_gap(st.far_accumulator, ref.far_accumulator) <= 1e-13
+        assert rel_gap(st.far_prev, ref.far_prev) <= 1e-13
+        assert rel_gap(st.u, ref.u) <= 1e-13
+        assert rel_gap(velocity_serfati(st, traj.us[0], theta0, split128),
+                       values_space_reconstruction(ref, u0, theta0, split128)) <= 1e-13
+
+    def test_direct_accumulator_matches_values_space_formula(self, split128):
+        grid = split128.grid
+        theta0 = dipole16(grid)
+        traj = simulate(split_config("direct", 3), theta0, split=split128)
+        dt = traj.diagnostics["dt"]
+        acc = np.zeros((2, grid.n_side, grid.n_side))
+        prev = convolve_far(split128, theta0, traj.us[0]).values
+        for th, u in zip(traj.thetas[1:], traj.us[1:]):
+            integ = convolve_far(split128, th, u).values
+            acc = acc + 0.5 * dt * (prev + integ)
+            prev = integ
+        expected = SpectralField.from_values(grid, acc)
+        assert rel_gap(traj.final_state.far_accumulator, expected) <= 1e-13
+
+
+def count_public_calls(monkeypatch, *functions):
+    """Count calls of package functions under every name a package module
+    binds them to, as the traced benchmark counts its spans."""
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "sqglab" or mod_name.startswith("sqglab."):
+                for name, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+class TestPublicCallCounts:
+    """The exact span counts the benchmark's traced self-test pins per solve."""
+
+    def test_serfati_simulate(self, split128, monkeypatch):
+        n = 3
+        counts = count_public_calls(monkeypatch, kernels.convolve_far, kernels.convolve_near)
+        traj = simulate(split_config("serfati", n), dipole16(split128.grid), split=split128)
+        assert traj.diagnostics["n_steps"] == n
+        # far: the initial integrand, then predictor and corrector per step;
+        # near: the corrector's reconstruction and the state's
+        assert counts == {"convolve_far": 2 * n + 1, "convolve_near": 2 * n}
+
+    def test_direct_simulate(self, grid64, monkeypatch):
+        n = 4
+        counts = count_public_calls(monkeypatch, multipliers.biot_savart_velocity)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=n * 0.01, n_side=64, c_existence=0.0)
+        traj = simulate(cfg, dipole(grid64))
+        assert traj.diagnostics["n_steps"] == n
+        # u0, the u0 consistency check, then 4 RK4 stages and the new velocity
+        assert counts == {"biot_savart_velocity": 5 * n + 2}
 
 
 def reference_flow_map(times, fields, particles, dt, t_end):
