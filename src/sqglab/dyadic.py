@@ -75,25 +75,41 @@ class DyadicFamily:
     _kmag: np.ndarray = field(repr=False)
     _multipliers: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _cached(self, key: tuple, build) -> np.ndarray:
-        m = self._multipliers.get(key)
-        if m is None:
-            m = self._multipliers[key] = _read_only(build())
-        return m
+    def _cached(self, key: tuple, build) -> tuple[np.ndarray, int]:
+        """The multiplier of ``key`` and its column extent (last nonzero column + 1)."""
+        entry = self._multipliers.get(key)
+        if entry is None:
+            m = _read_only(build())
+            cols = np.flatnonzero(m.any(axis=0))
+            entry = self._multipliers[key] = (m, int(cols[-1]) + 1 if cols.size else 0)
+        return entry
+
+    def _block(self, j: int) -> tuple[np.ndarray, int]:
+        return self._cached(("phi", j), lambda: phi_profile(self._kmag / 2.0**j))
+
+    def _lowpass(self, n: int) -> tuple[np.ndarray, int]:
+        return self._cached(("chi", n), lambda: chi_profile(self._kmag / 2.0 ** (n + 1)))
 
     def block_multiplier(self, j: int) -> np.ndarray:
         """phi_hat(|k|/2^j) on the coefficient layout (read-only, built once)."""
-        return self._cached(("phi", j), lambda: phi_profile(self._kmag / 2.0**j))
+        return self._block(j)[0]
 
     def lowpass_multiplier(self, n: int) -> np.ndarray:
         """chi_hat(|k|/2^(n+1)) on the coefficient layout (read-only, built once)."""
-        return self._cached(("chi", n), lambda: chi_profile(self._kmag / 2.0 ** (n + 1)))
+        return self._lowpass(n)[0]
+
+    def delta_band(self, j: int, homogeneous: bool = False) -> tuple[np.ndarray, int]:
+        """Delta_j's multiplier and its column extent m: columns m.. are zero.
+
+        Delta_j is the low pass chi_hat(|k|) at j = -1 unless ``homogeneous``.
+        """
+        if j == -1 and not homogeneous:
+            return self._lowpass(-1)
+        return self._block(j)
 
     def delta_multiplier(self, j: int, homogeneous: bool = False) -> np.ndarray:
         """Delta_j: the low pass chi_hat(|k|) at j = -1 unless ``homogeneous``."""
-        if j == -1 and not homogeneous:
-            return self.lowpass_multiplier(-1)
-        return self.block_multiplier(j)
+        return self.delta_band(j, homogeneous)[0]
 
     def block_js(self, homogeneous: bool = False) -> range:
         return self.homogeneous_js() if homogeneous else self.inhomogeneous_js()

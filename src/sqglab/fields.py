@@ -204,6 +204,18 @@ def dealias(f: SpectralField) -> SpectralField:
                                 coefficients=f.coefficients * operator_table(f.grid).dealias)
 
 
+def dealiased_samples(f: SpectralField) -> np.ndarray:
+    """Samples of dealias(f), one real inverse transform per component.
+
+    The one definition of a dealiased factor: ``dealiased_product``, the far
+    flux and the advecting velocity of the transport step take their factors
+    from here, so samples one caller hands another have the bits the other
+    would have computed.
+    """
+    ops = operator_table(f.grid)
+    return ops.values(f.coefficients * ops.dealias)
+
+
 def parseval_mismatch(f: SpectralField) -> float:
     """Relative gap between h^2*sum|values|^2 and sum_k |c_k|^2 over all modes."""
     phys = np.sum(f.values**2) * f.grid.spacing**2

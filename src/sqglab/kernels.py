@@ -42,8 +42,11 @@ is gauged to zero (the continuum integrals vanish by the divergence
 theorem; compare ``far_flux_integral``).  The far contraction is taken
 through the mid transfer, far * (theta u) = mid * div(theta u), which is
 the structure the integration by parts produces, so no far transfer is
-stored.  The stored ``near``/``far`` arrays remain the plain one-period
-samplings of the analytic kernels.
+stored.  The flux theta u is formed from the dealiased samples of its
+factors (``fields.dealiased_samples``); a caller that already holds them,
+as the serfati step does, passes them to ``convolve_far``, which then
+transforms only the flux, with the same bits.  The stored ``near``/``far``
+arrays remain the plain one-period samplings of the analytic kernels.
 """
 
 from __future__ import annotations
@@ -55,10 +58,9 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .errors import ConfigurationError, DomainError
-from .fields import SpectralField
+from .fields import SpectralField, dealias, dealiased_samples
 from .grid import Grid2D, operator_table
-from .multipliers import (apply_multiplier, biot_savart_velocity, dealiased_product, divergence,
-                          frac_laplacian)
+from .multipliers import apply_multiplier, biot_savart_velocity, divergence, frac_laplacian
 from .report import VerificationReport
 
 _EPERP = np.array([[0.0, -1.0], [1.0, 0.0]])  # d(x_perp)_i / dx_j
@@ -488,18 +490,27 @@ def convolve_mid(split: KernelSplit, theta: SpectralField) -> SpectralField:
     return _convolve(split._mid_transfer, theta)
 
 
-def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField) -> SpectralField:
+def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField, *,
+                 theta_samples: np.ndarray | None = None,
+                 u_samples: np.ndarray | None = None) -> SpectralField:
     """Far-field contraction: component i is sum_j far_ij * (theta u_j).
 
-    Computed as mid * div(theta u), with the flux theta u dealiased.
+    Computed as mid * div(theta u), with the flux theta u dealiased.  A
+    caller that already holds ``dealiased_samples`` of theta or u passes
+    them, and the contraction skips those transforms; the result has the
+    same bits either way.
     """
     if theta.components != 1 or u.components != 2:
         raise ConfigurationError("convolve_far takes (scalar, vector)")
-    # dealias a shallow copy: the caller's u must not cache its coefficients,
-    # or every velocity a caller keeps (Picard keeps each step's) keeps them
-    u_copy = SpectralField._adopt(u.grid, values=u._values, coefficients=u._coeffs)
-    flux_div = divergence(dealiased_product(theta, u_copy))
-    return _convolve(split._mid_transfer, flux_div)
+    if theta_samples is None:
+        theta_samples = dealiased_samples(theta)
+    if u_samples is None:
+        # dealias a shallow copy: the caller's u must not cache its coefficients,
+        # or every velocity a caller keeps (Picard keeps each step's) keeps them
+        u_samples = dealiased_samples(
+            SpectralField._adopt(u.grid, values=u._values, coefficients=u._coeffs))
+    flux = dealias(SpectralField._adopt(u.grid, values=theta_samples * u_samples))
+    return _convolve(split._mid_transfer, divergence(flux))
 
 
 def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:

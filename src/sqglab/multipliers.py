@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import SpectralField, dealias
+from .fields import SpectralField, dealias, dealiased_samples
 from .grid import _read_only, operator_table
 
 
@@ -146,8 +146,7 @@ def divergence(u: SpectralField) -> SpectralField:
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product formed in physical space after dealiasing both factors."""
-    fd, gd = dealias(f), dealias(g)
-    return dealias(SpectralField._adopt(f.grid, values=fd.values * gd.values))
+    return dealias(SpectralField._adopt(f.grid, values=dealiased_samples(f) * dealiased_samples(g)))
 
 
 def kato_ponce_commutator(f: SpectralField, g: SpectralField, s: float) -> SpectralField:

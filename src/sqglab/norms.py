@@ -7,7 +7,9 @@ Conventions shared by all estimators:
 * L-infinity of a vector field is the max pointwise Euclidean magnitude.
 * The Zygmund norm is sup over blocks of 2^(j r) ||Delta_j f||_inf including
   the weight at j = -1; the homogeneous variant follows the stated
-  definition literally and carries no weight.
+  definition literally and carries no weight.  Each block is transformed
+  over the coefficient columns its multiplier occupies only, with the bits
+  of the full-width transform; a block holding no coefficient costs none.
 * The classical Holder seminorm is an upper-bound estimator: a sampled sup
   over grid-pair offsets with |x-y| <= 1 plus the 2||D^b f||_inf bound for
   the far pairs (the two pieces are recorded separately in the report).
@@ -75,13 +77,20 @@ def block_sups(f: SpectralField, family: DyadicFamily | None = None,
     """||Delta_j f||_inf for every realizable block j, keyed by j.
 
     Each block is one real inverse transform per component of the
-    coefficients times the family's cached multiplier.
+    coefficients times the family's cached multiplier, taken over the
+    columns the multiplier occupies only (``DyadicFamily.delta_band``); a
+    block with no nonzero coefficient costs no transform.  The sups have the
+    bits of the full-width transforms.
     """
     fam = family if family is not None else build_partition(f.grid)
     ops = operator_table(f.grid)
     c = f.coefficients
-    return {j: _linf(ops.values(c * fam.delta_multiplier(j, homogeneous)))
-            for j in fam.block_js(homogeneous)}
+    sups = {}
+    for j in fam.block_js(homogeneous):
+        mult, m = fam.delta_band(j, homogeneous)
+        block = c[..., :m] * mult[:, :m]
+        sups[j] = _linf(ops.values(block)) if block.any() else 0.0
+    return sups
 
 
 def zygmund_from_sups(sups: dict, r: float, homogeneous: bool = False) -> NormReport:

@@ -15,8 +15,12 @@ projection removes the sampling residue so transport stays conservative
 reconstruction is linear, so it is formed on coefficients: the kernel
 convolutions return coefficient fields, and the far accumulator, the
 reconstructed velocity and its projection live in coefficients, taken to
-samples only where a caller reads them.  The Picard sequence keeps its
-reconstruction on samples (``picard_iterate``).
+samples only where a caller reads them.  A serfati step advects by the
+projection the previous step stored (u0 is projected once, before the
+first step), and its two far fluxes take the dealiased samples the step
+already holds: the advecting velocity's, made by the transport step, and
+the new theta's, made once for the predictor and the corrector.  The
+Picard sequence keeps its reconstruction on samples (``picard_iterate``).
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -35,7 +39,7 @@ import numpy as np
 
 from .dyadic import build_partition, smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
-from .fields import SpectralField
+from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
@@ -82,8 +86,9 @@ class SimState:
     far_prev: SpectralField | None = None
     far_time: float = 0.0
     theta0_linf: float = 0.0
-    # (trajectory, t, (u, dealiased samples of u)) when a step by a frozen
-    # trajectory made this state: the trajectory at t, reused while u is this u
+    # (velocity, t, (u, dealiased samples of u)) when a step by a fixed field or
+    # a frozen trajectory made this state: u is that velocity at t, reused while
+    # u is this u; the step from this state, or simulate, reads and drops it
     _velocity: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
 
@@ -125,20 +130,13 @@ class IterationTrace:
 # -- basic operators -----------------------------------------------------------
 
 
-def velocity_samples(u: SpectralField) -> np.ndarray:
-    """Samples of dealias(u), the advecting factor of :func:`advection_tendency`
-    (one real inverse transform per component)."""
-    ops = operator_table(u.grid)
-    return ops.values(u.coefficients * ops.dealias)
-
-
 def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralField:
     """-dealias(u . grad theta), products formed in physical space.
 
-    ``u_samples`` are the dealiased velocity samples from
-    :func:`velocity_samples`.  The dealiased gradient goes to samples through
-    two real inverse transforms and the product comes back through one real
-    forward transform.
+    ``u_samples`` are the dealiased velocity samples,
+    ``fields.dealiased_samples(u)``.  The dealiased gradient goes to samples
+    through two real inverse transforms and the product comes back through
+    one real forward transform.
     """
     ops = operator_table(theta.grid)
     th = theta.coefficients * ops.dealias
@@ -203,6 +201,12 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     step), a callable ``t -> SpectralField`` (frozen trajectory, Picard
     mode), or ``None`` for the self-consistent mode (velocity recomputed
     from theta at every stage via the constitutive law; requires ``beta``).
+
+    With a fixed field or a trajectory, the returned state holds the
+    dealiased samples of its velocity until a step from it reads them (a
+    next step by the same velocity reuses them); that step drops them from
+    it.  A caller that keeps a state without stepping from it keeps the
+    samples too: one (2, n, n) array.
     """
     th = state.theta
     t = state.t
@@ -213,25 +217,31 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
 
         def stage_velocity(tt, stage):
             u = biot_savart_velocity(stage, beta)
-            return u, velocity_samples(u)
+            return u, dealiased_samples(u)
     else:
         # a frozen velocity depends on time alone: take each distinct one to
         # samples once (a fixed field serves all 4 stages; on a trajectory,
         # stages 2 and 3 share t + dt/2 and stage 4 the new state's velocity)
         field_at = u_frozen if callable(u_frozen) else (lambda tt: u_frozen)
+
+        def key(tt):
+            return tt if callable(u_frozen) else None
+
         memo = {}
-        # the step that made this state evaluated the same trajectory at t
-        if callable(u_frozen) and state._velocity is not None:
+        # the step that made this state took the same velocity to samples at t;
+        # the samples move on to the returned state, so of a chain of states
+        # only the newest holds them
+        if state._velocity is not None:
             source, made_at, pair = state._velocity
+            state._velocity = None
             if source is u_frozen and made_at == t and pair[0] is state.u:
-                memo[t] = pair
+                memo[key(t)] = pair
 
         def stage_velocity(tt, stage):
-            key = tt if callable(u_frozen) else None
-            if key not in memo:
+            if key(tt) not in memo:
                 u = field_at(tt)
-                memo[key] = (u, velocity_samples(u))
-            return memo[key]
+                memo[key(tt)] = (u, dealiased_samples(u))
+            return memo[key(tt)]
 
     grid = th.grid
     c = th.coefficients
@@ -258,8 +268,8 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     out = SimState(t=t + dt, theta=new_theta, u=u_new,
                    far_accumulator=state.far_accumulator, far_prev=state.far_prev,
                    far_time=state.far_time, theta0_linf=state.theta0_linf)
-    if callable(u_frozen):
-        out._velocity = (u_frozen, out.t, memo[out.t])
+    if u_frozen is not None:
+        out._velocity = (u_frozen, out.t, memo[key(out.t)])
     return out
 
 
@@ -399,6 +409,8 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
     store(state)
     l2_0 = theta0.l2()
+    if config.constitutive == "serfati":
+        u_adv = leray_project(u0)  # the first step's; later steps advect by state.u
 
     for k in range(n_steps):
         if config.constitutive == "direct":
@@ -410,19 +422,26 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                 new.far_time = new.t
             state = new
         else:
-            u_adv = leray_project(state.u)
             new = step_transport(state, u_adv, dt)
+            # the far flux takes the step's own dealiased samples: u_adv's, made
+            # by the transport step (and dropped from the state here), and the
+            # new theta's, shared by the predictor and the corrector
+            _, _, (_, u_adv_samples) = new._velocity
+            new._velocity = None
+            theta_samples = dealiased_samples(new.theta)
             # trapezoid leg with predictor/corrector for the new-boundary integrand
             base = state.far_accumulator + 0.5 * dt * state.far_prev
-            new.far_accumulator = base + 0.5 * dt * convolve_far(split, new.theta, u_adv)
+            new.far_accumulator = base + 0.5 * dt * convolve_far(
+                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=u_adv_samples)
             new.far_time = new.t
             u_star = velocity_serfati(new, u0, theta0, split)
-            integ = convolve_far(split, new.theta, u_star)
+            integ = convolve_far(split, new.theta, u_star, theta_samples=theta_samples)
             new.far_accumulator = base + 0.5 * dt * integ
             new.far_prev = integ
             # the reconstruction is divergence-free in the continuum; project
-            # away the sampling residue so the state velocity stays solenoidal
-            new.u = leray_project(velocity_serfati(new, u0, theta0, split))
+            # away the sampling residue so the state velocity stays solenoidal,
+            # and advect the next step by that stored projection
+            new.u = u_adv = leray_project(velocity_serfati(new, u0, theta0, split))
             state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             store(state)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import build_partition, project_block
 from .errors import ConfigurationError, DomainError
-from .fields import SpectralField
+from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, operator_table
 from .kernels import build_split, convolve_near
 from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, dealiased_product,
@@ -24,7 +24,7 @@ from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, dealia
 from .norms import (WindowFamily, block_sups, classical_holder_norm, uniformly_local_norm,
                     zygmund_from_sups, zygmund_norm)
 from .report import VerificationReport
-from .solver import SolverConfig, Trajectory, advection_tendency, simulate, velocity_samples
+from .solver import SolverConfig, Trajectory, advection_tendency, simulate
 
 # sanity caps per check; the substantive criterion is ensemble stability
 RATIO_CEILINGS = {
@@ -218,19 +218,19 @@ def _push(rows, measured, grid_ratios, ratio, key, j, trial):
 
 
 def _u_dot_grad(u_samples: np.ndarray, f: SpectralField) -> SpectralField:
-    """dealias(u . grad f) with dealiased factors, from ``velocity_samples(u)``."""
+    """dealias(u . grad f) with dealiased factors, from ``dealiased_samples(u)``."""
     return SpectralField._adopt(f.grid, coefficients=-advection_tendency(f, u_samples).coefficients)
 
 
 def lp_commutator(u: SpectralField, theta: SpectralField, j: int, fam) -> SpectralField:
     """[u.grad, Delta_j] theta with dealiased products."""
-    u_samples = velocity_samples(u)
+    u_samples = dealiased_samples(u)
     return _lp_commutator(u_samples, theta, j, fam, _u_dot_grad(u_samples, theta))
 
 
 def _lp_commutator(u_samples: np.ndarray, theta: SpectralField, j: int, fam,
                    advection: SpectralField) -> SpectralField:
-    """:func:`lp_commutator` from ``velocity_samples(u)`` and ``advection`` =
+    """:func:`lp_commutator` from ``dealiased_samples(u)`` and ``advection`` =
     dealias(u . grad theta), which every block of a trial shares."""
     first = _u_dot_grad(u_samples, project_block(theta, j, "inhomogeneous", fam))
     second = project_block(advection, j, "inhomogeneous", fam)
@@ -282,7 +282,7 @@ def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
                 if min(rhs1, rhs2) < 1e-14:
                     skipped += 1
                     continue
-                u_samples = velocity_samples(u)  # shared by every commutator of the trial
+                u_samples = dealiased_samples(u)  # shared by every commutator of the trial
                 advection = _u_dot_grad(u_samples, theta)
                 worst1 = worst2 = 0.0
                 for j in range(-1, fam.j_max):

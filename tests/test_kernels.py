@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 
 from sqglab.errors import ConfigurationError, DomainError
-from sqglab.fields import SpectralField
+from sqglab.fields import SpectralField, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
 from sqglab.kernels import (CutoffA, _mid_samples, _phi_derivs, _phi_short_derivs, build_split,
                             convolve_far, convolve_near, far_flux_integral, riesz_constant,
@@ -298,6 +298,40 @@ class TestConvolutions:
         u = random_real_field(g, seed=4, components=2)
         convolve_far(split128_raw, theta, u)
         assert u._coeffs is None
+
+    @pytest.mark.parametrize("u_holds", ["coefficients", "values"])
+    def test_far_with_passed_samples_is_bit_for_bit(self, split128_raw, u_holds):
+        # theta holds both representations; u holds one.  Passing either
+        # factor's dealiased samples, or both, leaves every bit of the result
+        g = split128_raw.grid
+        theta = random_real_field(g, seed=5)
+        theta.coefficients
+        full = random_real_field(g, seed=6, components=2)
+
+        def velocity():
+            if u_holds == "values":
+                return SpectralField.from_values(g, full.values)
+            return SpectralField.from_coefficients(g, full.coefficients)
+
+        expected = convolve_far(split128_raw, theta, velocity()).coefficients
+        th_s, u_s = dealiased_samples(theta), dealiased_samples(velocity())
+        for kw in ({"theta_samples": th_s}, {"u_samples": u_s},
+                   {"theta_samples": th_s, "u_samples": u_s}):
+            u = velocity()
+            got = convolve_far(split128_raw, theta, u, **kw)
+            assert np.array_equal(got.coefficients, expected), sorted(kw)
+            if u_holds == "values":
+                assert u._coeffs is None
+
+    def test_far_with_passed_samples_skips_their_transforms(self, split128_raw, count_planes):
+        # with both factors' samples passed, only the flux's 2 forward planes remain
+        g = split128_raw.grid
+        theta = random_real_field(g, seed=7)
+        u = random_real_field(g, seed=8, components=2)
+        th_s, u_s = dealiased_samples(theta), dealiased_samples(u)
+        planes = count_planes()
+        convolve_far(split128_raw, theta, u, theta_samples=th_s, u_samples=u_s)
+        assert sum(planes) == 2
 
     def test_far_gauge_kills_constants(self, split256):
         ones = SpectralField.from_values(split256.grid, np.ones((256, 256)))

@@ -5,8 +5,8 @@ import scipy.fft
 from sqglab.dyadic import build_partition, chi_profile, phi_profile
 from sqglab.errors import QuadratureBudgetError
 from sqglab.fields import SpectralField, dealias
-from sqglab.grid import Grid2D
-from sqglab.norms import (WindowFamily, classical_holder_norm, sobolev_norm,
+from sqglab.grid import Grid2D, operator_table
+from sqglab.norms import (WindowFamily, block_sups, classical_holder_norm, sobolev_norm,
                           uniformly_local_norm, window_profile, zygmund_norm)
 
 from conftest import random_real_field
@@ -106,6 +106,46 @@ class TestZygmund:
         for j, v in ref.items():
             assert abs(rep.block_profile[j] - v) <= 1e-13 * v
         assert abs(rep.value - max(ref.values())) <= 1e-13 * rep.value
+
+    # homogeneous blocks reach j <= -1 at L = 16; the top blocks of a dealiased
+    # field hold no coefficient
+    @pytest.mark.parametrize("n, box", [(64, 2 * np.pi), (128, 2 * np.pi), (64, 16.0)])
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("dealiased", [False, True])
+    def test_block_sups_have_the_bits_of_the_full_width_route(self, n, box, components,
+                                                              homogeneous, dealiased):
+        grid = Grid2D(n, box)
+        f = random_real_field(grid, seed=n + 3 * components, components=components)
+        if dealiased:
+            f = dealias(f)
+        fam = build_partition(grid)
+        expected = {}
+        for j in fam.block_js(homogeneous):
+            block = f.coefficients * fam.delta_multiplier(j, homogeneous)
+            vals = np.stack([scipy.fft.irfft2(b, s=(n, n)) for b in block.reshape(-1, n, n // 2 + 1)])
+            vals *= n * n / box
+            expected[j] = (float(np.sqrt((vals**2).sum(axis=0)).max()) if components == 2
+                           else float(np.abs(vals[0]).max()))
+        assert block_sups(f, fam, homogeneous) == expected
+
+    @pytest.mark.parametrize("box, some_empty", [(2 * np.pi, True), (16.0, False)])
+    def test_empty_blocks_cost_no_transform(self, box, some_empty, count_planes):
+        # a block transforms the columns its multiplier occupies, one plane per
+        # scalar block; a block past the dealias cutoff holds nothing and is 0
+        # (at L = 16 every block reaches below the cutoff)
+        grid = Grid2D(128, box)
+        f = dealias(random_real_field(grid, seed=9))
+        f.coefficients
+        fam = build_partition(grid)
+        mask = operator_table(grid).dealias
+        js = list(fam.block_js())
+        empty = [j for j in js if not np.any(fam.delta_multiplier(j)[mask])]
+        assert bool(empty) == some_empty
+        planes = count_planes()
+        rep = zygmund_norm(f, 1.5, fam)
+        assert sum(planes) == len(js) - len(empty)
+        assert all(rep.block_profile[j] == 0.0 for j in empty)
 
 
 class TestClassicalHolder:

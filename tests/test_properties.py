@@ -175,6 +175,37 @@ def test_results_do_not_depend_on_fft_worker_count(grid, seed, components, homog
     assert z1 == z2
 
 
+@PROPERTY
+@given(st.sampled_from([8, 16, 32, 64, 128]), st.data(), seeds, st.sampled_from([1, 2]),
+       st.floats(0.5, 40.0))
+def test_narrow_coefficients_have_the_bits_of_the_padded_transform(n, data, seed, components,
+                                                                    box):
+    # columns 0..m-1 stand for the array padded with zero columns to n/2 + 1
+    m = data.draw(st.integers(1, n // 2 + 1))
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((components, n, m)) + 1j * rng.standard_normal((components, n, m))
+    padded = np.zeros((components, n, n // 2 + 1), dtype=np.complex128)
+    padded[..., :m] = c
+    expected = np.stack([scipy.fft.irfft2(p, s=(n, n)) for p in padded]) * (n * n / box)
+    if components == 1:
+        c, expected = c[0], expected[0]
+    assert operator_table(Grid2D(n, box)).values(c).tobytes() == expected.tobytes()
+
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("components", [1, 2])
+def test_large_grid_coefficients_have_the_bits_of_irfft2(n, components):
+    # the full width, and a narrow block's, at the sizes the benchmark runs
+    rng = np.random.default_rng(n + components)
+    grid = Grid2D(n, 16.0)
+    for m in (n // 2 + 1, n // 8):
+        c = rng.standard_normal((components, n, m)) + 1j * rng.standard_normal((components, n, m))
+        padded = np.zeros((components, n, n // 2 + 1), dtype=np.complex128)
+        padded[..., :m] = c
+        expected = np.stack([scipy.fft.irfft2(p, s=(n, n)) for p in padded]) * (n * n / 16.0)
+        assert operator_table(grid).values(c).tobytes() == expected.tobytes()
+
 # -- field arithmetic: the representation rule ---------------------------------
 
 HOLDS = ("values", "coefficients", "both")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqglab import kernels, multipliers
+from sqglab import kernels, multipliers, solver
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D, operator_table
@@ -153,6 +153,29 @@ class TestStepTransport:
         other = traj(-3.0)
         np.testing.assert_array_equal(step_transport(st, other, 0.02).theta.values,
                                       step_transport(fresh(), other, 0.02).theta.values)
+
+    def test_fixed_velocity_samples_handed_to_the_next_step(self, grid64, count_planes):
+        # a state made by a step with a fixed velocity carries that velocity's
+        # samples, and the next step by the same field takes them: 4 stages of
+        # 3 planes and the blow-up check, with the bits of a state carrying nothing
+        theta0 = dipole(grid64)
+        u = leray_project(biot_savart_velocity(theta0, 0.5))
+        st = step_transport(SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf()), u, 0.02)
+        planes = count_planes()
+        reused = step_transport(st, u, 0.02)
+        assert sum(planes) == 13
+        fresh = SimState(t=st.t, theta=st.theta, u=st.u, theta0_linf=st.theta0_linf)
+        np.testing.assert_array_equal(reused.theta.values,
+                                      step_transport(fresh, u, 0.02).theta.values)
+
+    def test_stored_states_drop_the_samples_the_next_step_read(self, grid64):
+        # of a chain of fixed-field states only the newest holds samples
+        theta0 = dipole(grid64)
+        u = leray_project(biot_savart_velocity(theta0, 0.5))
+        states = [SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf())]
+        for _ in range(3):
+            states.append(step_transport(states[-1], u, 0.02))
+        assert [st._velocity is None for st in states] == [True, True, True, False]
 
     def test_frozen_trajectory_evaluated_once_per_time(self, grid64):
         # stages 2 and 3 share t + dt/2, and stage 4 the new state's velocity
@@ -373,6 +396,53 @@ class TestSerfati:
         planes.clear()
         simulate(split_config("serfati", 2), SpectralField.from_values(grid, vals), split=split128)
         assert sum(planes) - one <= 25
+
+    def test_serfati_step_reuses_the_far_flux_samples(self, split128, count_planes):
+        # the far flux takes u_adv's samples from the transport step and the new
+        # theta's once for predictor and corrector: 25 - 3 planes per step
+        grid = split128.grid
+        vals = dipole16(grid).values
+        planes = count_planes()
+        simulate(split_config("serfati", 1), SpectralField.from_values(grid, vals), split=split128)
+        one = sum(planes)
+        planes.clear()
+        traj = simulate(split_config("serfati", 2), SpectralField.from_values(grid, vals),
+                        split=split128)
+        assert sum(planes) - one <= 22
+        assert traj.final_state._velocity is None  # no samples outlive their step
+
+    def test_serfati_sample_reuse_is_bit_for_bit(self, split128, monkeypatch):
+        # the same run with every far flux taking theta and u to samples itself
+        grid = split128.grid
+        theta0 = dipole16(grid)
+        reused = simulate(split_config("serfati", 3), theta0, split=split128).final_state
+
+        passing = []
+
+        def own_samples(split, theta, u, **passed):
+            passing.append(bool(passed))
+            return convolve_far(split, theta, u)
+
+        monkeypatch.setattr(solver, "convolve_far", own_samples)
+        own = simulate(split_config("serfati", 3), theta0, split=split128).final_state
+        # the initial integrand has no samples at hand; each step's two do
+        assert passing == [False] + [True] * 6
+        for a, b in ((reused.theta, own.theta), (reused.u, own.u),
+                     (reused.far_accumulator, own.far_accumulator),
+                     (reused.far_prev, own.far_prev)):
+            assert np.array_equal(a.coefficients, b.coefficients)
+
+    def test_serfati_projects_once_per_step(self, split128, monkeypatch):
+        # u0 once before the loop, then the state's velocity once per step: the
+        # next step advects by that stored projection
+        n = 3
+        counts = count_public_calls(monkeypatch, solver.leray_project)
+        traj = simulate(split_config("serfati", n), dipole16(split128.grid), split=split128)
+        assert traj.diagnostics["n_steps"] == n
+        assert counts == {"leray_project": n + 1}
+        u = traj.final_state.u
+        gap = (solver.leray_project(u) - u).linf()
+        assert gap <= 1e-15 * u.linf()
 
     def test_reconstruction_matches_values_space_formulas(self, split128):
         grid = split128.grid
