@@ -29,22 +29,12 @@ from .solver import SolverConfig, picard_iterate, simulate
 from .verify import (EnsembleSpec, check_commutators, check_multiplier_bounds,
                      check_velocity_regularity, make_field)
 
-ALLOWED_PARAMS = {
-    "verify": {"checks", "count", "n_sides", "beta", "betas", "s", "s_values", "r",
-               "ps", "box_length"},
-    "simulate": {"beta", "n_side", "box_length", "dt", "t_end", "constitutive", "ic",
-                 "sigma", "amplitude", "record_norms", "sample_every", "c_existence", "r",
-                 "checkpoints"},
-    "iterate": {"beta", "n_side", "box_length", "dt", "t_end", "n_max", "r", "ic",
-                "sigma", "amplitude", "c_existence"},
-    "norms": {"n_side", "box_length", "ic", "sigma", "amplitude", "r", "s"},
-    "kernels": {"beta", "n_side", "box_length", "fundamental"},
-}
-
+# every parameter a config may set, per command, with its default; the
+# verify box_length None runs each check at its own box
 DEFAULTS = {
     "verify": {"checks": [], "count": 16, "n_sides": [128, 256], "beta": 0.5,
                "betas": [0.25, 0.5, 0.75], "s": 2.5, "s_values": [0.3, 0.7], "r": 1.5,
-               "ps": ["2", "inf"], "box_length": 2 * np.pi},
+               "ps": ["2", "inf"], "box_length": None},
     "simulate": {"beta": 0.5, "n_side": 256, "box_length": 2 * np.pi, "dt": 1e-3,
                  "t_end": 1.0, "constitutive": "direct", "ic": "radial", "sigma": 0.1,
                  "amplitude": 1.0, "record_norms": ["linf:theta", "l2:theta"],
@@ -77,11 +67,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if key not in allowed_top:
             raise ConfigurationError(f"unknown config key {key!r}")
     command = doc.get("command")
-    if command not in ALLOWED_PARAMS:
+    if command not in DEFAULTS:
         raise ConfigurationError(f"unknown or missing command {command!r}")
     params = doc.get("params", {})
     for key in params:
-        if key not in ALLOWED_PARAMS[command]:
+        if key not in DEFAULTS[command]:
             raise ConfigurationError(f"unknown parameter {key!r} for command {command!r}")
     return ExperimentConfig(command=command, seed=int(doc.get("seed", 7)),
                             output_dir=str(doc.get("output_dir", ".")),
@@ -152,22 +142,24 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     ens = EnsembleSpec(count=int(p["count"]), seed=cfg.seed)
     ps = tuple(np.inf if x in ("inf", "oo") else float(x) for x in p["ps"])
     n_sides = tuple(int(n) for n in p["n_sides"])
+    # each check runs at its own box unless the config names one
+    box = {} if p["box_length"] is None else {"box_length": p["box_length"]}
     reports = []
     for name in checks:
         if name in ("bernstein", "lemma_3_1", "lemma_A_2"):
             rep = check_multiplier_bounds(
-                name, {"ps": ps, "betas": p["betas"], "s_values": p["s_values"],
-                       "box_length": p["box_length"]}, ens, n_sides=n_sides)
+                name, {"ps": ps, "betas": p["betas"], "s_values": p["s_values"], **box},
+                ens, n_sides=n_sides)
         elif name in ("kato_ponce", "holder_commutator"):
-            rep = check_commutators(name, {"s": p["s"], "r": p["r"], "beta": p["beta"],
-                                           "box_length": p["box_length"]}, ens,
-                                    n_sides=n_sides)
+            rep = check_commutators(name, {"s": p["s"], "r": p["r"], "beta": p["beta"], **box},
+                                    ens, n_sides=n_sides)
         elif name in ("lemma_A_3", "lemma_3_2", "lemma_3_3", "embedding"):
             rep = check_velocity_regularity(
-                name, {"beta": p["beta"], "r": p["r"], "s": p["s"]}, ens, n_sides=n_sides)
+                name, {"beta": p["beta"], "r": p["r"], "s": p["s"], **box}, ens,
+                n_sides=n_sides)
         elif name == "fundamental_solution":
-            rep = verify_fundamental_solution(p["beta"],
-                                              Grid2D(max(n_sides), 16.0 * np.pi))
+            rep = verify_fundamental_solution(
+                p["beta"], Grid2D(max(n_sides), box.get("box_length", 16.0 * np.pi)))
         else:
             raise ConfigurationError(f"unknown check {name!r}")
         reports.append(rep)
@@ -349,7 +341,7 @@ def main(argv=None) -> int:
         doc["seed"] = args.seed
     out_flag = args.out or doc.get("output_dir") or os.environ.get("OUTPUT_DIR") or "."
     doc["output_dir"] = out_flag
-    overrides = _collect_overrides(args, ALLOWED_PARAMS[doc.get("command", args.command)])
+    overrides = _collect_overrides(args, DEFAULTS.get(doc.get("command", args.command), ()))
     doc.setdefault("params", {}).update(overrides)
 
     try:

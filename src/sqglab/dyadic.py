@@ -1,8 +1,13 @@
-"""Littlewood-Paley partition of unity and dyadic block operators.
+"""The radial bump, the Littlewood-Paley partition of unity and dyadic blocks.
 
-The low-pass profile chi_hat is a radial C-infinity transition built from
-the standard bump exp(-1/t): identically 1 for |xi| <= 3/5 and 0 for
-|xi| >= 5/6.  The annulus profile is the telescoping difference
+``CutoffA(inner, outer)`` is the package's one C-infinity radial bump: 1 on
+B_inner, 0 outside B_outer, with the exp(-1/t) ramp between.  It is the
+low pass chi_hat here (radii 3/5, 5/6), the uniformly local window
+(``norms.window_profile``, radii s, 2s) and the kernel cutoff ``a``
+(``kernels``, radii 1, 2).  ``a`` gives its values and ``profile`` the
+triple (a, a', a''), each from one evaluation of the ramp on the annulus.
+
+The annulus profile is the telescoping difference
 
     phi_hat(xi) = chi_hat(xi/2) - chi_hat(xi),
 
@@ -31,23 +36,74 @@ CHI_FLAT_RADIUS = 3.0 / 5.0
 CHI_SUPPORT_RADIUS = 5.0 / 6.0
 
 
-def _ramp(t: np.ndarray) -> np.ndarray:
-    """C-infinity increasing step: 0 for t<=0, 1 for t>=1, exp(-1/t) based."""
+def _ramp(t: np.ndarray, derivs: bool = False):
+    """The exp(-1/t) smoothstep S, 0 for t <= 0 and 1 for t >= 1, or with
+    ``derivs`` the triple (S, S', S'').  The formula runs on 1e-12 < t <
+    1 - 1e-12 only, stable at the endpoints; exp(-1/t) underflows long before.
+    """
     t = np.asarray(t, dtype=np.float64)
-    out = np.where(t >= 1.0, 1.0, 0.0)
-    inside = (t > 0.0) & (t < 1.0)
+    S = np.where(t >= 1.0 - 1e-12, 1.0, 0.0)  # 1 from where the formula stops
+    inside = (t > 1e-12) & (t < 1.0 - 1e-12)
     ti = t[inside]
-    g_lo = np.exp(-1.0 / ti)
-    g_hi = np.exp(-1.0 / (1.0 - ti))
-    out[inside] = g_lo / (g_lo + g_hi)
-    return out
+    p = np.exp(-1.0 / ti)
+    q = np.exp(-1.0 / (1.0 - ti))
+    S[inside] = p / (p + q)
+    if not derivs:
+        return S
+    S1, S2 = np.zeros_like(t), np.zeros_like(t)
+    it2 = 1.0 / ti**2
+    im2 = 1.0 / (1.0 - ti) ** 2
+    w = p * q
+    D = (p + q) ** 2
+    u = it2 + im2
+    S1[inside] = w * u / D
+    wp = w * (it2 - im2)
+    up = -2.0 / ti**3 + 2.0 / (1.0 - ti) ** 3
+    DpD = 2.0 * (p * it2 - q * im2) / (p + q)
+    S2[inside] = (wp * u + w * up) / D - (w * u / D) * DpD
+    return S, S1, S2
 
 
-def chi_profile(rho) -> np.ndarray:
-    """Radial low-pass profile chi_hat(|xi|)."""
-    rho = np.asarray(rho, dtype=np.float64)
-    t = (rho - CHI_FLAT_RADIUS) / (CHI_SUPPORT_RADIUS - CHI_FLAT_RADIUS)
-    return 1.0 - _ramp(t)
+@dataclass(frozen=True)
+class CutoffA:
+    """Radial bump: 1 on B_inner, 0 outside B_outer, monotone between.
+
+    Each call evaluates the ramp once, on the annulus inner < rho < outer
+    only; off it the bump is exactly 1 or 0 and its derivatives exactly 0.
+    """
+
+    inner: float = 1.0
+    outer: float = 2.0
+
+    def __post_init__(self):
+        if not 0 < self.inner < self.outer:
+            raise ConfigurationError(f"need 0 < inner < outer, got {self.inner}, {self.outer}")
+
+    def _annulus(self, rho):
+        """The bump off the annulus, the annulus mask, and the ramp variable on it."""
+        rho = np.asarray(rho, dtype=np.float64)
+        ring = (rho > self.inner) & (rho < self.outer)
+        t = (rho[ring] - self.inner) / (self.outer - self.inner)
+        return np.where(rho <= self.inner, 1.0, 0.0), ring, t
+
+    def a(self, rho) -> np.ndarray:
+        """The bump's values alone."""
+        a, ring, t = self._annulus(rho)
+        a[ring] = 1.0 - _ramp(t)
+        return a
+
+    def profile(self, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, a', a'') at the radii ``rho``."""
+        a, ring, t = self._annulus(rho)
+        S, S1, S2 = _ramp(t, derivs=True)
+        width = self.outer - self.inner
+        da, d2a = np.zeros_like(a), np.zeros_like(a)
+        a[ring], da[ring], d2a[ring] = 1.0 - S, -S1 / width, -S2 / width**2
+        return a, da, d2a
+
+
+# the radial low-pass profile chi_hat(|xi|)
+chi_profile = CutoffA(CHI_FLAT_RADIUS, CHI_SUPPORT_RADIUS).a
 
 
 def phi_profile(rho) -> np.ndarray:

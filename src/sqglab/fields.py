@@ -173,20 +173,6 @@ class SpectralField:
 # -- module operations -------------------------------------------------------
 
 
-def transform(f: SpectralField, direction: str) -> SpectralField:
-    """Populate and return the other representation of ``f``.
-
-    ``direction='forward'`` returns a field built from the spectral
-    coefficients of ``f``; ``'inverse'`` returns one built from its samples.
-    Round trip reproduces samples to ~1e-15 relative.
-    """
-    if direction == "forward":
-        return SpectralField.from_coefficients(f.grid, f.coefficients)
-    if direction == "inverse":
-        return SpectralField.from_values(f.grid, f.values)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 def full_coefficients(f: SpectralField) -> np.ndarray:
     """The coefficients of ``f`` in the full n x n fft layout, shape (n, n) or
     (2, n, n): the stored columns 0..n/2, and c_(-k) = conj(c_k) on the rest.

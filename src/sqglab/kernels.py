@@ -5,15 +5,18 @@ constant for the operator (-Laplace)^(1 - beta/2) in two dimensions,
 
     c_beta = Gamma(beta/2) / (2^(2-beta) * pi * Gamma(1 - beta/2)),
 
-validated numerically by ``verify_fundamental_solution``.  With a radial
-cutoff ``a`` (1 on B_1, 0 outside B_2) the velocity kernel splits into
+validated numerically by ``verify_fundamental_solution``.  With the radial
+cutoff ``a`` = ``CutoffA(1, 2)`` (1 on B_1, 0 outside B_2; the bump that
+``dyadic`` defines for the whole package) the velocity kernel splits into
 
     near = grad_perp(a Phi)            (integrable, supported in B_2)
     far  = grad grad_perp((1 - a) Phi) (smooth, decays like |x|^(-beta-2))
 
 All radial profiles are differentiated in closed form and sampled on the
 wrapped displacement grid, built once per split; the near kernel is
-cell-averaged around its |x|^(-beta-1) singularity.
+cell-averaged around its |x|^(-beta-1) singularity.  Each sampler reads
+(a, a', a'') from one ``CutoffA.profile`` call on its displacement array,
+or the values alone from ``CutoffA.a``.
 
 Near transfer.  The near kernel's transform decays only like |k|^(beta-1),
 so its transfer is taken from a q-times finer sampling.  That grid is never
@@ -57,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
+from .dyadic import CutoffA
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealias, dealiased_samples
 from .grid import Grid2D, operator_table
@@ -70,62 +74,6 @@ _AVG_RADIUS = 0.45  # samples this close to a kernel singularity are cell averag
 def riesz_constant(beta: float) -> float:
     """Classical constant of the fundamental solution of (-Laplace)^(1-beta/2)."""
     return math.gamma(beta / 2.0) / (2.0 ** (2.0 - beta) * math.pi * math.gamma(1.0 - beta / 2.0))
-
-
-# -- smooth cutoff ------------------------------------------------------------
-
-
-def _ramp_with_derivs(t: np.ndarray):
-    """The exp(-1/t) smoothstep S with S' and S'' (stable at the endpoints)."""
-    t = np.asarray(t, dtype=np.float64)
-    # S = 1 from where the ramp formula stops (exp(-1/(1 - t)) underflows
-    # long before), so no band below t = 1 is left at 0
-    S = np.where(t >= 1.0 - 1e-12, 1.0, 0.0)
-    S1 = np.zeros_like(t)
-    S2 = np.zeros_like(t)
-    inside = (t > 1e-12) & (t < 1.0 - 1e-12)
-    ti = t[inside]
-    p = np.exp(-1.0 / ti)
-    q = np.exp(-1.0 / (1.0 - ti))
-    it2 = 1.0 / ti**2
-    im2 = 1.0 / (1.0 - ti) ** 2
-    w = p * q
-    D = (p + q) ** 2
-    u = it2 + im2
-    S[inside] = p / (p + q)
-    S1[inside] = w * u / D
-    wp = w * (it2 - im2)
-    up = -2.0 / ti**3 + 2.0 / (1.0 - ti) ** 3
-    DpD = 2.0 * (p * it2 - q * im2) / (p + q)
-    S2[inside] = (wp * u + w * up) / D - (w * u / D) * DpD
-    return S, S1, S2
-
-
-@dataclass(frozen=True)
-class CutoffA:
-    """Radial bump: 1 on B_inner, 0 outside B_outer, monotone between."""
-
-    inner: float = 1.0
-    outer: float = 2.0
-
-    def __post_init__(self):
-        if not 0 < self.inner < self.outer:
-            raise ConfigurationError(f"need 0 < inner < outer, got {self.inner}, {self.outer}")
-
-    def _t(self, rho: np.ndarray) -> np.ndarray:
-        return (np.asarray(rho, dtype=np.float64) - self.inner) / (self.outer - self.inner)
-
-    def a(self, rho) -> np.ndarray:
-        S, _, _ = _ramp_with_derivs(self._t(rho))
-        return 1.0 - S
-
-    def da(self, rho) -> np.ndarray:
-        _, S1, _ = _ramp_with_derivs(self._t(rho))
-        return -S1 / (self.outer - self.inner)
-
-    def d2a(self, rho) -> np.ndarray:
-        _, _, S2 = _ramp_with_derivs(self._t(rho))
-        return -S2 / (self.outer - self.inner) ** 2
 
 
 # -- radial profiles ----------------------------------------------------------
@@ -211,7 +159,8 @@ def _near_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray, h: float,
     """
     def n_rad_over_rho(r):
         p, p1, _ = _phi_derivs(r, beta, c)
-        return (cutoff.da(r) * p + cutoff.a(r) * p1) / r
+        a, da, _ = cutoff.profile(r)
+        return (da * p + a * p1) / r
 
     out = np.zeros((2,) + rho.shape)
     body = (rho > 0) & (rho < cutoff.outer)
@@ -220,29 +169,13 @@ def _near_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray, h: float,
     out[0] = -x2 * g
     out[1] = x1 * g
 
-    # cell averages near the singularity (midpoint elsewhere)
+    # cell averages near the singularity (midpoint elsewhere); a = a' = 0
+    # beyond outer, so the radial factor is 0 there.  It is formed first, so
+    # the stacked (-Y, X) does not coexist with its temporaries
     cells = (rho <= _AVG_RADIUS) & (rho > 0)
-    # radial factor first, so the stacked (-Y, X) does not coexist with its temporaries
-    out[:, cells] = _cell_average(
-        lambda X, Y, R: np.where(R < cutoff.outer, n_rad_over_rho(R), 0.0) * np.stack([-Y, X]),
-        x1[cells], x2[cells], h)
+    out[:, cells] = _cell_average(lambda X, Y, R: n_rad_over_rho(R) * np.stack([-Y, X]),
+                                  x1[cells], x2[cells], h)
     return out
-
-
-def _outer_cutoff(cutoff: CutoffA, r: np.ndarray):
-    """1 - a, a' and a'' at radii r > cutoff.inner, as ``CutoffA`` gives them.
-
-    The ramp is evaluated once, and only where r < outer: beyond, 1 - a = 1
-    and a' = a'' = 0 exactly.
-    """
-    one_a, da, d2a = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
-    ramp = r < cutoff.outer
-    S, S1, S2 = _ramp_with_derivs(cutoff._t(r[ramp]))
-    width = cutoff.outer - cutoff.inner
-    one_a[ramp] = 1.0 - (1.0 - S)
-    da[ramp] = -S1 / width
-    d2a[ramp] = -S2 / width**2
-    return one_a, da, d2a
 
 
 def _far_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
@@ -252,10 +185,11 @@ def _far_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
     mask = rho > cutoff.inner
     r = rho[mask]
     p, p1, p2 = _phi_derivs(r, beta, c)
-    one_a, da, d2a = _outer_cutoff(cutoff, r)
+    a, da, d2a = cutoff.profile(r)
+    one_a = 1.0 - a
     Gp = -da * p + one_a * p1
     Gpp = -d2a * p - 2.0 * da * p1 + one_a * p2
-    del p, p1, p2, one_a, da, d2a  # six fewer n^2 arrays alive at the peak
+    del p, p1, p2, a, one_a, da, d2a  # seven fewer n^2 arrays alive at the peak
     g = Gp / r
     gp = (Gpp * r - Gp) / r**2
     xx = (x1[mask], x2[mask])
@@ -273,8 +207,8 @@ def _mid_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
     mask = rho > cutoff.inner
     r = rho[mask]
     p, p1, _ = _phi_short_derivs(r, beta, c, alpha)
-    one_a, da, _ = _outer_cutoff(cutoff, r)
-    g = (-da * p + one_a * p1) / r
+    a, da, _ = cutoff.profile(r)
+    g = (-da * p + (1.0 - a) * p1) / r
     out = np.zeros((2,) + rho.shape)
     out[0, mask] = -x2[mask] * g
     out[1, mask] = x1[mask] * g
@@ -340,7 +274,6 @@ class KernelSplit:
         the near-field estimate; reported as its measured value)."""
         rho = np.maximum(_displacements(self.grid)[2], 1e-300)
         apot = self.cutoff.a(rho) * self.c_beta * rho ** (-self.beta)
-        apot[rho > self.cutoff.outer] = 0.0
         # average the singular origin cell
         origin = np.zeros(1)
         apot[0, 0] = _cell_average(lambda X, Y, R: self.c_beta * R ** (-self.beta),

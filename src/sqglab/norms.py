@@ -14,9 +14,11 @@ Conventions shared by all estimators:
   over grid-pair offsets with |x-y| <= 1 plus the 2||D^b f||_inf bound for
   the far pairs (the two pieces are recorded separately in the report).
 * Uniformly local norms take the sup of windowed norms over a lattice of
-  centers; windowed H^s norms are computed on a cropped patch (exact for
-  the compactly supported windowed field up to the exponentially small
-  periodization of the Bessel weight).
+  centers.  The window of scale s is the package's one radial bump,
+  ``dyadic.CutoffA(s, 2s)``, read for its values only.  Windowed H^s norms
+  are computed on a cropped patch (exact for the compactly supported
+  windowed field up to the exponentially small periodization of the
+  Bessel weight).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .dyadic import DyadicFamily, _ramp, build_partition
+from .dyadic import CutoffA, DyadicFamily, build_partition
 from .errors import ConfigurationError, QuadratureBudgetError
 from .fields import SpectralField
 from .grid import Grid2D, operator_table, rfft2
@@ -200,8 +202,8 @@ def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False,
 
 
 def window_profile(rho: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Radial bump: 1 on B_scale, 0 outside B_(2 scale), smooth and monotone."""
-    return 1.0 - _ramp(np.asarray(rho, dtype=np.float64) / scale - 1.0)
+    """The window: the package's radial bump with radii ``scale`` and 2 ``scale``."""
+    return CutoffA(scale, 2.0 * scale).a(rho)
 
 
 @dataclass(frozen=True)

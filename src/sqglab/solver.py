@@ -32,6 +32,7 @@ theta^(n-1)||_(C^(r-1)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -60,7 +61,6 @@ class SolverConfig:
     record_norms: tuple = ("linf:theta", "l2:theta")
     c_existence: float = 1.0  # simulate: 0 disables the existence-time cap; picard needs > 0
     sample_every: int = 0  # 0: pick automatically (<= ~64 stored samples)
-    oversample: int = 4
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -315,13 +315,12 @@ class NormRecorder:
     def __init__(self, descriptors, grid: Grid2D):
         self.descriptors = list(descriptors)
         self.family = build_partition(grid)
-        self._windows = {}
         self.grid = grid
 
-    def windows(self, scale: float = 1.0) -> WindowFamily:
-        if scale not in self._windows:
-            self._windows[scale] = WindowFamily.build(self.grid, scale)
-        return self._windows[scale]
+    @functools.cached_property
+    def windows(self) -> WindowFamily:
+        """The unit-scale window family, built on first use."""
+        return WindowFamily.build(self.grid)
 
     def _eval(self, desc: str, theta: SpectralField, u: SpectralField) -> float:
         parts = desc.split(":")
@@ -345,9 +344,9 @@ class NormRecorder:
                 raise ConfigurationError("w1inf applies to scalar fields")
             return f.linf() + g.linf()
         if kind == "hsul":
-            return uniformly_local_norm(f, float(parts[2]), self.windows(), "Hs_ul").value
+            return uniformly_local_norm(f, float(parts[2]), self.windows, "Hs_ul").value
         if kind == "hsul_hom":
-            return uniformly_local_norm(f, float(parts[2]), self.windows(), "Hs_ul",
+            return uniformly_local_norm(f, float(parts[2]), self.windows, "Hs_ul",
                                         homogeneous=True).value
         if kind == "div":
             return divergence(f).linf()
@@ -381,7 +380,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                 f"u0 inconsistent with theta0 under the direct law (rel gap {gap:.2e})"
             )
     if config.constitutive == "serfati" and split is None:
-        split = build_split(grid, config.beta, oversample=config.oversample)
+        split = build_split(grid, config.beta)
 
     dt = cfl_dt(u0, grid, config.dt)
     t_stop = config.t_end
@@ -592,7 +591,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
     if split is None:
-        split = build_split(grid, config.beta, oversample=config.oversample)
+        split = build_split(grid, config.beta)
     family = build_partition(grid)
 
     theta0_cr = zygmund_norm(theta0, config.r, family).value

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from sqglab import cli
 from sqglab.cli import main, validate_config
 from sqglab.errors import ConfigurationError
+from sqglab.report import VerificationReport
 
 
 class TestConfigValidation:
@@ -19,6 +21,11 @@ class TestConfigValidation:
     def test_unknown_command(self):
         with pytest.raises(ConfigurationError, match="fly"):
             validate_config({"command": "fly"})
+
+    def test_unknown_command_in_config_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"command": "fly"}))
+        assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_cli_reports_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -50,6 +57,50 @@ class TestVerifyCommand:
         assert rc == 0
         rows = (tmp_path / "reports.csv").read_text().splitlines()
         assert len(rows) > 10
+
+
+def _record_verify_boxes(monkeypatch) -> dict:
+    """Replace the verify checks with stubs recording the box each receives."""
+    boxes = {}
+
+    def stub(name, params, ensemble, n_sides):
+        boxes[name] = params.get("box_length")
+        return VerificationReport(check_id=name)
+
+    for check in ("check_multiplier_bounds", "check_commutators", "check_velocity_regularity"):
+        monkeypatch.setattr(cli, check, stub)
+
+    def fundamental(beta, grid):
+        boxes["fundamental_solution"] = grid.box_length
+        return VerificationReport(check_id="fundamental_solution")
+
+    monkeypatch.setattr(cli, "verify_fundamental_solution", fundamental)
+    return boxes
+
+
+class TestVerifyBoxLength:
+    CHECKS = ["bernstein", "kato_ponce", "lemma_A_3", "lemma_3_3", "embedding",
+              "fundamental_solution"]
+
+    def _run(self, monkeypatch, tmp_path, params):
+        boxes = _record_verify_boxes(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "verify",
+                                   "params": {"checks": self.CHECKS, **params}}))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        return boxes, json.loads((tmp_path / "manifest.json").read_text())["params"]
+
+    def test_given_box_reaches_every_check(self, monkeypatch, tmp_path):
+        boxes, manifest = self._run(monkeypatch, tmp_path, {"box_length": 16.0})
+        assert boxes == dict.fromkeys(self.CHECKS, 16.0)
+        assert boxes["lemma_A_3"] == 16.0  # check_velocity_regularity got it
+        assert manifest["box_length"] == 16.0
+
+    def test_default_leaves_each_check_its_own_box(self, monkeypatch, tmp_path):
+        boxes, manifest = self._run(monkeypatch, tmp_path, {})
+        assert boxes == {**dict.fromkeys(self.CHECKS[:-1]),
+                         "fundamental_solution": 16.0 * np.pi}
+        assert manifest["box_length"] is None
 
 
 class TestSimulateCommand:

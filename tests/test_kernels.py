@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import sqglab
+from sqglab import dyadic
+from sqglab.dyadic import build_partition
 from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
@@ -12,6 +15,7 @@ from sqglab.kernels import (CutoffA, _mid_samples, _phi_derivs, _phi_short_deriv
                             riesz_convolve, riesz_transfer, sample_near,
                             split_consistency_error, verify_fundamental_solution)
 from sqglab.multipliers import biot_savart_velocity, dealiased_product, frac_laplacian, apply_multiplier
+from sqglab.norms import WindowFamily, window_profile
 
 from conftest import random_real_field
 
@@ -36,6 +40,7 @@ class TestCutoff:
         assert np.all(v[rho >= 2.0] == 0.0)
         assert np.all((v >= 0) & (v <= 1))
         assert np.all(np.diff(v) <= 1e-12)
+        np.testing.assert_array_equal(a.profile(rho)[0], v)
 
     def test_derivatives_match_finite_differences(self):
         a = CutoffA()
@@ -43,19 +48,20 @@ class TestCutoff:
         eps = 1e-5
         fd1 = (a.a(rho + eps) - a.a(rho - eps)) / (2 * eps)
         fd2 = (a.a(rho + eps) - 2 * a.a(rho) + a.a(rho - eps)) / eps**2
-        assert np.abs(a.da(rho) - fd1).max() <= 1e-6
-        assert np.abs(a.d2a(rho) - fd2).max() <= 1e-4
+        _, da, d2a = a.profile(rho)
+        assert np.abs(da - fd1).max() <= 1e-6
+        assert np.abs(d2a - fd2).max() <= 1e-4
 
     def test_reaches_zero_just_inside_outer(self):
         # the ramp formula stops 1e-12 short of t = 1; S is 1 from there on,
         # not 0, so a does not jump back to 1 in that band
         a = CutoffA()
         rho = 2.0 - np.array([2e-11, 1e-11, 2e-12, 1e-12, 5e-13, 1e-13, 0.0])
-        v = a.a(rho)
+        v, da, d2a = a.profile(rho)
         assert a.a(2.0 - 5e-13) == 0.0
         assert np.all(v[2:] == 0.0)
         assert np.all(np.diff(v) <= 0.0)
-        assert np.all(a.da(rho[3:]) == 0.0) and np.all(a.d2a(rho[3:]) == 0.0)
+        assert np.all(da[3:] == 0.0) and np.all(d2a[3:] == 0.0)
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_no_sample_radius_in_the_mended_band(self, n):
@@ -64,12 +70,71 @@ class TestCutoff:
         cut = CutoffA()
         for m in (n, 4 * n):
             x1, x2 = Grid2D(m, 16.0).coords_centered()
-            t = cut._t(np.hypot(x1, x2))
+            t = (np.hypot(x1, x2) - cut.inner) / (cut.outer - cut.inner)
             assert not np.any((t >= 1.0 - 1e-12) & (t < 1.0))
 
     def test_bad_radii(self):
         with pytest.raises(ConfigurationError):
             CutoffA(inner=2.0, outer=1.0)
+
+    def test_one_bump_for_the_package(self):
+        # the kernel cutoff, the low pass and the window are one definition
+        assert sqglab.CutoffA is CutoffA is dyadic.CutoffA
+        rho = np.linspace(0.0, 5.0, 5001)
+        np.testing.assert_array_equal(dyadic.chi_profile(rho), CutoffA(3 / 5, 5 / 6).a(rho))
+        for scale in (0.5, 1.0, 2.0):
+            np.testing.assert_array_equal(window_profile(rho, scale),
+                                          CutoffA(scale, 2 * scale).a(rho))
+
+
+def _spy_ramp(monkeypatch) -> list:
+    """Record every array the exp(-1/t) ramp is evaluated on."""
+    seen = []
+    ramp = dyadic._ramp
+
+    def spy(t, derivs=False):
+        seen.append(np.array(t, dtype=np.float64))
+        return ramp(t, derivs)
+
+    monkeypatch.setattr(dyadic, "_ramp", spy)
+    return seen
+
+
+class TestRampEvaluation:
+    def test_ramp_sees_only_the_open_annulus(self, monkeypatch):
+        seen = _spy_ramp(monkeypatch)
+        grid = Grid2D(128, 16.0)
+        build_split(grid, 0.5, oversample=2).near_potential_transform_max()
+        fam = build_partition(Grid2D(128))
+        for j in fam.inhomogeneous_js():
+            fam.lowpass_multiplier(j)
+            fam.block_multiplier(max(j, 0))
+        WindowFamily.build(grid).profile_on_patch()
+        assert sum(t.size for t in seen) > 0
+        for t in seen:
+            assert np.all((t > 0.0) & (t < 1.0))
+
+    def test_build_split_evaluates_the_cutoff_once_per_sampled_array(self, monkeypatch):
+        seen = _spy_ramp(monkeypatch)
+        calls = []
+        for name in ("a", "profile"):
+            method = getattr(CutoffA, name)
+
+            def spy(self, rho, _method=method, _name=name):
+                calls.append((_name, np.array(rho, dtype=np.float64)))
+                return _method(self, rho)
+
+            monkeypatch.setattr(CutoffA, name, spy)
+        build_split(Grid2D(128, 16.0), 0.5, oversample=2)
+        # the fine patch of the near transfer and the grid's near samples
+        # (each a body and a cell-averaged core), far, mid, and a Phi_long
+        assert [name for name, _ in calls] == ["profile"] * 6 + ["a"]
+        # each call runs the ramp once, on exactly its annulus points
+        assert len(seen) == len(calls)
+        cut = CutoffA()
+        for (_, rho), t in zip(calls, seen):
+            ring = (rho > cut.inner) & (rho < cut.outer)
+            np.testing.assert_array_equal(t, (rho[ring] - cut.inner) / (cut.outer - cut.inner))
 
 
 class TestRieszConstant:
@@ -166,7 +231,8 @@ class TestBuildSplit:
 
     def test_far_and_mid_samples_match_public_cutoff(self):
         # the samplers evaluate the ramp once and only on inner < rho < outer;
-        # beyond outer, 1 - a = 1 and a' = a'' = 0, so the samples keep their bits
+        # beyond outer, 1 - a = 1 and a' = a'' = 0, so the samples keep the
+        # bits of the ramp evaluated on every r > inner
         grid = Grid2D(128, 16.0)
         split = build_split(grid, 0.5)
         cut, c = split.cutoff, split.c_beta
@@ -175,7 +241,10 @@ class TestBuildSplit:
         mask = rho > cut.inner
         r = rho[mask]
         assert r.max() > cut.outer
-        one_a, da, d2a = 1.0 - cut.a(r), cut.da(r), cut.d2a(r)
+        # the ramp on every r > inner, past outer too (where it is 1, flat)
+        width = cut.outer - cut.inner
+        S, S1, S2 = dyadic._ramp((r - cut.inner) / width, derivs=True)
+        one_a, da, d2a = 1.0 - (1.0 - S), -S1 / width, -S2 / width**2
         p, p1, p2 = _phi_derivs(r, 0.5, c)
         Gp = -da * p + one_a * p1
         Gpp = -d2a * p - 2.0 * da * p1 + one_a * p2

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sqglab import grid as grid_module
-from sqglab.dyadic import build_partition
+from sqglab.dyadic import CutoffA, build_partition
 from sqglab.errors import ConfigurationError
 from sqglab.fields import (SpectralField, dealias, full_coefficients, load_field,
                            parseval_mismatch, save_field)
@@ -254,3 +254,23 @@ def test_every_route_agrees(grid, seed, components, holds_a, holds_b, s):
                           (s * a - b, s * f.values - g.values), (-b, -g.values)):
         scale = max(np.abs(expected).max(), np.abs(f.values).max() * max(abs(s), 1.0))
         assert np.abs(got.values - expected).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.floats(1e-3, 10.0), st.floats(1.01, 10.0),
+       arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 120.0)))
+def test_bump_is_exact_off_its_annulus_and_monotone(inner, ratio, rho):
+    cut = CutoffA(inner, inner * ratio)
+    a, da, d2a = cut.profile(rho)
+    np.testing.assert_array_equal(cut.a(rho), a)
+    ball, beyond = rho <= cut.inner, rho >= cut.outer
+    assert np.all(a[ball] == 1.0) and np.all(da[ball] == 0.0) and np.all(d2a[ball] == 0.0)
+    assert np.all(a[beyond] == 0.0) and np.all(da[beyond] == 0.0) and np.all(d2a[beyond] == 0.0)
+    assert np.all((a >= 0.0) & (a <= 1.0)) and np.all(da <= 0.0)
+    assert np.all(np.diff(cut.a(np.sort(rho))) <= 0.0)
+    # scalar, 1-D and 2-D inputs give the same values
+    for got, want in zip(cut.profile(rho.reshape(-1, 1)), (a, da, d2a)):
+        np.testing.assert_array_equal(got[:, 0], want)
+    for i in range(rho.size):
+        for got, want in zip(cut.profile(float(rho[i])), (a, da, d2a)):
+            assert np.ndim(got) == 0 and got == want[i]

@@ -229,6 +229,22 @@ class TestStepTransport:
             step_transport(st, None, 0.01)
 
 
+class TestNormRecorder:
+    def test_windows_built_once_on_first_use(self, grid64, monkeypatch):
+        built = []
+        build = solver.WindowFamily.build
+        monkeypatch.setattr(solver.WindowFamily, "build",
+                            lambda grid: built.append(grid) or build(grid))
+        rec = solver.NormRecorder(("linf:theta", "hsul:theta:2", "hsul_hom:theta:2"), grid64)
+        theta = random_real_field(grid64, seed=8)
+        assert built == []
+        out = []
+        rec.record(out, 0.0, theta, None)
+        rec.record(out, 1.0, theta, None)
+        assert built == [grid64] and rec.windows.scale == 1.0
+        assert out[1][2] == out[4][2] > 0.0
+
+
 class TestSimulate:
     def test_zero_data(self, grid64):
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.1, n_side=64, c_existence=0)
