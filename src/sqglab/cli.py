@@ -273,6 +273,12 @@ def _add_common(sp):
     sp.add_argument("--out", type=str, default=None, help="output directory")
 
 
+def _add_options(sp, **types):
+    """``--name-with-dashes`` for each ``name=type``, stored under ``name``."""
+    for name, typ in types.items():
+        sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
+
+
 def _collect_overrides(args, keys) -> dict:
     out = {}
     for key in keys:
@@ -290,18 +296,13 @@ def main(argv=None) -> int:
     sp = sub.add_parser("verify", help="run inequality checks")
     _add_common(sp)
     sp.add_argument("--check", action="append", dest="checks", metavar="NAME")
-    sp.add_argument("--beta", type=float)
     sp.add_argument("--n", action="append", type=int, dest="n_sides")
-    sp.add_argument("--count", type=int)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--r", type=float)
+    _add_options(sp, beta=float, count=int, s=float, r=float, box_length=float)
 
     sp = sub.add_parser("simulate", help="advance the transport system")
     _add_common(sp)
-    for name, typ in [("beta", float), ("n_side", int), ("box_length", float),
-                      ("dt", float), ("t_end", float), ("sigma", float),
-                      ("amplitude", float), ("c_existence", float), ("r", float)]:
-        sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
+    _add_options(sp, beta=float, n_side=int, box_length=float, dt=float, t_end=float,
+                 sigma=float, amplitude=float, c_existence=float, r=float)
     sp.add_argument("--constitutive", choices=["direct", "serfati"])
     sp.add_argument("--ic", choices=["radial", "bump", "random", "single_mode"])
     sp.add_argument("--record", action="append", dest="record_norms", metavar="DESC")
@@ -310,24 +311,19 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("iterate", help="run the approximation sequence")
     _add_common(sp)
-    for name, typ in [("beta", float), ("n_side", int), ("box_length", float),
-                      ("dt", float), ("t_end", float), ("n_max", int), ("r", float),
-                      ("sigma", float), ("amplitude", float)]:
-        sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
+    _add_options(sp, beta=float, n_side=int, box_length=float, dt=float, t_end=float,
+                 n_max=int, r=float, sigma=float, amplitude=float)
     sp.add_argument("--ic", choices=["radial", "bump", "random", "single_mode"])
 
     sp = sub.add_parser("norms", help="norm battery on a generated field")
     _add_common(sp)
-    for name, typ in [("n_side", int), ("box_length", float), ("sigma", float),
-                      ("amplitude", float), ("r", float), ("s", float)]:
-        sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
+    _add_options(sp, n_side=int, box_length=float, sigma=float, amplitude=float, r=float,
+                 s=float)
     sp.add_argument("--ic", choices=["radial", "bump", "random", "single_mode"])
 
     sp = sub.add_parser("kernels", help="build the kernel split and validate")
     _add_common(sp)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--n-side", dest="n_side", type=int)
-    sp.add_argument("--box-length", dest="box_length", type=float)
+    _add_options(sp, beta=float, n_side=int, box_length=float)
     sp.add_argument("--no-fundamental", dest="fundamental", action="store_false",
                     default=None)
 

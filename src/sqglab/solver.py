@@ -17,10 +17,10 @@ convolutions return coefficient fields, and the far accumulator, the
 reconstructed velocity and its projection live in coefficients, taken to
 samples only where a caller reads them.  A serfati step advects by the
 projection the previous step stored (u0 is projected once, before the
-first step), and its two far fluxes take the dealiased samples the step
-already holds: the advecting velocity's, made by the transport step, and
-the new theta's, made once for the predictor and the corrector.  The
-Picard sequence keeps its reconstruction on samples (``picard_iterate``).
+first step); its dealiased samples serve the transport step and the
+predictor's far flux, and the new theta's the predictor and the corrector.
+The Picard sequence keeps its reconstruction on samples and steps theta
+by the previous iterate's velocity through :func:`frozen_velocity`.
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -86,10 +86,6 @@ class SimState:
     far_prev: SpectralField | None = None
     far_time: float = 0.0
     theta0_linf: float = 0.0
-    # (velocity, t, (u, dealiased samples of u)) when a step by a fixed field or
-    # a frozen trajectory made this state: u is that velocity at t, reused while
-    # u is this u; the step from this state, or simulate, reads and drops it
-    _velocity: tuple | None = dc_field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -194,19 +190,32 @@ def _check_blowup(theta: SpectralField, theta0_linf: float):
         )
 
 
+def frozen_velocity(u_of):
+    """``t -> (u(t), dealiased_samples(u(t)))`` of a trajectory ``t -> u(t)``,
+    keeping the last time: a transport step asks for t, t + dt/2 twice and
+    t + dt twice (stage 4 and the new state's velocity), and the next step
+    starts at that same t + dt."""
+    last = {}
+
+    def at(t: float):
+        if t not in last:
+            last.clear()
+            u = u_of(t)
+            last[t] = (u, dealiased_samples(u))
+        return last[t]
+
+    return at
+
+
 def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = None) -> SimState:
-    """One RK4 step of the transport equation.
+    """One RK4 step of the transport equation; the input state is left as it is.
 
-    ``u_frozen`` may be a vector ``SpectralField`` (held fixed over the
-    step), a callable ``t -> SpectralField`` (frozen trajectory, Picard
-    mode), or ``None`` for the self-consistent mode (velocity recomputed
-    from theta at every stage via the constitutive law; requires ``beta``).
-
-    With a fixed field or a trajectory, the returned state holds the
-    dealiased samples of its velocity until a step from it reads them (a
-    next step by the same velocity reuses them); that step drops them from
-    it.  A caller that keeps a state without stepping from it keeps the
-    samples too: one (2, n, n) array.
+    ``u_frozen`` is ``None`` for the self-consistent mode (the velocity
+    recomputed from theta at every stage via the constitutive law; requires
+    ``beta``), a vector ``SpectralField`` held fixed over the step (taken to
+    dealiased samples once), or a callable ``t -> (u, dealiased_samples(u))``
+    of a velocity frozen in time, such as :func:`frozen_velocity` makes of a
+    trajectory ``t -> u`` (Picard mode).
     """
     th = state.theta
     t = state.t
@@ -219,29 +228,14 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
             u = biot_savart_velocity(stage, beta)
             return u, dealiased_samples(u)
     else:
-        # a frozen velocity depends on time alone: take each distinct one to
-        # samples once (a fixed field serves all 4 stages; on a trajectory,
-        # stages 2 and 3 share t + dt/2 and stage 4 the new state's velocity)
-        field_at = u_frozen if callable(u_frozen) else (lambda tt: u_frozen)
-
-        def key(tt):
-            return tt if callable(u_frozen) else None
-
-        memo = {}
-        # the step that made this state took the same velocity to samples at t;
-        # the samples move on to the returned state, so of a chain of states
-        # only the newest holds them
-        if state._velocity is not None:
-            source, made_at, pair = state._velocity
-            state._velocity = None
-            if source is u_frozen and made_at == t and pair[0] is state.u:
-                memo[key(t)] = pair
+        held = None if callable(u_frozen) else (u_frozen, dealiased_samples(u_frozen))
 
         def stage_velocity(tt, stage):
-            if key(tt) not in memo:
-                u = field_at(tt)
-                memo[key(tt)] = (u, dealiased_samples(u))
-            return memo[key(tt)]
+            pair = held or u_frozen(tt)
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ConfigurationError("a velocity callable returns (u, dealiased samples "
+                                         "of u): wrap a trajectory t -> u in frozen_velocity")
+            return pair
 
     grid = th.grid
     c = th.coefficients
@@ -265,12 +259,9 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     _check_blowup(new_theta, state.theta0_linf)
     u_new = (biot_savart_velocity(new_theta, beta) if u_frozen is None
              else stage_velocity(t + dt, new_theta)[0])
-    out = SimState(t=t + dt, theta=new_theta, u=u_new,
-                   far_accumulator=state.far_accumulator, far_prev=state.far_prev,
-                   far_time=state.far_time, theta0_linf=state.theta0_linf)
-    if u_frozen is not None:
-        out._velocity = (u_frozen, out.t, memo[key(out.t)])
-    return out
+    return SimState(t=t + dt, theta=new_theta, u=u_new,
+                    far_accumulator=state.far_accumulator, far_prev=state.far_prev,
+                    far_time=state.far_time, theta0_linf=state.theta0_linf)
 
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
@@ -421,17 +412,15 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                 new.far_time = new.t
             state = new
         else:
-            new = step_transport(state, u_adv, dt)
-            # the far flux takes the step's own dealiased samples: u_adv's, made
-            # by the transport step (and dropped from the state here), and the
-            # new theta's, shared by the predictor and the corrector
-            _, _, (_, u_adv_samples) = new._velocity
-            new._velocity = None
+            # u_adv's dealiased samples serve the transport step and the
+            # predictor's far flux; the new theta's, predictor and corrector
+            adv = (u_adv, dealiased_samples(u_adv))
+            new = step_transport(state, lambda t: adv, dt)
             theta_samples = dealiased_samples(new.theta)
             # trapezoid leg with predictor/corrector for the new-boundary integrand
             base = state.far_accumulator + 0.5 * dt * state.far_prev
             new.far_accumulator = base + 0.5 * dt * convolve_far(
-                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=u_adv_samples)
+                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv[1])
             new.far_time = new.t
             u_star = velocity_serfati(new, u0, theta0, split)
             integ = convolve_far(split, new.theta, u_star, theta_samples=theta_samples)
@@ -607,8 +596,8 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
 
     def frozen_interp(fields):
         vals = [f.values for f in fields]
-        return lambda t: SpectralField._adopt(
-            grid, values=_interp_velocity_time(step_times, vals, min(t, t_end)))
+        return frozen_velocity(lambda t: SpectralField._adopt(
+            grid, values=_interp_velocity_time(step_times, vals, min(t, t_end))))
 
     # n = 1: time-frozen smoothed data
     th_prev = [smooth_truncate_initial(theta0, 2, family)] * (n_steps + 1)

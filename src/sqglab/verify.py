@@ -19,8 +19,8 @@ from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, operator_table
 from .kernels import build_split, convolve_near
-from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, dealiased_product,
-                          frac_laplacian, gradient)
+from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, frac_laplacian,
+                          gradient, kato_ponce_commutator)
 from .norms import (WindowFamily, block_sups, classical_holder_norm, uniformly_local_norm,
                     zygmund_from_sups, zygmund_norm)
 from .report import VerificationReport
@@ -259,8 +259,7 @@ def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
             f = make_field(grid, ensemble, 2 * trial)
             g = make_field(grid, ensemble, 2 * trial + 1)
             if variant == "kato_ponce":
-                comm = apply_multiplier(dealiased_product(f, g), bessel(s)) \
-                    - dealiased_product(f, apply_multiplier(g, bessel(s)))
+                comm = kato_ponce_commutator(f, g, s)
                 rhs = (gradient(f).linf() * apply_multiplier(g, bessel(s - 1.0)).l2()
                        + apply_multiplier(f, bessel(s)).l2() * g.linf())
                 if rhs < 1e-14:

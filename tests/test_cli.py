@@ -96,6 +96,13 @@ class TestVerifyBoxLength:
         assert boxes["lemma_A_3"] == 16.0  # check_velocity_regularity got it
         assert manifest["box_length"] == 16.0
 
+    def test_box_length_flag_reaches_every_check(self, monkeypatch, tmp_path):
+        boxes = _record_verify_boxes(monkeypatch)
+        checks = [arg for name in self.CHECKS for arg in ("--check", name)]
+        assert main(["verify", *checks, "--box-length", "16", "--out", str(tmp_path)]) == 0
+        assert boxes == dict.fromkeys(self.CHECKS, 16.0)
+        assert json.loads((tmp_path / "manifest.json").read_text())["params"]["box_length"] == 16.0
+
     def test_default_leaves_each_check_its_own_box(self, monkeypatch, tmp_path):
         boxes, manifest = self._run(monkeypatch, tmp_path, {})
         assert boxes == {**dict.fromkeys(self.CHECKS[:-1]),

@@ -6,13 +6,13 @@ import pytest
 
 from sqglab import kernels, multipliers, solver
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
-from sqglab.fields import SpectralField, dealias
+from sqglab.fields import SpectralField, dealias, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
 from sqglab.kernels import build_split, convolve_far, convolve_near
 from sqglab.multipliers import biot_savart_velocity, divergence, gradient
 from sqglab.solver import (SimState, SolverConfig, _interp_velocity_time, existence_time,
-                           flow_map, leray_project, picard_iterate, polygon_area, simulate,
-                           step_transport, velocity_serfati)
+                           flow_map, frozen_velocity, leray_project, picard_iterate, polygon_area,
+                           simulate, step_transport, velocity_serfati)
 
 from conftest import random_real_field
 
@@ -136,46 +136,61 @@ class TestStepTransport:
         def traj(scale):
             return lambda t: SpectralField.from_values(grid64, (1.0 + scale * t) * u)
 
-        u_of = traj(1.0)
-        st = SimState(t=0.0, theta=theta0, u=u_of(0.0), theta0_linf=theta0.linf())
+        u_of = frozen_velocity(traj(1.0))
+        st = SimState(t=0.0, theta=theta0, u=u_of(0.0)[0], theta0_linf=theta0.linf())
         st = step_transport(st, u_of, 0.02)
         planes = count_planes()
         reused = step_transport(st, u_of, 0.02)
         assert 0 < sum(planes) <= 21
 
-        # the same step from a state that carries nothing, bit for bit; another
-        # trajectory from the running state reuses nothing
-        def fresh():
-            return SimState(t=st.t, theta=st.theta, u=st.u, theta0_linf=st.theta0_linf)
+        # two wrappers stepping the same state share nothing: each gives the
+        # bits of a new wrapper stepping a new state
+        def fresh_step(scale):
+            fresh = SimState(t=st.t, theta=st.theta, u=st.u, theta0_linf=st.theta0_linf)
+            return step_transport(fresh, frozen_velocity(traj(scale)), 0.02).theta.values
 
-        np.testing.assert_array_equal(reused.theta.values,
-                                      step_transport(fresh(), u_of, 0.02).theta.values)
-        other = traj(-3.0)
-        np.testing.assert_array_equal(step_transport(st, other, 0.02).theta.values,
-                                      step_transport(fresh(), other, 0.02).theta.values)
+        other = step_transport(st, frozen_velocity(traj(-3.0)), 0.02)
+        np.testing.assert_array_equal(reused.theta.values, fresh_step(1.0))
+        np.testing.assert_array_equal(other.theta.values, fresh_step(-3.0))
+        assert not np.array_equal(other.theta.values, reused.theta.values)
 
     def test_fixed_velocity_samples_handed_to_the_next_step(self, grid64, count_planes):
-        # a state made by a step with a fixed velocity carries that velocity's
-        # samples, and the next step by the same field takes them: 4 stages of
-        # 3 planes and the blow-up check, with the bits of a state carrying nothing
+        # a caller that holds a fixed velocity's samples hands them to every
+        # step by it: 4 stages of 3 planes and the blow-up check, with the bits
+        # of a step that takes the field to samples itself
         theta0 = dipole(grid64)
         u = leray_project(biot_savart_velocity(theta0, 0.5))
+        held = (u, dealiased_samples(u))
         st = step_transport(SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf()), u, 0.02)
         planes = count_planes()
-        reused = step_transport(st, u, 0.02)
+        reused = step_transport(st, lambda t: held, 0.02)
         assert sum(planes) == 13
-        fresh = SimState(t=st.t, theta=st.theta, u=st.u, theta0_linf=st.theta0_linf)
+        assert reused.u is u
         np.testing.assert_array_equal(reused.theta.values,
-                                      step_transport(fresh, u, 0.02).theta.values)
+                                      step_transport(st, u, 0.02).theta.values)
 
-    def test_stored_states_drop_the_samples_the_next_step_read(self, grid64):
-        # of a chain of fixed-field states only the newest holds samples
+    @pytest.mark.parametrize("mode", ["direct", "fixed", "trajectory"])
+    def test_input_state_left_as_it_is(self, grid64, mode):
+        # from a running state, so a step that kept anything on it would show
         theta0 = dipole(grid64)
-        u = leray_project(biot_savart_velocity(theta0, 0.5))
-        states = [SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf())]
-        for _ in range(3):
-            states.append(step_transport(states[-1], u, 0.02))
-        assert [st._velocity is None for st in states] == [True, True, True, False]
+        u = biot_savart_velocity(theta0, 0.5)
+        velocity = {"direct": None, "fixed": u,
+                    "trajectory": frozen_velocity(lambda t: (1.0 + t) * u)}[mode]
+        st = SimState(t=0.0, theta=theta0, u=u, theta0_linf=theta0.linf())
+        st = step_transport(st, velocity, 0.02, beta=0.5)
+        before = dict(vars(st))
+        theta_bits = st.theta.values.tobytes()
+        step_transport(st, velocity, 0.02, beta=0.5)
+        assert vars(st).keys() == before.keys()
+        assert all(vars(st)[name] is obj for name, obj in before.items())
+        assert st.theta.values.tobytes() == theta_bits
+
+    def test_callable_returning_a_bare_field_rejected(self, grid64):
+        theta0 = dipole(grid64)
+        u = biot_savart_velocity(theta0, 0.5)
+        st = SimState(t=0.0, theta=theta0, u=u, theta0_linf=theta0.linf())
+        with pytest.raises(ConfigurationError, match="frozen_velocity"):
+            step_transport(st, lambda t: u, 0.02)
 
     def test_frozen_trajectory_evaluated_once_per_time(self, grid64):
         # stages 2 and 3 share t + dt/2, and stage 4 the new state's velocity
@@ -189,7 +204,7 @@ class TestStepTransport:
 
         st = SimState(t=0.1, theta=theta0, u=u, theta0_linf=theta0.linf())
         fixed = step_transport(st, u, 0.02)
-        frozen = step_transport(st, u_of, 0.02)
+        frozen = step_transport(st, frozen_velocity(u_of), 0.02)
         assert sorted(calls) == [0.1, 0.1 + 0.01, 0.1 + 0.02]
         assert frozen.u is u
         np.testing.assert_array_equal(frozen.theta.values, fixed.theta.values)
@@ -422,10 +437,8 @@ class TestSerfati:
         simulate(split_config("serfati", 1), SpectralField.from_values(grid, vals), split=split128)
         one = sum(planes)
         planes.clear()
-        traj = simulate(split_config("serfati", 2), SpectralField.from_values(grid, vals),
-                        split=split128)
+        simulate(split_config("serfati", 2), SpectralField.from_values(grid, vals), split=split128)
         assert sum(planes) - one <= 22
-        assert traj.final_state._velocity is None  # no samples outlive their step
 
     def test_serfati_sample_reuse_is_bit_for_bit(self, split128, monkeypatch):
         # the same run with every far flux taking theta and u to samples itself
@@ -683,6 +696,22 @@ class TestPicard:
         ns = sorted(ratios)
         assert all(ratios[n] < 1.0 for n in ns[1:])
         assert trace.verdict == "ok"
+
+    @pytest.mark.parametrize("n_steps", [3, 5])
+    def test_trajectory_interpolated_once_per_time(self, picard_grid, monkeypatch, n_steps):
+        # each step's stage 1 reuses the previous step's stage 4, so an
+        # iterate's transport interpolates its 2N + 1 distinct times, not 3N
+        calls = []
+        interp = solver._interp_velocity_time
+        monkeypatch.setattr(solver, "_interp_velocity_time",
+                            lambda *args: calls.append(args[-1]) or interp(*args))
+        theta0 = single_shell_state(picard_grid, m=4, amplitude=0.5)
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=n_steps * 0.01, n_side=128,
+                           box_length=16.0)
+        split = build_split(picard_grid, 0.5, oversample=2)
+        trace = picard_iterate(cfg, theta0, n_max=4, split=split)
+        assert len(trace.iterates) == 4  # the smoothed data, then 3 transported iterates
+        assert len(calls) == 3 * (2 * n_steps + 1)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_existence_constant_rejected(self, picard_grid, c):

@@ -6,7 +6,8 @@ from sqglab.dyadic import build_partition, project_block
 from sqglab.errors import ConfigurationError
 from sqglab.fields import SpectralField
 from sqglab.grid import Grid2D, operator_table
-from sqglab.multipliers import biot_savart_velocity, gradient
+from sqglab.multipliers import (apply_multiplier, bessel, biot_savart_velocity, gradient,
+                                kato_ponce_commutator)
 from sqglab.solver import SolverConfig, simulate
 from sqglab.verify import (EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
                            check_multiplier_bounds, check_velocity_regularity, gronwall_envelope,
@@ -128,13 +129,21 @@ class TestCheckRunners:
 
     def test_kato_ponce_constant_f_records_zero(self, grid128):
         # a constant f commutes with J^s: the trial ratio is 0, not skipped
-        from sqglab.multipliers import apply_multiplier, bessel, dealiased_product
         f = SpectralField.from_values(grid128, np.full((128, 128), 2.0))
         g = make_field(grid128, EnsembleSpec(), 0)
-        comm = apply_multiplier(dealiased_product(f, g), bessel(2.0)) \
-            - dealiased_product(f, apply_multiplier(g, bessel(2.0)))
         rhs = apply_multiplier(f, bessel(2.0)).l2() * g.linf()
-        assert comm.l2() / rhs <= 1e-12
+        assert kato_ponce_commutator(f, g, 2.0).l2() / rhs <= 1e-12
+
+    def test_kato_ponce_check_measures_the_public_commutator(self):
+        # the check's trial-0 ratio, bit for bit, from kato_ponce_commutator
+        # on trial 0's fields
+        ens = EnsembleSpec(count=2)
+        rep = check_commutators("kato_ponce", {"s": 2.5}, ens, n_sides=(128,))
+        grid = Grid2D(128, 2.0 * np.pi)
+        f, g = make_field(grid, ens, 0), make_field(grid, ens, 1)
+        rhs = (gradient(f).linf() * apply_multiplier(g, bessel(1.5)).l2()
+               + apply_multiplier(f, bessel(2.5)).l2() * g.linf())
+        assert rep.measured[0] == kato_ponce_commutator(f, g, 2.5).l2() / rhs
 
     def test_holder_commutator_zero_velocity(self, grid128):
         fam = build_partition(grid128)
