@@ -191,7 +191,8 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def dealiased_samples(f: SpectralField) -> np.ndarray:
-    """Samples of dealias(f), one real inverse transform per component.
+    """Samples of dealias(f), one real inverse transform per component, of
+    the coefficients under the dealias mask (the product is never formed).
 
     The one definition of a dealiased factor: ``dealiased_product``, the far
     flux and the advecting velocity of the transport step take their factors
@@ -199,7 +200,7 @@ def dealiased_samples(f: SpectralField) -> np.ndarray:
     would have computed.
     """
     ops = operator_table(f.grid)
-    return ops.values(f.coefficients * ops.dealias)
+    return ops.values(f.coefficients, mask=ops.dealias)
 
 
 def parseval_mismatch(f: SpectralField) -> float:

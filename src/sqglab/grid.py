@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Scratch(threading.local):
+    """One thread's transform buffers, by lead shape, and the columns in use."""
+
+    def __init__(self):
+        self.buffers: dict[tuple, np.ndarray] = {}
+        self.width: dict[tuple, int] = {}
+
+
 class OperatorTable:
     """The spectral arrays of one grid, in the ``rfft2`` layout, and its transforms.
 
@@ -119,7 +128,8 @@ class OperatorTable:
     columns 0..n/2; c_(-k) = conj(c_k) determines the rest.  ``k1`` (shape
     (n, 1)) and ``k2`` (shape (1, n/2 + 1)) are the wavenumbers, signed with
     the Nyquist index at -n/2, and broadcast to the layout.  ``ksq`` and
-    ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask and
+    ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask, zero from
+    column ``dealias_columns`` = floor(n/3) + 1 on, and
     ``nyquist`` is False on the unpaired Nyquist lines (row n/2, column n/2).
     ``multiplicity`` (shape (1, n/2 + 1)) is 1 on columns 0 and n/2 and 2 on
     the others, which stand for their unstored mirrors as well, so
@@ -139,33 +149,68 @@ class OperatorTable:
         self.kmag = _read_only(np.sqrt(self.ksq))
         keep = np.abs(m) <= grid.dealias_index_cutoff
         self.dealias = _read_only(np.logical_and.outer(keep, keep[:half]))
+        self.dealias_columns = grid.dealias_index_cutoff + 1
         paired = m != -(n // 2)
         self.nyquist = _read_only(np.logical_and.outer(paired, paired[:half]))
         multiplicity = np.full((1, half), 2.0)
         multiplicity[0, [0, -1]] = 1.0
         self.multiplicity = _read_only(multiplicity)
+        self._scratch = _Scratch()
 
-    def values(self, c: np.ndarray) -> np.ndarray:
-        """Real samples of coefficients c, shape (..., n, n): irfft2(c) n^2/L.
+    def values(self, c: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """Real samples of coefficients c (times ``mask``), shape (..., n, n):
+        irfft2(c) n^2/L.
 
         On the self-mirrored columns 0 and n/2 the transform keeps the
         Hermitian part of c, so any complex c has the samples Re(ifft2) of
         its Hermitian extension.  A narrow c, holding only columns 0..m-1
-        (m <= n/2 + 1), stands for c padded with zero columns, and costs the
-        column transforms of those m columns only."""
+        (m <= n/2 + 1), stands for c padded with zero columns.  ``mask``, an
+        array of the layout, transforms c * mask without forming the product;
+        under ``dealias`` only the dealias box's columns are transformed.
+
+        c (times the mask) is copied into this thread's complex buffer for the
+        lead shape of c, whose other columns are zero; the column transforms
+        run in place on the copied columns only, and one stacked row pass
+        makes the returned samples, so the call makes no other array.
+        """
         n = self.n_side
-        out = np.empty(c.shape[:-1] + (n,))
+        m = min(c.shape[-1], self.dealias_columns) if mask is self.dealias else c.shape[-1]
+        buf, head = self._buffer(c.shape[:-2], m)
+        src = c[..., :m]
         # pocketfft's own two passes of irfft2, unscaled: the columns, then the
-        # rows, which irfft pads with the zero columns.  n is a power of two,
-        # so moving irfft2's 1/n^2 into the one scale below changes no bit.
-        # At full width this ran as fast as irfft2 (n = 128..512, scipy 1.17,
-        # x86-64, 1 worker); one plane per call: a stacked irfft2 ran about
-        # twice as slow as a loop at n = 256.
-        for i in np.ndindex(c.shape[:-2]):
-            cols = scipy.fft.ifftn(c[i], axes=(0,), norm="forward", workers=_FFT_WORKERS)
-            out[i] = scipy.fft.irfft(cols, n=n, norm="forward", workers=_FFT_WORKERS)
+        # rows, the zero columns standing for irfft's padding.  n is a power of
+        # two, so moving irfft2's 1/n^2 into the one scale below changes no bit.
+        if np.iscomplexobj(src):
+            if mask is None:
+                np.copyto(head, src)
+            else:
+                np.multiply(src, mask[..., :m], out=head)
+            cols = scipy.fft.ifftn(head, axes=(-2,), norm="forward", overwrite_x=True,
+                                   workers=_FFT_WORKERS)
+            if not np.may_share_memory(cols, head):  # overwrite_x permits, not promises
+                head[...] = cols
+        else:
+            # real c takes scipy's real-input column pass, whose bits differ
+            # from the complex pass on the same numbers
+            head[...] = scipy.fft.ifftn(src if mask is None else src * mask[..., :m],
+                                        axes=(-2,), norm="forward", workers=_FFT_WORKERS)
+        out = scipy.fft.irfft(buf, n=n, norm="forward", workers=_FFT_WORKERS)
         out *= (n * n / self.box_length) / (n * n)
         return out
+
+    def _buffer(self, lead: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """This thread's buffer for lead shape ``lead``, zero from column m on,
+        and its view on columns 0..m-1."""
+        scratch = self._scratch
+        buf = scratch.buffers.get(lead)
+        if buf is None:
+            buf = scratch.buffers[lead] = np.zeros(lead + (self.n_side, self.n_side // 2 + 1),
+                                                   dtype=np.complex128)
+        stale = scratch.width.get(lead, 0)
+        if stale > m:  # columns an earlier, wider call wrote
+            buf[..., m:stale] = 0.0
+        scratch.width[lead] = m
+        return buf, buf[..., :m]
 
     def coefficients(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of real samples v, in package normalization: rfft2(v) L/n^2."""

@@ -132,17 +132,35 @@ def _holder_offsets(grid: Grid2D, max_sep: float, budget: int) -> np.ndarray:
 
 
 def _seminorm_near(values: np.ndarray, sigma: float, grid: Grid2D, budget: int) -> float:
-    """Sampled sup of |u(x+d)-u(x)| / |d|^sigma over wrapped offsets |d| <= 1."""
+    """Sampled sup of |u(x+d)-u(x)| / |d|^sigma over wrapped offsets |d| <= 1.
+
+    The offsets are taken by column shift: u(x + (0, dj)) is written once
+    per dj into a reused array, and each row shift di of it is two
+    contiguous row blocks, subtracted into a second reused array.  Each
+    difference has the bits of ``np.roll(u, -d) - u``, and the sup does not
+    depend on the order of the offsets.
+    """
+    n = grid.n_side
+    offsets = _holder_offsets(grid, 1.0, budget)
+    shifted = np.empty_like(values)
+    diff = np.empty_like(values)
     best = 0.0
-    for di, dj in _holder_offsets(grid, 1.0, budget):
-        shifted = np.roll(values, (-int(di), -int(dj)), axis=(-2, -1))
-        diff = shifted - values
-        if values.ndim == 3:
-            gap = np.sqrt((diff**2).sum(axis=0)).max()
-        else:
-            gap = np.abs(diff).max()
-        sep = np.hypot(di, dj) * grid.spacing
-        best = max(best, float(gap) / sep**sigma)
+    for dj in np.unique(offsets[:, 1]):
+        b = int(dj) % n
+        shifted[..., :n - b] = values[..., b:]
+        shifted[..., n - b:] = values[..., :b]
+        for di in offsets[offsets[:, 1] == dj, 0]:
+            a = int(di) % n
+            np.subtract(shifted[..., a:, :], values[..., :n - a, :], out=diff[..., :n - a, :])
+            np.subtract(shifted[..., :a, :], values[..., n - a:, :], out=diff[..., n - a:, :])
+            if values.ndim == 3:
+                np.square(diff, out=diff)
+                np.add(diff[0], diff[1], out=diff[0])
+                gap = np.sqrt(diff[0].max())  # sqrt is monotone: sqrt of the max is the max
+            else:
+                gap = np.abs(diff, out=diff).max()
+            sep = np.hypot(di, dj) * grid.spacing
+            best = max(best, float(gap) / sep**sigma)
     return best
 
 
@@ -253,14 +271,20 @@ class WindowFamily:
         return float(np.abs(d).max())
 
     def iter_patches(self, values: np.ndarray):
-        """Yield windowed patch arrays (profile already applied) per center."""
+        """Yield windowed patch arrays (profile already applied) per center.
+
+        On the full box every patch is the same array, overwritten by the
+        next: use each before drawing the next one."""
         n = self.grid.n_side
         if self.patch_pts == 0:
-            prof = self.profile_on_patch(n)
-            base = np.roll(prof, (-(n // 2), -(n // 2)), axis=(0, 1))  # center at index 0
+            # the profile centred at (ci, cj) is the n x n view of the 2 x 2
+            # tiled profile (centred at n/2) from ((n/2 - ci) % n, (n/2 - cj) % n)
+            tiled = np.tile(self.profile_on_patch(n), (2, 2))
+            patch = np.empty_like(values)
             for ci, cj in self.centers_idx:
-                w = np.roll(base, (ci, cj), axis=(0, 1))
-                yield values * w
+                i, j = (n // 2 - ci) % n, (n // 2 - cj) % n
+                np.multiply(values, tiled[i:i + n, j:j + n], out=patch)
+                yield patch
         else:
             p = self.patch_pts
             prof = self.profile_on_patch(p)
@@ -303,7 +327,7 @@ def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,
     if sigma <= 0:
         raise ConfigurationError(f"Slobodeckij order must be non-integer, got {s}")
     ops = operator_table(grid)
-    f = SpectralField._adopt(grid, values=vals)
+    f = SpectralField.from_values(grid, vals)  # a copy: vals may be a reused patch
     l2sq = _sum_sq(f.coefficients, grid)
     gradm_sq = 0.0
     semi_quad = 0.0

@@ -132,13 +132,15 @@ def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralF
     ``u_samples`` are the dealiased velocity samples,
     ``fields.dealiased_samples(u)``.  The dealiased gradient goes to samples
     through two real inverse transforms and the product comes back through
-    one real forward transform.
+    one real forward transform.  The gradient is formed on the columns of
+    the dealias box only.
     """
     ops = operator_table(theta.grid)
-    th = theta.coefficients * ops.dealias
+    m = ops.dealias_columns
+    th = theta.coefficients[:, :m] * ops.dealias[:, :m]
     grad = np.empty((2,) + th.shape, dtype=np.complex128)
     np.multiply(1j * ops.k1, th, out=grad[0])
-    np.multiply(1j * ops.k2, th, out=grad[1])
+    np.multiply(1j * ops.k2[:, :m], th, out=grad[1])
     adv = ops.values(grad)  # products and sign in place: no further n^2 temporaries
     adv *= u_samples
     adv[0] += adv[1]

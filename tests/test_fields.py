@@ -1,4 +1,6 @@
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +85,55 @@ class TestTransform:
     def test_shape_mismatch_rejected(self, grid64):
         with pytest.raises(ConfigurationError):
             SpectralField.from_values(grid64, np.zeros((32, 32)))
+
+
+class TestInverseTransformBuffer:
+    """``OperatorTable.values`` copies its input into a buffer kept per lead
+    shape and per thread, and transforms it there."""
+
+    def test_threads_get_the_serial_bits(self, grid128):
+        # two threads share the table, one lead shape and the widths that leave
+        # stale columns behind: a buffer shared between them would mix fields
+        ops = operator_table(grid128)
+        n = grid128.n_side
+        rng = np.random.default_rng(7)
+
+        def coefficients(m):
+            return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+        work = [[(coefficients(n // 2 + 1), ops.dealias), (coefficients(9), None)],
+                [(coefficients(n // 2 + 1), None), (coefficients(30), None)]]
+        serial = [[ops.values(c, mask=mask).tobytes() for c, mask in calls] for calls in work]
+        start = threading.Barrier(2)
+        matches = [[], []]
+
+        def run(i):
+            start.wait()
+            for _ in range(50):
+                for (c, mask), expected in zip(work[i], serial[i]):
+                    matches[i].append(ops.values(c, mask=mask).tobytes() == expected)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert matches == [[True] * 100, [True] * 100]
+
+    @pytest.mark.parametrize("shape, masked", [((2, 256, 129), True), ((256, 9), False)])
+    def test_makes_no_array_but_the_samples(self, grid256, shape, masked):
+        ops = operator_table(grid256)
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mask = ops.dealias if masked else None
+        ops.values(c, mask=mask)  # this thread's buffer for the lead shape is made here
+        tracemalloc.start()
+        try:
+            out = ops.values(c, mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
 
 class TestOwnership:

@@ -6,8 +6,10 @@ from sqglab.dyadic import build_partition, chi_profile, phi_profile
 from sqglab.errors import QuadratureBudgetError
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D, operator_table
-from sqglab.norms import (WindowFamily, block_sups, classical_holder_norm, sobolev_norm,
-                          uniformly_local_norm, window_profile, zygmund_norm)
+from sqglab.multipliers import derivative
+from sqglab.norms import (WindowFamily, _holder_offsets, _seminorm_near, block_sups,
+                          classical_holder_norm, sobolev_norm, uniformly_local_norm,
+                          window_profile, zygmund_norm)
 
 from conftest import random_real_field
 
@@ -50,6 +52,16 @@ def reference_hs_ul_profile(f, s, windows, homogeneous):
         comps = c if c.ndim == 3 else c[None]
         out.append(np.sqrt(sum(np.sum(weight * np.abs(cc) ** 2) for cc in comps)))
     return np.asarray(out)
+
+
+def rolled_seminorm_near(values, sigma, grid, budget):
+    """The near Holder seminorm by one full-field ``np.roll`` per offset."""
+    best = 0.0
+    for di, dj in _holder_offsets(grid, 1.0, budget):
+        diff = np.roll(values, (-int(di), -int(dj)), axis=(-2, -1)) - values
+        gap = np.sqrt((diff**2).sum(axis=0)).max() if values.ndim == 3 else np.abs(diff).max()
+        best = max(best, float(gap) / (np.hypot(di, dj) * grid.spacing) ** sigma)
+    return best
 
 
 class TestZygmund:
@@ -179,6 +191,19 @@ class TestClassicalHolder:
         rep = classical_holder_norm(f, 1.0)
         assert not any(k.startswith("semi") for k in rep.block_profile)
 
+    @pytest.mark.parametrize("box", [2 * np.pi, 16.0])
+    @pytest.mark.parametrize("budget", [2048, 100])
+    def test_seminorm_has_the_bits_of_the_rolled_differences(self, box, budget):
+        grid = Grid2D(64, box)
+        f = random_real_field(grid, seed=13)
+        rep = classical_holder_norm(f, 1.5, pair_budget=budget)
+        vec = random_real_field(grid, seed=14, components=2).values
+        for beta in ((1, 0), (0, 1)):
+            expected = rolled_seminorm_near(derivative(f, beta).values, 0.5, grid, budget)
+            assert rep.extras[f"semi_near{beta}"] == expected
+        assert _seminorm_near(vec, 0.5, grid, budget) == rolled_seminorm_near(vec, 0.5, grid,
+                                                                               budget)
+
 
 class TestSobolev:
     def test_single_mode_exact_value(self):
@@ -220,6 +245,20 @@ class TestWindows:
     def test_profile_smoothness(self, grid128):
         wf = WindowFamily.build(grid128)
         assert np.isfinite(wf.profile_fd_bound(order=4))
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_full_box_patches_have_the_bits_of_the_rolled_profile(self, grid64, components):
+        windows = WindowFamily.build(grid64, 1.0)
+        assert windows.patch_pts == 0  # L = 2 pi: the patch would cover the box
+        values = random_real_field(grid64, seed=15, components=components).values
+        n = grid64.n_side
+        base = np.roll(windows.profile_on_patch(n), (-(n // 2), -(n // 2)), axis=(0, 1))
+        count = 0
+        for (ci, cj), patch in zip(windows.centers_idx, windows.iter_patches(values)):
+            expected = values * np.roll(base, (ci, cj), axis=(0, 1))
+            assert patch.tobytes() == expected.tobytes()
+            count += 1
+        assert count == windows.n_centers == 49
 
     def test_profile_shape(self):
         rho = np.linspace(0, 3, 301)

@@ -206,6 +206,44 @@ def test_large_grid_coefficients_have_the_bits_of_irfft2(n, components):
         expected = np.stack([scipy.fft.irfft2(p, s=(n, n)) for p in padded]) * (n * n / 16.0)
         assert operator_table(grid).values(c).tobytes() == expected.tobytes()
 
+def per_plane_values(c, n, box):
+    """Samples by the per-plane route: ``ifftn`` over the columns, ``irfft``
+    over the rows (padding the zero columns), then the one scale."""
+    out = np.empty(c.shape[:-1] + (n,))
+    for i in np.ndindex(c.shape[:-2]):
+        cols = scipy.fft.ifftn(c[i], axes=(0,), norm="forward")
+        out[i] = scipy.fft.irfft(cols, n=n, norm="forward")
+    out *= (n * n / box) / (n * n)
+    return out
+
+
+transform_calls = st.tuples(
+    st.floats(0.0, 1.0),  # the width, as a fraction of n/2 + 1
+    st.sampled_from([(), (2,)]),  # lead shape
+    st.sampled_from([None, "dealias", "random"]),  # mask
+    st.booleans(),  # real input
+    seeds)
+
+
+@PROPERTY
+@given(st.sampled_from([8, 16, 32, 64]), st.floats(0.5, 40.0),
+       st.lists(transform_calls, min_size=2, max_size=8))
+def test_values_have_the_bits_of_the_per_plane_transform_in_any_call_order(n, box, calls):
+    # one table serves every call, so a column a wider call left in its
+    # buffer would show in the next, narrower one
+    ops = operator_table(Grid2D(n, box))
+    for frac, lead, mask_kind, real, seed in calls:
+        m = 1 + round(frac * (n // 2))
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(lead + (n, m))
+        if not real:
+            c = c + 1j * rng.standard_normal(lead + (n, m))
+        mask = {None: None, "dealias": ops.dealias,
+                "random": rng.random((n, n // 2 + 1)) < 0.5}[mask_kind]
+        expected = per_plane_values(c if mask is None else c * mask[:, :m], n, box)
+        assert ops.values(c, mask=mask).tobytes() == expected.tobytes()
+
+
 # -- field arithmetic: the representation rule ---------------------------------
 
 HOLDS = ("values", "coefficients", "both")
