@@ -5,7 +5,8 @@ B_inner, 0 outside B_outer, with the exp(-1/t) ramp between.  It is the
 low pass chi_hat here (radii 3/5, 5/6), the uniformly local window
 (``norms.window_profile``, radii s, 2s) and the kernel cutoff ``a``
 (``kernels``, radii 1, 2).  ``a`` gives its values and ``profile`` the
-triple (a, a', a''), each from one evaluation of the ramp on the annulus.
+triple (a, a', a'') or the pair (a, a'), each from one evaluation of the
+ramp on the annulus.
 
 The annulus profile is the telescoping difference
 
@@ -36,10 +37,11 @@ CHI_FLAT_RADIUS = 3.0 / 5.0
 CHI_SUPPORT_RADIUS = 5.0 / 6.0
 
 
-def _ramp(t: np.ndarray, derivs: bool = False):
-    """The exp(-1/t) smoothstep S, 0 for t <= 0 and 1 for t >= 1, or with
-    ``derivs`` the triple (S, S', S'').  The formula runs on 1e-12 < t <
-    1 - 1e-12 only, stable at the endpoints; exp(-1/t) underflows long before.
+def _ramp(t: np.ndarray, order: int = 0):
+    """The exp(-1/t) smoothstep S, 0 for t <= 0 and 1 for t >= 1, alone
+    (``order`` 0) or with its derivatives up to ``order``: (S, S') or
+    (S, S', S'').  The formula runs on 1e-12 < t < 1 - 1e-12 only, stable at
+    the endpoints; exp(-1/t) underflows long before.
     """
     t = np.asarray(t, dtype=np.float64)
     S = np.where(t >= 1.0 - 1e-12, 1.0, 0.0)  # 1 from where the formula stops
@@ -48,15 +50,18 @@ def _ramp(t: np.ndarray, derivs: bool = False):
     p = np.exp(-1.0 / ti)
     q = np.exp(-1.0 / (1.0 - ti))
     S[inside] = p / (p + q)
-    if not derivs:
+    if order == 0:
         return S
-    S1, S2 = np.zeros_like(t), np.zeros_like(t)
+    S1 = np.zeros_like(t)
     it2 = 1.0 / ti**2
     im2 = 1.0 / (1.0 - ti) ** 2
     w = p * q
     D = (p + q) ** 2
     u = it2 + im2
     S1[inside] = w * u / D
+    if order == 1:
+        return S, S1
+    S2 = np.zeros_like(t)
     wp = w * (it2 - im2)
     up = -2.0 / ti**3 + 2.0 / (1.0 - ti) ** 3
     DpD = 2.0 * (p * it2 - q * im2) / (p + q)
@@ -92,14 +97,18 @@ class CutoffA:
         a[ring] = 1.0 - _ramp(t)
         return a
 
-    def profile(self, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a, a', a'') at the radii ``rho``."""
+    def profile(self, rho, order: int = 2) -> tuple[np.ndarray, ...]:
+        """(a, a', a'') at the radii ``rho``, or (a, a') for ``order`` 1."""
+        if order not in (1, 2):
+            raise ConfigurationError(f"profile order must be 1 or 2, got {order}")
         a, ring, t = self._annulus(rho)
-        S, S1, S2 = _ramp(t, derivs=True)
+        S = _ramp(t, order)
         width = self.outer - self.inner
-        da, d2a = np.zeros_like(a), np.zeros_like(a)
-        a[ring], da[ring], d2a[ring] = 1.0 - S, -S1 / width, -S2 / width**2
-        return a, da, d2a
+        a[ring] = 1.0 - S[0]
+        derivs = [np.zeros_like(a) for _ in range(order)]
+        for k, d in enumerate(derivs, 1):
+            d[ring] = -S[k] / width**k
+        return (a, *derivs)
 
 
 # the radial low-pass profile chi_hat(|xi|)

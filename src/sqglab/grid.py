@@ -212,9 +212,24 @@ class OperatorTable:
         scratch.width[lead] = m
         return buf, buf[..., :m]
 
-    def coefficients(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of real samples v, in package normalization: rfft2(v) L/n^2."""
-        c = rfft2(v)
+    def coefficients(self, v: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients of real samples v, in package normalization: rfft2(v) L/n^2.
+
+        With ``rows`` (distinct row indices), v holds only those rows of
+        samples that vanish on every other row, shape (..., len(rows), n):
+        the row transforms run on the given rows alone and the column pass on
+        the full spectrum, pocketfft's own two passes of rfft2, so the result
+        has the bits of the full samples' coefficients.  The other rows hold
+        the transform of a zero row, whose signed zeros rfft2's row pass
+        leaves there too.
+        """
+        if rows is None:
+            c = rfft2(v)
+        else:
+            c = np.empty(v.shape[:-2] + (self.n_side, self.n_side // 2 + 1), dtype=np.complex128)
+            c[...] = scipy.fft.rfft(np.zeros(self.n_side), workers=_FFT_WORKERS)
+            c[..., rows, :] = scipy.fft.rfft(v, axis=-1, workers=_FFT_WORKERS)
+            c = scipy.fft.fftn(c, axes=(-2,), overwrite_x=True, workers=_FFT_WORKERS)
         c *= self.box_length / (self.n_side * self.n_side)
         return c
 

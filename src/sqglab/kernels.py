@@ -12,21 +12,22 @@ cutoff ``a`` = ``CutoffA(1, 2)`` (1 on B_1, 0 outside B_2; the bump that
     near = grad_perp(a Phi)            (integrable, supported in B_2)
     far  = grad grad_perp((1 - a) Phi) (smooth, decays like |x|^(-beta-2))
 
-All radial profiles are differentiated in closed form and sampled on the
-wrapped displacement grid, built once per split; the near kernel is
-cell-averaged around its |x|^(-beta-1) singularity.  Each sampler reads
-(a, a', a'') from one ``CutoffA.profile`` call on its displacement array,
-or the values alone from ``CutoffA.a``.
+All radial profiles are differentiated in closed form, to the order their
+sampler reads, and sampled on the wrapped displacement grid; the near
+kernel is cell-averaged around its |x|^(-beta-1) singularity.  Each
+sampler reads (a, a') or (a, a', a'') from one ``CutoffA.profile`` call on
+its displacement array, or the values alone from ``CutoffA.a``.
 
 Near transfer.  The near kernel's transform decays only like |k|^(beta-1),
 so its transfer is taken from a q-times finer sampling.  That grid is never
 formed: writing a fine index as X = q a + s, the fine transform at a coarse
 mode m is the twiddled sum over the q^2 cosets s of their size-n transforms,
 T(m) = (h/q)^2 sum_s exp(-2 pi i m.s/(q n)) F_s(m), and each coset is
-sampled only where the kernel is supported.  Every transfer is built from
-real transforms of size n and stored on the rfft2 layout of the
-coefficients as its Hermitian part (T(k) + conj(T(-k)))/2, which is all a
-convolution of real fields keeps (``_convolve``).
+sampled only where the kernel is supported and row-transformed only on the
+rows it occupies.  Every transfer is built from real transforms of size n
+and stored on the rfft2 layout of the coefficients as its Hermitian part
+(T(k) + conj(T(-k)))/2, which is all a convolution of real fields keeps
+(``_convolve``).
 
 Periodization.  (1-a)Phi and its first derivative are not absolutely
 integrable at infinity, so box truncation of the far-side kernels leaves
@@ -48,12 +49,14 @@ the structure the integration by parts produces, so no far transfer is
 stored.  The flux theta u is formed from the dealiased samples of its
 factors (``fields.dealiased_samples``); a caller that already holds them,
 as the serfati step does, passes them to ``convolve_far``, which then
-transforms only the flux, with the same bits.  The stored ``near``/``far``
-arrays remain the plain one-period samplings of the analytic kernels.
+transforms only the flux, with the same bits.  ``KernelSplit.near`` and
+``.far``, the plain one-period samplings of the analytic kernels, are
+computed on first read; no solve or convolution reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,9 +83,9 @@ def riesz_constant(beta: float) -> float:
 
 
 def _phi_derivs(rho: np.ndarray, beta: float, c: float):
-    """Phi, Phi', Phi'' for Phi = c rho^(-beta), rho > 0."""
+    """Phi and Phi' for Phi = c rho^(-beta), rho > 0."""
     p = c * rho ** (-beta)
-    return p, -beta * p / rho, beta * (beta + 1.0) * p / rho**2
+    return p, -beta * p / rho
 
 
 def _phi_short_values(rho: np.ndarray, beta: float, c: float, alpha: float) -> np.ndarray:
@@ -91,23 +94,17 @@ def _phi_short_values(rho: np.ndarray, beta: float, c: float, alpha: float) -> n
 
 
 def _phi_short_derivs(rho: np.ndarray, beta: float, c: float, alpha: float):
-    """Phi_short and derivatives; valid for rho > 0."""
+    """Phi_short and its first derivative; valid for rho > 0."""
     a2 = beta / 2.0
     z = alpha * rho**2
     Q = gammaincc(a2, z)
     g = math.gamma(a2)
-    # dQ/dz and d2Q/dz2 of the regularized upper incomplete gamma
+    # dQ/dz of the regularized upper incomplete gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Qp = -np.where(z > 0, z ** (a2 - 1.0), 0.0) * np.exp(-z) / g
-        Qpp = np.where(z > 0, z ** (a2 - 2.0), 0.0) * np.exp(-z) * ((1.0 - a2) + z) / g
     p = c * rho ** (-beta)
-    ps = p * Q
     dz = 2.0 * alpha * rho
-    ps1 = -beta * p / rho * Q + p * Qp * dz
-    ps2 = (beta * (beta + 1.0) * p / rho**2 * Q
-           - 2.0 * beta * p / rho * Qp * dz
-           + p * Qpp * dz**2 + p * Qp * 2.0 * alpha)
-    return ps, ps1, ps2
+    return p * Q, -beta * p / rho * Q + p * Qp * dz
 
 
 def phi_long_values(rho: np.ndarray, beta: float, c: float, alpha: float) -> np.ndarray:
@@ -158,8 +155,8 @@ def _near_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray, h: float,
     assigned sample 0.
     """
     def n_rad_over_rho(r):
-        p, p1, _ = _phi_derivs(r, beta, c)
-        a, da, _ = cutoff.profile(r)
+        p, p1 = _phi_derivs(r, beta, c)
+        a, da = cutoff.profile(r, order=1)
         return (da * p + a * p1) / r
 
     out = np.zeros((2,) + rho.shape)
@@ -184,7 +181,8 @@ def _far_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
     d_j (grad_perp G)_i = g'(r) x_j (x_perp)_i / r + g(r) E_ij with g = G'/r."""
     mask = rho > cutoff.inner
     r = rho[mask]
-    p, p1, p2 = _phi_derivs(r, beta, c)
+    p, p1 = _phi_derivs(r, beta, c)
+    p2 = beta * (beta + 1.0) * p / r**2
     a, da, d2a = cutoff.profile(r)
     one_a = 1.0 - a
     Gp = -da * p + one_a * p1
@@ -206,8 +204,8 @@ def _mid_samples(x1: np.ndarray, x2: np.ndarray, rho: np.ndarray,
     """The short part grad_perp((1-a) Phi_short) at the displacements."""
     mask = rho > cutoff.inner
     r = rho[mask]
-    p, p1, _ = _phi_short_derivs(r, beta, c, alpha)
-    a, da, _ = cutoff.profile(r)
+    p, p1 = _phi_short_derivs(r, beta, c, alpha)
+    a, da = cutoff.profile(r, order=1)
     g = (-da * p + (1.0 - a) * p1) / r
     out = np.zeros((2,) + rho.shape)
     out[0, mask] = -x2[mask] * g
@@ -240,18 +238,30 @@ def far_flux_integral(beta: float, c: float, radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSplit:
-    """Sampled near/far kernels plus cached convolution transfer functions."""
+    """Cached convolution transfer functions of the near/far split.
+
+    The sampled kernels ``near`` and ``far``, which no convolution reads, are
+    computed on first read and then kept.
+    """
 
     grid: Grid2D
     beta: float
     c_beta: float
     cutoff: CutoffA
     alpha: float
-    near: np.ndarray = field(repr=False)
-    far: np.ndarray = field(repr=False)
     tail_bound: float = 0.0
     _near_transfer: np.ndarray = field(repr=False, default=None)
     _mid_transfer: np.ndarray = field(repr=False, default=None)
+
+    @functools.cached_property
+    def near(self) -> np.ndarray:
+        """grad_perp(a Phi) on the wrapped displacements, shape (2, n, n)."""
+        return sample_near(self.grid, self.beta, self.c_beta, self.cutoff)
+
+    @functools.cached_property
+    def far(self) -> np.ndarray:
+        """grad grad_perp((1-a) Phi) on the wrapped displacements, shape (2, 2, n, n)."""
+        return _far_samples(*_displacements(self.grid), self.beta, self.c_beta, self.cutoff)
 
     def near_l1(self) -> float:
         mag = np.sqrt(self.near[0] ** 2 + self.near[1] ** 2)
@@ -303,7 +313,9 @@ def _near_transfer(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, q: int)
     Nyquist at -n/2, as ``m % (q n)`` picks the fine modes.  As F_s(-m) =
     conj(F_s(m)), the Hermitian part (T(m) + conj(T(-m)))/2 is the same sum
     with (w_s(m) + conj(w_s(-m)))/2, whose two twiddles differ only on the
-    Nyquist index, the one signed index that is its own mirror.
+    Nyquist index, the one signed index that is its own mirror.  A coset is
+    nonzero only on the offset rows a the kernel's support meets, so only
+    those rows are row-transformed.
     """
     n, L = grid.n_side, grid.box_length
     ops = operator_table(grid)
@@ -317,17 +329,22 @@ def _near_transfer(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, q: int)
     xs = xf[(q * a[:, None] + np.arange(q)).ravel()]  # s runs fastest: coset s is xs[s::q]
     x1, x2 = np.meshgrid(xs, xs, indexing="ij")
     patch = _near_samples(x1, x2, np.hypot(x1, x2), L / (q * n), beta, c, cutoff)
-    half = n // 2 + 1
+    half, nyq = n // 2 + 1, n // 2
     w = np.exp(-2j * np.pi * np.outer(np.arange(q), grid.mode_indices()) / (q * n))
     w_mirror = w.copy()  # conj(w_s(-m)): w_s(m) but on the Nyquist index
-    w_mirror[:, n // 2] = np.conj(w[:, n // 2])
-    coset = np.zeros((2, n, n))
+    w_mirror[:, nyq] = np.conj(w[:, nyq])
+    coset = np.zeros((2, len(a), n))  # coset s on its rows a; zero off the columns a
     transfer = np.zeros((2, n, half), dtype=np.complex128)
     for s1 in range(q):
         for s2 in range(q):
-            coset[:, a[:, None], a[None, :]] = patch[:, s1::q, s2::q]
-            f = ops.coefficients(coset)  # F_s in package normalization, L/n^2 F_s
-            f *= (np.outer(w[s1], w[s2, :half]) + np.outer(w_mirror[s1], w_mirror[s2, :half]))
+            coset[:, :, a] = patch[:, s1::q, s2::q]
+            f = ops.coefficients(coset, rows=a)  # F_s in package normalization, L/n^2 F_s
+            # w_s(m) + conj(w_s(-m)) is 2 w_s(m) off the Nyquist row and column,
+            # where it is the sum of the two twiddles' outer products
+            twiddle = np.outer(2.0 * w[s1], w[s2, :half])
+            twiddle[nyq] = w[s1, nyq] * w[s2, :half] + w_mirror[s1, nyq] * w_mirror[s2, :half]
+            twiddle[:, nyq] = w[s1] * w[s2, nyq] + w_mirror[s1] * w_mirror[s2, nyq]
+            f *= twiddle
             transfer += f
     transfer *= L / (2 * q**2)  # h_f^2 = (L/n^2) (L/q^2), and the 1/2 of the Hermitian part
     transfer[:, 0, 0] = 0.0
@@ -345,7 +362,9 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
     visibly), summed from the transforms of the fine grid's oversample^2
     cosets, each of size n (``_near_transfer``); the fine grid itself is
     never formed.  ``oversample=1`` transforms the plain ``near`` sampling.
-    Every transfer comes from real transforms of size n.
+    Every transfer comes from real transforms of size n.  The split holds
+    the two transfers only; its ``near`` and ``far`` samples are computed
+    on first read.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
@@ -367,8 +386,6 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
 
     near_transfer = _near_transfer(grid, beta, c, cutoff, oversample)
     x1, x2, rho = _displacements(grid)
-    near = _near_samples(x1, x2, rho, grid.spacing, beta, c, cutoff)
-    far = _far_samples(x1, x2, rho, beta, c, cutoff)
 
     # h^2 fft2(v) of real samples v is L times their package coefficients
     alpha = _ewald_alpha(L, cutoff.outer)
@@ -388,8 +405,7 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
 
     tail = 2.0 * math.pi * c * (beta + 3.0) * (L / 2.0) ** (-beta)
     return KernelSplit(
-        grid=grid, beta=beta, c_beta=c, cutoff=cutoff, alpha=alpha,
-        near=near, far=far, tail_bound=tail,
+        grid=grid, beta=beta, c_beta=c, cutoff=cutoff, alpha=alpha, tail_bound=tail,
         _near_transfer=near_transfer, _mid_transfer=mid_transfer,
     )
 

@@ -23,6 +23,7 @@ Conventions shared by all estimators:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ import scipy.fft
 from .dyadic import CutoffA, DyadicFamily, build_partition
 from .errors import ConfigurationError, QuadratureBudgetError
 from .fields import SpectralField
-from .grid import Grid2D, operator_table, rfft2
+from .grid import Grid2D, _read_only, operator_table, rfft2
 from .multipliers import bessel, derivative, frac_laplacian, apply_multiplier
 
 
@@ -270,6 +271,13 @@ class WindowFamily:
         d = np.diff(p, n=order) / self.grid.spacing**order
         return float(np.abs(d).max())
 
+    @functools.cached_property
+    def _window(self) -> np.ndarray:
+        """The profile ``iter_patches`` multiplies by, built once per family and
+        read-only: on the patch, or on the full box tiled 2 x 2."""
+        prof = self.profile_on_patch()
+        return _read_only(np.tile(prof, (2, 2)) if self.patch_pts == 0 else prof)
+
     def iter_patches(self, values: np.ndarray):
         """Yield windowed patch arrays (profile already applied) per center.
 
@@ -279,7 +287,7 @@ class WindowFamily:
         if self.patch_pts == 0:
             # the profile centred at (ci, cj) is the n x n view of the 2 x 2
             # tiled profile (centred at n/2) from ((n/2 - ci) % n, (n/2 - cj) % n)
-            tiled = np.tile(self.profile_on_patch(n), (2, 2))
+            tiled = self._window
             patch = np.empty_like(values)
             for ci, cj in self.centers_idx:
                 i, j = (n // 2 - ci) % n, (n // 2 - cj) % n
@@ -287,7 +295,7 @@ class WindowFamily:
                 yield patch
         else:
             p = self.patch_pts
-            prof = self.profile_on_patch(p)
+            prof = self._window
             rows = np.arange(p) - p // 2
             for ci, cj in self.centers_idx:
                 r = (ci + rows) % n
@@ -296,13 +304,15 @@ class WindowFamily:
                 yield patch * prof
 
 
+@functools.lru_cache(maxsize=16)
 def _hs_patch_weight(pts: int, h: float, s: float, homogeneous: bool) -> np.ndarray:
     """Weight w with ||patch||_(H^s)^2 = sum w |rfft2(patch)|^2 for real patches.
 
     The Bessel (or |k|^(2s)) weight on the rfft2 layout, times the Hermitian
     column multiplicity (1 for column 0 and, for even ``pts``, the Nyquist
     column; 2 for the rest, which stand for their unstored mirrors), times the
-    squared package normalization (length / pts^2)^2.
+    squared package normalization (length / pts^2)^2.  Built once per
+    argument tuple and read-only.
     """
     k = 2.0 * np.pi * np.fft.fftfreq(pts, d=h)
     k_half = 2.0 * np.pi * np.fft.rfftfreq(pts, d=h)
@@ -312,7 +322,7 @@ def _hs_patch_weight(pts: int, h: float, s: float, homogeneous: bool) -> np.ndar
     mult[0] = 1.0
     if pts % 2 == 0:
         mult[-1] = 1.0
-    return weight * mult * (h / pts) ** 2
+    return _read_only(weight * mult * (h / pts) ** 2)
 
 
 def _slobodeckij_parts(vals: np.ndarray, grid: Grid2D, s: float,

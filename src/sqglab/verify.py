@@ -366,14 +366,18 @@ def check_velocity_regularity(variant: str, params: dict, ensemble: EnsembleSpec
 # -- Gronwall utility ---------------------------------------------------------------
 
 
+def cumulative_trapezoid(times, values) -> np.ndarray:
+    """int_(t_0)^(t_k) values dt at every sample time t_k, by the trapezoid rule."""
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(times) * (values[1:] + values[:-1]))])
+
+
 def gronwall_envelope(times, alpha, beta_vals) -> np.ndarray:
     """Envelope alpha(t) exp(int_0^t beta) on sampled times (trapezoid)."""
     times = np.asarray(times, dtype=np.float64)
-    beta_vals = np.asarray(beta_vals, dtype=np.float64)
     alpha_arr = np.broadcast_to(np.asarray(alpha, dtype=np.float64), times.shape)
-    integral = np.concatenate([
-        [0.0], np.cumsum(0.5 * np.diff(times) * (beta_vals[1:] + beta_vals[:-1]))])
-    return alpha_arr * np.exp(integral)
+    return alpha_arr * np.exp(cumulative_trapezoid(times, beta_vals))
 
 
 # -- a priori bounds ----------------------------------------------------------------
@@ -402,9 +406,7 @@ def check_apriori_bounds(trajectory: Trajectory, variant: str, params: dict,
             ts, hs = _series(traj, f"hsul:theta:{s:g}")
             _, uc1 = _series(traj, "ctilde1:u")
             _, w1 = _series(traj, "w1inf:theta")
-            load = uc1 + w1
-            integral = np.concatenate([
-                [0.0], np.cumsum(0.5 * np.diff(ts) * (load[1:] + load[:-1]))])
+            integral = cumulative_trapezoid(ts, uc1 + w1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ks = np.where(integral > 0, np.log(np.maximum(hs / hs[0], 1e-300)) / integral, 0.0)
             return float(np.clip(ks, 0.0, None).max()), {"times": ts.tolist()}

@@ -27,7 +27,7 @@ from sqglab.norms import WindowFamily, classical_holder_norm, sobolev_norm, unif
 from sqglab.solver import (SolverConfig, existence_time, picard_iterate, simulate,
                            velocity_serfati)
 from sqglab.verify import (EnsembleSpec, check_apriori_bounds, check_multiplier_bounds,
-                           make_field, twin_run_experiment)
+                           cumulative_trapezoid, make_field, twin_run_experiment)
 
 from test_multipliers import pure_mode
 
@@ -310,8 +310,7 @@ def test_criterion_08_apriori_bounds():
         ts, hs = trajs[n].norm_series("hsul:theta:2.5")
         _, uc1 = trajs[n].norm_series("ctilde1:u")
         _, w1 = trajs[n].norm_series("w1inf:theta")
-        load = uc1 + w1
-        integral = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(ts) * (load[1:] + load[:-1]))])
+        integral = cumulative_trapezoid(ts, uc1 + w1)
         k_fit = max(rep_k.measured)
         bound = hs[0] * np.exp(k_fit * integral)
         ok &= bool(np.all(hs <= bound * (1 + 1e-9)))

@@ -10,7 +10,8 @@ from sqglab.dyadic import build_partition
 from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
-from sqglab.kernels import (CutoffA, _mid_samples, _phi_derivs, _phi_short_derivs, build_split,
+from sqglab.kernels import (CutoffA, _far_samples, _mid_samples, _near_samples, _phi_derivs,
+                            _phi_short_derivs, build_split,
                             convolve_far, convolve_near, far_flux_integral, riesz_constant,
                             riesz_convolve, riesz_transfer, sample_near,
                             split_consistency_error, verify_fundamental_solution)
@@ -77,6 +78,11 @@ class TestCutoff:
         with pytest.raises(ConfigurationError):
             CutoffA(inner=2.0, outer=1.0)
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_profile_order_checked(self, order):
+        with pytest.raises(ConfigurationError):
+            CutoffA().profile(np.linspace(0.0, 3.0, 7), order=order)
+
     def test_one_bump_for_the_package(self):
         # the kernel cutoff, the low pass and the window are one definition
         assert sqglab.CutoffA is CutoffA is dyadic.CutoffA
@@ -92,9 +98,9 @@ def _spy_ramp(monkeypatch) -> list:
     seen = []
     ramp = dyadic._ramp
 
-    def spy(t, derivs=False):
+    def spy(t, order=0):
         seen.append(np.array(t, dtype=np.float64))
-        return ramp(t, derivs)
+        return ramp(t, order)
 
     monkeypatch.setattr(dyadic, "_ramp", spy)
     return seen
@@ -120,15 +126,18 @@ class TestRampEvaluation:
         for name in ("a", "profile"):
             method = getattr(CutoffA, name)
 
-            def spy(self, rho, _method=method, _name=name):
+            def spy(self, rho, *args, _method=method, _name=name, **kwargs):
                 calls.append((_name, np.array(rho, dtype=np.float64)))
-                return _method(self, rho)
+                return _method(self, rho, *args, **kwargs)
 
             monkeypatch.setattr(CutoffA, name, spy)
-        build_split(Grid2D(128, 16.0), 0.5, oversample=2)
-        # the fine patch of the near transfer and the grid's near samples
-        # (each a body and a cell-averaged core), far, mid, and a Phi_long
-        assert [name for name, _ in calls] == ["profile"] * 6 + ["a"]
+        split = build_split(Grid2D(128, 16.0), 0.5, oversample=2)
+        # the fine patch of the near transfer (a body and a cell-averaged
+        # core), mid, and a Phi_long; then the grid's near samples (body and
+        # core) and far, each when first read
+        assert [name for name, _ in calls] == ["profile"] * 3 + ["a"]
+        split.near, split.far, split.near, split.far
+        assert [name for name, _ in calls] == ["profile"] * 3 + ["a"] + ["profile"] * 3
         # each call runs the ramp once, on exactly its annulus points
         assert len(seen) == len(calls)
         cut = CutoffA()
@@ -243,9 +252,10 @@ class TestBuildSplit:
         assert r.max() > cut.outer
         # the ramp on every r > inner, past outer too (where it is 1, flat)
         width = cut.outer - cut.inner
-        S, S1, S2 = dyadic._ramp((r - cut.inner) / width, derivs=True)
+        S, S1, S2 = dyadic._ramp((r - cut.inner) / width, order=2)
         one_a, da, d2a = 1.0 - (1.0 - S), -S1 / width, -S2 / width**2
-        p, p1, p2 = _phi_derivs(r, 0.5, c)
+        p, p1 = _phi_derivs(r, 0.5, c)
+        p2 = 0.5 * (0.5 + 1.0) * p / r**2
         Gp = -da * p + one_a * p1
         Gpp = -d2a * p - 2.0 * da * p1 + one_a * p2
         g = Gp / r
@@ -258,7 +268,7 @@ class TestBuildSplit:
             for j in range(2):
                 far[i, j, mask] = gp * xx[j] * xp[i] / r + g * eperp[i, j]
         np.testing.assert_array_equal(split.far, far)
-        ps, ps1, _ = _phi_short_derivs(r, 0.5, c, split.alpha)
+        ps, ps1 = _phi_short_derivs(r, 0.5, c, split.alpha)
         gm = (-da * ps + one_a * ps1) / r
         mid = np.zeros((2,) + rho.shape)
         mid[0, mask] = -x2[mask] * gm
@@ -275,6 +285,36 @@ class TestBuildSplit:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 2**20
+
+    @pytest.mark.parametrize("beta", [0.25, 0.75])
+    def test_near_and_far_computed_on_first_read_with_the_eager_bits(self, beta):
+        # build_split used to sample both on the grid's displacements itself
+        grid = Grid2D(128, 16.0)
+        split = build_split(grid, beta, oversample=2)
+        assert "near" not in vars(split) and "far" not in vars(split)
+        x1, x2 = grid.coords_centered()
+        rho = np.hypot(x1, x2)
+        near = _near_samples(x1, x2, rho, grid.spacing, beta, split.c_beta, split.cutoff)
+        far = _far_samples(x1, x2, rho, beta, split.c_beta, split.cutoff)
+        assert split.near.shape == near.shape and split.near.tobytes() == near.tobytes()
+        assert split.far.shape == far.shape and split.far.tobytes() == far.tobytes()
+        assert split.near is split.near and split.far is split.far
+
+    def test_fresh_split_retains_only_its_transfers(self):
+        # near (2, n, n) and far (2, 2, n, n) would triple what a split keeps
+        grid = Grid2D(256, 16.0)
+        operator_table(grid)  # the grid's cached table is not the split's
+        tracemalloc.start()
+        try:
+            split = build_split(grid, 0.5)
+            retained = tracemalloc.get_traced_memory()[0]
+            split.near, split.far
+            grown = tracemalloc.get_traced_memory()[0] - retained
+        finally:
+            tracemalloc.stop()
+        transfers = split._near_transfer.nbytes + split._mid_transfer.nbytes
+        assert transfers <= retained <= transfers + 2**16
+        assert grown >= split.near.nbytes + split.far.nbytes
 
     def test_near_potential_transform_finite(self, split256):
         m = split256.near_potential_transform_max()

@@ -5,10 +5,10 @@ import scipy.fft
 from sqglab.dyadic import build_partition, chi_profile, phi_profile
 from sqglab.errors import QuadratureBudgetError
 from sqglab.fields import SpectralField, dealias
-from sqglab.grid import Grid2D, operator_table
+from sqglab.grid import Grid2D, operator_table, rfft2
 from sqglab.multipliers import derivative
-from sqglab.norms import (WindowFamily, _holder_offsets, _seminorm_near, block_sups,
-                          classical_holder_norm, sobolev_norm, uniformly_local_norm,
+from sqglab.norms import (WindowFamily, _holder_offsets, _hs_patch_weight, _seminorm_near,
+                          block_sups, classical_holder_norm, sobolev_norm, uniformly_local_norm,
                           window_profile, zygmund_norm)
 
 from conftest import random_real_field
@@ -320,6 +320,43 @@ class TestUniformlyLocal:
         ref = reference_hs_ul_profile(f, 1.2, wf, False)
         got = np.asarray(list(rep.block_profile.values()))
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("box", [2 * np.pi, 16.0])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_window_tables_built_once_with_the_bits_of_fresh_ones(self, box, homogeneous,
+                                                                   monkeypatch):
+        # the profile is built once per family and the H^s weight once per
+        # (pts, h, s, homogeneous), read-only; every window keeps the bits of
+        # a freshly built profile and weight (full box at L = 2 pi, patches at 16)
+        grid = Grid2D(64 if box < 16.0 else 128, box)
+        wf = WindowFamily.build(grid)
+        f = random_real_field(grid, seed=23, components=2)
+        n, pts = grid.n_side, wf.patch_pts or grid.n_side
+        prof = window_profile(wf._patch_coords(pts), wf.scale)
+        weight = _hs_patch_weight.__wrapped__(pts, grid.spacing, 1.5, homogeneous)
+        expected = []
+        for ci, cj in wf.centers_idx:
+            if wf.patch_pts == 0:
+                patch = f.values * np.roll(prof, (ci - n // 2, cj - n // 2), axis=(0, 1))
+            else:
+                r = (ci + np.arange(pts) - pts // 2) % n
+                c = (cj + np.arange(pts) - pts // 2) % n
+                patch = f.values[..., r[:, None], c[None, :]] * prof
+            spec = rfft2(patch)
+            expected.append(float(np.sqrt(np.sum(weight * (spec.real**2 + spec.imag**2)))))
+        built = []
+        spy = WindowFamily.profile_on_patch
+        monkeypatch.setattr(WindowFamily, "profile_on_patch",
+                            lambda self, p=None: built.append(p) or spy(self, p))
+        for _ in range(2):
+            rep = uniformly_local_norm(f, 1.5, wf, "Hs_ul", homogeneous=homogeneous)
+            assert list(rep.block_profile.values()) == expected
+        uniformly_local_norm(f, 2.0, wf, "Lp_ul")
+        assert len(built) == 1
+        assert not wf._window.flags.writeable
+        table = _hs_patch_weight(pts, grid.spacing, 1.5, homogeneous)
+        assert table is _hs_patch_weight(pts, grid.spacing, 1.5, homogeneous)
+        assert not table.flags.writeable
 
     def test_slobodeckij_matches_bessel_bracket(self):
         grid = Grid2D(64)

@@ -244,6 +244,23 @@ def test_values_have_the_bits_of_the_per_plane_transform_in_any_call_order(n, bo
         assert ops.values(c, mask=mask).tobytes() == expected.tobytes()
 
 
+@PROPERTY
+@given(st.sampled_from([8, 16, 32, 64, 128]), st.data(), seeds, st.sampled_from([(), (2,)]),
+       st.floats(0.5, 40.0))
+def test_row_pruned_coefficients_have_the_bits_of_rfft2(n, data, seed, lead, box):
+    # samples that vanish off the given rows (in any order), passed as those
+    # rows only, against rfft2 of the full samples times the package scale
+    rows = np.array(data.draw(st.one_of(st.just([]), st.just(list(range(n))),
+                                        st.lists(st.integers(0, n - 1), unique=True))),
+                    dtype=np.intp)
+    full = np.zeros(lead + (n, n))
+    full[..., rows, :] = np.random.default_rng(seed).standard_normal(lead + (len(rows), n))
+    expected = scipy.fft.rfft2(full)
+    expected *= box / (n * n)
+    got = operator_table(Grid2D(n, box)).coefficients(full[..., rows, :], rows=rows)
+    assert got.tobytes() == expected.tobytes()
+
+
 # -- field arithmetic: the representation rule ---------------------------------
 
 HOLDS = ("values", "coefficients", "both")
@@ -312,3 +329,7 @@ def test_bump_is_exact_off_its_annulus_and_monotone(inner, ratio, rho):
     for i in range(rho.size):
         for got, want in zip(cut.profile(float(rho[i])), (a, da, d2a)):
             assert np.ndim(got) == 0 and got == want[i]
+    # the first-order pair is the triple's first two, bit for bit
+    pair = cut.profile(rho, order=1)
+    assert len(pair) == 2
+    assert pair[0].tobytes() == a.tobytes() and pair[1].tobytes() == da.tobytes()

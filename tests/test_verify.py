@@ -10,8 +10,9 @@ from sqglab.multipliers import (apply_multiplier, bessel, biot_savart_velocity, 
                                 kato_ponce_commutator)
 from sqglab.solver import SolverConfig, simulate
 from sqglab.verify import (EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
-                           check_multiplier_bounds, check_velocity_regularity, gronwall_envelope,
-                           lp_commutator, make_field, twin_run_experiment)
+                           check_multiplier_bounds, check_velocity_regularity,
+                           cumulative_trapezoid, gronwall_envelope, lp_commutator, make_field,
+                           twin_run_experiment)
 
 from test_multipliers import pure_mode
 
@@ -182,6 +183,19 @@ class TestGronwall:
         beta = np.full_like(ts, 0.3)
         env = gronwall_envelope(ts, 0.5, beta)
         assert np.all(env >= u - 1e-12)
+
+    def test_cumulative_trapezoid_keeps_the_written_out_bits(self):
+        # the expression the envelope, the hsul_theorem_3_4 fit and criterion 8
+        # each wrote out before they shared one definition
+        rng = np.random.default_rng(0)
+        ts = np.cumsum(rng.uniform(0.001, 0.1, 40))
+        y = rng.standard_normal(40)
+        written = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(ts) * (y[1:] + y[:-1]))])
+        assert np.array_equal(cumulative_trapezoid(ts, y), written)
+        assert np.array_equal(gronwall_envelope(ts, 1.0, y), np.exp(written))
+        # exact on a linear integrand: int_0^t 2s ds = t^2
+        np.testing.assert_allclose(cumulative_trapezoid(ts - ts[0], 2.0 * (ts - ts[0])),
+                                   (ts - ts[0]) ** 2, rtol=1e-12, atol=1e-15)
 
     def test_time_varying_alpha(self):
         ts = np.linspace(0.0, 1.0, 51)
