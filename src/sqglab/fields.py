@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid2D, _read_only, operator_table
+from .grid import Grid2D, _read_only, abs_max, operator_table
 
 _MAGIC = b"SQGF"
 
@@ -156,11 +156,17 @@ class SpectralField:
     # -- diagnostics --------------------------------------------------------
 
     def linf(self) -> float:
-        """Max pointwise magnitude (Euclidean over components for vectors)."""
+        """Max pointwise magnitude (Euclidean over components for vectors).
+
+        A scalar's is :func:`~sqglab.grid.abs_max`; sqrt is monotone, so a
+        vector's is the sqrt of the max of v0^2 + v1^2, the max of the
+        magnitudes bit for bit, with no array of them."""
         v = self.values
         if self.components == 2:
-            return float(np.sqrt(v[0] ** 2 + v[1] ** 2).max())
-        return float(np.abs(v).max())
+            sq = np.square(v[0])
+            sq += np.square(v[1])
+            return float(np.sqrt(sq.max()))
+        return abs_max(v)
 
     def l2(self) -> float:
         """Continuum L^2 norm over the box, h * sqrt(sum |f|^2)."""
@@ -203,13 +209,6 @@ def dealiased_samples(f: SpectralField) -> np.ndarray:
     return ops.values(f.coefficients, mask=ops.dealias)
 
 
-def parseval_mismatch(f: SpectralField) -> float:
-    """Relative gap between h^2*sum|values|^2 and sum_k |c_k|^2 over all modes."""
-    phys = np.sum(f.values**2) * f.grid.spacing**2
-    spec = np.sum(operator_table(f.grid).multiplicity * np.abs(f.coefficients) ** 2)
-    return abs(phys - spec) / max(phys, 1e-300)
-
-
 # -- serialization -----------------------------------------------------------
 #
 # Flat binary container: magic 'SQGF', then header of three little-endian
@@ -248,7 +247,10 @@ def load_field(path) -> SpectralField:
 
 
 def field_to_csv(f: SpectralField, path) -> None:
-    """Write samples as CSV for inspection (one block per component)."""
+    """Write samples as CSV for inspection (one block per component).
+
+    Kept although only tests call it: it is the one text export of samples
+    (``save_field`` writes binary), for reading a field outside Python."""
     with open(path, "w") as fh:
         v = f.values if f.components == 2 else f.values[None, :, :]
         for c in range(v.shape[0]):

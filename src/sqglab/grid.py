@@ -104,6 +104,13 @@ class Grid2D:
         return f"Grid2D(n={self.n_side}, L={self.box_length:.6g})"
 
 
+def abs_max(v: np.ndarray) -> float:
+    """max |v| with the bits of ``np.abs(v).max()``, without an array of |v|:
+    abs is monotone, so it is |max(v.max(), -v.min())|, the outer abs only
+    turning -0.0 into 0.0."""
+    return float(abs(max(v.max(), -v.min())))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -155,6 +162,9 @@ class OperatorTable:
         multiplicity = np.full((1, half), 2.0)
         multiplicity[0, [0, -1]] = 1.0
         self.multiplicity = _read_only(multiplicity)
+        # irfft2's 1/n^2 and the package's n^2/L, as the one scale of values()
+        self.sample_scale = (n * n / grid.box_length) / (n * n)
+        self._zero_row = _read_only(scipy.fft.rfft(np.zeros(n), workers=_FFT_WORKERS))
         self._scratch = _Scratch()
 
     def values(self, c: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -173,18 +183,49 @@ class OperatorTable:
         run in place on the copied columns only, and one stacked row pass
         makes the returned samples, so the call makes no other array.
         """
+        out = self._unscaled_values(c, mask)
+        out *= self.sample_scale
+        return out
+
+    def sup(self, c: np.ndarray, mask: np.ndarray | None = None) -> float:
+        """max |values(c, mask)|, the Euclidean magnitude over the lead axis of a
+        (2, n, m) c, with the bits of the max of the returned samples.
+
+        A scalar's sup is ``abs_max`` of the unscaled samples v times
+        ``sample_scale`` (rounding is monotone, so that is the max of the
+        rounded |v sample_scale|).  A vector's samples are scaled, squared and
+        summed in the transform's own output, and the sqrt is taken of the max
+        (sqrt is monotone).  Coefficients that are all zero (after the mask)
+        have sup 0.0 and cost no transform.
+        """
+        v = self._unscaled_values(c, mask, skip_zero=True)
+        if v is None:
+            return 0.0
+        if v.ndim == 2:
+            return abs_max(v) * self.sample_scale
+        v *= self.sample_scale
+        np.square(v, out=v)
+        np.add(v[0], v[1], out=v[0])
+        return float(np.sqrt(v[0].max()))
+
+    def _unscaled_values(self, c: np.ndarray, mask: np.ndarray | None,
+                         skip_zero: bool = False) -> np.ndarray | None:
+        """:meth:`values` before its one scale, ``sample_scale``; with
+        ``skip_zero``, None for coefficients that are all zero."""
         n = self.n_side
         m = min(c.shape[-1], self.dealias_columns) if mask is self.dealias else c.shape[-1]
         buf, head = self._buffer(c.shape[:-2], m)
         src = c[..., :m]
         # pocketfft's own two passes of irfft2, unscaled: the columns, then the
         # rows, the zero columns standing for irfft's padding.  n is a power of
-        # two, so moving irfft2's 1/n^2 into the one scale below changes no bit.
+        # two, so moving irfft2's 1/n^2 into the one scale changes no bit.
         if np.iscomplexobj(src):
             if mask is None:
                 np.copyto(head, src)
             else:
                 np.multiply(src, mask[..., :m], out=head)
+            if skip_zero and not head.any():
+                return None
             cols = scipy.fft.ifftn(head, axes=(-2,), norm="forward", overwrite_x=True,
                                    workers=_FFT_WORKERS)
             if not np.may_share_memory(cols, head):  # overwrite_x permits, not promises
@@ -194,9 +235,7 @@ class OperatorTable:
             # from the complex pass on the same numbers
             head[...] = scipy.fft.ifftn(src if mask is None else src * mask[..., :m],
                                         axes=(-2,), norm="forward", workers=_FFT_WORKERS)
-        out = scipy.fft.irfft(buf, n=n, norm="forward", workers=_FFT_WORKERS)
-        out *= (n * n / self.box_length) / (n * n)
-        return out
+        return scipy.fft.irfft(buf, n=n, norm="forward", workers=_FFT_WORKERS)
 
     def _buffer(self, lead: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
         """This thread's buffer for lead shape ``lead``, zero from column m on,
@@ -217,21 +256,31 @@ class OperatorTable:
 
         With ``rows`` (distinct row indices), v holds only those rows of
         samples that vanish on every other row, shape (..., len(rows), n):
-        the row transforms run on the given rows alone and the column pass on
-        the full spectrum, pocketfft's own two passes of rfft2, so the result
-        has the bits of the full samples' coefficients.  The other rows hold
-        the transform of a zero row, whose signed zeros rfft2's row pass
-        leaves there too.
+        see :meth:`rfft2_rows`, whose bits the result keeps before its scale.
         """
-        if rows is None:
-            c = rfft2(v)
-        else:
-            c = np.empty(v.shape[:-2] + (self.n_side, self.n_side // 2 + 1), dtype=np.complex128)
-            c[...] = scipy.fft.rfft(np.zeros(self.n_side), workers=_FFT_WORKERS)
-            c[..., rows, :] = scipy.fft.rfft(v, axis=-1, workers=_FFT_WORKERS)
-            c = scipy.fft.fftn(c, axes=(-2,), overwrite_x=True, workers=_FFT_WORKERS)
+        c = rfft2(v) if rows is None else self.rfft2_rows(v, rows)
         c *= self.box_length / (self.n_side * self.n_side)
         return c
+
+    def rfft2_rows(self, v: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rfft2 of (..., n, n) samples that vanish off ``rows`` (distinct row
+        indices), given as those rows only, v of shape (..., len(rows), n).
+
+        The row transforms run on the given rows alone and the column pass on
+        the full spectrum, pocketfft's own two passes of rfft2, so the result
+        has the bits of ``rfft2`` of the full samples.  The other rows hold
+        the transform of a zero row, whose signed zeros rfft2's row pass
+        leaves there too.  ``out``, a complex (..., n, n/2 + 1) array, is
+        written and returned in place of a new one.
+        """
+        if out is None:
+            out = np.empty(v.shape[:-2] + (self.n_side, self.n_side // 2 + 1), dtype=np.complex128)
+        out[...] = self._zero_row
+        out[..., rows, :] = scipy.fft.rfft(v, axis=-1, workers=_FFT_WORKERS)
+        c = scipy.fft.fftn(out, axes=(-2,), overwrite_x=True, workers=_FFT_WORKERS)
+        if not np.may_share_memory(c, out):  # overwrite_x permits, not promises
+            out[...] = c
+        return out
 
 
 @functools.lru_cache(maxsize=8)

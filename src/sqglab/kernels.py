@@ -94,10 +94,15 @@ def _phi_short_values(rho: np.ndarray, beta: float, c: float, alpha: float) -> n
 
 
 def _phi_short_derivs(rho: np.ndarray, beta: float, c: float, alpha: float):
-    """Phi_short and its first derivative; valid for rho > 0."""
+    """Phi_short and its first derivative; valid for rho > 0.
+
+    ``gammaincc`` runs once per distinct radius: a grid's displacements
+    repeat each radius up to eight times.
+    """
     a2 = beta / 2.0
     z = alpha * rho**2
-    Q = gammaincc(a2, z)
+    distinct, where = np.unique(z, return_inverse=True)
+    Q = gammaincc(a2, distinct)[where].reshape(z.shape)
     g = math.gamma(a2)
     # dQ/dz of the regularized upper incomplete gamma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -58,7 +58,7 @@ def grad_perp() -> MultiplierSpec:
     return MultiplierSpec("grad_perp", sym, zero_mode=0.0)
 
 
-def _symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
+def symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
     """The symbol of ``m`` on the coefficient layout of ``grid``, checked
     finite, zero mode set per policy.
 
@@ -86,7 +86,7 @@ def _symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
 
 def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
     """Multiply the coefficients of ``f`` by the symbol; set k=0 per policy."""
-    sym = _symbol_array(f.grid, m)
+    sym = symbol_array(f.grid, m)
     if sym.ndim == 3 and f.components != 1:
         raise ConfigurationError("vector-valued symbols act on scalar fields")
     return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
@@ -101,26 +101,39 @@ def _constitutive_symbol(grid, beta: float) -> np.ndarray:
     return _read_only(np.stack([-1j * ops.k2 * radial, 1j * ops.k1 * radial]) * ops.nyquist)
 
 
-def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
-    """Velocity from the constitutive law, as a divergence-free vector field."""
+def velocity_symbol(grid, beta: float) -> np.ndarray:
+    """The constitutive symbol of ``grid`` and ``beta`` (cached, read-only);
+    beta must lie in (0, 1)."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    return _constitutive_symbol(grid, beta)
+
+
+def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
+    """Velocity from the constitutive law, as a divergence-free vector field."""
+    symbol = velocity_symbol(theta.grid, beta)
     if theta.components != 1:
         raise ConfigurationError("constitutive law takes a scalar field")
-    return SpectralField._adopt(
-        theta.grid, coefficients=_constitutive_symbol(theta.grid, beta) * theta.coefficients)
+    return SpectralField._adopt(theta.grid, coefficients=symbol * theta.coefficients)
 
 
 # -- derivative helpers -------------------------------------------------------
+
+
+def gradient_coefficients(c: np.ndarray, grid) -> np.ndarray:
+    """The gradient's coefficients from a scalar's coefficients ``c``, which
+    may hold only the layout's first columns (the result holds the same)."""
+    ops = operator_table(grid)
+    m = c.shape[-1]
+    c = c * ops.nyquist[:, :m]
+    return np.stack([1j * ops.k1 * c, 1j * ops.k2[:, :m] * c])
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Spectral gradient of a scalar field."""
     if f.components != 1:
         raise ConfigurationError("vector-valued symbols act on scalar fields")
-    ops = operator_table(f.grid)
-    c = f.coefficients * ops.nyquist
-    return SpectralField._adopt(f.grid, coefficients=np.stack([1j * ops.k1 * c, 1j * ops.k2 * c]))
+    return SpectralField._adopt(f.grid, coefficients=gradient_coefficients(f.coefficients, f.grid))
 
 
 def derivative(f: SpectralField, alpha: tuple[int, int]) -> SpectralField:

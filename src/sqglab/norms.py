@@ -53,12 +53,6 @@ class NormReport:
             yield (self.kind, key, v)
 
 
-def _linf(values: np.ndarray) -> float:
-    if values.ndim == 3:
-        return float(np.sqrt((values**2).sum(axis=0)).max())
-    return float(np.abs(values).max())
-
-
 def _sum_sq(c: np.ndarray, grid: Grid2D) -> float:
     """sum_k |c_k|^2 over every mode of coefficients c in the rfft2 layout."""
     return float(np.sum(operator_table(grid).multiplicity * (c.real**2 + c.imag**2)))
@@ -81,7 +75,8 @@ def block_sups(f: SpectralField, family: DyadicFamily | None = None,
 
     Each block is one real inverse transform per component of the
     coefficients times the family's cached multiplier, taken over the
-    columns the multiplier occupies only (``DyadicFamily.delta_band``); a
+    columns the multiplier occupies only (``DyadicFamily.delta_band``) and
+    reduced to its sup without a scaled copy (``OperatorTable.sup``); a
     block with no nonzero coefficient costs no transform.  The sups have the
     bits of the full-width transforms.
     """
@@ -91,8 +86,7 @@ def block_sups(f: SpectralField, family: DyadicFamily | None = None,
     sups = {}
     for j in fam.block_js(homogeneous):
         mult, m = fam.delta_band(j, homogeneous)
-        block = c[..., :m] * mult[:, :m]
-        sups[j] = _linf(ops.values(block)) if block.any() else 0.0
+        sups[j] = ops.sup(c[..., :m], mask=mult)
     return sups
 
 
@@ -178,7 +172,7 @@ def classical_holder_norm(f: SpectralField, r: float, pair_budget: int = 2048) -
         for alpha in _multiindices(order):
             g = f if order == 0 else derivative(f, alpha)
             derivs[alpha] = g
-            sup = _linf(g.values)
+            sup = g.linf()
             profile[f"D{alpha}"] = sup
             total += sup
     extras = {}
@@ -277,6 +271,30 @@ class WindowFamily:
         read-only: on the patch, or on the full box tiled 2 x 2."""
         prof = self.profile_on_patch()
         return _read_only(np.tile(prof, (2, 2)) if self.patch_pts == 0 else prof)
+
+    @functools.cached_property
+    def _row_offsets(self) -> np.ndarray:
+        """Offsets from its centre row of the rows a full-box window is nonzero on."""
+        n = self.grid.n_side
+        return _read_only(np.flatnonzero(self._window[:n, :n].any(axis=1)) - n // 2)
+
+    def iter_row_patches(self, values: np.ndarray):
+        """Full box only: yield (rows, windowed samples on those rows) per center,
+        the rows the window is nonzero on, shape (..., len(rows), n).
+
+        Each row has the bits of the same row of the :meth:`iter_patches`
+        patch; the others are zero there.  The array is reused: use it before
+        drawing the next one."""
+        n = self.grid.n_side
+        offs = self._row_offsets
+        band = self._window[n // 2 + offs]  # the window's rows, tiled along the row
+        patch = np.empty(values.shape[:-2] + (len(offs), n))
+        for ci, cj in self.centers_idx:
+            rows = (ci + offs) % n
+            j = (n // 2 - cj) % n
+            np.take(values, rows, axis=-2, out=patch)
+            np.multiply(patch, band[:, j:j + n], out=patch)
+            yield rows, patch
 
     def iter_patches(self, values: np.ndarray):
         """Yield windowed patch arrays (profile already applied) per center.
@@ -386,9 +404,22 @@ def uniformly_local_norm(f: SpectralField, param: float, windows: WindowFamily,
     if kind == "Hs_ul":
         pts = windows.patch_pts or grid.n_side
         weight = _hs_patch_weight(pts, grid.spacing, param, homogeneous)
-        for patch in windows.iter_patches(f.values):
-            c = rfft2(patch)
-            per_window.append(float(np.sqrt(np.sum(weight * (c.real**2 + c.imag**2)))))
+        shape = f.values.shape[:-2] + weight.shape
+        power, work = np.empty(shape), np.empty(shape)
+        if windows.patch_pts == 0:
+            # the row pass runs on the rows the window is nonzero on only
+            ops = operator_table(grid)
+            spec = np.empty(shape, dtype=np.complex128)
+            spectra = (ops.rfft2_rows(patch, rows, out=spec)
+                       for rows, patch in windows.iter_row_patches(f.values))
+        else:
+            spectra = (rfft2(patch) for patch in windows.iter_patches(f.values))
+        for c in spectra:
+            # weight * (c.real**2 + c.imag**2), summed, in the two reused arrays
+            np.square(c.real, out=power)
+            np.add(power, np.square(c.imag, out=work), out=power)
+            np.multiply(weight, power, out=power)
+            per_window.append(float(np.sqrt(np.sum(power))))
     elif kind == "Lp_ul":
         h2 = grid.spacing**2
         for patch in windows.iter_patches(f.values):

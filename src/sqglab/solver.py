@@ -491,23 +491,30 @@ def _interp_velocity_time(times: np.ndarray, u_vals, t: float) -> np.ndarray:
     return out
 
 
-def _bilinear_sample(fields_vals, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Periodic bilinear interpolation at points (m, 2) of each (2, n, n) array
-    in ``fields_vals``; shape (len(fields_vals), m, 2)."""
-    h = grid.spacing
+def _bilinear_sample(planes, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Periodic bilinear interpolation at points (m, 2) of each velocity in
+    ``planes``, given as its samples of shape (2, n^2); shape (len(planes), m, 2)."""
     n = grid.n_side
-    q = pts / h
-    i0 = np.floor(q).astype(int)
-    frac = q - i0
+    q = pts / grid.spacing
+    # [lower or upper neighbour, point, axis]: the grid indices and the weights
+    idx = np.empty((2,) + q.shape, dtype=int)
+    lin = np.empty((2,) + q.shape)
+    i0 = idx[0]
+    i0[...] = np.floor(q)
+    np.subtract(q, i0, out=lin[1])
+    np.subtract(1, lin[1], out=lin[0])
     i0 %= n
-    i1 = (i0 + 1) % n
-    fx, fy = frac[:, 0], frac[:, 1]
-    # the 4 corners as flat indices into an (n, n) plane, and their weights
-    flat = np.stack([i0[:, 0] * n + i0[:, 1], i1[:, 0] * n + i0[:, 1],
-                     i0[:, 0] * n + i1[:, 1], i1[:, 0] * n + i1[:, 1]])
-    wgt = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
-    corners = np.stack([vals.reshape(2, -1)[:, flat] for vals in fields_vals])
-    return (corners * wgt).sum(axis=2).transpose(0, 2, 1)
+    np.add(i0, 1, out=idx[1])
+    idx[1] %= n
+    # the 4 corners, (0, 0), (1, 0), (0, 1), (1, 1), as flat indices into a
+    # plane, and their weights (1 - fx)(1 - fy), fx (1 - fy), (1 - fx) fy, fx fy
+    flat = (idx[None, :, :, 0] * n + idx[:, None, :, 1]).reshape(4, -1)
+    wgt = (lin[None, :, :, 0] * lin[:, None, :, 1]).reshape(4, -1)
+    corners = np.empty((len(planes), 2) + flat.shape)
+    for out, vals in zip(corners, planes):
+        vals.take(flat, axis=1, out=out)
+    corners *= wgt
+    return corners.sum(axis=2).transpose(0, 2, 1)
 
 
 def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
@@ -516,7 +523,9 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
     ``u_trajectory`` is either a ``Trajectory`` or a pair (times, fields).
     Velocity is bilinear in space and Catmull-Rom (cubic) in time; each
     evaluation samples the (at most 4) time nodes at the particles and then
-    combines them in time, so it costs O(particles), not O(n^2).
+    combines them in time, so it costs O(particles), not O(n^2).  The time
+    weights are computed once per distinct time: a step's two midpoint
+    stages share them, and its end time is the next step's start.
     Returns an array of positions (n_times, n_particles, 2) including t=0.
     """
     if isinstance(u_trajectory, Trajectory):
@@ -526,7 +535,7 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
         times, fields = u_trajectory
         times = np.asarray(times)
     grid = fields[0].grid
-    u_vals = [f.values for f in fields]
+    planes = [f.values.reshape(2, -1) for f in fields]
     t_end = times[-1] if t_end is None else t_end
 
     pts = np.asarray(particles, dtype=np.float64).copy()
@@ -536,20 +545,28 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
     dt = t_end / n_steps
     t = 0.0
 
-    def vel(tq, p):
+    def nodes(tq):
         idx, w = _catmull_rom_weights(times, min(tq, times[-1]))
-        samples = _bilinear_sample([u_vals[i] for i in idx], p % L, grid)
-        return np.tensordot(w, samples, axes=1)
+        return [planes[i] for i in idx], w[None]
 
+    def vel(node, p):
+        at, w = node
+        samples = _bilinear_sample(at, p % L, grid)
+        # the product np.tensordot(w, samples, axes=1) forms
+        return np.dot(w, samples.reshape(len(at), -1)).reshape(p.shape)
+
+    start = nodes(t)
     for _ in range(n_steps):
-        k1 = vel(t, pts)
-        k2 = vel(t + dt / 2, pts + dt / 2 * k1)
-        k3 = vel(t + dt / 2, pts + dt / 2 * k2)
-        k4 = vel(t + dt, pts + dt * k3)
+        mid, end = nodes(t + dt / 2), nodes(t + dt)
+        k1 = vel(start, pts)
+        k2 = vel(mid, pts + dt / 2 * k1)
+        k3 = vel(mid, pts + dt / 2 * k2)
+        k4 = vel(end, pts + dt * k3)
         pts = pts + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(pts)):
             raise SimulationError("particle position became NaN/Inf")
-        t += dt
+        t += dt  # the time ``end`` was computed at
+        start = end
         out.append(pts.copy())
     return np.stack(out)
 

@@ -1,11 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.special
 
 import sqglab
-from sqglab import dyadic
+from sqglab import dyadic, kernels
 from sqglab.dyadic import build_partition
 from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField, dealiased_samples
@@ -274,6 +276,27 @@ class TestBuildSplit:
         mid[0, mask] = -x2[mask] * gm
         mid[1, mask] = x1[mask] * gm
         np.testing.assert_array_equal(_mid_samples(x1, x2, rho, 0.5, c, cut, split.alpha), mid)
+
+    @pytest.mark.parametrize("n, box, beta", [(128, 16.0, 0.5), (256, 16.0, 0.25),
+                                              (256, 32.0, 0.75)])
+    def test_mid_transfer_keeps_the_bits_of_gammaincc_at_every_point(self, monkeypatch, n, box,
+                                                                     beta):
+        # gammaincc runs once per distinct radius; the mid transfer keeps the
+        # bits of the samples with it evaluated at every grid point
+        grid = Grid2D(n, box)
+        once = build_split(grid, beta)._mid_transfer
+
+        def every_point(rho, beta, c, alpha):
+            a2 = beta / 2.0
+            z = alpha * rho**2
+            Q = scipy.special.gammaincc(a2, z)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                Qp = -np.where(z > 0, z ** (a2 - 1.0), 0.0) * np.exp(-z) / math.gamma(a2)
+            p = c * rho ** (-beta)
+            return p * Q, -beta * p / rho * Q + p * Qp * (2.0 * alpha * rho)
+
+        monkeypatch.setattr(kernels, "_phi_short_derivs", every_point)
+        assert once.tobytes() == build_split(grid, beta)._mid_transfer.tobytes()
 
     def test_build_split_memory_budget(self):
         # 4x oversampling without the 4x finer grid, whose arrays alone peaked

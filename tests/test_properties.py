@@ -6,19 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sqglab import grid as grid_module
-from sqglab.dyadic import CutoffA, build_partition
+from sqglab.dyadic import CutoffA, build_partition, project_block
 from sqglab.errors import ConfigurationError
-from sqglab.fields import (SpectralField, dealias, full_coefficients, load_field,
-                           parseval_mismatch, save_field)
+from sqglab.fields import SpectralField, dealias, full_coefficients, load_field, save_field
 from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_savart_velocity,
-                                divergence, frac_laplacian)
-from sqglab.norms import zygmund_norm
+                                divergence, frac_laplacian, gradient)
+from sqglab.norms import (WindowFamily, _hs_patch_weight, sobolev_norm, uniformly_local_norm,
+                          zygmund_norm)
 from sqglab.solver import leray_project
+from sqglab.verify import EnsembleSpec, check_multiplier_bounds, make_field
 
 from conftest import counting_planes, random_real_field
 
@@ -54,7 +55,10 @@ def hermitian_extension(c):
 @PROPERTY
 @given(grids, seeds, st.sampled_from([1, 2]))
 def test_parseval(grid, seed, components):
-    assert parseval_mismatch(random_real_field(grid, seed, components)) <= 1e-12
+    # the L^2 norm from samples against the spectral one (the H^0 norm)
+    f = random_real_field(grid, seed, components)
+    phys, spec = f.l2() ** 2, sobolev_norm(f, 0.0).value ** 2
+    assert abs(phys - spec) / phys <= 1e-12
 
 
 @PROPERTY
@@ -333,3 +337,126 @@ def test_bump_is_exact_off_its_annulus_and_monotone(inner, ratio, rho):
     pair = cut.profile(rho, order=1)
     assert len(pair) == 2
     assert pair[0].tobytes() == a.tobytes() and pair[1].tobytes() == da.tobytes()
+
+
+# -- analysis routes: each new route against the old one, written out ---------
+
+
+def written_out_linf(values):
+    """The sup the old routes took: |samples| (or the magnitude), then the max."""
+    if values.ndim == 3:
+        return float(np.sqrt((values**2).sum(axis=0)).max())
+    return float(np.abs(values).max())
+
+
+def same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([8, 16, 32, 64, 128]), st.data(), seeds, st.sampled_from([(), (2,)]),
+       st.floats(0.5, 40.0), st.sampled_from([None, "dealias", "random", "zero"]))
+def test_sup_has_the_bits_of_the_max_of_the_samples(n, data, seed, lead, box, mask_kind):
+    # the sup with no scaled copy against the max of the scaled samples, over
+    # widths, scalar and vector, under masks; all-zero coefficients cost nothing
+    ops = operator_table(Grid2D(n, box))
+    m = data.draw(st.integers(1, n // 2 + 1))
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(lead + (n, m)) + 1j * rng.standard_normal(lead + (n, m))
+    mask = {None: None, "dealias": ops.dealias, "random": rng.random((n, n // 2 + 1)),
+            "zero": np.zeros((n, n // 2 + 1))}[mask_kind]
+    expected = written_out_linf(ops.values(c, mask=mask))
+    with pytest.MonkeyPatch.context() as mp:
+        planes = counting_planes(mp)
+        got = ops.sup(c, mask=mask)
+    assert same_float(got, expected)
+    assert (planes == []) == (mask_kind == "zero")
+
+
+@PROPERTY
+@example(np.full((1, 8, 8), -0.0))
+@example(np.where(np.arange(64).reshape(1, 8, 8) % 3, -0.0, 0.0))
+@given(st.sampled_from([1, 2]).flatmap(lambda comps: arrays(
+    np.float64, (comps, 8, 8), elements=st.one_of(st.sampled_from([0.0, -0.0, 1.5, -1.5]),
+                                                  st.floats(-1e150, 1e150)))))
+def test_linf_has_the_bits_of_the_max_magnitude(values):
+    # signed zeros, ties and both signs: max(v.max(), -v.min()) and the sqrt of
+    # the max keep the bits of the max of |v| and of the magnitudes
+    v = values[0] if len(values) == 1 else values
+    assert same_float(SpectralField.from_values(Grid2D(8), v).linf(), written_out_linf(v))
+
+
+@PROPERTY
+@given(st.sampled_from([16, 32, 64, 128]), seeds, st.sampled_from([1, 2]), st.floats(0.63, 1.6),
+       st.floats(0.3, 2.5), st.booleans(), st.data())
+def test_row_pruned_windows_have_the_bits_of_the_rfft2_route(n, seed, components, scale, s,
+                                                             homogeneous, data):
+    # full-box windows at any centres, those by the box edge (wrapping round
+    # it) included, against rfft2 of the whole windowed box and the weighted
+    # sum written out
+    grid = Grid2D(n, 2.0 * np.pi)
+    built = WindowFamily.build(grid, scale)
+    assert built.patch_pts == 0
+    edge = [(0, 0), (n - 1, n - 1), (0, n - 1), (n - 1, 0), (1, n // 2)]
+    more = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=built.n_centers - len(edge),
+                              max_size=built.n_centers - len(edge)))
+    wf = WindowFamily(grid=grid, scale=scale, centers_idx=np.array(edge + more), patch_pts=0)
+    f = random_real_field(grid, seed, components)
+    weight = _hs_patch_weight(n, grid.spacing, s, homogeneous)
+    expected = []
+    for patch in wf.iter_patches(f.values):
+        spec = scipy.fft.rfft2(patch)
+        expected.append(float(np.sqrt(np.sum(weight * (spec.real**2 + spec.imag**2)))))
+    rep = uniformly_local_norm(f, s, wf, "Hs_ul", homogeneous=homogeneous)
+    assert np.array(list(rep.block_profile.values())).tobytes() == np.array(expected).tobytes()
+
+
+def full_width_multiplier_ratios(variant, params, ensemble, n_sides):
+    """check_multiplier_bounds' ratios, rows and skip count as it formed them:
+    each block projected on the whole layout, each derived field built and
+    taken to samples afresh for every p."""
+    ps, betas, s_values = params["ps"], params["betas"], params["s_values"]
+    measured, rows, skipped = [], [], 0
+    for n in n_sides:
+        grid = Grid2D(n, params["box_length"])
+        fam = build_partition(grid)
+        for trial in range(ensemble.count):
+            f = make_field(grid, ensemble, trial)
+            for j in fam.measured_range():
+                fj = project_block(f, j, "homogeneous", fam)
+                for p in ps:
+                    norm = (lambda g: g.linf()) if np.isinf(p) else (lambda g: g.l2())
+                    base = norm(fj)
+                    if base < 1e-14:
+                        skipped += 1
+                        continue
+                    if variant == "bernstein":
+                        out = [(None, norm(gradient(fj)) / (2.0**j * base))]
+                    elif variant == "lemma_3_1":
+                        out = [(s, norm(apply_multiplier(fj, frac_laplacian(s)))
+                                / (2.0 ** (j * s) * base)) for s in s_values]
+                    else:
+                        out = [(b, norm(biot_savart_velocity(fj, b))
+                                / (2.0 ** (j * (b - 1.0)) * base)) for b in betas]
+                    for key, ratio in out:
+                        measured.append(float(ratio))
+                        rows.append({"key": (n, p, key), "j": j, "trial": trial,
+                                     "ratio": float(ratio)})
+    return measured, rows[:64], skipped
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(["bernstein", "lemma_3_1", "lemma_A_2"]), st.integers(1, 2**31 - 1),
+       st.sampled_from([2.0 * np.pi, 16.0]), st.sampled_from([1.0, 3e-14]))
+def test_multiplier_ratios_have_the_bits_of_the_full_width_route(variant, seed, box, amplitude):
+    # one narrow transform per field, shared by p = 2 and p = inf; a tiny
+    # amplitude makes blocks degenerate, so the skip path runs too
+    params = {"ps": (2.0, np.inf), "betas": (0.3, 0.6), "s_values": (0.7, 1.3),
+              "box_length": box}
+    ensemble = EnsembleSpec(count=2, seed=seed, amplitude=amplitude)
+    rep = check_multiplier_bounds(variant, params, ensemble, n_sides=(128,))
+    measured, rows, skipped = full_width_multiplier_ratios(variant, params, ensemble, (128,))
+    assert np.array(rep.measured).tobytes() == np.array(measured).tobytes()
+    assert rep.details["rows"] == rows
+    assert rep.details["skipped_degenerate"] == skipped

@@ -589,7 +589,66 @@ def reference_flow_map(times, fields, particles, dt, t_end):
     return np.stack(out)
 
 
+def per_evaluation_flow_map(times, fields, particles, dt, t_end):
+    """RK4 particle paths as flow_map formed them with the time weights found
+    afresh at every evaluation, the corners gathered by np.stack and the time
+    combination by np.tensordot: the bits flow_map must keep."""
+    times = np.asarray(times)
+    grid = fields[0].grid
+    u_vals = [f.values for f in fields]
+    n, h, L = grid.n_side, grid.spacing, grid.box_length
+
+    def bilinear(fields_vals, pts):
+        q = pts / h
+        i0 = np.floor(q).astype(int)
+        frac = q - i0
+        i0 %= n
+        i1 = (i0 + 1) % n
+        fx, fy = frac[:, 0], frac[:, 1]
+        flat = np.stack([i0[:, 0] * n + i0[:, 1], i1[:, 0] * n + i0[:, 1],
+                         i0[:, 0] * n + i1[:, 1], i1[:, 0] * n + i1[:, 1]])
+        wgt = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
+        corners = np.stack([vals.reshape(2, -1)[:, flat] for vals in fields_vals])
+        return (corners * wgt).sum(axis=2).transpose(0, 2, 1)
+
+    def vel(tq, p):
+        idx, w = solver._catmull_rom_weights(times, min(tq, times[-1]))
+        return np.tensordot(w, bilinear([u_vals[i] for i in idx], p % L), axes=1)
+
+    pts = np.asarray(particles, dtype=np.float64).copy()
+    out = [pts.copy()]
+    n_steps = max(1, int(round(t_end / dt)))
+    dt = t_end / n_steps
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = vel(t, pts)
+        k2 = vel(t + dt / 2, pts + dt / 2 * k1)
+        k3 = vel(t + dt / 2, pts + dt / 2 * k2)
+        k4 = vel(t + dt, pts + dt * k3)
+        pts = pts + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        out.append(pts.copy())
+    return np.stack(out)
+
+
 class TestFlowMap:
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 1.0], np.linspace(0.0, 0.5, 6),
+                                       np.array([0.0, 0.05, 0.2, 0.23, 0.4, 0.5])],
+                             ids=["one", "two", "uniform", "non_uniform"])
+    @pytest.mark.parametrize("count", [1, 3, 64])
+    @pytest.mark.parametrize("dt, t_end", [(0.01, None), (0.0037, 0.3), (0.02, 0.9)])
+    def test_paths_keep_the_bits_of_the_per_evaluation_route(self, grid64, times, count, dt,
+                                                             t_end):
+        # weights once per distinct time, corners without stacks, the dot
+        # tensordot reaches; t_end past the last sample holds the last field
+        fields = [dealias(random_real_field(grid64, seed=60 + i, components=2)) * 4.0
+                  for i in range(len(times))]
+        pts = np.random.default_rng(count).uniform(-1.0, 8.0, size=(count, 2))
+        t_end = t_end if t_end is not None else (times[-1] or 0.1)
+        paths = flow_map((times, fields), pts, dt, t_end)
+        ref = per_evaluation_flow_map(times, fields, pts, dt, t_end)
+        assert paths.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 6),
                                        np.array([0.0, 0.05, 0.2, 0.23, 0.4, 0.5])],
                              ids=["uniform", "non_uniform"])

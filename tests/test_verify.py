@@ -4,15 +4,15 @@ import scipy.fft
 
 from sqglab.dyadic import build_partition, project_block
 from sqglab.errors import ConfigurationError
-from sqglab.fields import SpectralField
-from sqglab.grid import Grid2D, operator_table
+from sqglab.fields import SpectralField, dealiased_samples
+from sqglab.grid import Grid2D, OperatorTable, operator_table
 from sqglab.multipliers import (apply_multiplier, bessel, biot_savart_velocity, gradient,
                                 kato_ponce_commutator)
 from sqglab.solver import SolverConfig, simulate
 from sqglab.verify import (EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
                            check_multiplier_bounds, check_velocity_regularity,
-                           cumulative_trapezoid, gronwall_envelope, lp_commutator, make_field,
-                           twin_run_experiment)
+                           _lp_commutator, _u_dot_grad, cumulative_trapezoid, gronwall_envelope,
+                           make_field, twin_run_experiment)
 
 from test_multipliers import pure_mode
 
@@ -124,6 +124,27 @@ class TestCheckRunners:
         b = check_multiplier_bounds("bernstein", {"ps": (2.0,)}, ens, n_sides=(128,))
         assert a.measured == b.measured
 
+    @pytest.mark.parametrize("variant, params, derived", [
+        ("bernstein", {}, 1),
+        ("lemma_3_1", {"s_values": (0.7, 1.3)}, 2),
+        ("lemma_A_2", {"betas": (0.3, 0.6)}, 2)])
+    def test_multiplier_bounds_transform_budget(self, variant, params, derived, monkeypatch):
+        # one inverse transform per block field and one per field derived from
+        # it, shared by p = 2 and p = inf; each trial's field takes one more,
+        # for the sup make_field normalizes by
+        calls = []
+        values = OperatorTable.values
+        monkeypatch.setattr(OperatorTable, "values",
+                            lambda self, c, mask=None: calls.append(c.shape) or values(self, c, mask))
+        ens = EnsembleSpec(count=2)
+        rep = check_multiplier_bounds(variant, {"ps": (2.0, np.inf), **params}, ens,
+                                      n_sides=(128,))
+        assert rep.details["skipped_degenerate"] == 0
+        blocks = len(build_partition(Grid2D(128)).measured_range())
+        assert len(calls) == ens.count * (1 + blocks * (1 + derived))
+        # the block fields and their derived fields hold the block's columns only
+        assert sum(shape[-1] < 65 for shape in calls) == ens.count * blocks * (1 + derived)
+
     def test_outlier_guard(self):
         assert _outlier_free([1.0, 1.1, 0.9, 1.05])
         assert not _outlier_free([1.0, 1.1, 0.9, 22.0])
@@ -150,7 +171,9 @@ class TestCheckRunners:
         fam = build_partition(grid128)
         u = SpectralField.zeros(grid128, components=2)
         theta = make_field(grid128, EnsembleSpec(), 1)
-        out = lp_commutator(u, theta, 2, fam)
+        # the commutator as check_commutators("holder_commutator") forms it
+        u_samples = dealiased_samples(u)
+        out = _lp_commutator(u_samples, theta, 2, fam, _u_dot_grad(u_samples, theta))
         assert out.linf() == 0.0
 
     def test_lemma_3_3_runs_and_passes(self):
