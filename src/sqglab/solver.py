@@ -20,7 +20,11 @@ projection the previous step stored (u0 is projected once, before the
 first step); its dealiased samples serve the transport step and the
 predictor's far flux, and the new theta's the predictor and the corrector.
 The Picard sequence keeps its reconstruction on samples and steps theta
-by the previous iterate's velocity through :func:`frozen_velocity`.
+by the previous iterate's velocity through :func:`frozen_velocity`.  An
+iterate is one pass over the steps: each transport step is followed by the
+reconstruction step of the theta it made, so an iterate keeps u at every
+step (the next iterate transports by it) but theta only at the sample
+times, and the trace holds the samples D_n was measured from.
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -41,7 +45,7 @@ import numpy as np
 from .dyadic import build_partition, smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
 from .fields import SpectralField, dealiased_samples
-from .grid import Grid2D, operator_table
+from .grid import Grid2D, abs_max, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
 from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_norm
@@ -105,7 +109,9 @@ class Trajectory:
 
 @dataclass
 class IterationTrace:
-    iterates: list = dc_field(default_factory=list)  # per n: dict with sampled fields
+    # per n: {"n", "theta", "u"}, lists of fresh fields at the sample times, one
+    # representation each: theta's samples D_n read, u's samples (else coefficients)
+    iterates: list = dc_field(default_factory=list)
     decrements: dict = dc_field(default_factory=dict)  # n -> array of D_n at sample times
     sample_times: np.ndarray = None
     time_bound: float = 0.0
@@ -182,13 +188,15 @@ def cfl_dt(u: SpectralField, grid: Grid2D, dt: float) -> float:
 
 
 def _check_blowup(theta: SpectralField, theta0_linf: float):
-    v = theta.values
-    if not np.all(np.isfinite(v)):
+    # numpy's max and min propagate NaN, so a NaN or +-Inf sample leaves
+    # max |theta| not finite: one abs_max decides both tests, with no n^2 mask
+    peak = abs_max(theta.values)
+    if not math.isfinite(peak):
         raise SimulationError("NaN/Inf in the advected scalar")
-    if theta0_linf > 0 and float(np.abs(v).max()) > 10.0 * theta0_linf:
+    if theta0_linf > 0 and peak > 10.0 * theta0_linf:
         raise SimulationError(
             f"blow-up detected: ||theta||_inf exceeded 10x its initial value "
-            f"({float(np.abs(v).max()):.3g} vs {theta0_linf:.3g})"
+            f"({peak:.3g} vs {theta0_linf:.3g})"
         )
 
 
@@ -580,6 +588,16 @@ def polygon_area(points: np.ndarray) -> float:
 # -- Picard iteration ------------------------------------------------------------
 
 
+def _trace_entry(n: int, grid: Grid2D, thetas, us) -> dict:
+    """Iterate n's record: fresh fields of one representation each, theta as
+    the samples D_n was measured from and u as its samples if it holds them,
+    else its coefficients."""
+    return {"n": n,
+            "theta": [SpectralField._adopt(grid, values=v) for v in thetas],
+            "u": [SpectralField._adopt(grid, values=u._values) if u._values is not None
+                  else SpectralField._adopt(grid, coefficients=u._coeffs) for u in us]}
+
+
 def picard_iterate(config: SolverConfig, theta0: SpectralField,
                    u0: SpectralField | None = None, n_max: int = 8,
                    split: KernelSplit | None = None, n_samples: int = 8) -> IterationTrace:
@@ -618,55 +636,51 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         return frozen_velocity(lambda t: SpectralField._adopt(
             grid, values=_interp_velocity_time(step_times, vals, min(t, t_end))))
 
-    # n = 1: time-frozen smoothed data
-    th_prev = [smooth_truncate_initial(theta0, 2, family)] * (n_steps + 1)
-    u_prev = [smooth_truncate_initial(u0, 2, family)] * (n_steps + 1)
-
+    keep = set(sample_idx.tolist())
     trace = IterationTrace(sample_times=sample_times, time_bound=t_bound)
     c = config.c_existence
     denom = 1.0 - c * sample_times * (u0_linf + theta0_cr)
     with np.errstate(divide="ignore"):
         curve = np.where(denom > 0, c * (u0_linf + theta0_cr) / denom, np.inf)
     trace.norm_bound_curve = curve
-    trace.iterates.append({"n": 1,
-                           "theta": [th_prev[i] for i in sample_idx],
-                           "u": [u_prev[i] for i in sample_idx]})
+
+    # n = 1: time-frozen smoothed data; theta is kept as its samples at the
+    # sample times, u at every step
+    th_prev = [smooth_truncate_initial(theta0, 2, family).values] * len(sample_idx)
+    u_prev = [smooth_truncate_initial(u0, 2, family)] * (n_steps + 1)
+    trace.iterates.append(_trace_entry(1, grid, th_prev, [u_prev[i] for i in sample_idx]))
 
     increase_streak = 0
     prev_dn_final = None
     for n in range(1, n_max):
         u_interp = frozen_interp(u_prev)
-        th_new = [smooth_truncate_initial(theta0, n + 2, family)]
-        state = SimState(t=0.0, theta=th_new[0], u=u_prev[0], theta0_linf=theta0.linf())
-        for k in range(n_steps):
-            state = step_transport(state, u_interp, dt)
-            th_new.append(state.theta)
-
+        th_init = smooth_truncate_initial(theta0, n + 2, family)
         u_new = [smooth_truncate_initial(u0, n + 2, family)]
-        th_init = th_new[0]
+        th_new = [th_init.values]  # theta at the sample times, which start at step 0
+        state = SimState(t=0.0, theta=th_init, u=u_prev[0], theta0_linf=theta0.linf())
         acc = SpectralField.zeros(grid, components=2)
-        integ_prev = convolve_far(split, th_new[0], u_prev[0])
+        integ_prev = convolve_far(split, th_init, u_prev[0])
         for k in range(1, n_steps + 1):
-            integ = convolve_far(split, th_new[k], u_prev[k])
+            # transport step k, then reconstruction step k from its theta
+            state = step_transport(state, u_interp, dt)
+            integ = convolve_far(split, state.theta, u_prev[k])
             acc = SpectralField._adopt(
                 grid, values=acc.values + 0.5 * dt * (integ_prev.values + integ.values))
             integ_prev = integ
-            near = convolve_near(split, th_new[k] - th_init)
+            near = convolve_near(split, state.theta - th_init)
             u_new.append(SpectralField._adopt(
                 grid, values=u_new[0].values + near.values - acc.values))
+            if k in keep:
+                th_new.append(state.theta.values)
 
         dn = np.empty(len(sample_idx))
         for m, idx in enumerate(sample_idx):
             v = (u_new[idx] - u_prev[idx]).linf()
-            # on samples although th_prev may hold coefficients only (the first
-            # iterate's): D_n keeps the bits it was recorded with
-            dth = SpectralField._adopt(grid, values=th_new[idx].values - th_prev[idx].values)
+            dth = SpectralField._adopt(grid, values=th_new[m] - th_prev[m])
             eta = zygmund_norm(dth, config.r - 1.0, family).value
             dn[m] = v + eta
         trace.decrements[n + 1] = dn
-        trace.iterates.append({"n": n + 1,
-                               "theta": [th_new[i] for i in sample_idx],
-                               "u": [u_new[i] for i in sample_idx]})
+        trace.iterates.append(_trace_entry(n + 1, grid, th_new, [u_new[i] for i in sample_idx]))
 
         if prev_dn_final is not None and dn[-1] >= prev_dn_final:
             increase_streak += 1

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from sqglab import kernels, multipliers, solver
+from sqglab.dyadic import build_partition, smooth_truncate_initial
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
 from sqglab.fields import SpectralField, dealias, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
 from sqglab.kernels import build_split, convolve_far, convolve_near
 from sqglab.multipliers import biot_savart_velocity, divergence, gradient
+from sqglab.norms import zygmund_norm
 from sqglab.solver import (SimState, SolverConfig, _interp_velocity_time, existence_time,
                            flow_map, frozen_velocity, leray_project, picard_iterate, polygon_area,
                            simulate, step_transport, velocity_serfati)
@@ -236,6 +238,36 @@ class TestStepTransport:
         st = SimState(t=0, theta=big, u=SpectralField.zeros(grid64, 2), theta0_linf=th.linf())
         with pytest.raises(SimulationError):
             step_transport(st, SpectralField.zeros(grid64, 2), 0.01)
+
+    @pytest.mark.parametrize("theta0_linf", [0.0, 1e3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_single_non_finite_sample_aborts(self, grid64, bad, theta0_linf):
+        vals = random_real_field(grid64, seed=2).values.copy()
+        vals[17, 5] = bad
+        th = SpectralField.from_values(grid64, vals)
+        with pytest.raises(SimulationError, match="NaN/Inf in the advected scalar"):
+            solver._check_blowup(th, theta0_linf)
+
+    def test_blowup_message_reports_the_peak(self, grid64):
+        th = random_real_field(grid64, seed=4)
+        peak = float(np.abs(th.values).max())
+        solver._check_blowup(th, 0.101 * peak)  # within the bound: no error
+        with pytest.raises(SimulationError) as err:
+            solver._check_blowup(th, 0.099 * peak)
+        assert f"({peak:.3g} vs {0.099 * peak:.3g})" in str(err.value)
+
+    def test_blowup_check_memory_budget(self):
+        # the check reads max |theta| from the samples, with no n^2 mask or |theta|
+        # array: at n = 256 those were 64 KiB and 512 KiB
+        th = random_real_field(Grid2D(256), seed=5)
+        solver._check_blowup(th, 1e3)
+        tracemalloc.start()
+        try:
+            solver._check_blowup(th, 1e3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096
 
     def test_self_consistent_needs_beta(self, grid64):
         th = random_real_field(grid64, seed=3)
@@ -716,7 +748,138 @@ def picard_grid():
     return Grid2D(128, 16.0)
 
 
+@pytest.fixture(scope="module")
+def picard_split(picard_grid):
+    return build_split(picard_grid, 0.5, oversample=2)
+
+
+def picard_dipole(grid):
+    x1, x2 = grid.coords_centered()
+    return SpectralField.from_values(
+        grid, 0.8 * (np.exp(-((x1 - 1.6) ** 2 + x2**2) / 1.28)
+                     - np.exp(-((x1 + 1.6) ** 2 + x2**2) / 1.28)))
+
+
+def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
+    """Reference Picard sequence in two passes per iterate, every step of both
+    iterates kept: all transport steps, then all reconstruction steps.
+
+    Returns the decrements and, per iterate, the samples of theta and u at
+    the sample times."""
+    grid = theta0.grid
+    family = build_partition(grid)
+    dt = solver.cfl_dt(u0, grid, cfg.dt)
+    n_steps = max(2, int(round(cfg.t_end / dt)))
+    dt = cfg.t_end / n_steps
+    step_times = np.arange(n_steps + 1) * dt
+    sample_idx = np.unique(np.linspace(0, n_steps, n_samples).round().astype(int))
+
+    def frozen_interp(fields):
+        vals = [f.values for f in fields]
+        return frozen_velocity(lambda t: SpectralField.from_values(
+            grid, _interp_velocity_time(step_times, vals, min(t, cfg.t_end))))
+
+    th_prev = [smooth_truncate_initial(theta0, 2, family)] * (n_steps + 1)
+    u_prev = [smooth_truncate_initial(u0, 2, family)] * (n_steps + 1)
+    decrements, iterates = {}, [(th_prev, u_prev)]
+    for n in range(1, n_max):
+        u_interp = frozen_interp(u_prev)
+        th_new = [smooth_truncate_initial(theta0, n + 2, family)]
+        state = SimState(t=0.0, theta=th_new[0], u=u_prev[0], theta0_linf=theta0.linf())
+        for _ in range(n_steps):
+            state = step_transport(state, u_interp, dt)
+            th_new.append(state.theta)
+
+        u_new = [smooth_truncate_initial(u0, n + 2, family)]
+        acc = SpectralField.zeros(grid, components=2)
+        integ_prev = convolve_far(split, th_new[0], u_prev[0])
+        for k in range(1, n_steps + 1):
+            integ = convolve_far(split, th_new[k], u_prev[k])
+            acc = SpectralField.from_values(
+                grid, acc.values + 0.5 * dt * (integ_prev.values + integ.values))
+            integ_prev = integ
+            near = convolve_near(split, th_new[k] - th_new[0])
+            u_new.append(SpectralField.from_values(
+                grid, u_new[0].values + near.values - acc.values))
+
+        decrements[n + 1] = np.array([
+            (u_new[i] - u_prev[i]).linf()
+            + zygmund_norm(SpectralField.from_values(grid, th_new[i].values - th_prev[i].values),
+                           cfg.r - 1.0, family).value
+            for i in sample_idx])
+        iterates.append((th_new, u_new))
+        th_prev, u_prev = th_new, u_new
+    return decrements, [([th[i].values for i in sample_idx], [u[i].values for i in sample_idx])
+                        for th, u in iterates]
+
+
 class TestPicard:
+
+    @pytest.mark.parametrize("n_steps", [3, 5])
+    def test_one_pass_has_the_bits_of_the_two_pass_reference(self, picard_grid, picard_split,
+                                                              n_steps):
+        theta0 = picard_dipole(picard_grid)
+        u0 = biot_savart_velocity(theta0, 0.5)
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=n_steps * 0.01, n_side=128,
+                           box_length=16.0)
+        trace = picard_iterate(cfg, theta0, u0=u0, n_max=4, split=picard_split)
+        ref_dn, ref_fields = two_pass_picard(cfg, theta0, u0, 4, picard_split)
+        assert sorted(trace.decrements) == sorted(ref_dn) == [2, 3, 4]
+        assert trace.decrements[4][-1] > 0.0
+        for n, dn in ref_dn.items():
+            assert np.array_equal(trace.decrements[n], dn)
+        assert len(trace.iterates) == len(ref_fields)
+        for entry, (thetas, us) in zip(trace.iterates, ref_fields):
+            for key, ref in (("theta", thetas), ("u", us)):
+                assert len(entry[key]) == len(ref)
+                assert all(np.array_equal(f.values, v) for f, v in zip(entry[key], ref))
+
+    def test_trace_holds_fresh_fields_of_one_representation(self, picard_grid, picard_split,
+                                                            monkeypatch):
+        # the fields an iterate computes with (its transported thetas, the
+        # velocities it integrates against, the smoothed data) hold both
+        # representations along the way; the trace keeps none of them
+        own = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                own.extend(a for a in args + (out,) if isinstance(a, SpectralField))
+                if isinstance(out, SimState):
+                    own.extend([out.theta, out.u])
+                return out
+            return wrapped
+
+        for name in ("step_transport", "convolve_far", "convolve_near",
+                     "smooth_truncate_initial"):
+            monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        trace = picard_iterate(cfg, picard_dipole(picard_grid), n_max=4, split=picard_split)
+        entries = [f for it in trace.iterates for key in ("theta", "u") for f in it[key]]
+        assert len(entries) == 2 * len(trace.iterates) * len(trace.sample_times)
+        assert not {id(f) for f in own} & {id(f) for f in entries}
+        for f in entries:
+            assert (f._values is None) != (f._coeffs is None)
+        assert all(f._values is not None for it in trace.iterates for f in it["theta"])
+        assert all(f._values is not None for it in trace.iterates[1:] for f in it["u"])
+
+    def test_trace_retains_its_samples_only(self, picard_grid, picard_split):
+        theta0 = picard_dipole(picard_grid)
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        picard_iterate(cfg, theta0, n_max=4, split=picard_split)  # fills the grid's caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = picard_iterate(cfg, theta0, n_max=4, split=picard_split)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # per sample of a transported iterate: theta's samples (8 n^2 bytes) and
+        # u's (16 n^2); the smoothed data's samples share one theta sample array
+        # and one u array, 16.25 n^2 bytes, with Python objects under 16 n^2
+        per_sample = 24 * 128**2
+        bound = len(trace.decrements) * len(trace.sample_times) * per_sample + 32 * 128**2
+        assert retained <= bound
 
     def test_band_limited_data_saturates_projection(self, picard_grid):
         # S_(n+2) theta0 = theta0 for data below block 0, so eta^(n+1)(0) = 0
