@@ -177,7 +177,7 @@ def _run_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     sc = SolverConfig(beta=p["beta"], r=p["r"], dt=p["dt"], t_end=p["t_end"],
                       constitutive=p["constitutive"], n_side=int(p["n_side"]),
                       box_length=p["box_length"], record_norms=tuple(p["record_norms"]),
-                      c_existence=p["c_existence"], sample_every=int(p["sample_every"]))
+                      c_existence=p["c_existence"], sample_every=p["sample_every"])
     grid = sc.grid()
     theta0 = initial_condition(grid, p["ic"], p["sigma"], p["amplitude"], cfg.seed)
     traj = simulate(sc, theta0)

@@ -65,9 +65,9 @@ from scipy.special import gammainc, gammaincc
 
 from .dyadic import CutoffA
 from .errors import ConfigurationError, DomainError
-from .fields import SpectralField, dealias, dealiased_samples
+from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, operator_table
-from .multipliers import apply_multiplier, biot_savart_velocity, divergence, frac_laplacian
+from .multipliers import apply_multiplier, biot_savart_velocity, frac_laplacian
 from .report import VerificationReport
 
 _EPERP = np.array([[0.0, -1.0], [1.0, 0.0]])  # d(x_perp)_i / dx_j
@@ -463,8 +463,19 @@ def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField, *,
         # or every velocity a caller keeps (Picard keeps each step's) keeps them
         u_samples = dealiased_samples(
             SpectralField._adopt(u.grid, values=u._values, coefficients=u._coeffs))
-    flux = dealias(SpectralField._adopt(u.grid, values=theta_samples * u_samples))
-    return _convolve(split._mid_transfer, divergence(flux))
+    # dealias, divergence and the mid transfer's product, each with its own
+    # operations, on the dealias box's columns only; the result overwrites
+    # the flux's coefficients and is zero beyond those columns
+    ops = operator_table(u.grid)
+    m = ops.dealias_columns
+    out = ops.coefficients(theta_samples * u_samples)
+    flux = out[..., :m]
+    flux *= ops.dealias[:, :m]
+    div = (1j * ops.k1) * flux[0] + (1j * ops.k2[:, :m]) * flux[1]
+    div *= ops.nyquist[:, :m]
+    np.multiply(split._mid_transfer[..., :m], div, out=flux)
+    out[..., m:] = 0.0
+    return SpectralField._adopt(u.grid, coefficients=out)
 
 
 def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:

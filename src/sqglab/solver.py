@@ -19,6 +19,9 @@ samples only where a caller reads them.  A serfati step advects by the
 projection the previous step stored (u0 is projected once, before the
 first step); its dealiased samples serve the transport step and the
 predictor's far flux, and the new theta's the predictor and the corrector.
+A stored sample keeps theta as the samples its norms were measured from,
+shared with the state and without coefficients, and u as the state held
+it (see :class:`Trajectory`).
 The Picard sequence keeps its reconstruction on samples and steps theta
 by the previous iterate's velocity through :func:`frozen_velocity`.  An
 iterate is one pass over the steps: each transport step is followed by the
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -76,6 +80,9 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("need dt > 0 and t_end >= 0")
+        every = self.sample_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
+            raise ConfigurationError(f"sample_every must be an integer >= 0, got {every!r}")
 
     def grid(self) -> Grid2D:
         return Grid2D(self.n_side, self.box_length)
@@ -94,6 +101,19 @@ class SimState:
 
 @dataclass
 class Trajectory:
+    """Fields and norms of a ``simulate`` run at its sample times.
+
+    ``thetas[i]`` holds theta's samples only, the array the recorded norms
+    were measured from, shared with the run's state and with no coefficient
+    copy.  ``us[i]`` is the state's own velocity: ``us[0]`` is u0 itself (the
+    caller's field, or the one ``simulate`` made), and later entries are
+    stored as coefficients, the constitutive velocity under the direct law
+    and its Leray projection under serfati; reading their samples (as
+    ``flow_map`` does) caches those too.  ``final_state`` is the whole last
+    state, theta's coefficients included, which ``velocity_serfati`` and the
+    far accumulator read.
+    """
+
     times: list = dc_field(default_factory=list)
     thetas: list = dc_field(default_factory=list)
     us: list = dc_field(default_factory=list)
@@ -403,9 +423,10 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
     def store(state: SimState):
         traj.times.append(state.t)
-        traj.thetas.append(state.theta)
-        traj.us.append(state.u)
         recorder.record(traj.norms, state.t, state.theta, state.u)
+        # theta's samples, which the norms read, shared with the state; no coefficients
+        traj.thetas.append(SpectralField._adopt(grid, values=state.theta.values))
+        traj.us.append(state.u)
 
     store(state)
     l2_0 = theta0.l2()
@@ -610,6 +631,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     """
     if n_max < 2:
         raise ConfigurationError(f"need n_max >= 2, got {n_max}")
+    if n_samples < 2:
+        # D_n is read at the last sample, which must be t_end, not t = 0
+        raise ConfigurationError(f"need n_samples >= 2, got {n_samples}")
     if config.c_existence <= 0:
         raise ConfigurationError(
             f"picard_iterate needs c_existence > 0 for its time bound, got {config.c_existence}")

@@ -128,6 +128,20 @@ class TestSimulateCommand:
         assert (tmp_path / "theta_0000.fld").exists()
         assert (tmp_path / "theta_0002.fld").exists()
 
+    @pytest.mark.parametrize("flag, config", [(["--sample-every", "-1"], None),
+                                              ([], {"sample_every": 2.5})])
+    def test_bad_sample_every_is_a_config_error(self, tmp_path, capsys, flag, config):
+        args = ["simulate", "--ic", "single_mode", "--n-side", "64", "--dt", "0.01",
+                "--t-end", "0.04", "--c-existence", "0", *flag, "--out", str(tmp_path)]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"command": "simulate", "params": config}))
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        bad = flag[-1] if flag else config["sample_every"]
+        assert f"sample_every must be an integer >= 0, got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "norms.csv").exists()
+
     def test_manifest_round_trip(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

@@ -10,14 +10,15 @@ import sqglab
 from sqglab import dyadic, kernels
 from sqglab.dyadic import build_partition
 from sqglab.errors import ConfigurationError, DomainError
-from sqglab.fields import SpectralField, dealiased_samples
+from sqglab.fields import SpectralField, dealias, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
 from sqglab.kernels import (CutoffA, _far_samples, _mid_samples, _near_samples, _phi_derivs,
                             _phi_short_derivs, build_split,
                             convolve_far, convolve_near, far_flux_integral, riesz_constant,
                             riesz_convolve, riesz_transfer, sample_near,
                             split_consistency_error, verify_fundamental_solution)
-from sqglab.multipliers import biot_savart_velocity, dealiased_product, frac_laplacian, apply_multiplier
+from sqglab.multipliers import (apply_multiplier, biot_savart_velocity, dealiased_product, divergence,
+                                frac_laplacian)
 from sqglab.norms import WindowFamily, window_profile
 
 from conftest import random_real_field
@@ -464,6 +465,37 @@ class TestConvolutions:
         planes = count_planes()
         convolve_far(split128_raw, theta, u, theta_samples=th_s, u_samples=u_s)
         assert sum(planes) == 2
+
+    def test_far_keeps_the_bits_of_its_three_layer_route(self, split128_raw):
+        # dealias, divergence and the mid convolution as separate layers; the
+        # narrow route leaves zeros of one sign beyond the dealias columns
+        g = split128_raw.grid
+        theta = random_real_field(g, seed=9)
+        u = random_real_field(g, seed=10, components=2)
+        flux = SpectralField.from_values(g, dealiased_samples(theta) * dealiased_samples(u))
+        ref = kernels._convolve(split128_raw._mid_transfer, divergence(dealias(flux)))
+        got = convolve_far(split128_raw, theta, u).coefficients
+        assert np.array_equal(got, ref.coefficients)
+        beyond = got[..., operator_table(g).dealias_columns:]
+        assert not beyond.view(np.float64).any()
+        assert not np.signbit(beyond.view(np.float64)).any()
+
+    def test_far_peak_memory(self, split256):
+        # the flux's samples (16 n^2 bytes) and the coefficients that become
+        # the result (16 n^2), with temporaries on the dealias columns only
+        g = split256.grid
+        theta = random_real_field(g, seed=11)
+        u = random_real_field(g, seed=12, components=2)
+        th_s, u_s = dealiased_samples(theta), dealiased_samples(u)
+        convolve_far(split256, theta, u, theta_samples=th_s, u_samples=u_s)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            convolve_far(split256, theta, u, theta_samples=th_s, u_samples=u_s)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 256**2
 
     def test_far_gauge_kills_constants(self, split256):
         ones = SpectralField.from_values(split256.grid, np.ones((256, 256)))

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import tracemalloc
 
@@ -57,6 +58,15 @@ class TestSolverConfig:
     def test_non_finite_rejected(self, name, bad):
         with pytest.raises(ConfigurationError):
             SolverConfig(beta=0.5, **{name: bad})
+
+    @pytest.mark.parametrize("bad", [-1, -2, 2.5, 3.0, "3", True, None])
+    def test_sample_every_must_be_a_nonnegative_integer(self, bad):
+        with pytest.raises(ConfigurationError, match=f"sample_every.*{bad!r}"):
+            SolverConfig(beta=0.5, sample_every=bad)
+
+    @pytest.mark.parametrize("good", [0, 1, 7, np.int64(3)])
+    def test_sample_every_integers_accepted(self, good):
+        assert SolverConfig(beta=0.5, sample_every=good).sample_every == good
 
 
 def values_space_rk4_step(theta, beta, dt):
@@ -533,6 +543,100 @@ class TestSerfati:
         assert rel_gap(traj.final_state.far_accumulator, expected) <= 1e-13
 
 
+def full_state_run(cfg, theta0, split):
+    """``simulate``'s loop written out, keeping every step's state whole
+    (theta with its coefficients as well as its samples) and its norms."""
+    grid = theta0.grid
+    u0 = biot_savart_velocity(theta0, cfg.beta)
+    dt = solver.cfl_dt(u0, grid, cfg.dt)
+    n_steps = max(1, int(round(cfg.t_end / dt)))
+    dt = cfg.t_end / n_steps
+    recorder = solver.NormRecorder(cfg.record_norms, grid)
+    state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf(),
+                     far_accumulator=SpectralField.zeros(grid, components=2),
+                     far_prev=convolve_far(split, theta0, u0))
+    states, norms = [state], []
+    recorder.record(norms, state.t, theta0, u0)
+    u_adv = leray_project(u0)
+    for _ in range(n_steps):
+        if cfg.constitutive == "direct":
+            new = step_transport(state, None, dt, beta=cfg.beta)
+            integ = convolve_far(split, new.theta, new.u)
+            new.far_accumulator = state.far_accumulator + 0.5 * dt * (state.far_prev + integ)
+        else:
+            new = step_transport(state, u_adv, dt)
+            base = state.far_accumulator + 0.5 * dt * state.far_prev
+            new.far_accumulator = base + 0.5 * dt * convolve_far(split, new.theta, u_adv)
+            new.far_time = new.t
+            integ = convolve_far(split, new.theta, velocity_serfati(new, u0, theta0, split))
+            new.far_accumulator = base + 0.5 * dt * integ
+            new.u = u_adv = leray_project(velocity_serfati(new, u0, theta0, split))
+        new.far_prev, new.far_time = integ, new.t
+        state = new
+        states.append(state)
+        recorder.record(norms, state.t, state.theta, state.u)
+    return states, norms
+
+
+class TestStoredSamples:
+    """A trajectory keeps each sampled theta once, as the samples the run measured."""
+
+    @pytest.mark.parametrize("mode", ["direct", "serfati"])
+    def test_thetas_share_the_states_samples(self, split128, mode, monkeypatch):
+        made = []
+        step = solver.step_transport
+        monkeypatch.setattr(solver, "step_transport",
+                            lambda *args, **kw: made.append(step(*args, **kw)) or made[-1])
+        theta0 = dipole16(split128.grid)
+        traj = simulate(split_config(mode, 4), theta0, split=split128)
+        assert len(traj.thetas) == len(made) + 1 == 5
+        for stored, theta in zip(traj.thetas, [theta0] + [st.theta for st in made]):
+            assert stored is not theta
+            assert stored._coeffs is None
+            assert np.shares_memory(stored._values, theta.values)
+        assert traj.final_state.theta._coeffs is not None
+
+    def test_direct_trajectory_memory_budget(self, grid128):
+        n, steps = 128, 20
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=steps * 0.01, n_side=n, c_existence=0.0,
+                           sample_every=1)
+        theta0 = dipole(grid128)
+        simulate(cfg, theta0)  # fills the grid's caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = simulate(cfg, theta0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # per sample: theta's samples (n^2 floats) and u's coefficients (2 n (n/2 + 1)
+        # complex); the final state adds theta's coefficients
+        samples = len(traj.thetas)
+        assert samples == steps + 1
+        per_sample = (n * n + 2 * n * (n // 2 + 1) * 2) * 8
+        bound = samples * per_sample * 1.05 + traj.final_state.theta.coefficients.nbytes
+        assert retained <= bound
+
+    @pytest.mark.parametrize("mode", ["direct", "serfati"])
+    def test_outputs_keep_the_bits_of_full_stored_states(self, split128, mode):
+        cfg = dataclasses.replace(split_config(mode, 4),
+                                  record_norms=("linf:theta", "l2:theta", "cr:theta:1.5",
+                                                "linf:u"))
+        theta0 = dipole16(split128.grid)
+        traj = simulate(cfg, theta0, split=split128)
+        states, norms = full_state_run(cfg, theta0, split128)
+        assert traj.times == [st.t for st in states]
+        assert traj.norms == norms
+        for stored, st in zip(traj.thetas, states):
+            assert np.array_equal(stored.values, st.theta.values)
+        pts = np.random.default_rng(3).uniform(0.0, 16.0, size=(40, 2))
+        assert np.array_equal(flow_map(traj, pts, 0.01),
+                              flow_map((traj.times, [st.u for st in states]), pts, 0.01))
+        got = velocity_serfati(traj.final_state, traj.us[0], theta0, split128)
+        ref = velocity_serfati(states[-1], states[0].u, theta0, split128)
+        assert np.array_equal(got.coefficients, ref.coefficients)
+
+
 def count_public_calls(monkeypatch, *functions):
     """Count calls of package functions under every name a package module
     binds them to, as the traced benchmark counts its spans."""
@@ -948,3 +1052,11 @@ class TestPicard:
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
         with pytest.raises(ConfigurationError):
             picard_iterate(cfg, theta0, n_max=1)
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_requires_two_samples(self, picard_grid, n_samples):
+        # one sample would be t = 0 only, where D_n and the ratios would be read
+        theta0 = single_shell_state(picard_grid)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        with pytest.raises(ConfigurationError, match=f"n_samples >= 2, got {n_samples}"):
+            picard_iterate(cfg, theta0, n_max=2, n_samples=n_samples)
