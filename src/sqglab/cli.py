@@ -139,9 +139,9 @@ def _write_csv(path: Path, header: str, rows):
 def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
     checks = p["checks"]
-    ens = EnsembleSpec(count=int(p["count"]), seed=cfg.seed)
+    ens = EnsembleSpec(count=p["count"], seed=cfg.seed)
     ps = tuple(np.inf if x in ("inf", "oo") else float(x) for x in p["ps"])
-    n_sides = tuple(int(n) for n in p["n_sides"])
+    n_sides = tuple(p["n_sides"])
     # each check runs at its own box unless the config names one
     box = {} if p["box_length"] is None else {"box_length": p["box_length"]}
     reports = []
@@ -175,7 +175,7 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
 def _run_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
     sc = SolverConfig(beta=p["beta"], r=p["r"], dt=p["dt"], t_end=p["t_end"],
-                      constitutive=p["constitutive"], n_side=int(p["n_side"]),
+                      constitutive=p["constitutive"], n_side=p["n_side"],
                       box_length=p["box_length"], record_norms=tuple(p["record_norms"]),
                       c_existence=p["c_existence"], sample_every=p["sample_every"])
     grid = sc.grid()
@@ -197,11 +197,11 @@ def _run_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
 def _run_iterate(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
     sc = SolverConfig(beta=p["beta"], r=p["r"], dt=p["dt"], t_end=p["t_end"],
-                      n_side=int(p["n_side"]), box_length=p["box_length"],
+                      n_side=p["n_side"], box_length=p["box_length"],
                       c_existence=p["c_existence"])
     grid = sc.grid()
     theta0 = initial_condition(grid, p["ic"], p["sigma"], p["amplitude"], cfg.seed)
-    trace = picard_iterate(sc, theta0, n_max=int(p["n_max"]))
+    trace = picard_iterate(sc, theta0, n_max=p["n_max"])
     rows = []
     for n, dn in sorted(trace.decrements.items()):
         for t, v in zip(trace.sample_times, dn):
@@ -218,7 +218,7 @@ def _run_iterate(cfg: ExperimentConfig, outdir: Path) -> int:
 
 def _run_norms(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
-    grid = Grid2D(int(p["n_side"]), p["box_length"])
+    grid = Grid2D(p["n_side"], p["box_length"])
     f = initial_condition(grid, p["ic"], p["sigma"], p["amplitude"], cfg.seed)
     windows = WindowFamily.build(grid)
     reports = [
@@ -241,7 +241,7 @@ def _run_norms(cfg: ExperimentConfig, outdir: Path) -> int:
 
 def _run_kernels(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
-    grid = Grid2D(int(p["n_side"]), p["box_length"])
+    grid = Grid2D(p["n_side"], p["box_length"])
     split = build_split(grid, p["beta"])
     save_field(SpectralField.from_values(grid, split.near), outdir / "near.fld")
     for i in range(2):
@@ -254,8 +254,7 @@ def _run_kernels(cfg: ExperimentConfig, outdir: Path) -> int:
             ("ewald_alpha", split.alpha)]
     status = 0
     if p["fundamental"]:
-        rep = verify_fundamental_solution(p["beta"], Grid2D(max(int(p["n_side"]), 256),
-                                                            16.0 * np.pi))
+        rep = verify_fundamental_solution(p["beta"], Grid2D(max(p["n_side"], 256), 16.0 * np.pi))
         print(rep.summary_line())
         for n_level, err in rep.details["errors_by_n"].items():
             rows.append((f"fundamental_err_n{n_level}", err))

@@ -13,6 +13,7 @@ layout, cached and read-only (``operator_table``).
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field
@@ -32,8 +33,9 @@ def rfft2(a: np.ndarray) -> np.ndarray:
     return scipy.fft.rfft2(a, workers=_FFT_WORKERS)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _require_integer(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,9 @@ class Grid2D:
     spacing: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not _is_power_of_two(self.n_side) or self.n_side < 8:
-            raise ConfigurationError(
-                f"n_side must be a power of two >= 8, got {self.n_side}"
-            )
+        _require_integer("n_side", self.n_side, 8)
+        if self.n_side & (self.n_side - 1):
+            raise ConfigurationError(f"n_side must be a power of two >= 8, got {self.n_side}")
         if not self.box_length > 0:
             raise ConfigurationError(f"box_length must be positive, got {self.box_length}")
         object.__setattr__(self, "spacing", self.box_length / self.n_side)

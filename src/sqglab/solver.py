@@ -7,8 +7,8 @@ The velocity comes either from the direct multiplier (``constitutive =
 
     u(t) = u0 + near * (theta(t) - theta0) - int_0^t far *. (theta u) dtau,
 
-with the time integral accumulated by the trapezoid rule at step
-boundaries.  In serfati mode the advecting field is additionally Leray-
+with the time integral held by :class:`FarIntegral`, the trapezoid rule at
+step boundaries.  In serfati mode the advecting field is additionally Leray-
 projected: the reconstruction is divergence-free in the continuum, and the
 projection removes the sampling residue so transport stays conservative
 (the raw reconstruction is what ``velocity_serfati`` returns).  The
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,7 +48,7 @@ import numpy as np
 from .dyadic import build_partition, smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
 from .fields import SpectralField, dealiased_samples
-from .grid import Grid2D, abs_max, operator_table
+from .grid import Grid2D, _require_integer, abs_max, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
 from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_norm
@@ -80,12 +79,24 @@ class SolverConfig:
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.t_end < 0:
             raise ConfigurationError("need dt > 0 and t_end >= 0")
-        every = self.sample_every
-        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 0:
-            raise ConfigurationError(f"sample_every must be an integer >= 0, got {every!r}")
+        _require_integer("sample_every", self.sample_every, 0)
 
     def grid(self) -> Grid2D:
         return Grid2D(self.n_side, self.box_length)
+
+
+@dataclass(frozen=True)
+class FarIntegral:
+    """int_0^t far *. (theta u) dtau by the trapezoid rule: the sum ``acc`` and
+    the integrand ``prev`` at ``t``.  Its sums are ``SpectralField`` sums, so
+    they stay in the representation of the integrands."""
+
+    acc: SpectralField
+    prev: SpectralField
+    t: float = 0.0
+
+    def advance(self, dt: float, integ: SpectralField) -> "FarIntegral":
+        return FarIntegral(self.acc + 0.5 * dt * (self.prev + integ), integ, self.t + dt)
 
 
 @dataclass
@@ -93,9 +104,7 @@ class SimState:
     t: float
     theta: SpectralField
     u: SpectralField
-    far_accumulator: SpectralField | None = None
-    far_prev: SpectralField | None = None
-    far_time: float = 0.0
+    far: FarIntegral | None = None
     theta0_linf: float = 0.0
 
 
@@ -110,8 +119,8 @@ class Trajectory:
     stored as coefficients, the constitutive velocity under the direct law
     and its Leray projection under serfati; reading their samples (as
     ``flow_map`` does) caches those too.  ``final_state`` is the whole last
-    state, theta's coefficients included, which ``velocity_serfati`` and the
-    far accumulator read.
+    state, theta's coefficients included, and its ``far`` integral (kept
+    when the run has a kernel split), which ``velocity_serfati`` reads.
     """
 
     times: list = dc_field(default_factory=list)
@@ -207,17 +216,19 @@ def cfl_dt(u: SpectralField, grid: Grid2D, dt: float) -> float:
     return min(dt, CFL_NUMBER * grid.spacing / umax)
 
 
-def _check_blowup(theta: SpectralField, theta0_linf: float):
+def _check_blowup(theta: SpectralField, last: SimState):
     # numpy's max and min propagate NaN, so a NaN or +-Inf sample leaves
     # max |theta| not finite: one abs_max decides both tests, with no n^2 mask
     peak = abs_max(theta.values)
     if not math.isfinite(peak):
-        raise SimulationError("NaN/Inf in the advected scalar")
-    if theta0_linf > 0 and peak > 10.0 * theta0_linf:
-        raise SimulationError(
-            f"blow-up detected: ||theta||_inf exceeded 10x its initial value "
-            f"({peak:.3g} vs {theta0_linf:.3g})"
-        )
+        cause = "NaN/Inf in the advected scalar"
+    elif last.theta0_linf > 0 and peak > 10.0 * last.theta0_linf:
+        cause = (f"blow-up detected: ||theta||_inf exceeded 10x its initial value "
+                 f"({peak:.3g} vs {last.theta0_linf:.3g})")
+    else:
+        return
+    raise SimulationError(f"{cause}; last good state t={last.t:.6g}, "
+                          f"||theta||_inf={last.theta.linf():.3g}")
 
 
 def frozen_velocity(u_of):
@@ -286,31 +297,27 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     # check needs), so a zero tendency leaves them bit for bit unchanged
     new_theta = SpectralField._adopt(grid, values=th.values + operator_table(grid).values(inc),
                                      coefficients=c + inc)
-    _check_blowup(new_theta, state.theta0_linf)
+    _check_blowup(new_theta, state)
     u_new = (biot_savart_velocity(new_theta, beta) if u_frozen is None
              else stage_velocity(t + dt, new_theta)[0])
-    return SimState(t=t + dt, theta=new_theta, u=u_new,
-                    far_accumulator=state.far_accumulator, far_prev=state.far_prev,
-                    far_time=state.far_time, theta0_linf=state.theta0_linf)
+    return SimState(t=t + dt, theta=new_theta, u=u_new, theta0_linf=state.theta0_linf)
 
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
                      split: KernelSplit) -> SpectralField:
-    """Reconstructed velocity u0 + near*(theta - theta0) - far accumulator.
+    """Reconstructed velocity u0 + near*(theta - theta0) - the far integral.
 
     Linear in its terms, so it is formed on coefficients: the result holds
     coefficients only, and costs no transform when its inputs hold
     coefficients.
     """
-    if state.far_accumulator is not None and \
-            abs(state.far_time - state.t) > 1e-9 * max(1.0, abs(state.t)):
-        raise SimulationError(
-            f"far accumulator at t={state.far_time} but state at t={state.t}"
-        )
+    far = state.far
+    if far is not None and abs(far.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
+        raise SimulationError(f"far accumulator at t={far.t} but state at t={state.t}")
     dtheta = SpectralField._adopt(u0.grid,
                                   coefficients=state.theta.coefficients - theta0.coefficients)
     u = u0 + convolve_near(split, dtheta)
-    return u if state.far_accumulator is None else u - state.far_accumulator
+    return u if far is None else u - far.acc
 
 
 # -- existence time -------------------------------------------------------------
@@ -387,7 +394,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
     Records the requested norms at the sample cadence and returns the full
     trajectory (fields stored at sample times).  Passing a kernel split
-    with the direct law keeps the reconstruction accumulator up to date
+    with the direct law keeps the state's far integral (``far``) up to date
     along the run, so ``velocity_serfati`` can be evaluated on the final
     state for identity-consistency measurements.
     """
@@ -418,8 +425,8 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
     if split is not None:
-        state.far_accumulator = SpectralField.zeros(grid, components=2)
-        state.far_prev = convolve_far(split, theta0, u0)
+        state.far = FarIntegral(SpectralField.zeros(grid, components=2),
+                                convolve_far(split, theta0, u0))
 
     def store(state: SimState):
         traj.times.append(state.t)
@@ -437,31 +444,24 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         if config.constitutive == "direct":
             new = step_transport(state, None, dt, beta=config.beta)
             if split is not None:
-                integ = convolve_far(split, new.theta, new.u)
-                new.far_accumulator = state.far_accumulator + 0.5 * dt * (state.far_prev + integ)
-                new.far_prev = integ
-                new.far_time = new.t
-            state = new
+                new.far = state.far.advance(dt, convolve_far(split, new.theta, new.u))
         else:
             # u_adv's dealiased samples serve the transport step and the
             # predictor's far flux; the new theta's, predictor and corrector
             adv = (u_adv, dealiased_samples(u_adv))
             new = step_transport(state, lambda t: adv, dt)
             theta_samples = dealiased_samples(new.theta)
-            # trapezoid leg with predictor/corrector for the new-boundary integrand
-            base = state.far_accumulator + 0.5 * dt * state.far_prev
-            new.far_accumulator = base + 0.5 * dt * convolve_far(
-                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv[1])
-            new.far_time = new.t
+            # the new-boundary integrand: predicted with u_adv, corrected with u_star
+            new.far = state.far.advance(dt, convolve_far(
+                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv[1]))
             u_star = velocity_serfati(new, u0, theta0, split)
-            integ = convolve_far(split, new.theta, u_star, theta_samples=theta_samples)
-            new.far_accumulator = base + 0.5 * dt * integ
-            new.far_prev = integ
+            new.far = state.far.advance(dt, convolve_far(
+                split, new.theta, u_star, theta_samples=theta_samples))
             # the reconstruction is divergence-free in the continuum; project
             # away the sampling residue so the state velocity stays solenoidal,
             # and advect the next step by that stored projection
             new.u = u_adv = leray_project(velocity_serfati(new, u0, theta0, split))
-            state = new
+        state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             store(state)
 
@@ -629,8 +629,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     S_(n+2) theta0, and u^(n+1) comes from the reconstruction recursion with
     the far integrand theta^(n+1) u^n.
     """
-    if n_max < 2:
-        raise ConfigurationError(f"need n_max >= 2, got {n_max}")
+    _require_integer("n_max", n_max, 2)
     if n_samples < 2:
         # D_n is read at the last sample, which must be t_end, not t = 0
         raise ConfigurationError(f"need n_samples >= 2, got {n_samples}")
@@ -660,6 +659,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         return frozen_velocity(lambda t: SpectralField._adopt(
             grid, values=_interp_velocity_time(step_times, vals, min(t, t_end))))
 
+    def far_samples(theta, u):  # the integrand as samples only, so the sums are on samples
+        return SpectralField._adopt(grid, values=convolve_far(split, theta, u).values)
+
     keep = set(sample_idx.tolist())
     trace = IterationTrace(sample_times=sample_times, time_bound=t_bound)
     c = config.c_existence
@@ -682,18 +684,14 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         u_new = [smooth_truncate_initial(u0, n + 2, family)]
         th_new = [th_init.values]  # theta at the sample times, which start at step 0
         state = SimState(t=0.0, theta=th_init, u=u_prev[0], theta0_linf=theta0.linf())
-        acc = SpectralField.zeros(grid, components=2)
-        integ_prev = convolve_far(split, th_init, u_prev[0])
+        far = FarIntegral(SpectralField.zeros(grid, components=2), far_samples(th_init, u_prev[0]))
         for k in range(1, n_steps + 1):
             # transport step k, then reconstruction step k from its theta
             state = step_transport(state, u_interp, dt)
-            integ = convolve_far(split, state.theta, u_prev[k])
-            acc = SpectralField._adopt(
-                grid, values=acc.values + 0.5 * dt * (integ_prev.values + integ.values))
-            integ_prev = integ
+            far = far.advance(dt, far_samples(state.theta, u_prev[k]))
             near = convolve_near(split, state.theta - th_init)
             u_new.append(SpectralField._adopt(
-                grid, values=u_new[0].values + near.values - acc.values))
+                grid, values=u_new[0].values + near.values - far.acc.values))
             if k in keep:
                 th_new.append(state.theta.values)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .dyadic import build_partition, project_block
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealiased_samples
-from .grid import Grid2D, operator_table
+from .grid import Grid2D, _require_integer, operator_table
 from .kernels import build_split, convolve_near
 from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, frac_laplacian,
                           gradient, gradient_coefficients, kato_ponce_commutator, symbol_array,
@@ -55,6 +55,7 @@ class EnsembleSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        _require_integer("count", self.count, 1)
         known = ("band_limited", "compact_bump", "radial", "constant_plus_bump")
         if self.field_class not in known:
             raise ConfigurationError(f"unknown field class {self.field_class!r}")

@@ -70,6 +70,21 @@ def test_serfati_convolution_calls(monkeypatch, steps):
     assert (len(far), len(near)) == (2 * steps + 1, 2 * steps)
 
 
+@pytest.mark.parametrize("steps", [1, 3])
+def test_direct_with_split_convolution_calls(monkeypatch, steps):
+    # criterion 5's run: the far integrand at t = 0 and at every step's new
+    # state; the reconstruction is left to velocity_serfati, so no near call
+    grid = Grid2D(128, 16.0)
+    split = build_split(grid, 0.5, oversample=2)
+    far = count_calls(monkeypatch, kernels.convolve_far)
+    near = count_calls(monkeypatch, kernels.convolve_near)
+    cfg = SolverConfig(beta=0.5, dt=0.0125, t_end=steps * 0.0125, n_side=128,
+                       box_length=16.0, c_existence=0.0)
+    traj = simulate(cfg, dipole(grid, 1.5), split=split)
+    assert traj.diagnostics["n_steps"] == steps
+    assert (len(far), len(near)) == (steps + 1, 0)
+
+
 @pytest.mark.parametrize("steps, n_max", [(2, 2), (3, 4)])
 def test_picard_convolution_calls(monkeypatch, steps, n_max):
     # per iterate: the far integrand at every step boundary, the near

@@ -156,6 +156,31 @@ class TestSimulateCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestIntegerParameters:
+    """A config's sizes and counts are integers: a float is a config error, not
+    truncated into a run at another size."""
+
+    @pytest.mark.parametrize("command, params, name", [
+        ("simulate", {"n_side": 64.9}, "n_side"),
+        ("simulate", {"n_side": 64.0}, "n_side"),
+        ("norms", {"n_side": 64.9}, "n_side"),
+        ("kernels", {"n_side": 128.5, "fundamental": False}, "n_side"),
+        ("iterate", {"n_side": 64.9}, "n_side"),
+        ("iterate", {"t_end": 0.04, "dt": 0.01, "n_max": 3.5}, "n_max"),
+        ("verify", {"checks": ["bernstein"], "n_sides": [64.9]}, "n_side"),
+        ("verify", {"checks": ["bernstein"], "count": 16.5}, "count"),
+    ])
+    def test_non_integer_is_a_config_error(self, tmp_path, capsys, command, params, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": command, "params": params}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"{name} must be an integer >= " in err
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert written == {"manifest.json"}
+
+
 class TestOtherCommands:
     def test_norms_battery(self, tmp_path):
         rc = main(["norms", "--ic", "random", "--n-side", "64", "--out", str(tmp_path)])

@@ -27,6 +27,15 @@ class TestGrid2D:
         with pytest.raises(ConfigurationError):
             Grid2D(bad)
 
+    @pytest.mark.parametrize("bad", [64.9, 64.0, np.float64(64.0), True, "64"])
+    def test_rejects_non_integer(self, bad):
+        # a float is refused, not truncated: the package's error, not a TypeError
+        with pytest.raises(ConfigurationError, match="n_side must be an integer"):
+            Grid2D(bad)
+
+    def test_accepts_numpy_integer(self):
+        assert Grid2D(np.int64(64)) == Grid2D(64)
+
     def test_wavenumber_lattice(self):
         g = Grid2D(16, 4.0)
         ops = operator_table(g)

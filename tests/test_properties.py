@@ -18,8 +18,8 @@ from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_sav
                                 divergence, frac_laplacian, gradient)
 from sqglab.norms import (WindowFamily, _hs_patch_weight, sobolev_norm, uniformly_local_norm,
                           zygmund_norm)
-from sqglab.solver import leray_project
-from sqglab.verify import EnsembleSpec, check_multiplier_bounds, make_field
+from sqglab.solver import FarIntegral, leray_project
+from sqglab.verify import EnsembleSpec, check_multiplier_bounds, cumulative_trapezoid, make_field
 
 from conftest import counting_planes, random_real_field
 
@@ -313,6 +313,32 @@ def test_every_route_agrees(grid, seed, components, holds_a, holds_b, s):
                           (s * a - b, s * f.values - g.values), (-b, -g.values)):
         scale = max(np.abs(expected).max(), np.abs(f.values).max() * max(abs(s), 1.0))
         assert np.abs(got.values - expected).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.sampled_from([16, 32]), seeds, st.sampled_from(["values", "coefficients"]),
+       st.lists(st.integers(1, 128).map(lambda m: m / 1024), min_size=1, max_size=6))
+def test_far_integral_is_the_cumulative_trapezoid(n, seed, holds, dts):
+    # step lengths on a 2^-10 lattice, so the reference's time differences are the dts
+    grid = Grid2D(n)
+    integs = [holding(random_real_field(grid, seed + i, 2), holds) for i in range(len(dts) + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        planes = counting_planes(mp)
+        fars = [FarIntegral(SpectralField.zeros(grid, 2), integs[0])]
+        for dt, integ in zip(dts, integs[1:]):
+            fars.append(fars[-1].advance(dt, integ))
+    # the sums stay in the representation of their inputs, at no transform
+    assert planes == []
+    for far in fars[1:]:
+        kept = far.acc._values if holds == "values" else far.acc._coeffs
+        dropped = far.acc._coeffs if holds == "values" else far.acc._values
+        assert kept is not None and dropped is None
+    assert fars[-1].t == sum(dts)
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    expected = np.apply_along_axis(lambda v: cumulative_trapezoid(times, v), 0,
+                                   np.stack([f.values for f in integs]))
+    for far, want in zip(fars, expected):
+        assert np.abs(far.acc.values - want).max() <= 1e-14 * np.abs(expected).max()
 
 
 @PROPERTY

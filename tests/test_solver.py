@@ -13,9 +13,10 @@ from sqglab.grid import Grid2D, operator_table
 from sqglab.kernels import build_split, convolve_far, convolve_near
 from sqglab.multipliers import biot_savart_velocity, divergence, gradient
 from sqglab.norms import zygmund_norm
-from sqglab.solver import (SimState, SolverConfig, _interp_velocity_time, existence_time,
-                           flow_map, frozen_velocity, leray_project, picard_iterate, polygon_area,
-                           simulate, step_transport, velocity_serfati)
+from sqglab.solver import (FarIntegral, SimState, SolverConfig, _interp_velocity_time,
+                           existence_time, flow_map, frozen_velocity, leray_project,
+                           picard_iterate, polygon_area, simulate, step_transport,
+                           velocity_serfati)
 
 from conftest import random_real_field
 
@@ -245,9 +246,11 @@ class TestStepTransport:
     def test_blowup_aborts(self, grid64):
         th = random_real_field(grid64, seed=2)
         big = SpectralField.from_values(grid64, 100.0 * th.values)
-        st = SimState(t=0, theta=big, u=SpectralField.zeros(grid64, 2), theta0_linf=th.linf())
-        with pytest.raises(SimulationError):
+        st = SimState(t=0.25, theta=big, u=SpectralField.zeros(grid64, 2), theta0_linf=th.linf())
+        with pytest.raises(SimulationError, match="blow-up detected") as err:
             step_transport(st, SpectralField.zeros(grid64, 2), 0.01)
+        # the last good state is the step's input: its time and sup norm
+        assert f"last good state t=0.25, ||theta||_inf={big.linf():.3g}" in str(err.value)
 
     @pytest.mark.parametrize("theta0_linf", [0.0, 1e3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -255,25 +258,35 @@ class TestStepTransport:
         vals = random_real_field(grid64, seed=2).values.copy()
         vals[17, 5] = bad
         th = SpectralField.from_values(grid64, vals)
-        with pytest.raises(SimulationError, match="NaN/Inf in the advected scalar"):
-            solver._check_blowup(th, theta0_linf)
+        last = SimState(t=0.375, theta=random_real_field(grid64, seed=3),
+                        u=SpectralField.zeros(grid64, 2), theta0_linf=theta0_linf)
+        with pytest.raises(SimulationError, match="NaN/Inf in the advected scalar") as err:
+            solver._check_blowup(th, last)
+        assert f"last good state t=0.375, ||theta||_inf={last.theta.linf():.3g}" in str(err.value)
 
     def test_blowup_message_reports_the_peak(self, grid64):
         th = random_real_field(grid64, seed=4)
         peak = float(np.abs(th.values).max())
-        solver._check_blowup(th, 0.101 * peak)  # within the bound: no error
+
+        def last(theta0_linf):
+            return SimState(t=1.5, theta=th, u=SpectralField.zeros(grid64, 2),
+                            theta0_linf=theta0_linf)
+
+        solver._check_blowup(th, last(0.101 * peak))  # within the bound: no error
         with pytest.raises(SimulationError) as err:
-            solver._check_blowup(th, 0.099 * peak)
+            solver._check_blowup(th, last(0.099 * peak))
         assert f"({peak:.3g} vs {0.099 * peak:.3g})" in str(err.value)
+        assert "last good state t=1.5" in str(err.value)
 
     def test_blowup_check_memory_budget(self):
         # the check reads max |theta| from the samples, with no n^2 mask or |theta|
         # array: at n = 256 those were 64 KiB and 512 KiB
         th = random_real_field(Grid2D(256), seed=5)
-        solver._check_blowup(th, 1e3)
+        last = SimState(t=0.0, theta=th, u=None, theta0_linf=1e3)
+        solver._check_blowup(th, last)
         tracemalloc.start()
         try:
-            solver._check_blowup(th, 1e3)
+            solver._check_blowup(th, last)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,7 +384,7 @@ def values_space_reconstruction(state, u0, theta0, split):
     """u0 + near * (theta - theta0) - accumulator, every sum formed on samples."""
     grid = u0.grid
     near = convolve_near(split, SpectralField.from_values(grid, state.theta.values - theta0.values))
-    return SpectralField.from_values(grid, u0.values + near.values - state.far_accumulator.values)
+    return SpectralField.from_values(grid, u0.values + near.values - state.far.acc.values)
 
 
 def values_space_serfati_run(theta0, split, dt, n_steps):
@@ -380,18 +393,19 @@ def values_space_serfati_run(theta0, split, dt, n_steps):
     grid, n = theta0.grid, theta0.grid.n_side
     u0 = biot_savart_velocity(theta0, 0.5)
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf(),
-                     far_accumulator=SpectralField.from_values(grid, np.zeros((2, n, n))),
-                     far_prev=convolve_far(split, theta0, u0))
+                     far=FarIntegral(SpectralField.from_values(grid, np.zeros((2, n, n))),
+                                     convolve_far(split, theta0, u0)))
+
+    def leg(far, integ):
+        acc = far.acc.values + 0.5 * dt * (far.prev.values + integ.values)
+        return FarIntegral(SpectralField.from_values(grid, acc), integ, far.t + dt)
+
     for _ in range(n_steps):
         u_adv = leray_project(state.u)
         new = step_transport(state, u_adv, dt)
-        base = state.far_accumulator.values + 0.5 * dt * state.far_prev.values
-        integ = convolve_far(split, new.theta, u_adv)
-        new.far_accumulator = SpectralField.from_values(grid, base + 0.5 * dt * integ.values)
-        new.far_time = new.t
-        integ = convolve_far(split, new.theta, values_space_reconstruction(new, u0, theta0, split))
-        new.far_accumulator = SpectralField.from_values(grid, base + 0.5 * dt * integ.values)
-        new.far_prev = integ
+        new.far = leg(state.far, convolve_far(split, new.theta, u_adv))
+        new.far = leg(state.far, convolve_far(
+            split, new.theta, values_space_reconstruction(new, u0, theta0, split)))
         new.u = leray_project(values_space_reconstruction(new, u0, theta0, split))
         state = new
     return state, u0
@@ -409,8 +423,8 @@ class TestSerfati:
         theta0 = SpectralField.from_values(grid, np.exp(-(x1**2 + x2**2) / 0.5))
         u0 = biot_savart_velocity(theta0, 0.5)
         st = SimState(t=0.0, theta=theta0, u=u0,
-                      far_accumulator=SpectralField.zeros(grid, 2),
-                      far_time=0.0, theta0_linf=theta0.linf())
+                      far=FarIntegral(SpectralField.zeros(grid, 2), SpectralField.zeros(grid, 2)),
+                      theta0_linf=theta0.linf())
         out = velocity_serfati(st, u0, theta0, split)
         assert (out - u0).linf() == 0.0
 
@@ -420,8 +434,8 @@ class TestSerfati:
         theta0 = SpectralField.zeros(grid)
         u0 = SpectralField.zeros(grid, 2)
         st = SimState(t=0.5, theta=theta0, u=u0,
-                      far_accumulator=SpectralField.zeros(grid, 2),
-                      far_time=0.0, theta0_linf=1.0)
+                      far=FarIntegral(SpectralField.zeros(grid, 2), SpectralField.zeros(grid, 2)),
+                      theta0_linf=1.0)
         with pytest.raises(SimulationError):
             velocity_serfati(st, u0, theta0, split)
 
@@ -499,8 +513,7 @@ class TestSerfati:
         # the initial integrand has no samples at hand; each step's two do
         assert passing == [False] + [True] * 6
         for a, b in ((reused.theta, own.theta), (reused.u, own.u),
-                     (reused.far_accumulator, own.far_accumulator),
-                     (reused.far_prev, own.far_prev)):
+                     (reused.far.acc, own.far.acc), (reused.far.prev, own.far.prev)):
             assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_serfati_projects_once_per_step(self, split128, monkeypatch):
@@ -522,8 +535,8 @@ class TestSerfati:
         st = traj.final_state
         ref, u0 = values_space_serfati_run(theta0, split128, traj.diagnostics["dt"],
                                            traj.diagnostics["n_steps"])
-        assert rel_gap(st.far_accumulator, ref.far_accumulator) <= 1e-13
-        assert rel_gap(st.far_prev, ref.far_prev) <= 1e-13
+        assert rel_gap(st.far.acc, ref.far.acc) <= 1e-13
+        assert rel_gap(st.far.prev, ref.far.prev) <= 1e-13
         assert rel_gap(st.u, ref.u) <= 1e-13
         assert rel_gap(velocity_serfati(st, traj.us[0], theta0, split128),
                        values_space_reconstruction(ref, u0, theta0, split128)) <= 1e-13
@@ -540,7 +553,7 @@ class TestSerfati:
             acc = acc + 0.5 * dt * (prev + integ)
             prev = integ
         expected = SpectralField.from_values(grid, acc)
-        assert rel_gap(traj.final_state.far_accumulator, expected) <= 1e-13
+        assert rel_gap(traj.final_state.far.acc, expected) <= 1e-13
 
 
 def full_state_run(cfg, theta0, split):
@@ -553,25 +566,25 @@ def full_state_run(cfg, theta0, split):
     dt = cfg.t_end / n_steps
     recorder = solver.NormRecorder(cfg.record_norms, grid)
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf(),
-                     far_accumulator=SpectralField.zeros(grid, components=2),
-                     far_prev=convolve_far(split, theta0, u0))
+                     far=FarIntegral(SpectralField.zeros(grid, components=2),
+                                     convolve_far(split, theta0, u0)))
+
+    def leg(far, integ):
+        return FarIntegral(far.acc + 0.5 * dt * (far.prev + integ), integ, far.t + dt)
+
     states, norms = [state], []
     recorder.record(norms, state.t, theta0, u0)
     u_adv = leray_project(u0)
     for _ in range(n_steps):
         if cfg.constitutive == "direct":
             new = step_transport(state, None, dt, beta=cfg.beta)
-            integ = convolve_far(split, new.theta, new.u)
-            new.far_accumulator = state.far_accumulator + 0.5 * dt * (state.far_prev + integ)
+            new.far = leg(state.far, convolve_far(split, new.theta, new.u))
         else:
             new = step_transport(state, u_adv, dt)
-            base = state.far_accumulator + 0.5 * dt * state.far_prev
-            new.far_accumulator = base + 0.5 * dt * convolve_far(split, new.theta, u_adv)
-            new.far_time = new.t
-            integ = convolve_far(split, new.theta, velocity_serfati(new, u0, theta0, split))
-            new.far_accumulator = base + 0.5 * dt * integ
+            new.far = leg(state.far, convolve_far(split, new.theta, u_adv))
+            new.far = leg(state.far, convolve_far(
+                split, new.theta, velocity_serfati(new, u0, theta0, split)))
             new.u = u_adv = leray_project(velocity_serfati(new, u0, theta0, split))
-        new.far_prev, new.far_time = integ, new.t
         state = new
         states.append(state)
         recorder.record(norms, state.t, state.theta, state.u)
@@ -1052,6 +1065,14 @@ class TestPicard:
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
         with pytest.raises(ConfigurationError):
             picard_iterate(cfg, theta0, n_max=1)
+
+    @pytest.mark.parametrize("n_max", [4.0, 3.5, True])
+    def test_n_max_must_be_an_integer(self, picard_grid, n_max):
+        theta0 = single_shell_state(picard_grid)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        message = f"n_max must be an integer >= 2, got {n_max}"
+        with pytest.raises(ConfigurationError, match=message):
+            picard_iterate(cfg, theta0, n_max=n_max)
 
     @pytest.mark.parametrize("n_samples", [0, 1])
     def test_requires_two_samples(self, picard_grid, n_samples):

@@ -41,6 +41,11 @@ class TestEnsembles:
         with pytest.raises(ConfigurationError):
             EnsembleSpec(field_class="fancy")
 
+    @pytest.mark.parametrize("count", [16.0, 16.5, 0, True])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ConfigurationError, match="count must be an integer >= 1"):
+            EnsembleSpec(count=count)
+
     def test_deterministic(self, grid64):
         spec = EnsembleSpec(seed=42)
         a = make_field(grid64, spec, 3)
