@@ -9,6 +9,8 @@ from sqglab.dyadic import chi_profile, phi_profile
 from sqglab.multipliers import gradient
 
 grid = Grid2D(256)
+# The grid fixes its dyadic family: build_partition looks it up (built once per
+# grid), and project_block and the norms look it up from their field's grid.
 fam = build_partition(grid)
 print(f"grid: {grid}, realizable blocks j in [{fam.j_min}, {fam.j_max}], "
       f"top grid-supported block {fam.j_top}")
@@ -24,15 +26,15 @@ rng = np.random.default_rng(1)
 f = SpectralField.from_values(grid, rng.standard_normal((256, 256)))
 from sqglab.fields import dealias
 f = dealias(f)
-rec = project_block(f, -1, "inhomogeneous", fam)
+rec = project_block(f, -1, "inhomogeneous")
 for j in range(0, fam.j_top + 1):
-    rec = rec + project_block(f, j, "inhomogeneous", fam)
+    rec = rec + project_block(f, j, "inhomogeneous")
 print(f"reconstruction error: {(rec - f).linf():.3e}")
 
 # Bernstein: a derivative costs ~2^j on block j.
 print("\n j   |grad D_j f| / (2^j |D_j f|)   (sup norms)")
 for j in fam.measured_range():
-    fj = project_block(f, j, "homogeneous", fam)
+    fj = project_block(f, j, "homogeneous")
     ratio = gradient(fj).linf() / (2.0**j * fj.linf())
     print(f"{j:2d}   {ratio:.4f}")
 

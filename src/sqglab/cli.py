@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError
 from .fields import SpectralField, save_field
-from .grid import Grid2D
+from .grid import Grid2D, _require_integer
 from .kernels import build_split, verify_fundamental_solution
 from .norms import WindowFamily, classical_holder_norm, sobolev_norm, uniformly_local_norm, zygmund_norm
 from .solver import SolverConfig, picard_iterate, simulate
@@ -73,7 +73,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
     for key in params:
         if key not in DEFAULTS[command]:
             raise ConfigurationError(f"unknown parameter {key!r} for command {command!r}")
-    return ExperimentConfig(command=command, seed=int(doc.get("seed", 7)),
+    seed = doc.get("seed", 7)
+    _require_integer("seed", seed, 0)
+    return ExperimentConfig(command=command, seed=seed,
                             output_dir=str(doc.get("output_dir", ".")),
                             params=params)
 

@@ -16,10 +16,10 @@ supported in the annulus 3/5 < |xi| < 5/3, nonnegative, with
 chi_hat + sum_{j>=0} phi_hat(2^-j xi) = 1 identically (exact telescoping,
 so the residual on the grid is pure roundoff).  Blocks are realized as
 Fourier multipliers: Delta_j = phi_hat(|k|/2^j), Delta_{-1} = chi_hat(|k|),
-S_n = chi_hat(|k|/2^(n+1)).  The family of a grid is built once
-(``build_partition`` is cached per grid) and builds each multiplier once, on
-first use, on the ``rfft2`` layout of the coefficients; the multipliers are
-read-only and shared by every caller.
+S_n = chi_hat(|k|/2^(n+1)).  A grid fixes its family (``build_partition``,
+cached per grid), which every block operation looks up from its field's grid,
+as every transform does ``operator_table``.  It builds each multiplier once, on
+first use, on the ``rfft2`` layout, read-only and shared by every caller.
 """
 
 from __future__ import annotations
@@ -235,10 +235,9 @@ def _apply(f: SpectralField, mult: np.ndarray) -> SpectralField:
     return SpectralField._adopt(f.grid, coefficients=c * mult)
 
 
-def project_block(f: SpectralField, j: int, mode: str = "inhomogeneous",
-                  family: DyadicFamily | None = None) -> SpectralField:
+def project_block(f: SpectralField, j: int, mode: str = "inhomogeneous") -> SpectralField:
     """Apply Delta_j (inhomogeneous), homogeneous Delta_j, or the low-pass S_j."""
-    fam = family if family is not None else build_partition(f.grid)
+    fam = build_partition(f.grid)
     if mode == "inhomogeneous":
         if j < -1 or j > fam.j_top:
             raise BlockRangeError(f"j={j} outside inhomogeneous range [-1, {fam.j_top}]")
@@ -256,16 +255,15 @@ def project_block(f: SpectralField, j: int, mode: str = "inhomogeneous",
     return _apply(f, mult)
 
 
-def smooth_truncate_initial(f: SpectralField, n: int,
-                            family: DyadicFamily | None = None) -> SpectralField:
+def smooth_truncate_initial(f: SpectralField, n: int) -> SpectralField:
     """Smoothed initial data S_n f used to seed the approximation sequence."""
     if n < 0:
         raise BlockRangeError(f"smooth truncation requires n >= 0, got {n}")
-    return project_block(f, n, mode="lowpass_S_n", family=family)
+    return project_block(f, n, mode="lowpass_S_n")
 
 
-def export_profiles_csv(path, rho_max: float = 2.0, samples: int = 401) -> None:
-    """Write (radius, chi_hat, phi_hat) rows for plotting."""
-    rho = np.linspace(0.0, rho_max, samples)
+def export_profiles_csv(path) -> None:
+    """Write (radius, chi_hat, phi_hat) rows for plotting, on [0, 2] past both supports."""
+    rho = np.linspace(0.0, 2.0, 401)
     rows = np.column_stack([rho, chi_profile(rho), phi_profile(rho)])
     np.savetxt(path, rows, delimiter=",", header="rho,chi_hat,phi_hat", comments="")

@@ -66,7 +66,7 @@ from scipy.special import gammainc, gammaincc
 from .dyadic import CutoffA
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealiased_samples
-from .grid import Grid2D, operator_table
+from .grid import Grid2D, _require_integer, operator_table
 from .multipliers import apply_multiplier, biot_savart_velocity, frac_laplacian
 from .report import VerificationReport
 
@@ -258,6 +258,12 @@ class KernelSplit:
     _near_transfer: np.ndarray = field(repr=False, default=None)
     _mid_transfer: np.ndarray = field(repr=False, default=None)
 
+    def check_fits(self, grid: Grid2D, beta: float):
+        """Refuse a run on another grid or at another beta than the split's."""
+        if self.grid != grid or self.beta != beta:
+            raise ConfigurationError(f"kernel split for {self.grid}, beta={self.beta:g} "
+                                     f"passed to a run on {grid}, beta={beta:g}")
+
     @functools.cached_property
     def near(self) -> np.ndarray:
         """grad_perp(a Phi) on the wrapped displacements, shape (2, n, n)."""
@@ -356,8 +362,7 @@ def _near_transfer(grid: Grid2D, beta: float, c: float, cutoff: CutoffA, q: int)
     return transfer
 
 
-def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
-                oversample: int = 4) -> KernelSplit:
+def build_split(grid: Grid2D, beta: float, oversample: int = 4) -> KernelSplit:
     """Build the sampled kernel split with cached convolution transfers.
 
     The mid transfer (of grad_perp((1-a) Phi)) is corrected with the
@@ -382,9 +387,10 @@ def build_split(grid: Grid2D, beta: float, cutoff: CutoffA | None = None,
         raise ConfigurationError(
             f"box length {grid.box_length:.4g} too small for the far field (need >= 16)"
         )
-    if oversample < 1 or oversample & (oversample - 1):
+    _require_integer("oversample", oversample, 1)
+    if oversample & (oversample - 1):
         raise ConfigurationError(f"oversample must be a power of two, got {oversample}")
-    cutoff = cutoff or CutoffA()
+    cutoff = CutoffA()  # the kernel cutoff a, 1 on B_1 and 0 outside B_2
     c = riesz_constant(beta)
     L = grid.box_length
     ops = operator_table(grid)
@@ -522,10 +528,9 @@ def riesz_convolve(theta: SpectralField, beta: float, c_beta: float | None = Non
     return _convolve(riesz_transfer(theta.grid, beta, c_beta), theta)
 
 
-def verify_fundamental_solution(beta: float, grid: Grid2D, c_beta: float | None = None,
-                                sigma: float | None = None,
-                                refinement: tuple = (4, 2, 1)) -> VerificationReport:
-    """Check that (-Laplace)^(1-beta/2)(Phi_beta * g) recovers a Gaussian g.
+def verify_fundamental_solution(beta: float, grid: Grid2D) -> VerificationReport:
+    """Check that (-Laplace)^(1-beta/2)(Phi_beta * g) recovers a Gaussian g of
+    width L/20, on n/4, n/2 and n points a side (at least 64).
 
     The comparison target is g minus its box mean (the torus inverse acts
     on mean-free functions).  Verdict fails unless the relative L^2 error
@@ -533,16 +538,14 @@ def verify_fundamental_solution(beta: float, grid: Grid2D, c_beta: float | None 
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    sigma = sigma if sigma is not None else grid.box_length / 20.0
-    if sigma > grid.box_length / 20.0 + 1e-12:
-        raise ConfigurationError("test bump must satisfy sigma <= L/20")
+    sigma = grid.box_length / 20.0
     errors = []
     ns = []
-    for divisor in refinement:
+    for divisor in (4, 2, 1):
         n = max(64, grid.n_side // divisor)
         sub = Grid2D(n, grid.box_length)
         g = _gaussian_bump(sub, sigma)
-        pot = riesz_convolve(g, beta, c_beta=c_beta)
+        pot = riesz_convolve(g, beta)
         back = apply_multiplier(pot, frac_laplacian(2.0 - beta))
         target = SpectralField.from_values(sub, g.values - g.mean())
         err = (back - target).l2() / target.l2()
@@ -554,7 +557,7 @@ def verify_fundamental_solution(beta: float, grid: Grid2D, c_beta: float | None 
     stability = max(errors) / max(min(errors), 1e-300) - 1.0
     return VerificationReport(
         check_id=f"fundamental_solution:beta={beta:g}",
-        parameters={"beta": beta, "c_beta": c_beta or riesz_constant(beta),
+        parameters={"beta": beta, "c_beta": riesz_constant(beta),
                     "sigma": sigma, "L": grid.box_length, "n_levels": ns},
         measured=errors,
         verdict=verdict,

@@ -19,6 +19,8 @@ Conventions shared by all estimators:
   are computed on a cropped patch (exact for the compactly supported
   windowed field up to the exponentially small periodization of the
   Bessel weight).
+* Block estimators look up the grid's dyadic family (``build_partition``);
+  a window family carries its own scale, so it is passed, and must be of the field's grid.
 """
 
 from __future__ import annotations
@@ -30,11 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .dyadic import CutoffA, DyadicFamily, build_partition
+from .dyadic import CutoffA, build_partition
 from .errors import ConfigurationError, QuadratureBudgetError
 from .fields import SpectralField
 from .grid import Grid2D, _read_only, operator_table, rfft2
 from .multipliers import bessel, derivative, frac_laplacian, apply_multiplier
+
+HOLDER_PAIR_BUDGET = 2048  # grid-pair offsets the Holder seminorm samples
+PATCH_MARGIN = 3.0  # scales of padding on each side of a window's support in a patch
 
 
 @dataclass(frozen=True)
@@ -69,18 +74,17 @@ def _multinomial(a: int, b: int) -> float:
 # -- Zygmund ------------------------------------------------------------------
 
 
-def block_sups(f: SpectralField, family: DyadicFamily | None = None,
-               homogeneous: bool = False) -> dict:
+def block_sups(f: SpectralField, *, homogeneous: bool = False) -> dict:
     """||Delta_j f||_inf for every realizable block j, keyed by j.
 
     Each block is one real inverse transform per component of the
-    coefficients times the family's cached multiplier, taken over the
+    coefficients times the grid family's cached multiplier, taken over the
     columns the multiplier occupies only (``DyadicFamily.delta_band``) and
     reduced to its sup without a scaled copy (``OperatorTable.sup``); a
     block with no nonzero coefficient costs no transform.  The sups have the
     bits of the full-width transforms.
     """
-    fam = family if family is not None else build_partition(f.grid)
+    fam = build_partition(f.grid)
     ops = operator_table(f.grid)
     c = f.coefficients
     sups = {}
@@ -90,7 +94,7 @@ def block_sups(f: SpectralField, family: DyadicFamily | None = None,
     return sups
 
 
-def zygmund_from_sups(sups: dict, r: float, homogeneous: bool = False) -> NormReport:
+def zygmund_from_sups(sups: dict, r: float, *, homogeneous: bool = False) -> NormReport:
     """The Zygmund norm of order ``r`` from the block sups of :func:`block_sups`."""
     if homogeneous:
         profile = dict(sups)
@@ -102,10 +106,9 @@ def zygmund_from_sups(sups: dict, r: float, homogeneous: bool = False) -> NormRe
                       tested_range=(min(sups), max(sups)))
 
 
-def zygmund_norm(f: SpectralField, r: float, family: DyadicFamily | None = None,
-                 homogeneous: bool = False) -> NormReport:
+def zygmund_norm(f: SpectralField, r: float, *, homogeneous: bool = False) -> NormReport:
     """Holder-Zygmund norm sup_j 2^(jr) ||Delta_j f||_inf over realizable blocks."""
-    return zygmund_from_sups(block_sups(f, family, homogeneous), r, homogeneous)
+    return zygmund_from_sups(block_sups(f, homogeneous=homogeneous), r, homogeneous=homogeneous)
 
 
 # -- classical Holder ---------------------------------------------------------
@@ -159,7 +162,7 @@ def _seminorm_near(values: np.ndarray, sigma: float, grid: Grid2D, budget: int) 
     return best
 
 
-def classical_holder_norm(f: SpectralField, r: float, pair_budget: int = 2048) -> NormReport:
+def classical_holder_norm(f: SpectralField, r: float) -> NormReport:
     """Classical C^r norm: derivative sup norms plus the sampled Holder seminorm."""
     if r < 0:
         raise ConfigurationError(f"Holder order must be nonnegative, got {r}")
@@ -178,7 +181,7 @@ def classical_holder_norm(f: SpectralField, r: float, pair_budget: int = 2048) -
     extras = {}
     if sigma > 0.0:
         for beta in _multiindices(m):
-            near = _seminorm_near(derivs[beta].values, sigma, f.grid, pair_budget)
+            near = _seminorm_near(derivs[beta].values, sigma, f.grid, HOLDER_PAIR_BUDGET)
             far = 2.0 * profile[f"D{beta}"]
             profile[f"semi{beta}"] = near + far
             extras[f"semi_near{beta}"] = near
@@ -191,18 +194,16 @@ def classical_holder_norm(f: SpectralField, r: float, pair_budget: int = 2048) -
 # -- Sobolev ------------------------------------------------------------------
 
 
-def sobolev_norm(f: SpectralField, s: float, homogeneous: bool = False,
-                 family: DyadicFamily | None = None) -> NormReport:
+def sobolev_norm(f: SpectralField, s: float, *, homogeneous: bool = False) -> NormReport:
     """H^s norm via the multiplier route, with the dyadic block sum recorded."""
     op = frac_laplacian(s) if homogeneous else bessel(s)
     value = math.sqrt(_sum_sq(apply_multiplier(f, op).coefficients, f.grid))
 
-    fam = family if family is not None else build_partition(f.grid)
-    block_sq = {}
+    fam = build_partition(f.grid)
     js = fam.block_js(homogeneous)
-    for j in js:
-        blk_sq = _sum_sq(f.coefficients * fam.delta_multiplier(j, homogeneous), f.grid)
-        block_sq[j] = 2.0 ** (2 * j * s) * blk_sq
+    block_sq = {j: 2.0 ** (2 * j * s)
+                * _sum_sq(f.coefficients * fam.delta_multiplier(j, homogeneous), f.grid)
+                for j in js}
     lp_variant = float(np.sqrt(sum(block_sq.values())))
     kind = f"sobolev{'_hom' if homogeneous else ''}:{s:g}"
     return NormReport(kind=kind, value=value,
@@ -229,13 +230,13 @@ class WindowFamily:
     patch_pts: int = 0  # 0 means "use the full box"
 
     @classmethod
-    def build(cls, grid: Grid2D, scale: float = 1.0, patch_margin: float = 3.0) -> "WindowFamily":
+    def build(cls, grid: Grid2D, scale: float = 1.0) -> "WindowFamily":
         m = int(np.ceil(grid.box_length / scale))
         step = grid.n_side / m
         idx = (np.round(np.arange(m) * step).astype(int)) % grid.n_side
         ci, cj = np.meshgrid(idx, idx, indexing="ij")
         centers = np.stack([ci.ravel(), cj.ravel()], axis=1)
-        want = (4.0 + 2.0 * patch_margin) * scale
+        want = (4.0 + 2.0 * PATCH_MARGIN) * scale
         pts = int(np.ceil(want / grid.spacing))
         patch = 0 if pts >= grid.n_side else scipy.fft.next_fast_len(pts)
         return cls(grid=grid, scale=scale, centers_idx=centers, patch_pts=patch)
@@ -398,6 +399,8 @@ def uniformly_local_norm(f: SpectralField, param: float, windows: WindowFamily,
     quadrature, coarse grids only).
     """
     grid = f.grid
+    if windows.grid != grid:
+        raise ConfigurationError(f"window family of {windows.grid} applied to a field on {grid}")
     if windows.covering_radius() > windows.scale:
         raise ConfigurationError("window lattice does not cover the torus")
     per_window = []

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dyadic import build_partition, smooth_truncate_initial
+from .dyadic import smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
 from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, _require_integer, abs_max, operator_table
@@ -147,15 +147,11 @@ class IterationTrace:
     norm_bound_curve: np.ndarray = None
     verdict: str = "ok"
 
-    def contraction_ratios(self, at: int = -1) -> dict:
-        """rho_n = D_(n+1)(T)/D_n(T) at the given sample index."""
-        ns = sorted(self.decrements)
-        out = {}
-        for a, b in zip(ns, ns[1:]):
-            d0 = self.decrements[a][at]
-            if d0 > 0:
-                out[a] = self.decrements[b][at] / d0
-        return out
+    def contraction_ratios(self) -> dict:
+        """rho_n = D_(n+1)(T)/D_n(T) at the last sample time T, where D_n(T) > 0."""
+        d = self.decrements
+        ns = sorted(d)
+        return {a: d[b][-1] / d[a][-1] for a, b in zip(ns, ns[1:]) if d[a][-1] > 0}
 
 
 # -- basic operators -----------------------------------------------------------
@@ -342,7 +338,6 @@ class NormRecorder:
 
     def __init__(self, descriptors, grid: Grid2D):
         self.descriptors = list(descriptors)
-        self.family = build_partition(grid)
         self.grid = grid
 
     @functools.cached_property
@@ -361,7 +356,7 @@ class NormRecorder:
         if kind == "mean":
             return f.mean()
         if kind == "cr":
-            return zygmund_norm(f, float(parts[2]), self.family).value
+            return zygmund_norm(f, float(parts[2])).value
         if kind == "holder":
             return classical_holder_norm(f, float(parts[2])).value
         if kind == "ctilde1":
@@ -407,7 +402,9 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             raise ConfigurationError(
                 f"u0 inconsistent with theta0 under the direct law (rel gap {gap:.2e})"
             )
-    if config.constitutive == "serfati" and split is None:
+    if split is not None:
+        split.check_fits(grid, config.beta)
+    elif config.constitutive == "serfati":
         split = build_split(grid, config.beta)
 
     dt = cfl_dt(u0, grid, config.dt)
@@ -630,9 +627,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     the far integrand theta^(n+1) u^n.
     """
     _require_integer("n_max", n_max, 2)
-    if n_samples < 2:
-        # D_n is read at the last sample, which must be t_end, not t = 0
-        raise ConfigurationError(f"need n_samples >= 2, got {n_samples}")
+    _require_integer("n_samples", n_samples, 2)  # D_n is read at the last: t_end, not 0
     if config.c_existence <= 0:
         raise ConfigurationError(
             f"picard_iterate needs c_existence > 0 for its time bound, got {config.c_existence}")
@@ -641,9 +636,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         u0 = biot_savart_velocity(theta0, config.beta)
     if split is None:
         split = build_split(grid, config.beta)
-    family = build_partition(grid)
+    split.check_fits(grid, config.beta)
 
-    theta0_cr = zygmund_norm(theta0, config.r, family).value
+    theta0_cr = zygmund_norm(theta0, config.r).value
     u0_linf = u0.linf()
     t_bound = existence_time(u0_linf, theta0_cr, config.c_existence)
     t_end = config.t_end
@@ -672,16 +667,16 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
 
     # n = 1: time-frozen smoothed data; theta is kept as its samples at the
     # sample times, u at every step
-    th_prev = [smooth_truncate_initial(theta0, 2, family).values] * len(sample_idx)
-    u_prev = [smooth_truncate_initial(u0, 2, family)] * (n_steps + 1)
+    th_prev = [smooth_truncate_initial(theta0, 2).values] * len(sample_idx)
+    u_prev = [smooth_truncate_initial(u0, 2)] * (n_steps + 1)
     trace.iterates.append(_trace_entry(1, grid, th_prev, [u_prev[i] for i in sample_idx]))
 
     increase_streak = 0
     prev_dn_final = None
     for n in range(1, n_max):
         u_interp = frozen_interp(u_prev)
-        th_init = smooth_truncate_initial(theta0, n + 2, family)
-        u_new = [smooth_truncate_initial(u0, n + 2, family)]
+        th_init = smooth_truncate_initial(theta0, n + 2)
+        u_new = [smooth_truncate_initial(u0, n + 2)]
         th_new = [th_init.values]  # theta at the sample times, which start at step 0
         state = SimState(t=0.0, theta=th_init, u=u_prev[0], theta0_linf=theta0.linf())
         far = FarIntegral(SpectralField.zeros(grid, components=2), far_samples(th_init, u_prev[0]))
@@ -699,7 +694,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         for m, idx in enumerate(sample_idx):
             v = (u_new[idx] - u_prev[idx]).linf()
             dth = SpectralField._adopt(grid, values=th_new[m] - th_prev[m])
-            eta = zygmund_norm(dth, config.r - 1.0, family).value
+            eta = zygmund_norm(dth, config.r - 1.0).value
             dn[m] = v + eta
         trace.decrements[n + 1] = dn
         trace.iterates.append(_trace_entry(n + 1, grid, th_new, [u_new[i] for i in sample_idx]))

@@ -181,6 +181,25 @@ class TestIntegerParameters:
         assert written == {"manifest.json"}
 
 
+class TestSeed:
+    """A seed is an integer >= 0: 7.9 is a config error, not a run with seed 7."""
+
+    @pytest.mark.parametrize("flag, config", [(["--seed", "-1"], None),
+                                              ([], {"seed": 7.9}),
+                                              ([], {"seed": -1})])
+    def test_bad_seed_is_a_config_error(self, tmp_path, capsys, flag, config):
+        args = ["norms", "--n-side", "64", *flag, "--out", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"command": "norms", **config}))
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        bad = flag[-1] if flag else config["seed"]
+        err = capsys.readouterr().err
+        assert f"config error: seed must be an integer >= 0, got {bad}" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestOtherCommands:
     def test_norms_battery(self, tmp_path):
         rc = main(["norms", "--ic", "random", "--n-side", "64", "--out", str(tmp_path)])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from sqglab.errors import BlockRangeError
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import gradient
-from sqglab.norms import WindowFamily, uniformly_local_norm
+from sqglab.norms import (WindowFamily, block_sups, sobolev_norm, uniformly_local_norm,
+                          zygmund_from_sups, zygmund_norm)
 
 from conftest import random_real_field
 
@@ -73,49 +76,46 @@ class TestProjectBlock:
     def test_pure_mode_block_zero(self, grid64):
         X, _ = grid64.coords()
         f = SpectralField.from_values(grid64, np.cos(X))  # |k| = 1, phi(1) = 1
-        fam = build_partition(grid64)
-        out = project_block(f, 0, "inhomogeneous", fam)
+        out = project_block(f, 0, "inhomogeneous")
         assert (out - f).linf() <= 1e-12
 
     def test_constant_in_lowpass_only(self, grid64):
         fam = build_partition(grid64)
         c = SpectralField.from_values(grid64, np.full((64, 64), 2.0))
-        assert (project_block(c, -1, "inhomogeneous", fam) - c).linf() <= 1e-13
+        assert (project_block(c, -1, "inhomogeneous") - c).linf() <= 1e-13
         for j in range(0, fam.j_top + 1):
-            assert project_block(c, j, "inhomogeneous", fam).linf() <= 1e-13
+            assert project_block(c, j, "inhomogeneous").linf() <= 1e-13
 
     def test_reconstruction(self, grid128):
         fam = build_partition(grid128)
         f = dealias(random_real_field(grid128, seed=1))
-        rec = project_block(f, -1, "inhomogeneous", fam)
+        rec = project_block(f, -1, "inhomogeneous")
         for j in range(0, fam.j_top + 1):
-            rec = rec + project_block(f, j, "inhomogeneous", fam)
+            rec = rec + project_block(f, j, "inhomogeneous")
         assert (rec - f).linf() <= 1e-10
 
     def test_block_orthogonality(self, grid128):
         fam = build_partition(grid128)
         f = random_real_field(grid128, seed=2)
         for j in fam.measured_range():
-            fj = project_block(f, j, "homogeneous", fam)
-            again = project_block(fj, j + 2, "homogeneous", fam)
+            fj = project_block(f, j, "homogeneous")
+            again = project_block(fj, j + 2, "homogeneous")
             assert again.linf() <= 1e-12 * max(fj.linf(), 1.0)
 
     def test_linearity(self, grid64):
-        fam = build_partition(grid64)
         f = random_real_field(grid64, seed=3)
         g = random_real_field(grid64, seed=4)
         combo = SpectralField.from_values(grid64, 2.0 * f.values + 3.0 * g.values)
-        lhs = project_block(combo, 1, "inhomogeneous", fam)
-        rhs_vals = (2.0 * project_block(f, 1, "inhomogeneous", fam).values
-                    + 3.0 * project_block(g, 1, "inhomogeneous", fam).values)
+        lhs = project_block(combo, 1, "inhomogeneous")
+        rhs_vals = (2.0 * project_block(f, 1, "inhomogeneous").values
+                    + 3.0 * project_block(g, 1, "inhomogeneous").values)
         assert np.abs(lhs.values - rhs_vals).max() <= 1e-12 * np.abs(rhs_vals).max()
 
     def test_translation_commutes(self, grid64):
-        fam = build_partition(grid64)
         f = random_real_field(grid64, seed=5)
         shifted = SpectralField.from_values(grid64, np.roll(f.values, (3, -7), axis=(0, 1)))
-        lhs = project_block(shifted, 1, "inhomogeneous", fam)
-        rhs = project_block(f, 1, "inhomogeneous", fam)
+        lhs = project_block(shifted, 1, "inhomogeneous")
+        rhs = project_block(f, 1, "inhomogeneous")
         rhs_shift = np.roll(rhs.values, (3, -7), axis=(0, 1))
         assert np.abs(lhs.values - rhs_shift).max() <= 1e-12 * max(rhs.linf(), 1.0)
 
@@ -123,11 +123,11 @@ class TestProjectBlock:
         fam = build_partition(grid64)
         f = random_real_field(grid64, seed=6)
         with pytest.raises(BlockRangeError):
-            project_block(f, -2, "inhomogeneous", fam)
+            project_block(f, -2, "inhomogeneous")
         with pytest.raises(BlockRangeError):
-            project_block(f, fam.j_top + 1, "inhomogeneous", fam)
+            project_block(f, fam.j_top + 1, "inhomogeneous")
         with pytest.raises(BlockRangeError):
-            project_block(f, fam.j_min - 1, "homogeneous", fam)
+            project_block(f, fam.j_min - 1, "homogeneous")
 
 
 class TestBernsteinProperty:
@@ -140,7 +140,7 @@ class TestBernsteinProperty:
             f = dealias(random_real_field(grid, seed=7))
             ratios = []
             for j in fam.measured_range():
-                fj = project_block(f, j, "homogeneous", fam)
+                fj = project_block(f, j, "homogeneous")
                 if fj.linf() < 1e-14:
                     continue
                 ratios.append(gradient(fj).linf() / (2.0**j * fj.linf()))
@@ -154,7 +154,7 @@ class TestSmoothTruncate:
     def test_full_band_lowpass_is_identity(self, grid64):
         fam = build_partition(grid64)
         f = random_real_field(grid64, seed=8)
-        out = smooth_truncate_initial(f, fam.j_top + 4, fam)
+        out = smooth_truncate_initial(f, fam.j_top + 4)
         assert (out - f).linf() <= 1e-12
 
     def test_high_mode_killed_at_n0(self, grid64):
@@ -175,8 +175,56 @@ class TestSmoothTruncate:
         base = uniformly_local_norm(f, 2.0, windows, "Lp_ul").value
         ratios = []
         for n in range(0, fam.j_top + 3):
-            sn = smooth_truncate_initial(f, n, fam)
+            sn = smooth_truncate_initial(f, n)
             ratios.append(uniformly_local_norm(sn, 2.0, windows, "Lp_ul").value / base)
         assert max(ratios) <= 1.5  # uniform bound, no n-dependence
         assert ratios[-1] == pytest.approx(1.0, abs=1e-9)  # saturates to identity
         assert all(r <= 1.5 for r in ratios)
+
+
+def block_outputs(f) -> bytes:
+    """The bits of every function that looks a field's dyadic family up."""
+    fam = build_partition(f.grid)
+    out = []
+    for homogeneous in (False, True):
+        out.append(block_sups(f, homogeneous=homogeneous))
+        for rep in (zygmund_norm(f, 1.5, homogeneous=homogeneous),
+                    sobolev_norm(f, 1.5, homogeneous=homogeneous)):
+            out.append((rep.kind, rep.value, rep.block_profile, rep.tested_range, rep.extras))
+    for mode, js in (("inhomogeneous", fam.inhomogeneous_js()),
+                     ("homogeneous", fam.homogeneous_js()), ("lowpass_S_n", range(-1, 4))):
+        out += [project_block(f, j, mode).coefficients.tobytes() for j in js]
+    out += [smooth_truncate_initial(f, n).coefficients.tobytes() for n in range(4)]
+    return pickle.dumps(out)  # floats pickled by their bits
+
+
+class TestFamilyLookup:
+    """Every block operation looks its family up from the field's grid."""
+
+    BOXES = (2 * np.pi, 4.0, 8.0, 16.0, 32.0)  # five grids of n = 64: one more than the cache
+
+    def test_round_robin_past_the_cache_keeps_the_bits(self):
+        fields = [random_real_field(Grid2D(64, box), seed=i, components=1 + i % 2)
+                  for i, box in enumerate(self.BOXES)]
+        first = []
+        for f in fields:
+            build_partition.cache_clear()  # each grid's first pass builds its own family
+            first.append(block_outputs(f))
+        for _ in range(2):
+            misses = build_partition.cache_info().misses
+            for f, expected in zip(fields, first):
+                assert block_outputs(f) == expected
+            # round robin over five grids evicts each family before it is read again
+            assert build_partition.cache_info().misses - misses == len(fields)
+
+    def test_a_positional_family_is_refused(self, grid64):
+        f = random_real_field(grid64, seed=2)
+        fam = build_partition(Grid2D(64, 16.0))
+        for call in (lambda: project_block(f, 0, "inhomogeneous", fam),
+                     lambda: smooth_truncate_initial(f, 2, fam),
+                     lambda: block_sups(f, fam),
+                     lambda: zygmund_norm(f, 1.5, fam),
+                     lambda: sobolev_norm(f, 1.5, fam),
+                     lambda: zygmund_from_sups(block_sups(f), 1.5, True)):
+            with pytest.raises(TypeError):
+                call()

@@ -181,6 +181,15 @@ class TestBuildSplit:
         with pytest.raises(ConfigurationError):
             build_split(Grid2D(256, 8.0), 0.5)  # box too small
 
+    @pytest.mark.parametrize("oversample, message", [
+        (2.0, "oversample must be an integer >= 1, got 2.0"),
+        (0, "oversample must be an integer >= 1, got 0"),
+        (3, "oversample must be a power of two, got 3"),
+    ])
+    def test_oversample_is_a_power_of_two_integer(self, oversample, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_split(Grid2D(128, 16.0), 0.5, oversample=oversample)
+
     def test_near_analytic_value_inside_plateau(self, split256):
         # a = 1 at |x| = 0.5, so the kernel is Phi'(rho) x_perp/rho there
         g = split256.grid

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.fft
 
 from sqglab.dyadic import build_partition, chi_profile, phi_profile
-from sqglab.errors import QuadratureBudgetError
+from sqglab.errors import ConfigurationError, QuadratureBudgetError
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D, operator_table, rfft2
 from sqglab.multipliers import derivative
-from sqglab.norms import (WindowFamily, _holder_offsets, _hs_patch_weight, _seminorm_near,
+from sqglab.norms import (HOLDER_PAIR_BUDGET, WindowFamily, _holder_offsets, _hs_patch_weight, _seminorm_near,
                           block_sups, classical_holder_norm, sobolev_norm, uniformly_local_norm,
                           window_profile, zygmund_norm)
 
@@ -139,7 +141,7 @@ class TestZygmund:
             vals *= n * n / box
             expected[j] = (float(np.sqrt((vals**2).sum(axis=0)).max()) if components == 2
                            else float(np.abs(vals[0]).max()))
-        assert block_sups(f, fam, homogeneous) == expected
+        assert block_sups(f, homogeneous=homogeneous) == expected
 
     @pytest.mark.parametrize("box, some_empty", [(2 * np.pi, True), (16.0, False)])
     def test_empty_blocks_cost_no_transform(self, box, some_empty, count_planes):
@@ -155,7 +157,7 @@ class TestZygmund:
         empty = [j for j in js if not np.any(fam.delta_multiplier(j)[mask])]
         assert bool(empty) == some_empty
         planes = count_planes()
-        rep = zygmund_norm(f, 1.5, fam)
+        rep = zygmund_norm(f, 1.5)
         assert sum(planes) == len(js) - len(empty)
         assert all(rep.block_profile[j] == 0.0 for j in empty)
 
@@ -182,8 +184,8 @@ class TestClassicalHolder:
 
     def test_scaling(self, grid64):
         f = random_real_field(grid64, seed=5)
-        v1 = classical_holder_norm(f, 1.5, pair_budget=512).value
-        v2 = classical_holder_norm(f * 4.0, 1.5, pair_budget=512).value
+        v1 = classical_holder_norm(f, 1.5).value
+        v2 = classical_holder_norm(f * 4.0, 1.5).value
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
     def test_integer_order_has_no_seminorm(self, grid64):
@@ -194,13 +196,17 @@ class TestClassicalHolder:
     @pytest.mark.parametrize("box", [2 * np.pi, 16.0])
     @pytest.mark.parametrize("budget", [2048, 100])
     def test_seminorm_has_the_bits_of_the_rolled_differences(self, box, budget):
+        # the norm samples HOLDER_PAIR_BUDGET offsets; the seminorm, any budget
         grid = Grid2D(64, box)
         f = random_real_field(grid, seed=13)
-        rep = classical_holder_norm(f, 1.5, pair_budget=budget)
+        rep = classical_holder_norm(f, 1.5)
         vec = random_real_field(grid, seed=14, components=2).values
         for beta in ((1, 0), (0, 1)):
-            expected = rolled_seminorm_near(derivative(f, beta).values, 0.5, grid, budget)
-            assert rep.extras[f"semi_near{beta}"] == expected
+            d = derivative(f, beta).values
+            assert rep.extras[f"semi_near{beta}"] == rolled_seminorm_near(d, 0.5, grid,
+                                                                          HOLDER_PAIR_BUDGET)
+            assert _seminorm_near(d, 0.5, grid, budget) == rolled_seminorm_near(d, 0.5, grid,
+                                                                                budget)
         assert _seminorm_near(vec, 0.5, grid, budget) == rolled_seminorm_near(vec, 0.5, grid,
                                                                                budget)
 
@@ -396,6 +402,17 @@ class TestUniformlyLocal:
         wf = WindowFamily.build(grid)
         with pytest.raises(QuadratureBudgetError):
             uniformly_local_norm(f, 2.5, wf, "Ws2_ul")
+
+    @pytest.mark.parametrize("kind", ["Hs_ul", "Lp_ul"])
+    def test_window_family_of_another_grid_refused(self, kind):
+        # a family of another box of the same n used to be read without error
+        grid = Grid2D(128, 16.0)
+        f = random_real_field(grid, seed=3)
+        assert uniformly_local_norm(f, 2.0, WindowFamily.build(grid), kind).value > 0.0
+        other = Grid2D(128)
+        message = re.escape(f"window family of {other} applied to a field on {grid}")
+        with pytest.raises(ConfigurationError, match=message):
+            uniformly_local_norm(f, 2.0, WindowFamily.build(other), kind)
 
     def test_triangle_inequality(self, grid64):
         wf = WindowFamily.build(grid64)

@@ -450,7 +450,7 @@ def full_width_multiplier_ratios(variant, params, ensemble, n_sides):
         for trial in range(ensemble.count):
             f = make_field(grid, ensemble, trial)
             for j in fam.measured_range():
-                fj = project_block(f, j, "homogeneous", fam)
+                fj = project_block(f, j, "homogeneous")
                 for p in ps:
                     norm = (lambda g: g.linf()) if np.isinf(p) else (lambda g: g.l2())
                     base = norm(fj)

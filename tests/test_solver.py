@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from sqglab import kernels, multipliers, solver
-from sqglab.dyadic import build_partition, smooth_truncate_initial
+from sqglab.dyadic import smooth_truncate_initial
 from sqglab.errors import ConfigurationError, DomainError, SimulationError
 from sqglab.fields import SpectralField, dealias, dealiased_samples
 from sqglab.grid import Grid2D, operator_table
@@ -884,7 +885,6 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
     Returns the decrements and, per iterate, the samples of theta and u at
     the sample times."""
     grid = theta0.grid
-    family = build_partition(grid)
     dt = solver.cfl_dt(u0, grid, cfg.dt)
     n_steps = max(2, int(round(cfg.t_end / dt)))
     dt = cfg.t_end / n_steps
@@ -896,18 +896,18 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
         return frozen_velocity(lambda t: SpectralField.from_values(
             grid, _interp_velocity_time(step_times, vals, min(t, cfg.t_end))))
 
-    th_prev = [smooth_truncate_initial(theta0, 2, family)] * (n_steps + 1)
-    u_prev = [smooth_truncate_initial(u0, 2, family)] * (n_steps + 1)
+    th_prev = [smooth_truncate_initial(theta0, 2)] * (n_steps + 1)
+    u_prev = [smooth_truncate_initial(u0, 2)] * (n_steps + 1)
     decrements, iterates = {}, [(th_prev, u_prev)]
     for n in range(1, n_max):
         u_interp = frozen_interp(u_prev)
-        th_new = [smooth_truncate_initial(theta0, n + 2, family)]
+        th_new = [smooth_truncate_initial(theta0, n + 2)]
         state = SimState(t=0.0, theta=th_new[0], u=u_prev[0], theta0_linf=theta0.linf())
         for _ in range(n_steps):
             state = step_transport(state, u_interp, dt)
             th_new.append(state.theta)
 
-        u_new = [smooth_truncate_initial(u0, n + 2, family)]
+        u_new = [smooth_truncate_initial(u0, n + 2)]
         acc = SpectralField.zeros(grid, components=2)
         integ_prev = convolve_far(split, th_new[0], u_prev[0])
         for k in range(1, n_steps + 1):
@@ -922,7 +922,7 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
         decrements[n + 1] = np.array([
             (u_new[i] - u_prev[i]).linf()
             + zygmund_norm(SpectralField.from_values(grid, th_new[i].values - th_prev[i].values),
-                           cfg.r - 1.0, family).value
+                           cfg.r - 1.0).value
             for i in sample_idx])
         iterates.append((th_new, u_new))
         th_prev, u_prev = th_new, u_new
@@ -1079,5 +1079,55 @@ class TestPicard:
         # one sample would be t = 0 only, where D_n and the ratios would be read
         theta0 = single_shell_state(picard_grid)
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
-        with pytest.raises(ConfigurationError, match=f"n_samples >= 2, got {n_samples}"):
+        message = f"n_samples must be an integer >= 2, got {n_samples}"
+        with pytest.raises(ConfigurationError, match=message):
             picard_iterate(cfg, theta0, n_max=2, n_samples=n_samples)
+
+    @pytest.mark.parametrize("n_samples", [3.0, 2.5, True])
+    def test_n_samples_must_be_an_integer(self, picard_grid, n_samples):
+        theta0 = single_shell_state(picard_grid)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        message = f"n_samples must be an integer >= 2, got {n_samples}"
+        with pytest.raises(ConfigurationError, match=message):
+            picard_iterate(cfg, theta0, n_max=2, n_samples=n_samples)
+
+
+class TestSplitFitsTheRun:
+    """A kernel split carries its grid and beta: a run of another refuses it,
+    naming both."""
+
+    @staticmethod
+    def message(split_grid, split_beta, grid, beta):
+        return re.escape(f"kernel split for {split_grid}, beta={split_beta:g} "
+                         f"passed to a run on {grid}, beta={beta:g}")
+
+    @pytest.mark.parametrize("mode", ["direct", "serfati"])
+    def test_simulate_refuses_a_split_of_another_beta(self, mode):
+        # a beta = 0.25 split in this beta = 0.5 serfati run used to run to the
+        # end, with u 8.5e-4 (relative) off the run with its own split
+        grid = Grid2D(128, 16.0)
+        split = build_split(grid, 0.25, oversample=2)
+        with pytest.raises(ConfigurationError, match=self.message(grid, 0.25, grid, 0.5)):
+            simulate(split_config(mode, 4), dipole16(grid), split=split)
+
+    def test_picard_refuses_a_split_of_another_beta(self, picard_grid):
+        split = build_split(picard_grid, 0.25, oversample=2)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        with pytest.raises(ConfigurationError,
+                           match=self.message(picard_grid, 0.25, picard_grid, 0.5)):
+            picard_iterate(cfg, picard_dipole(picard_grid), n_max=2, split=split)
+
+    def test_runs_refuse_a_split_of_another_grid(self):
+        # the same n on another box: every array has the run's shape
+        split = build_split(Grid2D(256, 16.0), 0.5, oversample=1)
+        grid = Grid2D(256, 32.0)
+        theta0 = dipole16(grid)
+        message = self.message(split.grid, 0.5, grid, 0.5)
+        for mode in ("direct", "serfati"):
+            cfg = SolverConfig(beta=0.5, dt=0.0125, t_end=0.05, constitutive=mode, n_side=256,
+                               box_length=32.0, c_existence=0.0)
+            with pytest.raises(ConfigurationError, match=message):
+                simulate(cfg, theta0, split=split)
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=256, box_length=32.0)
+        with pytest.raises(ConfigurationError, match=message):
+            picard_iterate(cfg, theta0, n_max=2, split=split)

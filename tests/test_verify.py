@@ -9,7 +9,7 @@ from sqglab.grid import Grid2D, OperatorTable, operator_table
 from sqglab.multipliers import (apply_multiplier, bessel, biot_savart_velocity, gradient,
                                 kato_ponce_commutator)
 from sqglab.solver import SolverConfig, simulate
-from sqglab.verify import (EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
+from sqglab.verify import (SPECTRAL_SLOPE, EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
                            check_multiplier_bounds, check_velocity_regularity,
                            _lp_commutator, _u_dot_grad, cumulative_trapezoid, gronwall_envelope,
                            make_field, twin_run_experiment)
@@ -28,7 +28,7 @@ def full_layout_band_limited(grid, spec, trial):
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     env = np.zeros_like(kmag)
     band = (kmag > 0) & (kmag <= 0.9 * grid.dealias_k_cutoff)
-    env[band] = kmag[band] ** (-spec.gamma)
+    env[band] = kmag[band] ** (-SPECTRAL_SLOPE)
     c = env * z
     c = 0.5 * (c + np.conj(np.roll(c[::-1, ::-1], 1, axis=(0, 1))))
     c[0, 0] = 0.0
@@ -45,6 +45,11 @@ class TestEnsembles:
     def test_count_must_be_a_positive_integer(self, count):
         with pytest.raises(ConfigurationError, match="count must be an integer >= 1"):
             EnsembleSpec(count=count)
+
+    @pytest.mark.parametrize("seed", [2.5, 7.0, -1, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match=f"seed must be an integer >= 0, got {seed}"):
+            EnsembleSpec(seed=seed)
 
     def test_deterministic(self, grid64):
         spec = EnsembleSpec(seed=42)
@@ -78,10 +83,9 @@ class TestEnsembles:
 
 class TestSingleModeRatios:
     def test_bernstein_exactly_one(self, grid128):
-        fam = build_partition(grid128)
         for j in (1, 2, 3):
             f = pure_mode(grid128, 2**j, 0)
-            fj = project_block(f, j, "homogeneous", fam)
+            fj = project_block(f, j, "homogeneous")
             for p_inf in (True, False):
                 num = gradient(fj).linf() if p_inf else gradient(fj).l2()
                 den = fj.linf() if p_inf else fj.l2()
@@ -89,20 +93,18 @@ class TestSingleModeRatios:
 
     def test_lemma_3_1_exactly_one(self, grid128):
         from sqglab.multipliers import apply_multiplier, frac_laplacian
-        fam = build_partition(grid128)
         s = 0.7
         for j in (1, 2):
             f = pure_mode(grid128, 2**j, 0)
-            fj = project_block(f, j, "homogeneous", fam)
+            fj = project_block(f, j, "homogeneous")
             num = apply_multiplier(fj, frac_laplacian(s)).linf()
             assert num / (2.0 ** (j * s) * fj.linf()) == pytest.approx(1.0, abs=1e-10)
 
     def test_lemma_A_2_exactly_one(self, grid128):
-        fam = build_partition(grid128)
         beta = 0.5
         for j in (1, 2):
             f = pure_mode(grid128, 2**j, 0)
-            fj = project_block(f, j, "homogeneous", fam)
+            fj = project_block(f, j, "homogeneous")
             u = biot_savart_velocity(fj, beta)
             ratio = u.linf() / (2.0 ** (j * (beta - 1.0)) * fj.linf())
             assert ratio == pytest.approx(1.0, abs=1e-10)
@@ -173,12 +175,11 @@ class TestCheckRunners:
         assert rep.measured[0] == kato_ponce_commutator(f, g, 2.5).l2() / rhs
 
     def test_holder_commutator_zero_velocity(self, grid128):
-        fam = build_partition(grid128)
         u = SpectralField.zeros(grid128, components=2)
         theta = make_field(grid128, EnsembleSpec(), 1)
         # the commutator as check_commutators("holder_commutator") forms it
         u_samples = dealiased_samples(u)
-        out = _lp_commutator(u_samples, theta, 2, fam, _u_dot_grad(u_samples, theta))
+        out = _lp_commutator(u_samples, theta, 2, _u_dot_grad(u_samples, theta))
         assert out.linf() == 0.0
 
     def test_lemma_3_3_runs_and_passes(self):
