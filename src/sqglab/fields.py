@@ -116,6 +116,10 @@ class SpectralField:
     # missing samples are computed.  So sums of coefficient-only fields
     # (convolutions, multipliers) cost no transform.
 
+    def _shallow(self) -> "SpectralField":
+        """A new wrapper of the same arrays: what it computes is cached on it alone."""
+        return SpectralField._adopt(self.grid, values=self._values, coefficients=self._coeffs)
+
     def _like(self, values=None, coefficients=None) -> "SpectralField":
         return SpectralField._adopt(self.grid, values=values, coefficients=coefficients)
 

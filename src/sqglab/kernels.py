@@ -467,8 +467,7 @@ def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField, *,
     if u_samples is None:
         # dealias a shallow copy: the caller's u must not cache its coefficients,
         # or every velocity a caller keeps (Picard keeps each step's) keeps them
-        u_samples = dealiased_samples(
-            SpectralField._adopt(u.grid, values=u._values, coefficients=u._coeffs))
+        u_samples = dealiased_samples(u._shallow())
     # dealias, divergence and the mid transfer's product, each with its own
     # operations, on the dealias box's columns only; the result overwrites
     # the flux's coefficients and is zero beyond those columns
@@ -499,16 +498,16 @@ def _gaussian_bump(grid: Grid2D, sigma: float, amp: float = 1.0) -> SpectralFiel
     return SpectralField.from_values(grid, amp * np.exp(-(x1**2 + x2**2) / (2.0 * sigma**2)))
 
 
-def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None) -> np.ndarray:
+def riesz_transfer(grid: Grid2D, beta: float) -> np.ndarray:
     """Transfer function of torus convolution with Phi_beta, by the Gamma split.
 
     The singular short-range part is sampled in physical space with cell
-    averages around the core (carrying ``c_beta``); the smooth long-range
-    part enters through its closed-form transform.  The k = 0 mode is
-    gauged to zero.  For the classical constant the result approximates
-    |k|^(beta-2) to quadrature accuracy.
+    averages around the core (carrying the classical constant c_beta); the
+    smooth long-range part enters through its closed-form transform.  The
+    k = 0 mode is gauged to zero.  The result approximates |k|^(beta-2) to
+    quadrature accuracy.
     """
-    c = riesz_constant(beta) if c_beta is None else c_beta
+    c = riesz_constant(beta)
     alpha = _ewald_alpha(grid.box_length, 0.0)
     x1, x2, rho = _displacements(grid)
     short = np.zeros_like(rho)
@@ -523,9 +522,9 @@ def riesz_transfer(grid: Grid2D, beta: float, c_beta: float | None = None) -> np
     return transfer
 
 
-def riesz_convolve(theta: SpectralField, beta: float, c_beta: float | None = None) -> SpectralField:
+def riesz_convolve(theta: SpectralField, beta: float) -> SpectralField:
     """Torus convolution Phi_beta * theta (see ``riesz_transfer``)."""
-    return _convolve(riesz_transfer(theta.grid, beta, c_beta), theta)
+    return _convolve(riesz_transfer(theta.grid, beta), theta)
 
 
 def verify_fundamental_solution(beta: float, grid: Grid2D) -> VerificationReport:

@@ -22,8 +22,11 @@ predictor's far flux, and the new theta's the predictor and the corrector.
 A stored sample keeps theta as the samples its norms were measured from,
 shared with the state and without coefficients, and u as the state held
 it (see :class:`Trajectory`).
-The Picard sequence keeps its reconstruction on samples and steps theta
-by the previous iterate's velocity through :func:`frozen_velocity`.  An
+A transport step takes its velocity one way: ``velocity(t, theta)`` returns
+the dealiased samples advecting the stage ``theta`` at time ``t``, and the
+caller sets the new state's u.  The Picard sequence keeps its
+reconstruction on samples and steps theta by the previous iterate's
+velocity through :func:`frozen_velocity`.  An
 iterate is one pass over the steps: each transport step is followed by the
 reconstruction step of the theta it made, so an iterate keeps u at every
 step (the next iterate transports by it) but theta only at the sample
@@ -103,7 +106,7 @@ class FarIntegral:
 class SimState:
     t: float
     theta: SpectralField
-    u: SpectralField
+    u: SpectralField | None = None
     far: FarIntegral | None = None
     theta0_linf: float = 0.0
 
@@ -114,13 +117,14 @@ class Trajectory:
 
     ``thetas[i]`` holds theta's samples only, the array the recorded norms
     were measured from, shared with the run's state and with no coefficient
-    copy.  ``us[i]`` is the state's own velocity: ``us[0]`` is u0 itself (the
-    caller's field, or the one ``simulate`` made), and later entries are
-    stored as coefficients, the constitutive velocity under the direct law
-    and its Leray projection under serfati; reading their samples (as
-    ``flow_map`` does) caches those too.  ``final_state`` is the whole last
-    state, theta's coefficients included, and its ``far`` integral (kept
-    when the run has a kernel split), which ``velocity_serfati`` reads.
+    copy.  ``us[i]`` is the state's own velocity: ``us[0]`` is u0 in the
+    representations it arrived in (coefficients, when ``simulate`` made it),
+    and later entries are stored as coefficients, the constitutive velocity
+    under the direct law and its Leray projection under serfati; reading
+    their samples (as ``flow_map`` does) caches those too.  ``final_state``
+    is the whole last state, theta's coefficients included, and its ``far``
+    integral (kept when the run has a kernel split), which
+    ``velocity_serfati`` reads.
     """
 
     times: list = dc_field(default_factory=list)
@@ -228,65 +232,49 @@ def _check_blowup(theta: SpectralField, last: SimState):
 
 
 def frozen_velocity(u_of):
-    """``t -> (u(t), dealiased_samples(u(t)))`` of a trajectory ``t -> u(t)``,
+    """``(t, theta) -> dealiased_samples(u(t))`` of a trajectory ``t -> u(t)``,
     keeping the last time: a transport step asks for t, t + dt/2 twice and
-    t + dt twice (stage 4 and the new state's velocity), and the next step
-    starts at that same t + dt."""
+    t + dt, and the next step starts at that same t + dt."""
     last = {}
 
-    def at(t: float):
+    def at(t: float, theta: SpectralField) -> np.ndarray:
         if t not in last:
             last.clear()
-            u = u_of(t)
-            last[t] = (u, dealiased_samples(u))
+            last[t] = dealiased_samples(u_of(t))
         return last[t]
 
     return at
 
 
-def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = None) -> SimState:
+def step_transport(state: SimState, velocity, dt: float) -> SimState:
     """One RK4 step of the transport equation; the input state is left as it is.
 
-    ``u_frozen`` is ``None`` for the self-consistent mode (the velocity
-    recomputed from theta at every stage via the constitutive law; requires
-    ``beta``), a vector ``SpectralField`` held fixed over the step (taken to
-    dealiased samples once), or a callable ``t -> (u, dealiased_samples(u))``
-    of a velocity frozen in time, such as :func:`frozen_velocity` makes of a
-    trajectory ``t -> u`` (Picard mode).
+    ``velocity(t, theta)`` returns the dealiased samples
+    (``fields.dealiased_samples``) of the velocity advecting the stage
+    ``theta`` at time ``t``: the constitutive velocity of the stage, samples
+    the caller holds, or those :func:`frozen_velocity` makes of a trajectory.
+    The new state's ``u`` is None; the caller sets it.
     """
     th = state.theta
     t = state.t
-
-    if u_frozen is None:
-        if beta is None:
-            raise ConfigurationError("self-consistent stepping needs beta")
-
-        def stage_velocity(tt, stage):
-            u = biot_savart_velocity(stage, beta)
-            return u, dealiased_samples(u)
-    else:
-        held = None if callable(u_frozen) else (u_frozen, dealiased_samples(u_frozen))
-
-        def stage_velocity(tt, stage):
-            pair = held or u_frozen(tt)
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                raise ConfigurationError("a velocity callable returns (u, dealiased samples "
-                                         "of u): wrap a trajectory t -> u in frozen_velocity")
-            return pair
-
     grid = th.grid
     c = th.coefficients
+    shape = (2, grid.n_side, grid.n_side)
 
-    def tendency(stage: SpectralField, tt: float) -> np.ndarray:
-        return advection_tendency(stage, stage_velocity(tt, stage)[1]).coefficients
+    def tendency(coeffs: np.ndarray, tt: float) -> np.ndarray:
+        stage = SpectralField._adopt(grid, coefficients=coeffs)
+        u_samples = velocity(tt, stage)
+        if not (isinstance(u_samples, np.ndarray) and u_samples.shape == shape):
+            got = u_samples.shape if isinstance(u_samples, np.ndarray) else type(u_samples)
+            raise ConfigurationError(
+                f"velocity(t, theta) returns the dealiased velocity samples, an array of "
+                f"shape {shape} such as fields.dealiased_samples(u); got {got}")
+        return advection_tendency(stage, u_samples).coefficients
 
-    def stage_theta(coeffs: np.ndarray) -> SpectralField:
-        return SpectralField._adopt(grid, coefficients=coeffs)
-
-    k1 = tendency(th, t)
-    k2 = tendency(stage_theta(c + 0.5 * dt * k1), t + 0.5 * dt)
-    k3 = tendency(stage_theta(c + 0.5 * dt * k2), t + 0.5 * dt)
-    k4 = tendency(stage_theta(c + dt * k3), t + dt)
+    k1 = tendency(c, t)
+    k2 = tendency(c + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = tendency(c + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = tendency(c + dt * k3, t + dt)
 
     inc = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     # samples advance by the increment's samples (the one transform the blow-up
@@ -294,9 +282,7 @@ def step_transport(state: SimState, u_frozen, dt: float, beta: float | None = No
     new_theta = SpectralField._adopt(grid, values=th.values + operator_table(grid).values(inc),
                                      coefficients=c + inc)
     _check_blowup(new_theta, state)
-    u_new = (biot_savart_velocity(new_theta, beta) if u_frozen is None
-             else stage_velocity(t + dt, new_theta)[0])
-    return SimState(t=t + dt, theta=new_theta, u=u_new, theta0_linf=state.theta0_linf)
+    return SimState(t=t + dt, theta=new_theta, theta0_linf=state.theta0_linf)
 
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
@@ -393,12 +379,15 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     along the run, so ``velocity_serfati`` can be evaluated on the final
     state for identity-consistency measurements.
     """
-    grid = theta0.grid
+    grid = config.grid()
+    if theta0.grid != grid:
+        raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
+    u0_read = u0._shallow()  # the sup-norm reads cache here: u0 is stored as it came
     if config.constitutive == "direct":
         gap = (u0 - biot_savart_velocity(theta0, config.beta)).linf()
-        if gap > 1e-6 * max(u0.linf(), 1e-300):
+        if gap > 1e-6 * max(u0_read.linf(), 1e-300):
             raise ConfigurationError(
                 f"u0 inconsistent with theta0 under the direct law (rel gap {gap:.2e})"
             )
@@ -407,10 +396,10 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     elif config.constitutive == "serfati":
         split = build_split(grid, config.beta)
 
-    dt = cfl_dt(u0, grid, config.dt)
+    dt = cfl_dt(u0_read, grid, config.dt)
     t_stop = config.t_end
     if config.c_existence > 0:
-        t_reach = existence_time(u0.linf(), zygmund_norm(theta0, config.r).value,
+        t_reach = existence_time(u0_read.linf(), zygmund_norm(theta0, config.r).value,
                                  config.c_existence)
         t_stop = min(t_stop, t_reach)
     n_steps = max(1, int(round(t_stop / dt)))
@@ -439,18 +428,20 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
     for k in range(n_steps):
         if config.constitutive == "direct":
-            new = step_transport(state, None, dt, beta=config.beta)
+            new = step_transport(
+                state, lambda t, th: dealiased_samples(biot_savart_velocity(th, config.beta)), dt)
+            new.u = biot_savart_velocity(new.theta, config.beta)
             if split is not None:
                 new.far = state.far.advance(dt, convolve_far(split, new.theta, new.u))
         else:
             # u_adv's dealiased samples serve the transport step and the
             # predictor's far flux; the new theta's, predictor and corrector
-            adv = (u_adv, dealiased_samples(u_adv))
-            new = step_transport(state, lambda t: adv, dt)
+            adv = dealiased_samples(u_adv)
+            new = step_transport(state, lambda t, th: adv, dt)
             theta_samples = dealiased_samples(new.theta)
             # the new-boundary integrand: predicted with u_adv, corrected with u_star
             new.far = state.far.advance(dt, convolve_far(
-                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv[1]))
+                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv))
             u_star = velocity_serfati(new, u0, theta0, split)
             new.far = state.far.advance(dt, convolve_far(
                 split, new.theta, u_star, theta_samples=theta_samples))
@@ -631,7 +622,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     if config.c_existence <= 0:
         raise ConfigurationError(
             f"picard_iterate needs c_existence > 0 for its time bound, got {config.c_existence}")
-    grid = theta0.grid
+    grid = config.grid()
+    if theta0.grid != grid:
+        raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
     if split is None:
@@ -678,7 +671,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         th_init = smooth_truncate_initial(theta0, n + 2)
         u_new = [smooth_truncate_initial(u0, n + 2)]
         th_new = [th_init.values]  # theta at the sample times, which start at step 0
-        state = SimState(t=0.0, theta=th_init, u=u_prev[0], theta0_linf=theta0.linf())
+        state = SimState(t=0.0, theta=th_init, theta0_linf=theta0.linf())
         far = FarIntegral(SpectralField.zeros(grid, components=2), far_samples(th_init, u_prev[0]))
         for k in range(1, n_steps + 1):
             # transport step k, then reconstruction step k from its theta

@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from sqglab import kernels, multipliers, solver
 from sqglab.dyadic import smooth_truncate_initial
@@ -90,6 +92,67 @@ def values_space_rk4_step(theta, beta, dt):
     return SpectralField.from_values(grid, v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
+def direct_law(beta):
+    """The direct law as a velocity: the constitutive velocity of each stage."""
+    return lambda t, theta: dealiased_samples(biot_savart_velocity(theta, beta))
+
+
+def direct_step(state, dt, beta=0.5):
+    """A direct-law step as ``simulate`` takes it: the new velocity from the new theta."""
+    new = step_transport(state, direct_law(beta), dt)
+    new.u = biot_savart_velocity(new.theta, beta)
+    return new
+
+
+def held(u):
+    """A velocity fixed over the step: its dealiased samples, taken once."""
+    samples = dealiased_samples(u)
+    return lambda t, theta: samples
+
+
+def reference_rk4_step(theta, velocity, t, dt):
+    """RK4 on theta's coefficients, written out: the stage velocities asked of
+    ``velocity(t, stage)``, samples advanced by the increment's samples.
+    Returns the new samples and coefficients."""
+    grid = theta.grid
+    c = theta.coefficients
+
+    def rate(coeffs, tt):
+        stage = SpectralField.from_coefficients(grid, coeffs)
+        return solver.advection_tendency(stage, velocity(tt, stage)).coefficients
+
+    k1 = rate(c, t)
+    k2 = rate(c + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rate(c + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rate(c + dt * k3, t + dt)
+    inc = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return theta.values + operator_table(grid).values(inc), c + inc
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=strategies.sampled_from([16, 32]), dt=strategies.floats(1e-3, 0.05),
+       t0=strategies.floats(0.0, 1.0), seed=strategies.integers(0, 2**32 - 1),
+       mode=strategies.sampled_from(["law", "trajectory", "held"]))
+def test_every_velocity_steps_with_the_bits_of_the_written_out_rk4(n, dt, t0, seed, mode):
+    # the protocol's three callers, stepped 3 times; each reference stage
+    # computes its velocity afresh, with no memo and no held samples
+    grid = Grid2D(n)
+    theta = dealias(random_real_field(grid, seed=seed))
+    u = dealias(random_real_field(grid, seed=seed + 1, components=2))
+    velocity, expected = {
+        "law": (direct_law(0.5), direct_law(0.5)),
+        "trajectory": (frozen_velocity(lambda t: (1.0 + t) * u),
+                       lambda t, th: dealiased_samples((1.0 + t) * u)),
+        "held": (held(u), lambda t, th: dealiased_samples(u)),
+    }[mode]
+    st = SimState(t=t0, theta=theta, theta0_linf=theta.linf())
+    for _ in range(3):
+        values, coeffs = reference_rk4_step(st.theta, expected, st.t, dt)
+        st = step_transport(st, velocity, dt)
+        assert st.theta.values.tobytes() == values.tobytes()
+        assert st.theta.coefficients.tobytes() == coeffs.tobytes()
+
+
 class TestStepTransport:
     def test_matches_values_space_reference(self, grid64):
         theta0 = dipole(grid64)
@@ -97,7 +160,7 @@ class TestStepTransport:
                       theta0_linf=theta0.linf())
         ref = theta0
         for _ in range(10):
-            st = step_transport(st, None, 0.02, beta=0.5)
+            st = direct_step(st, 0.02)
             ref = values_space_rk4_step(ref, 0.5, 0.02)
         assert (st.theta - ref).linf() <= 1e-13 * theta0.linf()
         assert (st.u - biot_savart_velocity(ref, 0.5)).linf() <= 1e-13 * st.u.linf()
@@ -107,9 +170,9 @@ class TestStepTransport:
         theta0 = dipole(grid64)
         st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
                       theta0_linf=theta0.linf())
-        st = step_transport(st, None, 0.02, beta=0.5)  # a running state holds both representations
+        st = direct_step(st, 0.02)  # a running state holds both representations
         planes = count_planes()
-        step_transport(st, None, 0.02, beta=0.5)
+        direct_step(st, 0.02)
         assert 0 < sum(planes) <= 21
 
     def test_direct_step_memory_budget(self):
@@ -119,10 +182,10 @@ class TestStepTransport:
         theta0 = dipole(grid)
         st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
                       theta0_linf=theta0.linf())
-        st = step_transport(st, None, 0.01, beta=0.5)
+        st = direct_step(st, 0.01)
         tracemalloc.start()
         try:
-            step_transport(st, None, 0.01, beta=0.5)
+            direct_step(st, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -135,9 +198,9 @@ class TestStepTransport:
         theta0 = dipole(grid64)
         u = leray_project(biot_savart_velocity(theta0, 0.5))
         st = SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf())
-        st = step_transport(st, u, 0.02)
+        st = step_transport(st, held(u), 0.02)
         planes = count_planes()
-        step_transport(st, u, 0.02)
+        step_transport(st, held(u), 0.02)
         assert 0 < sum(planes) <= 15
 
     def test_picard_mode_transform_budget(self, grid64, count_planes):
@@ -151,7 +214,7 @@ class TestStepTransport:
             return lambda t: SpectralField.from_values(grid64, (1.0 + scale * t) * u)
 
         u_of = frozen_velocity(traj(1.0))
-        st = SimState(t=0.0, theta=theta0, u=u_of(0.0)[0], theta0_linf=theta0.linf())
+        st = SimState(t=0.0, theta=theta0, theta0_linf=theta0.linf())
         st = step_transport(st, u_of, 0.02)
         planes = count_planes()
         reused = step_transport(st, u_of, 0.02)
@@ -160,7 +223,7 @@ class TestStepTransport:
         # two wrappers stepping the same state share nothing: each gives the
         # bits of a new wrapper stepping a new state
         def fresh_step(scale):
-            fresh = SimState(t=st.t, theta=st.theta, u=st.u, theta0_linf=st.theta0_linf)
+            fresh = SimState(t=st.t, theta=st.theta, theta0_linf=st.theta0_linf)
             return step_transport(fresh, frozen_velocity(traj(scale)), 0.02).theta.values
 
         other = step_transport(st, frozen_velocity(traj(-3.0)), 0.02)
@@ -174,40 +237,55 @@ class TestStepTransport:
         # of a step that takes the field to samples itself
         theta0 = dipole(grid64)
         u = leray_project(biot_savart_velocity(theta0, 0.5))
-        held = (u, dealiased_samples(u))
-        st = step_transport(SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf()), u, 0.02)
+        samples = dealiased_samples(u)
+        st = step_transport(SimState(t=0, theta=theta0, u=u, theta0_linf=theta0.linf()),
+                            held(u), 0.02)
         planes = count_planes()
-        reused = step_transport(st, lambda t: held, 0.02)
+        reused = step_transport(st, lambda t, theta: samples, 0.02)
         assert sum(planes) == 13
-        assert reused.u is u
+        assert reused.u is None  # the new state's velocity is the caller's to set
         np.testing.assert_array_equal(reused.theta.values,
-                                      step_transport(st, u, 0.02).theta.values)
+                                      step_transport(st, held(u), 0.02).theta.values)
 
     @pytest.mark.parametrize("mode", ["direct", "fixed", "trajectory"])
     def test_input_state_left_as_it_is(self, grid64, mode):
         # from a running state, so a step that kept anything on it would show
         theta0 = dipole(grid64)
         u = biot_savart_velocity(theta0, 0.5)
-        velocity = {"direct": None, "fixed": u,
+        velocity = {"direct": direct_law(0.5), "fixed": held(u),
                     "trajectory": frozen_velocity(lambda t: (1.0 + t) * u)}[mode]
         st = SimState(t=0.0, theta=theta0, u=u, theta0_linf=theta0.linf())
-        st = step_transport(st, velocity, 0.02, beta=0.5)
+        st = step_transport(st, velocity, 0.02)
         before = dict(vars(st))
         theta_bits = st.theta.values.tobytes()
-        step_transport(st, velocity, 0.02, beta=0.5)
+        step_transport(st, velocity, 0.02)
         assert vars(st).keys() == before.keys()
         assert all(vars(st)[name] is obj for name, obj in before.items())
         assert st.theta.values.tobytes() == theta_bits
 
+    PROTOCOL = r"velocity\(t, theta\) returns the dealiased velocity samples"
+
     def test_callable_returning_a_bare_field_rejected(self, grid64):
         theta0 = dipole(grid64)
         u = biot_savart_velocity(theta0, 0.5)
-        st = SimState(t=0.0, theta=theta0, u=u, theta0_linf=theta0.linf())
-        with pytest.raises(ConfigurationError, match="frozen_velocity"):
-            step_transport(st, lambda t: u, 0.02)
+        st = SimState(t=0.0, theta=theta0, theta0_linf=theta0.linf())
+        with pytest.raises(ConfigurationError, match=self.PROTOCOL):
+            step_transport(st, lambda t, theta: u, 0.02)
+
+    @pytest.mark.parametrize("returned", ["pair", "scalar samples"])
+    def test_callable_returning_other_samples_rejected(self, grid64, returned):
+        # the old (u, samples) pair, and scalar samples, which the (2, n, n)
+        # product would broadcast against without a word
+        theta0 = dipole(grid64)
+        u = biot_savart_velocity(theta0, 0.5)
+        out = {"pair": (u, dealiased_samples(u)),
+               "scalar samples": dealiased_samples(theta0)}[returned]
+        st = SimState(t=0.0, theta=theta0, theta0_linf=theta0.linf())
+        with pytest.raises(ConfigurationError, match=self.PROTOCOL):
+            step_transport(st, lambda t, theta: out, 0.02)
 
     def test_frozen_trajectory_evaluated_once_per_time(self, grid64):
-        # stages 2 and 3 share t + dt/2, and stage 4 the new state's velocity
+        # stages 2 and 3 share t + dt/2; t + dt is asked by stage 4 alone
         theta0 = dipole(grid64)
         u = biot_savart_velocity(theta0, 0.5)
         calls = []
@@ -217,17 +295,17 @@ class TestStepTransport:
             return u
 
         st = SimState(t=0.1, theta=theta0, u=u, theta0_linf=theta0.linf())
-        fixed = step_transport(st, u, 0.02)
+        fixed = step_transport(st, held(u), 0.02)
         frozen = step_transport(st, frozen_velocity(u_of), 0.02)
         assert sorted(calls) == [0.1, 0.1 + 0.01, 0.1 + 0.02]
-        assert frozen.u is u
+        assert frozen.u is None
         np.testing.assert_array_equal(frozen.theta.values, fixed.theta.values)
 
     def test_zero_velocity(self, grid64):
         th = random_real_field(grid64, seed=1)
         u0 = SpectralField.zeros(grid64, components=2)
         st = SimState(t=0, theta=th, u=u0, theta0_linf=th.linf())
-        out = step_transport(st, u0, 0.05)
+        out = step_transport(st, held(u0), 0.05)
         assert (out.theta - th).linf() == 0.0
         assert out.t == pytest.approx(0.05)
 
@@ -239,7 +317,7 @@ class TestStepTransport:
             grid64, np.stack([np.full((64, 64), c[0]), np.full((64, 64), c[1])]))
         st = SimState(t=0, theta=th, u=uc, theta0_linf=th.linf())
         for _ in range(50):
-            st = step_transport(st, uc, 0.01)
+            st = step_transport(st, held(uc), 0.01)
         t = st.t
         exact = np.cos(X - c[0] * t) * np.sin(2 * (Y - c[1] * t))
         assert np.abs(st.theta.values - exact).max() <= 1e-10
@@ -249,7 +327,7 @@ class TestStepTransport:
         big = SpectralField.from_values(grid64, 100.0 * th.values)
         st = SimState(t=0.25, theta=big, u=SpectralField.zeros(grid64, 2), theta0_linf=th.linf())
         with pytest.raises(SimulationError, match="blow-up detected") as err:
-            step_transport(st, SpectralField.zeros(grid64, 2), 0.01)
+            step_transport(st, held(SpectralField.zeros(grid64, 2)), 0.01)
         # the last good state is the step's input: its time and sup norm
         assert f"last good state t=0.25, ||theta||_inf={big.linf():.3g}" in str(err.value)
 
@@ -293,11 +371,14 @@ class TestStepTransport:
             tracemalloc.stop()
         assert peak <= 4096
 
-    def test_self_consistent_needs_beta(self, grid64):
+    def test_velocity_callable_is_the_one_form(self, grid64):
+        # no beta switch, no None (law) mode and no fixed-field mode
+        assert list(inspect.signature(step_transport).parameters) == ["state", "velocity", "dt"]
         th = random_real_field(grid64, seed=3)
-        st = SimState(t=0, theta=th, u=SpectralField.zeros(grid64, 2), theta0_linf=th.linf())
-        with pytest.raises(ConfigurationError):
-            step_transport(st, None, 0.01)
+        st = SimState(t=0, theta=th, theta0_linf=th.linf())
+        for velocity in (None, SpectralField.zeros(grid64, 2)):
+            with pytest.raises(TypeError, match="not callable"):
+                step_transport(st, velocity, 0.01)
 
 
 class TestNormRecorder:
@@ -357,6 +438,14 @@ class TestSimulate:
         assert traj.diagnostics["l2_drift"] <= 1e-4 * 0.2 * 10
         assert traj.diagnostics["linf_growth"] <= 1.0 + 1e-3 * 0.2 * 10
 
+    def test_theta0_off_the_config_grid_rejected(self, grid64):
+        # this run used to take n = 64, L = 2 pi from theta0 and run 4 steps
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.04, n_side=256, box_length=16.0,
+                           c_existence=0)
+        message = re.escape(f"theta0 on {grid64} passed to a run on {Grid2D(256, 16.0)}")
+        with pytest.raises(ConfigurationError, match=message):
+            simulate(cfg, dipole(grid64))
+
     def test_existence_cap_limits_run(self, grid64):
         theta0 = single_shell_state(grid64, m=3)
         cfg = SolverConfig(beta=0.5, dt=0.005, t_end=50.0, n_side=64, c_existence=1.0)
@@ -403,7 +492,7 @@ def values_space_serfati_run(theta0, split, dt, n_steps):
 
     for _ in range(n_steps):
         u_adv = leray_project(state.u)
-        new = step_transport(state, u_adv, dt)
+        new = step_transport(state, held(u_adv), dt)
         new.far = leg(state.far, convolve_far(split, new.theta, u_adv))
         new.far = leg(state.far, convolve_far(
             split, new.theta, values_space_reconstruction(new, u0, theta0, split)))
@@ -578,10 +667,10 @@ def full_state_run(cfg, theta0, split):
     u_adv = leray_project(u0)
     for _ in range(n_steps):
         if cfg.constitutive == "direct":
-            new = step_transport(state, None, dt, beta=cfg.beta)
+            new = direct_step(state, dt, cfg.beta)
             new.far = leg(state.far, convolve_far(split, new.theta, new.u))
         else:
-            new = step_transport(state, u_adv, dt)
+            new = step_transport(state, held(u_adv), dt)
             new.far = leg(state.far, convolve_far(split, new.theta, u_adv))
             new.far = leg(state.far, convolve_far(
                 split, new.theta, velocity_serfati(new, u0, theta0, split)))
@@ -609,6 +698,19 @@ class TestStoredSamples:
             assert stored._coeffs is None
             assert np.shares_memory(stored._values, theta.values)
         assert traj.final_state.theta._coeffs is not None
+
+    @pytest.mark.parametrize("mode", ["direct", "serfati"])
+    def test_u0_stored_as_it_arrived(self, split128, mode):
+        # the run's sup-norm reads (the CFL step, the existence cap, the direct
+        # law's check) cache no samples on the stored u0
+        theta0 = dipole16(split128.grid)
+        cfg = dataclasses.replace(split_config(mode, 2), c_existence=1.0)
+        made = simulate(cfg, theta0, split=split128).us[0]
+        assert made._values is None and made._coeffs is not None
+        given = SpectralField.from_values(split128.grid, biot_savart_velocity(theta0, 0.5).values)
+        if mode == "direct":  # serfati projects u0, which reads its coefficients
+            assert simulate(cfg, theta0, u0=given).us[0] is given
+            assert given._coeffs is None
 
     def test_direct_trajectory_memory_budget(self, grid128):
         n, steps = 128, 20
@@ -902,7 +1004,7 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
     for n in range(1, n_max):
         u_interp = frozen_interp(u_prev)
         th_new = [smooth_truncate_initial(theta0, n + 2)]
-        state = SimState(t=0.0, theta=th_new[0], u=u_prev[0], theta0_linf=theta0.linf())
+        state = SimState(t=0.0, theta=th_new[0], theta0_linf=theta0.linf())
         for _ in range(n_steps):
             state = step_transport(state, u_interp, dt)
             th_new.append(state.theta)
@@ -963,7 +1065,7 @@ class TestPicard:
                 out = fn(*args, **kwargs)
                 own.extend(a for a in args + (out,) if isinstance(a, SpectralField))
                 if isinstance(out, SimState):
-                    own.extend([out.theta, out.u])
+                    own.append(out.theta)
                 return out
             return wrapped
 
@@ -1051,6 +1153,12 @@ class TestPicard:
         trace = picard_iterate(cfg, theta0, n_max=4, split=split)
         assert len(trace.iterates) == 4  # the smoothed data, then 3 transported iterates
         assert len(calls) == 3 * (2 * n_steps + 1)
+
+    def test_theta0_off_the_config_grid_rejected(self, picard_grid, picard_split):
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=32.0)
+        message = re.escape(f"theta0 on {picard_grid} passed to a run on {Grid2D(128, 32.0)}")
+        with pytest.raises(ConfigurationError, match=message):
+            picard_iterate(cfg, picard_dipole(picard_grid), n_max=2, split=picard_split)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_existence_constant_rejected(self, picard_grid, c):
