@@ -123,12 +123,18 @@ class SpectralField:
     def _like(self, values=None, coefficients=None) -> "SpectralField":
         return SpectralField._adopt(self.grid, values=values, coefficients=coefficients)
 
-    def _combine(self, other: "SpectralField", op) -> "SpectralField":
+    def _operands(self, other: "SpectralField") -> tuple[str, np.ndarray, np.ndarray]:
+        """The representation ("values" or "coefficients") that a linear
+        operation of ``self`` and ``other`` is formed in, and their arrays there."""
         if self._values is not None and other._values is not None:
-            return self._like(values=op(self._values, other._values))
+            return "values", self._values, other._values
         if self._coeffs is not None and other._coeffs is not None:
-            return self._like(coefficients=op(self._coeffs, other._coeffs))
-        return self._like(values=op(self.values, other.values))
+            return "coefficients", self._coeffs, other._coeffs
+        return "values", self.values, other.values
+
+    def _combine(self, other: "SpectralField", op) -> "SpectralField":
+        kind, a, b = self._operands(other)
+        return self._like(**{kind: op(a, b)})
 
     def _map(self, op) -> "SpectralField":
         if self._values is not None:
@@ -181,6 +187,20 @@ class SpectralField:
 
 
 # -- module operations -------------------------------------------------------
+
+
+def _operands_into(w: np.ndarray, kind: str,
+                   f: SpectralField) -> tuple[str, np.ndarray, np.ndarray]:
+    """:meth:`SpectralField._operands` of a field holding only ``w``, a fresh
+    array of representation ``kind`` that the caller owns, and ``f``: the
+    representation, w there (fresh samples of w if it moves to samples) and
+    f's array.  The caller writes the operation over the returned w, so a
+    chain of sums makes one array and has the bits of the field arithmetic."""
+    if kind == "coefficients" and f._coeffs is not None:
+        return kind, w, f._coeffs
+    if kind == "coefficients":
+        w = operator_table(f.grid).values(w)
+    return "values", w, f.values
 
 
 def full_coefficients(f: SpectralField) -> np.ndarray:

@@ -466,14 +466,19 @@ def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField, *,
         theta_samples = dealiased_samples(theta)
     if u_samples is None:
         # dealias a shallow copy: the caller's u must not cache its coefficients,
-        # or every velocity a caller keeps (Picard keeps each step's) keeps them
-        u_samples = dealiased_samples(u._shallow())
+        # or every velocity a caller keeps (Picard keeps each step's) keeps them;
+        # the product is formed over these samples, which nothing else holds
+        product = dealiased_samples(u._shallow())
+        product *= theta_samples
+    else:
+        product = theta_samples * u_samples
     # dealias, divergence and the mid transfer's product, each with its own
     # operations, on the dealias box's columns only; the result overwrites
     # the flux's coefficients and is zero beyond those columns
     ops = operator_table(u.grid)
     m = ops.dealias_columns
-    out = ops.coefficients(theta_samples * u_samples)
+    out = ops.coefficients(product)
+    del product
     flux = out[..., :m]
     flux *= ops.dealias[:, :m]
     div = (1j * ops.k1) * flux[0] + (1j * ops.k2[:, :m]) * flux[1]

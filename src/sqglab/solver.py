@@ -19,9 +19,11 @@ samples only where a caller reads them.  A serfati step advects by the
 projection the previous step stored (u0 is projected once, before the
 first step); its dealiased samples serve the transport step and the
 predictor's far flux, and the new theta's the predictor and the corrector.
-A stored sample keeps theta as the samples its norms were measured from,
-shared with the state and without coefficients, and u as the state held
-it (see :class:`Trajectory`).
+A step holds only the arrays it still reads: its sums are formed in place
+with the plain expressions' bits, and each temporary is dropped after its
+last read.  A stored sample keeps theta as the samples its norms were
+measured from, shared with the state and without coefficients, and u as
+the state held it (see :class:`Trajectory`).
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
@@ -50,7 +52,7 @@ import numpy as np
 
 from .dyadic import smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
-from .fields import SpectralField, dealiased_samples
+from .fields import SpectralField, _operands_into, dealiased_samples
 from .grid import Grid2D, _require_integer, abs_max, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
@@ -99,7 +101,18 @@ class FarIntegral:
     t: float = 0.0
 
     def advance(self, dt: float, integ: SpectralField) -> "FarIntegral":
-        return FarIntegral(self.acc + 0.5 * dt * (self.prev + integ), integ, self.t + dt)
+        """The integral at t + dt, acc + 0.5 dt (prev + integ).
+
+        Formed in one fresh array w, in this order: w = prev + integ, w *=
+        0.5 dt, w = acc + w, each sum in the representation ``SpectralField``
+        arithmetic chooses for it; so the bits are the plain expression's.
+        """
+        kind, prev, new = self.prev._operands(integ)
+        w = prev + new
+        w *= 0.5 * dt
+        kind, w, acc = _operands_into(w, kind, self.acc)
+        np.add(acc, w, out=w)
+        return FarIntegral(SpectralField._adopt(integ.grid, **{kind: w}), integ, self.t + dt)
 
 
 @dataclass
@@ -254,6 +267,13 @@ def step_transport(state: SimState, velocity, dt: float) -> SimState:
     ``theta`` at time ``t``: the constitutive velocity of the stage, samples
     the caller holds, or those :func:`frozen_velocity` makes of a trajectory.
     The new state's ``u`` is None; the caller sets it.
+
+    The step holds only the arrays it still reads.  Each stage input c + h k
+    is formed in one array (h k, then c + it); the increment is accumulated
+    as the stages are made, ((k1 + 2 k2) + 2 k3) + k4, then scaled by dt/6,
+    and each k is dropped once its stage input and its term exist.  These
+    are the operations and the order of (dt/6) (k1 + 2 k2 + 2 k3 + k4), so
+    the step has that expression's bits.
     """
     th = state.theta
     t = state.t
@@ -271,16 +291,27 @@ def step_transport(state: SimState, velocity, dt: float) -> SimState:
                 f"shape {shape} such as fields.dealiased_samples(u); got {got}")
         return advection_tendency(stage, u_samples).coefficients
 
-    k1 = tendency(c, t)
-    k2 = tendency(c + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = tendency(c + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = tendency(c + dt * k3, t + dt)
+    def stage_input(h: float, k: np.ndarray) -> np.ndarray:
+        y = np.multiply(h, k)
+        return np.add(c, y, out=y)
 
-    inc = (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k1 = tendency(c, t)
+    k2 = tendency(stage_input(0.5 * dt, k1), t + 0.5 * dt)
+    inc = np.multiply(2, k2)
+    np.add(k1, inc, out=inc)  # k1 + 2 k2
+    y = stage_input(0.5 * dt, k2)
+    del k1, k2
+    k3 = tendency(y, t + 0.5 * dt)
+    y = stage_input(dt, k3)
+    inc += np.multiply(2, k3)
+    del k3
+    inc += tendency(y, t + dt)  # k4
+    inc *= dt / 6.0
     # samples advance by the increment's samples (the one transform the blow-up
     # check needs), so a zero tendency leaves them bit for bit unchanged
-    new_theta = SpectralField._adopt(grid, values=th.values + operator_table(grid).values(inc),
-                                     coefficients=c + inc)
+    values = operator_table(grid).values(inc)
+    np.add(th.values, values, out=values)
+    new_theta = SpectralField._adopt(grid, values=values, coefficients=np.add(c, inc, out=inc))
     _check_blowup(new_theta, state)
     return SimState(t=t + dt, theta=new_theta, theta0_linf=state.theta0_linf)
 
@@ -292,14 +323,23 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
     Linear in its terms, so it is formed on coefficients: the result holds
     coefficients only, and costs no transform when its inputs hold
     coefficients.
+
+    Formed in one fresh array w, in this order: w = u0 + near, then w = w -
+    acc, each sum in the representation ``SpectralField`` arithmetic chooses
+    for it; so the bits are those of ``u0 + near - acc``.
     """
     far = state.far
     if far is not None and abs(far.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
         raise SimulationError(f"far accumulator at t={far.t} but state at t={state.t}")
-    dtheta = SpectralField._adopt(u0.grid,
-                                  coefficients=state.theta.coefficients - theta0.coefficients)
-    u = u0 + convolve_near(split, dtheta)
-    return u if far is None else u - far.acc
+    # theta - theta0 is read once, by the convolution, and dies with it
+    near = convolve_near(split, SpectralField._adopt(
+        u0.grid, coefficients=state.theta.coefficients - theta0.coefficients))
+    kind, a, b = u0._operands(near)
+    w = a + b
+    if far is not None:
+        kind, w, acc = _operands_into(w, kind, far.acc)
+        np.subtract(w, acc, out=w)
+    return SpectralField._adopt(u0.grid, **{kind: w})
 
 
 # -- existence time -------------------------------------------------------------
@@ -384,9 +424,10 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
-    u0_read = u0._shallow()  # the sup-norm reads cache here: u0 is stored as it came
+    # every read of u0 caches on this wrapper, so u0 is stored as it came
+    u0_read = u0._shallow()
     if config.constitutive == "direct":
-        gap = (u0 - biot_savart_velocity(theta0, config.beta)).linf()
+        gap = (u0_read - biot_savart_velocity(theta0, config.beta)).linf()
         if gap > 1e-6 * max(u0_read.linf(), 1e-300):
             raise ConfigurationError(
                 f"u0 inconsistent with theta0 under the direct law (rel gap {gap:.2e})"
@@ -412,7 +453,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
     if split is not None:
         state.far = FarIntegral(SpectralField.zeros(grid, components=2),
-                                convolve_far(split, theta0, u0))
+                                convolve_far(split, theta0, u0_read))
 
     def store(state: SimState):
         traj.times.append(state.t)
@@ -424,7 +465,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     store(state)
     l2_0 = theta0.l2()
     if config.constitutive == "serfati":
-        u_adv = leray_project(u0)  # the first step's; later steps advect by state.u
+        u_adv = leray_project(u0_read)  # the first step's; later steps advect by state.u
 
     for k in range(n_steps):
         if config.constitutive == "direct":
@@ -435,20 +476,25 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                 new.far = state.far.advance(dt, convolve_far(split, new.theta, new.u))
         else:
             # u_adv's dealiased samples serve the transport step and the
-            # predictor's far flux; the new theta's, predictor and corrector
+            # predictor's far flux; the new theta's, predictor and corrector.
+            # Each is dropped after its last read, as are the predicted
+            # integral (read by u_star) and u_star (read by the corrector)
             adv = dealiased_samples(u_adv)
             new = step_transport(state, lambda t, th: adv, dt)
             theta_samples = dealiased_samples(new.theta)
             # the new-boundary integrand: predicted with u_adv, corrected with u_star
             new.far = state.far.advance(dt, convolve_far(
                 split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv))
-            u_star = velocity_serfati(new, u0, theta0, split)
-            new.far = state.far.advance(dt, convolve_far(
-                split, new.theta, u_star, theta_samples=theta_samples))
+            del adv
+            u_star = velocity_serfati(new, u0_read, theta0, split)
+            new.far = None
+            integ = convolve_far(split, new.theta, u_star, theta_samples=theta_samples)
+            del u_star, theta_samples
+            new.far = state.far.advance(dt, integ)
             # the reconstruction is divergence-free in the continuum; project
             # away the sampling residue so the state velocity stays solenoidal,
             # and advect the next step by that stored projection
-            new.u = u_adv = leray_project(velocity_serfati(new, u0, theta0, split))
+            new.u = u_adv = leray_project(velocity_serfati(new, u0_read, theta0, split))
         state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             store(state)
@@ -627,6 +673,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
+    u0 = u0._shallow()  # what the reads compute caches here, not on the caller's u0
     if split is None:
         split = build_split(grid, config.beta)
     split.check_fits(grid, config.beta)

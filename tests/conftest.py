@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -41,6 +43,26 @@ def counting_planes(mp: pytest.MonkeyPatch) -> list:
 def count_planes(monkeypatch):
     """``count_planes()`` starts counting (see :func:`counting_planes`)."""
     return lambda: counting_planes(monkeypatch)
+
+
+def traced(fn) -> tuple:
+    """``fn()`` under tracemalloc: (its result, the peak bytes allocated
+    during the call, the bytes still allocated after it), both above the
+    level at its start.  The result is kept, so it counts as retained."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before, now - before
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn)`` runs ``fn()`` under tracemalloc (see :func:`traced`)."""
+    return traced
 
 
 def random_real_field(grid, seed=0, components=1):

@@ -1,6 +1,5 @@
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,18 +132,13 @@ class TestInverseTransformBuffer:
         assert matches == [[True] * 100, [True] * 100]
 
     @pytest.mark.parametrize("shape, masked", [((2, 256, 129), True), ((256, 9), False)])
-    def test_makes_no_array_but_the_samples(self, grid256, shape, masked):
+    def test_makes_no_array_but_the_samples(self, grid256, shape, masked, traced_peak):
         ops = operator_table(grid256)
         rng = np.random.default_rng(11)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         mask = ops.dealias if masked else None
         ops.values(c, mask=mask)  # this thread's buffer for the lead shape is made here
-        tracemalloc.start()
-        try:
-            out = ops.values(c, mask=mask)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak, _ = traced_peak(lambda: ops.values(c, mask=mask))
         assert peak <= 1.1 * out.nbytes
 
 

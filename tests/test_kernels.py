@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,15 +307,10 @@ class TestBuildSplit:
         monkeypatch.setattr(kernels, "_phi_short_derivs", every_point)
         assert once.tobytes() == build_split(grid, beta)._mid_transfer.tobytes()
 
-    def test_build_split_memory_budget(self):
+    def test_build_split_memory_budget(self, traced_peak):
         # 4x oversampling without the 4x finer grid, whose arrays alone peaked
         # at 58 MiB at this size
-        tracemalloc.start()
-        try:
-            build_split(Grid2D(256, 16.0), 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: build_split(Grid2D(256, 16.0), 0.5))
         assert peak <= 20 * 2**20
 
     @pytest.mark.parametrize("beta", [0.25, 0.75])
@@ -333,18 +327,12 @@ class TestBuildSplit:
         assert split.far.shape == far.shape and split.far.tobytes() == far.tobytes()
         assert split.near is split.near and split.far is split.far
 
-    def test_fresh_split_retains_only_its_transfers(self):
+    def test_fresh_split_retains_only_its_transfers(self, traced_peak):
         # near (2, n, n) and far (2, 2, n, n) would triple what a split keeps
         grid = Grid2D(256, 16.0)
         operator_table(grid)  # the grid's cached table is not the split's
-        tracemalloc.start()
-        try:
-            split = build_split(grid, 0.5)
-            retained = tracemalloc.get_traced_memory()[0]
-            split.near, split.far
-            grown = tracemalloc.get_traced_memory()[0] - retained
-        finally:
-            tracemalloc.stop()
+        split, _, retained = traced_peak(lambda: build_split(grid, 0.5))
+        _, _, grown = traced_peak(lambda: (split.near, split.far))
         transfers = split._near_transfer.nbytes + split._mid_transfer.nbytes
         assert transfers <= retained <= transfers + 2**16
         assert grown >= split.near.nbytes + split.far.nbytes
@@ -489,7 +477,7 @@ class TestConvolutions:
         assert not beyond.view(np.float64).any()
         assert not np.signbit(beyond.view(np.float64)).any()
 
-    def test_far_peak_memory(self, split256):
+    def test_far_peak_memory(self, split256, traced_peak):
         # the flux's samples (16 n^2 bytes) and the coefficients that become
         # the result (16 n^2), with temporaries on the dealias columns only
         g = split256.grid
@@ -497,13 +485,8 @@ class TestConvolutions:
         u = random_real_field(g, seed=12, components=2)
         th_s, u_s = dealiased_samples(theta), dealiased_samples(u)
         convolve_far(split256, theta, u, theta_samples=th_s, u_samples=u_s)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            convolve_far(split256, theta, u, theta_samples=th_s, u_samples=u_s)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(
+            lambda: convolve_far(split256, theta, u, theta_samples=th_s, u_samples=u_s))
         assert peak <= 40 * 256**2
 
     def test_far_gauge_kills_constants(self, split256):

@@ -2,7 +2,6 @@ import dataclasses
 import inspect
 import re
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,7 +174,7 @@ class TestStepTransport:
         direct_step(st, 0.02)
         assert 0 < sum(planes) <= 21
 
-    def test_direct_step_memory_budget(self):
+    def test_direct_step_memory_budget(self, traced_peak):
         # one direct step on a running state at n = 256 keeps its coefficient
         # arrays at n x (n/2 + 1): 9.3 MiB in the full n x n layout
         grid = Grid2D(256)
@@ -183,12 +182,7 @@ class TestStepTransport:
         st = SimState(t=0, theta=theta0, u=biot_savart_velocity(theta0, 0.5),
                       theta0_linf=theta0.linf())
         st = direct_step(st, 0.01)
-        tracemalloc.start()
-        try:
-            direct_step(st, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: direct_step(st, 0.01))
         assert peak <= 7 * 2**20
 
     def test_serfati_mode_transform_budget(self, grid64, count_planes):
@@ -357,18 +351,13 @@ class TestStepTransport:
         assert f"({peak:.3g} vs {0.099 * peak:.3g})" in str(err.value)
         assert "last good state t=1.5" in str(err.value)
 
-    def test_blowup_check_memory_budget(self):
+    def test_blowup_check_memory_budget(self, traced_peak):
         # the check reads max |theta| from the samples, with no n^2 mask or |theta|
         # array: at n = 256 those were 64 KiB and 512 KiB
         th = random_real_field(Grid2D(256), seed=5)
         last = SimState(t=0.0, theta=th, u=None, theta0_linf=1e3)
         solver._check_blowup(th, last)
-        tracemalloc.start()
-        try:
-            solver._check_blowup(th, last)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: solver._check_blowup(th, last))
         assert peak <= 4096
 
     def test_velocity_callable_is_the_one_form(self, grid64):
@@ -468,6 +457,32 @@ def dipole16(grid):
 def split_config(mode, steps, dt=0.0125):
     return SolverConfig(beta=0.5, dt=dt, t_end=steps * dt, constitutive=mode, n_side=128,
                         box_length=16.0, c_existence=0.0)
+
+
+def plain_reconstruction(state, u0, theta0, split):
+    """u0 + near * (theta - theta0) - accumulator, by plain field arithmetic."""
+    dtheta = SpectralField._adopt(u0.grid,
+                                  coefficients=state.theta.coefficients - theta0.coefficients)
+    u = u0 + convolve_near(split, dtheta)
+    return u if state.far is None else u - state.far.acc
+
+
+def bits(a):
+    """An array's bits, which ``np.array_equal`` compares exactly (signed zeros too)."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def assert_same_field(got, expected):
+    """Same representations held, with the same bits."""
+    for a, b in ((got._values, expected._values), (got._coeffs, expected._coeffs)):
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(bits(a), bits(b))
+
+
+def holding(f, kind):
+    """A fresh field holding f's ``kind`` representation(s): values, coefficients or both."""
+    return SpectralField._adopt(f.grid, values=f.values if kind != "coefficients" else None,
+                                coefficients=f.coefficients if kind != "values" else None)
 
 
 def values_space_reconstruction(state, u0, theta0, split):
@@ -648,7 +663,9 @@ class TestSerfati:
 
 def full_state_run(cfg, theta0, split):
     """``simulate``'s loop written out, keeping every step's state whole
-    (theta with its coefficients as well as its samples) and its norms."""
+    (theta with its coefficients as well as its samples) and its norms; the
+    serfati leg's transport step, far integral and reconstruction are the
+    plain expressions."""
     grid = theta0.grid
     u0 = biot_savart_velocity(theta0, cfg.beta)
     dt = solver.cfl_dt(u0, grid, cfg.dt)
@@ -670,11 +687,13 @@ def full_state_run(cfg, theta0, split):
             new = direct_step(state, dt, cfg.beta)
             new.far = leg(state.far, convolve_far(split, new.theta, new.u))
         else:
-            new = step_transport(state, held(u_adv), dt)
+            values, coeffs = reference_rk4_step(state.theta, held(u_adv), state.t, dt)
+            new = SimState(t=state.t + dt, theta0_linf=state.theta0_linf,
+                           theta=SpectralField._adopt(grid, values=values, coefficients=coeffs))
             new.far = leg(state.far, convolve_far(split, new.theta, u_adv))
             new.far = leg(state.far, convolve_far(
-                split, new.theta, velocity_serfati(new, u0, theta0, split)))
-            new.u = u_adv = leray_project(velocity_serfati(new, u0, theta0, split))
+                split, new.theta, plain_reconstruction(new, u0, theta0, split)))
+            new.u = u_adv = leray_project(plain_reconstruction(new, u0, theta0, split))
         state = new
         states.append(state)
         recorder.record(norms, state.t, state.theta, state.u)
@@ -701,30 +720,27 @@ class TestStoredSamples:
 
     @pytest.mark.parametrize("mode", ["direct", "serfati"])
     def test_u0_stored_as_it_arrived(self, split128, mode):
-        # the run's sup-norm reads (the CFL step, the existence cap, the direct
-        # law's check) cache no samples on the stored u0
+        # the run's reads of u0 (the CFL step, the existence cap, the direct
+        # law's check, serfati's projection and reconstruction) cache nothing
+        # on the stored u0
         theta0 = dipole16(split128.grid)
         cfg = dataclasses.replace(split_config(mode, 2), c_existence=1.0)
         made = simulate(cfg, theta0, split=split128).us[0]
         assert made._values is None and made._coeffs is not None
-        given = SpectralField.from_values(split128.grid, biot_savart_velocity(theta0, 0.5).values)
-        if mode == "direct":  # serfati projects u0, which reads its coefficients
-            assert simulate(cfg, theta0, u0=given).us[0] is given
-            assert given._coeffs is None
+        u = biot_savart_velocity(theta0, 0.5)
+        for kind in ("values", "coefficients"):
+            given = holding(u, kind)
+            values, coeffs = given._values, given._coeffs
+            assert simulate(cfg, theta0, u0=given, split=split128).us[0] is given
+            assert given._values is values and given._coeffs is coeffs
 
-    def test_direct_trajectory_memory_budget(self, grid128):
+    def test_direct_trajectory_memory_budget(self, grid128, traced_peak):
         n, steps = 128, 20
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=steps * 0.01, n_side=n, c_existence=0.0,
                            sample_every=1)
         theta0 = dipole(grid128)
         simulate(cfg, theta0)  # fills the grid's caches
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            traj = simulate(cfg, theta0)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        traj, _, retained = traced_peak(lambda: simulate(cfg, theta0))
         # per sample: theta's samples (n^2 floats) and u's coefficients (2 n (n/2 + 1)
         # complex); the final state adds theta's coefficients
         samples = len(traj.thetas)
@@ -751,6 +767,65 @@ class TestStoredSamples:
         got = velocity_serfati(traj.final_state, traj.us[0], theta0, split128)
         ref = velocity_serfati(states[-1], states[0].u, theta0, split128)
         assert np.array_equal(got.coefficients, ref.coefficients)
+
+
+class TestWorkingSet:
+    """A step holds only the arrays it still reads."""
+
+    @pytest.mark.parametrize("mode, bound", [("serfati", 6.0), ("direct", 5.0)])
+    def test_solve_holds_little_above_what_it_keeps(self, split128, mode, bound, traced_peak):
+        # the peak of a warm solve above what it retains, in V, the bytes of one
+        # vector field's coefficients; a fresh array per sum, with the predicted
+        # integral, the advecting samples and u_star alive into the corrector,
+        # reads 8.3 V (serfati) and 5.45 V (direct with a split)
+        grid = split128.grid
+        theta0 = dipole16(grid)
+        simulate(split_config(mode, 4), theta0, split=split128)  # fills the grid's caches
+        traj, peak, retained = traced_peak(
+            lambda: simulate(split_config(mode, 4), theta0, split=split128))
+        assert traj.diagnostics["n_steps"] == 4
+        n = grid.n_side
+        assert peak - retained <= bound * 2 * n * (n // 2 + 1) * 16
+
+
+class TestPlainExpressions:
+    """The sums formed in place have the bits of the plain expressions, in
+    the representations field arithmetic chooses.  ``step_transport``'s
+    reference is ``reference_rk4_step``, in the Hypothesis test above and
+    in the serfati leg of ``full_state_run``."""
+
+    @pytest.mark.parametrize("acc_kind", ["both", "values", "coefficients"])
+    @pytest.mark.parametrize("integ_kind", ["coefficients", "values"])
+    def test_far_integral_advance(self, grid64, acc_kind, integ_kind):
+        # coefficient integrands as simulate's, sample integrands as Picard's;
+        # an accumulator of the other representation moves the sum to samples
+        def field(seed):
+            return holding(random_real_field(grid64, seed=seed, components=2), integ_kind)
+
+        far = FarIntegral(holding(random_real_field(grid64, seed=1, components=2), acc_kind),
+                          field(2))
+        for k in range(3):
+            integ = field(3 + k)
+            expected = far.acc._shallow() + 0.5 * 0.0125 * (far.prev._shallow()
+                                                            + integ._shallow())
+            far = far.advance(0.0125, integ)
+            assert_same_field(far.acc, expected)
+            assert far.prev is integ
+
+    @pytest.mark.parametrize("u0_kind", ["coefficients", "values"])
+    @pytest.mark.parametrize("acc_kind", ["coefficients", "values", None])
+    def test_velocity_serfati(self, split128, u0_kind, acc_kind):
+        grid = split128.grid
+        theta0 = dipole16(grid)
+        st = simulate(split_config("serfati", 3), theta0, split=split128).final_state
+        u0 = holding(biot_savart_velocity(theta0, 0.5), u0_kind)
+        far = None if acc_kind is None else FarIntegral(holding(st.far.acc, acc_kind),
+                                                       st.far.prev, st.far.t)
+        st = dataclasses.replace(st, far=far)
+        plain_state = dataclasses.replace(st, far=None if far is None else FarIntegral(
+            far.acc._shallow(), far.prev, far.t))
+        expected = plain_reconstruction(plain_state, u0._shallow(), theta0, split128)
+        assert_same_field(velocity_serfati(st, u0, theta0, split128), expected)
 
 
 def count_public_calls(monkeypatch, *functions):
@@ -1034,6 +1109,17 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
 
 class TestPicard:
 
+    @pytest.mark.parametrize("kind", ["values", "coefficients"])
+    def test_caller_u0_keeps_its_representations(self, picard_grid, picard_split, kind):
+        # the sup norm, the CFL step and the smoothed data read u0; none of
+        # them caches on the caller's field
+        theta0 = picard_dipole(picard_grid)
+        given = holding(biot_savart_velocity(theta0, 0.5), kind)
+        values, coeffs = given._values, given._coeffs
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=0.03, n_side=128, box_length=16.0)
+        picard_iterate(cfg, theta0, u0=given, n_max=3, split=picard_split)
+        assert given._values is values and given._coeffs is coeffs
+
     @pytest.mark.parametrize("n_steps", [3, 5])
     def test_one_pass_has_the_bits_of_the_two_pass_reference(self, picard_grid, picard_split,
                                                               n_steps):
@@ -1082,17 +1168,12 @@ class TestPicard:
         assert all(f._values is not None for it in trace.iterates for f in it["theta"])
         assert all(f._values is not None for it in trace.iterates[1:] for f in it["u"])
 
-    def test_trace_retains_its_samples_only(self, picard_grid, picard_split):
+    def test_trace_retains_its_samples_only(self, picard_grid, picard_split, traced_peak):
         theta0 = picard_dipole(picard_grid)
         cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
         picard_iterate(cfg, theta0, n_max=4, split=picard_split)  # fills the grid's caches
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            trace = picard_iterate(cfg, theta0, n_max=4, split=picard_split)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        trace, _, retained = traced_peak(
+            lambda: picard_iterate(cfg, theta0, n_max=4, split=picard_split))
         # per sample of a transported iterate: theta's samples (8 n^2 bytes) and
         # u's (16 n^2); the smoothed data's samples share one theta sample array
         # and one u array, 16.25 n^2 bytes, with Python objects under 16 n^2
