@@ -10,6 +10,11 @@ Conventions shared by all estimators:
   definition literally and carries no weight.  Each block is transformed
   over the coefficient columns its multiplier occupies only, with the bits
   of the full-width transform; a block holding no coefficient costs none.
+  ``zygmund_norm`` reports the whole block profile.  A caller that reads
+  only the value calls ``zygmund_value``, which returns the same bits from
+  a bounded search: ||Delta_j f||_inf <= (1/L) sum_k |mult_j(k) c_k|, so a
+  block whose weighted bound cannot beat the largest weighted sup found so
+  far is never transformed.
 * The classical Holder seminorm is an upper-bound estimator: a sampled sup
   over grid-pair offsets with |x-y| <= 1 plus the 2||D^b f||_inf bound for
   the far pairs (the two pieces are recorded separately in the report).
@@ -40,6 +45,9 @@ from .multipliers import bessel, derivative, frac_laplacian, apply_multiplier
 
 HOLDER_PAIR_BUDGET = 2048  # grid-pair offsets the Holder seminorm samples
 PATCH_MARGIN = 3.0  # scales of padding on each side of a window's support in a patch
+# relative widening of a block's ell^1 bound, far above the rounding of the
+# bound's sum and of the block's transform (both about log2(n^2) ulps of it)
+ZYGMUND_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,11 @@ def block_sups(f: SpectralField, *, homogeneous: bool = False) -> dict:
     return sups
 
 
-def zygmund_from_sups(sups: dict, r: float, *, homogeneous: bool = False) -> NormReport:
-    """The Zygmund norm of order ``r`` from the block sups of :func:`block_sups`."""
+def zygmund_norm(f: SpectralField, r: float, *, homogeneous: bool = False) -> NormReport:
+    """Holder-Zygmund norm sup_j 2^(jr) ||Delta_j f||_inf over realizable blocks."""
+    sups = block_sups(f, homogeneous=homogeneous)
     if homogeneous:
-        profile = dict(sups)
+        profile = sups
         kind = f"zygmund_hom:{r:g}"
     else:
         profile = {j: 2.0 ** (j * r) * sup for j, sup in sups.items()}
@@ -106,9 +115,73 @@ def zygmund_from_sups(sups: dict, r: float, *, homogeneous: bool = False) -> Nor
                       tested_range=(min(sups), max(sups)))
 
 
-def zygmund_norm(f: SpectralField, r: float, *, homogeneous: bool = False) -> NormReport:
-    """Holder-Zygmund norm sup_j 2^(jr) ||Delta_j f||_inf over realizable blocks."""
-    return zygmund_from_sups(block_sups(f, homogeneous=homogeneous), r, homogeneous=homogeneous)
+def _block_bounds(f: SpectralField) -> dict:
+    """An upper bound of ||Delta_j f||_inf for every block j of the inhomogeneous
+    profile: (1/L) sum_k |mult_j(k) c_k| over the whole lattice, the rfft2
+    column multiplicity standing for the unstored columns; for a vector field
+    the Euclidean norm of the component bounds.
+
+    Every block multiplier is nonnegative, so the sum is formed as one
+    contraction of the multiplier with multiplicity |c| over the block's
+    columns, with no array per block.
+    """
+    fam = build_partition(f.grid)
+    weighted = np.abs(f.coefficients)
+    weighted *= operator_table(f.grid).multiplicity
+    bounds = {}
+    for j in fam.block_js():
+        mult, m = fam.delta_band(j)
+        parts = np.einsum("ij,...ij->...", mult[:, :m], weighted[..., :m]) / f.grid.box_length
+        bounds[j] = float(parts) if parts.ndim == 0 else math.hypot(*parts)
+    return bounds
+
+
+def _zygmund_search(f: SpectralField, r: float, floor: float) -> float:
+    """max_j 2^(jr) ||Delta_j f||_inf where that exceeds ``floor``, else a
+    number no larger than ``floor``.
+
+    Blocks are visited in decreasing order of their weighted bound
+    (:func:`_block_bounds`), and a block is transformed only while its bound,
+    widened by ``ZYGMUND_BOUND_MARGIN``, beats the largest weighted sup found
+    so far (branch and bound): a block that is skipped cannot hold the max.
+    Non-finite bounds prove nothing, so then every block is transformed
+    (``zygmund_norm``).
+    """
+    bounds = _block_bounds(f)
+    if not all(map(math.isfinite, bounds.values())):
+        return zygmund_norm(f, r).value
+    fam = build_partition(f.grid)
+    ops = operator_table(f.grid)
+    c = f.coefficients
+    weighted = sorted(((2.0 ** (j * r) * b, j) for j, b in bounds.items()), reverse=True)
+    best = floor
+    for bound, j in weighted:
+        if bound * (1.0 + ZYGMUND_BOUND_MARGIN) <= best:
+            break
+        mult, m = fam.delta_band(j)
+        best = max(best, 2.0 ** (j * r) * ops.sup(c[..., :m], mask=mult))
+    return best
+
+
+def zygmund_value(fields, r: float) -> float:
+    """``zygmund_norm(f, r).value`` bit for bit, by a bounded block search.
+
+    ``fields`` is one field or an iterable of fields; for an iterable the
+    result is ``max`` of the single values in their order, each field's
+    search starting from the max of those before it, so only one field of an
+    iterable (a generator, say) need exist at a time.  Each block's sup has
+    the bits ``block_sups`` gives it, and a block is transformed only when
+    its ell^1 bound (:func:`_block_bounds`) could beat the running max; the
+    block profile is :func:`zygmund_norm`'s report.
+    """
+    if isinstance(fields, SpectralField):
+        fields = (fields,)
+    value = None
+    for f in fields:
+        v = _zygmund_search(f, r, 0.0 if value is None else value)
+        if value is None or v > value:
+            value = v
+    return value
 
 
 # -- classical Holder ---------------------------------------------------------
@@ -275,7 +348,8 @@ class WindowFamily:
 
     @functools.cached_property
     def _row_offsets(self) -> np.ndarray:
-        """Offsets from its centre row of the rows a full-box window is nonzero on."""
+        """Offsets from its centre row of the rows a full-box window is nonzero
+        on: one run of consecutive rows, since the window is a disc."""
         n = self.grid.n_side
         return _read_only(np.flatnonzero(self._window[:n, :n].any(axis=1)) - n // 2)
 
@@ -284,18 +358,24 @@ class WindowFamily:
         the rows the window is nonzero on, shape (..., len(rows), n).
 
         Each row has the bits of the same row of the :meth:`iter_patches`
-        patch; the others are zero there.  The array is reused: use it before
-        drawing the next one."""
+        patch; the others are zero there.  A window's rows are consecutive
+        modulo n, so they are read as at most two slices of ``values``,
+        multiplied straight into the patch.  The array is reused: use it
+        before drawing the next one."""
         n = self.grid.n_side
         offs = self._row_offsets
+        count = len(offs)
         band = self._window[n // 2 + offs]  # the window's rows, tiled along the row
-        patch = np.empty(values.shape[:-2] + (len(offs), n))
+        patch = np.empty(values.shape[:-2] + (count, n))
         for ci, cj in self.centers_idx:
-            rows = (ci + offs) % n
+            first = (ci + offs[0]) % n
             j = (n // 2 - cj) % n
-            np.take(values, rows, axis=-2, out=patch)
-            np.multiply(patch, band[:, j:j + n], out=patch)
-            yield rows, patch
+            head = min(count, n - first)  # rows before the wrap
+            np.multiply(values[..., first:first + head, :], band[:head, j:j + n],
+                        out=patch[..., :head, :])
+            np.multiply(values[..., :count - head, :], band[head:, j:j + n],
+                        out=patch[..., head:, :])
+            yield (first + np.arange(count)) % n, patch
 
     def iter_patches(self, values: np.ndarray):
         """Yield windowed patch arrays (profile already applied) per center.

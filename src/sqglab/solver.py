@@ -32,7 +32,15 @@ velocity through :func:`frozen_velocity`.  An
 iterate is one pass over the steps: each transport step is followed by the
 reconstruction step of the theta it made, so an iterate keeps u at every
 step (the next iterate transports by it) but theta only at the sample
-times, and the trace holds the samples D_n was measured from.
+times, and the trace holds the samples D_n was measured from.  Where a
+step's last stage time is a step time of the previous iterate (a node, where
+the Catmull-Rom weights are a unit vector and the interpolant is the stored
+samples themselves), the frozen velocity's dealiased samples there are
+those of the previous iterate's u at that step, and its far flux takes them
+instead of making them again (iterates after the second, whose u holds
+samples only).  Stage times accumulate t + dt, which can miss a step time
+by an ulp: at the bench Picard run's seed 1, 5 of its 16 steps (k = 6, 7,
+12, 13 and 14) land off their node and make their own.
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -56,7 +64,7 @@ from .fields import SpectralField, _operands_into, dealiased_samples
 from .grid import Grid2D, _require_integer, abs_max, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
-from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_norm
+from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_value
 
 CFL_NUMBER = 0.5
 
@@ -382,7 +390,7 @@ class NormRecorder:
         if kind == "mean":
             return f.mean()
         if kind == "cr":
-            return zygmund_norm(f, float(parts[2])).value
+            return zygmund_value(f, float(parts[2]))
         if kind == "holder":
             return classical_holder_norm(f, float(parts[2])).value
         if kind == "ctilde1":
@@ -440,7 +448,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     dt = cfl_dt(u0_read, grid, config.dt)
     t_stop = config.t_end
     if config.c_existence > 0:
-        t_reach = existence_time(u0_read.linf(), zygmund_norm(theta0, config.r).value,
+        t_reach = existence_time(u0_read.linf(), zygmund_value(theta0, config.r),
                                  config.c_existence)
         t_stop = min(t_stop, t_reach)
     n_steps = max(1, int(round(t_stop / dt)))
@@ -546,8 +554,12 @@ def _catmull_rom_weights(times: np.ndarray, t: float) -> tuple[list, np.ndarray]
 
 def _interp_velocity_time(times: np.ndarray, u_vals, t: float) -> np.ndarray:
     """Catmull-Rom interpolation in time (:func:`_catmull_rom_weights`) of a
-    sequence of sample arrays; returns the stored samples at sample times."""
+    sequence of sample arrays; where the weights are a unit vector (at a
+    sample time) it returns that stored array itself."""
     idx, w = _catmull_rom_weights(times, t)
+    hot = np.flatnonzero(w)
+    if len(hot) == 1 and w[hot[0]] == 1.0:
+        return u_vals[idx[hot[0]]]
     out = w[0] * u_vals[idx[0]]
     for i, wi in zip(idx[1:], w[1:]):
         out += wi * u_vals[i]
@@ -678,7 +690,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         split = build_split(grid, config.beta)
     split.check_fits(grid, config.beta)
 
-    theta0_cr = zygmund_norm(theta0, config.r).value
+    theta0_cr = zygmund_value(theta0, config.r)
     u0_linf = u0.linf()
     t_bound = existence_time(u0_linf, theta0_cr, config.c_existence)
     t_end = config.t_end
@@ -694,8 +706,9 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         return frozen_velocity(lambda t: SpectralField._adopt(
             grid, values=_interp_velocity_time(step_times, vals, min(t, t_end))))
 
-    def far_samples(theta, u):  # the integrand as samples only, so the sums are on samples
-        return SpectralField._adopt(grid, values=convolve_far(split, theta, u).values)
+    def far_samples(theta, u, u_samples=None):  # as samples only, so the sums are on samples
+        return SpectralField._adopt(
+            grid, values=convolve_far(split, theta, u, u_samples=u_samples).values)
 
     keep = set(sample_idx.tolist())
     trace = IterationTrace(sample_times=sample_times, time_bound=t_bound)
@@ -723,10 +736,19 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         for k in range(1, n_steps + 1):
             # transport step k, then reconstruction step k from its theta
             state = step_transport(state, u_interp, dt)
-            far = far.advance(dt, far_samples(state.theta, u_prev[k]))
+            # stage 4 asked the frozen velocity for u at state.t; where that is
+            # step time k, the interpolant is u_prev[k]'s own samples and it
+            # holds their dealiased samples, which the far flux takes.  A
+            # u_prev[k] holding coefficients (the first iterate's) is dealiased
+            # from them, other bits, so its flux makes its own
+            at_node = min(state.t, t_end) == step_times[k] and u_prev[k]._coeffs is None
+            shared = u_interp(state.t, state.theta) if at_node else None
+            far = far.advance(dt, far_samples(state.theta, u_prev[k], shared))
             near = convolve_near(split, state.theta - th_init)
-            u_new.append(SpectralField._adopt(
-                grid, values=u_new[0].values + near.values - far.acc.values))
+            # u0 + near - acc, in one array
+            w = np.add(u_new[0].values, near.values)
+            np.subtract(w, far.acc.values, out=w)
+            u_new.append(SpectralField._adopt(grid, values=w))
             if k in keep:
                 th_new.append(state.theta.values)
 
@@ -734,7 +756,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         for m, idx in enumerate(sample_idx):
             v = (u_new[idx] - u_prev[idx]).linf()
             dth = SpectralField._adopt(grid, values=th_new[m] - th_prev[m])
-            eta = zygmund_norm(dth, config.r - 1.0).value
+            eta = zygmund_value(dth, config.r - 1.0)
             dn[m] = v + eta
         trace.decrements[n + 1] = dn
         trace.iterates.append(_trace_entry(n + 1, grid, th_new, [u_new[i] for i in sample_idx]))

@@ -11,9 +11,11 @@ from sqglab.grid import Grid2D, operator_table, rfft2
 from sqglab.multipliers import derivative
 from sqglab.norms import (HOLDER_PAIR_BUDGET, WindowFamily, _holder_offsets, _hs_patch_weight, _seminorm_near,
                           block_sups, classical_holder_norm, sobolev_norm, uniformly_local_norm,
-                          window_profile, zygmund_norm)
+                          window_profile, zygmund_norm, zygmund_value)
+from sqglab.verify import EnsembleSpec, make_field
 
 from conftest import random_real_field
+from test_properties import single_mode
 
 
 def full_layout_coefficients(f):
@@ -160,6 +162,49 @@ class TestZygmund:
         rep = zygmund_norm(f, 1.5)
         assert sum(planes) == len(js) - len(empty)
         assert all(rep.block_profile[j] == 0.0 for j in empty)
+
+
+class TestZygmundValue:
+    @pytest.mark.parametrize("n, box", [(16, 2 * np.pi), (64, 1.0), (128, 16.0), (256, 2 * np.pi),
+                                        (512, 100.0)])
+    def test_block_multipliers_are_nonnegative(self, n, box):
+        # the ell^1 bound contracts each multiplier with |c|, so it must be >= 0
+        fam = build_partition(Grid2D(n, box))
+        assert all(fam.delta_multiplier(j).min() >= 0.0 for j in fam.block_js())
+
+    @pytest.mark.parametrize("box", [2 * np.pi, 16.0])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 2.5])
+    def test_band_limited_value_transforms_fewer_blocks(self, box, r, count_planes):
+        # an ensemble field: the value of the full profile, from a transform
+        # of fewer blocks than the grid has
+        grid = Grid2D(128, box)
+        f = make_field(grid, EnsembleSpec(), 3)
+        f.coefficients
+        planes = count_planes()
+        value = zygmund_value(f, r)
+        assert 0 < sum(planes) < len(build_partition(grid).block_js())
+        assert value == zygmund_norm(f, r).value
+
+    def test_margin_covers_the_rounding_of_attained_bounds(self):
+        # a peaked single mode attains its blocks' ell^1 bounds, and its
+        # computed sups exceed the computed bounds by up to 2 ulps in about
+        # 4 blocks of 10; after it, the same mode scaled up by 1 or 2 ulps
+        # has bounds at or below that floor and a larger value.  A search
+        # without the margin misses it in about 1 case of 10 here
+        rng = np.random.default_rng(2024)
+        for n, box in ((16, 2 * np.pi), (32, 16.0)):
+            grid = Grid2D(n, box)
+            for _ in range(100):
+                m1, m2 = int(rng.integers(-n // 2 + 1, n // 2)), int(rng.integers(0, n // 2))
+                f = single_mode(grid, m1, m2, [float(rng.uniform(1e-3, 1e3))], 0.0)
+                r = float(rng.uniform(0.25, 3.5))
+                for ulps in (1, 2):
+                    fields = [f, f * (1.0 + ulps * 2.0**-52)]
+                    assert zygmund_value(fields, r) == max(zygmund_norm(g, r).value for g in fields)
+
+    def test_zero_field(self, grid64):
+        for components in (1, 2):
+            assert zygmund_value(SpectralField.zeros(grid64, components), 1.5) == 0.0
 
 
 class TestClassicalHolder:

@@ -16,8 +16,8 @@ from sqglab.fields import SpectralField, dealias, full_coefficients, load_field,
 from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_savart_velocity,
                                 divergence, frac_laplacian, gradient)
-from sqglab.norms import (WindowFamily, _hs_patch_weight, sobolev_norm, uniformly_local_norm,
-                          zygmund_norm)
+from sqglab.norms import (WindowFamily, _block_bounds, _hs_patch_weight, block_sups, sobolev_norm,
+                          uniformly_local_norm, zygmund_norm, zygmund_value)
 from sqglab.solver import FarIntegral, leray_project
 from sqglab.verify import EnsembleSpec, check_multiplier_bounds, cumulative_trapezoid, make_field
 
@@ -486,3 +486,123 @@ def test_multiplier_ratios_have_the_bits_of_the_full_width_route(variant, seed, 
     assert np.array(rep.measured).tobytes() == np.array(measured).tobytes()
     assert rep.details["rows"] == rows
     assert rep.details["skipped_degenerate"] == skipped
+
+
+# -- the bounded Zygmund search --------------------------------------------------
+
+zygmund_grids = st.builds(Grid2D, st.sampled_from([16, 32, 64]),
+                          st.sampled_from([2.0 * np.pi, 16.0]))
+zygmund_orders = st.floats(0.25, 3.5)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def power_law_field(grid, seed, components, slope, amplitude):
+    """Arbitrary (not Hermitian on columns 0 and n/2) coefficients times |k|^-slope."""
+    ops = operator_table(grid)
+    weight = np.where(ops.kmag > 0, ops.kmag, 1.0) ** -slope
+    return SpectralField.from_coefficients(
+        grid, amplitude * weight * random_coefficients(grid, seed, components))
+
+
+@PROPERTY
+@given(zygmund_grids, seeds, st.sampled_from([1, 2]), zygmund_orders, st.floats(0.0, 4.0),
+       st.sampled_from([1e-12, 1.0, 1e8]), st.booleans())
+def test_zygmund_value_has_the_bits_of_zygmund_norm(grid, seed, components, r, slope,
+                                                    amplitude, from_samples):
+    f = power_law_field(grid, seed, components, slope, amplitude)
+    if from_samples:  # a samples-only field, as make_field and Picard's differences are
+        f = SpectralField.from_values(grid, f.values)
+    assert same_bits(zygmund_value(f, r), zygmund_norm(f, r).value)
+
+
+def single_mode(grid, m1, m2, amplitudes, phase):
+    """sum over components of a_i cos(k.x + phase) e_i, k = (m1, m2) 2 pi / L, on
+    one component per amplitude; at phase 0 the sample at x = 0 is the peak."""
+    n = grid.n_side
+    c = np.zeros((len(amplitudes), n, n // 2 + 1), dtype=np.complex128)
+    for comp, amplitude in enumerate(amplitudes):
+        a = amplitude * grid.box_length * np.exp(1j * phase)
+        if (m1, m2) == (0, 0):
+            c[comp, 0, 0] = a.real
+        elif m2 == 0:
+            c[comp, m1 % n, 0] += 0.5 * a
+            c[comp, -m1 % n, 0] += 0.5 * np.conj(a)
+        else:
+            c[comp, m1 % n, m2] = 0.5 * a
+    return SpectralField.from_coefficients(grid, c[0] if len(amplitudes) == 1 else c)
+
+
+def lattice_mode(n):
+    return st.tuples(st.integers(-n // 2 + 1, n // 2 - 1), st.integers(0, n // 2 - 1))
+
+
+@PROPERTY
+@given(zygmund_grids, st.data(), st.sampled_from([1, 2]), zygmund_orders,
+       st.sampled_from([0.0, 0.5 * np.pi, 1.0]), st.floats(1e-3, 1e3), st.integers(1, 4))
+def test_zygmund_value_of_a_single_mode(grid, data, components, r, phase, amplitude, ulps):
+    # at phase 0 the sample at x = 0 attains the ell^1 bound of every block
+    # the mode is in, so bound and sup differ only by rounding.  After the
+    # same mode scaled up by a few ulps, the floor is the first field's sup,
+    # which the second field's bound may not beat without the margin
+    m1, m2 = data.draw(lattice_mode(grid.n_side))
+    f = single_mode(grid, m1, m2, [amplitude * (1.0 + i) for i in range(components)], phase)
+    assert same_bits(zygmund_value(f, r), zygmund_norm(f, r).value)
+    g = f * (1.0 + ulps * 2.0**-52)
+    for fields in ([f, g], [g, f]):
+        assert same_bits(zygmund_value(fields, r), max(zygmund_norm(h, r).value for h in fields))
+
+
+@PROPERTY
+@given(zygmund_grids, st.data(), seeds, st.sampled_from([1, 2]), st.floats(0.0, 4.0))
+def test_block_bounds_hold_and_single_modes_attain_them(grid, data, seed, components, slope):
+    # the bound of every block is at least its sup; on a peaked single mode
+    # (both components on one mode, or each on its own) it is the sup itself
+    fam = build_partition(grid)
+    f = power_law_field(grid, seed, components, slope, 1.0)
+    sups, bounds = block_sups(f), _block_bounds(f)
+    assert all(sups[j] <= bounds[j] * (1.0 + 1e-12) for j in fam.block_js())
+    modes = [data.draw(lattice_mode(grid.n_side)) for _ in range(components)]
+    amplitudes = data.draw(st.lists(st.floats(0.1, 10.0), min_size=components,
+                                    max_size=components))
+    parts = [single_mode(grid, m1, m2, [a], 0.0).coefficients
+             for (m1, m2), a in zip(modes, amplitudes)]
+    f = SpectralField.from_coefficients(grid, parts[0] if components == 1 else np.stack(parts))
+    sups, bounds = block_sups(f), _block_bounds(f)
+    for j in fam.block_js():
+        assert abs(sups[j] - bounds[j]) <= 1e-12 * max(bounds.values())
+
+
+@PROPERTY
+@given(zygmund_grids, st.lists(st.tuples(seeds, st.floats(0.0, 4.0)), min_size=1, max_size=4),
+       st.sampled_from([1, 2]), zygmund_orders, st.booleans())
+def test_zygmund_value_of_fields_is_the_max_of_their_values(grid, specs, components, r, lazily):
+    # each field's search starts from the max of those before it; a
+    # generator of fields gives the same value
+    fields = [power_law_field(grid, seed, components, slope, 1.0) for seed, slope in specs]
+    expected = max(zygmund_norm(f, r).value for f in fields)
+    given_fields = (f for f in fields) if lazily else fields
+    assert same_bits(zygmund_value(given_fields, r), expected)
+
+
+@PROPERTY
+@given(zygmund_grids, seeds, st.sampled_from([1, 2]), zygmund_orders,
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_zygmund_value_of_non_finite_coefficients(grid, seed, components, r, bad, data):
+    # a non-finite bound proves nothing: every block is transformed, and the
+    # value is zygmund_norm's, whatever it makes of the NaN or Inf
+    c = random_coefficients(grid, seed, components)
+    n = grid.n_side
+    index = (data.draw(st.integers(0, components - 1)), data.draw(st.integers(0, n - 1)),
+             data.draw(st.integers(0, n // 2)))
+    c.reshape((components, n, n // 2 + 1))[index] = bad
+    f = SpectralField.from_coefficients(grid, c)
+    g = SpectralField.from_coefficients(grid, random_coefficients(grid, seed + 1, components))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(zygmund_value(f, r), zygmund_norm(f, r).value)
+        # among other fields, the value is the max of the single values in order
+        for fields in ([f, g], [g, f]):
+            assert same_bits(zygmund_value(fields, r),
+                             max(zygmund_norm(h, r).value for h in fields))

@@ -1219,6 +1219,46 @@ class TestPicard:
         assert all(ratios[n] < 1.0 for n in ns[1:])
         assert trace.verdict == "ok"
 
+    def test_transported_iterate_step_transform_budget(self, picard_grid, picard_split,
+                                                       count_planes, monkeypatch):
+        # dt = 2^-7: the stage times t + dt that accumulate are the step times
+        # exactly, so every step of iterate 3 ends on a node, where the far
+        # flux takes the frozen velocity's samples of u_prev[k]: 29 planes per
+        # step, 33 when the flux made them again.  Iterate 2's u_prev holds
+        # coefficients, which the flux dealiases without a forward transform
+        marks = []
+        planes = count_planes()
+        step = solver.step_transport
+        monkeypatch.setattr(solver, "step_transport",
+                            lambda *args: marks.append(sum(planes)) or step(*args))
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=2.0**-7, t_end=8 * 2.0**-7, n_side=128,
+                           box_length=16.0)
+        picard_iterate(cfg, picard_dipole(picard_grid), n_max=3, split=picard_split)
+        assert len(marks) == 16  # 8 steps in each of iterates 2 and 3
+        # steps 2-7 of iterate 3: step 1 also makes the stage-1 velocity at t = 0
+        per_step = np.diff(marks[9:])
+        assert per_step.max() <= 29
+
+    def test_node_samples_shared_with_the_far_flux(self, picard_grid, picard_split, monkeypatch):
+        # the far flux of a samples-only u_prev[k] at a node gets the frozen
+        # velocity's samples of it; iterate 2's fluxes (by iterate 1's
+        # coefficient-held u), the flux at t = 0 and off-node fluxes (dt =
+        # 0.01, where t + dt misses some step times) make their own
+        given = []
+        far = solver.convolve_far
+        monkeypatch.setattr(solver, "convolve_far", lambda *args, **kwargs: given.append(
+            kwargs.get("u_samples") is not None) or far(*args, **kwargs))
+        theta0 = picard_dipole(picard_grid)
+        for dt, n_steps in ((2.0**-7, 8), (0.01, 8)):
+            given.clear()
+            cfg = SolverConfig(beta=0.5, r=2.5, dt=dt, t_end=n_steps * dt, n_side=128,
+                               box_length=16.0)
+            picard_iterate(cfg, theta0, n_max=3, split=picard_split)
+            # per iterate: the flux at t = 0, then one per step
+            iterate2, iterate3 = given[:n_steps + 1], given[n_steps + 1:]
+            assert not any(iterate2) and not iterate3[0]
+            assert all(iterate3[1:]) == (dt == 2.0**-7) and any(iterate3[1:])
+
     @pytest.mark.parametrize("n_steps", [3, 5])
     def test_trajectory_interpolated_once_per_time(self, picard_grid, monkeypatch, n_steps):
         # each step's stage 1 reuses the previous step's stage 4, so an

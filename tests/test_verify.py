@@ -8,6 +8,7 @@ from sqglab.fields import SpectralField, dealiased_samples
 from sqglab.grid import Grid2D, OperatorTable, operator_table
 from sqglab.multipliers import (apply_multiplier, bessel, biot_savart_velocity, gradient,
                                 kato_ponce_commutator)
+from sqglab.norms import zygmund_norm
 from sqglab.solver import SolverConfig, simulate
 from sqglab.verify import (SPECTRAL_SLOPE, EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
                            check_multiplier_bounds, check_velocity_regularity,
@@ -181,6 +182,52 @@ class TestCheckRunners:
         u_samples = dealiased_samples(u)
         out = _lp_commutator(u_samples, theta, 2, _u_dot_grad(u_samples, theta))
         assert out.linf() == 0.0
+
+    def test_holder_commutator_has_the_bits_of_the_full_profile_route(self):
+        # every C^r value the check reads comes from the bounded block search;
+        # the ratios have the bits of those of the full block profiles, with
+        # cr_j / rhs maximized over the blocks j
+        ens = EnsembleSpec(count=3, seed=11)
+        rep = check_commutators("holder_commutator", {"r": 1.5, "beta": 0.5}, ens,
+                                n_sides=(128,))
+        grid = Grid2D(128)
+        expected = []
+        for trial in range(ens.count):
+            f, theta = make_field(grid, ens, 2 * trial), make_field(grid, ens, 2 * trial + 1)
+            u = biot_savart_velocity(f, 0.5)
+            grad_u_inf = max(gradient(u.component(0)).linf(), gradient(u.component(1)).linf())
+            theta_cr = zygmund_norm(theta, 1.5).value
+            rhs1 = gradient(theta).linf() * zygmund_norm(u, 1.5).value + grad_u_inf * theta_cr
+            rhs2 = theta.linf() * zygmund_norm(u, 2.5).value + grad_u_inf * theta_cr
+            u_samples = dealiased_samples(u)
+            advection = _u_dot_grad(u_samples, theta)
+            crs = [zygmund_norm(_lp_commutator(u_samples, theta, j, advection), 1.5).value
+                   for j in range(-1, build_partition(grid).j_max)]
+            expected += [max(cr / rhs2 for cr in crs), max(cr / rhs1 for cr in crs)]
+        assert np.array(rep.measured).tobytes() == np.array(expected).tobytes()
+
+    def test_lemma_A_3_has_the_bits_of_the_full_profile_route(self):
+        ens = EnsembleSpec(count=3, seed=5)
+        rep = check_velocity_regularity("lemma_A_3", {"r": 1.5, "beta": 0.5}, ens,
+                                        n_sides=(128,))
+        grid = Grid2D(128)
+        expected = []
+        for trial in range(ens.count):
+            g = make_field(grid, ens, trial)
+            f = biot_savart_velocity(g, 0.5)
+            expected.append(zygmund_norm(f, 2.0).value / (f.linf() + zygmund_norm(g, 1.5).value))
+        assert np.array(rep.measured).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("variant, check, budget",
+                             [("holder_commutator", check_commutators, 230),
+                              ("lemma_A_3", check_velocity_regularity, 66)])
+    def test_zygmund_reads_transform_budget(self, variant, check, budget, count_planes):
+        # n = 128, 4 trials: 352 and 116 planes when every block of every
+        # field was transformed; the bounded search skips those that cannot
+        # hold the max
+        planes = count_planes()
+        check(variant, {"r": 1.5, "beta": 0.5}, EnsembleSpec(count=4, seed=7), n_sides=(128,))
+        assert sum(planes) <= budget
 
     def test_lemma_3_3_runs_and_passes(self):
         rep = check_velocity_regularity("lemma_3_3", {"beta": 0.5, "s": 1.2},
