@@ -31,7 +31,6 @@ from .multipliers import (
     apply_multiplier,
     frac_laplacian,
     bessel,
-    grad_perp,
     biot_savart_velocity,
     kato_ponce_commutator,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "apply_multiplier",
     "frac_laplacian",
     "bessel",
-    "grad_perp",
     "biot_savart_velocity",
     "kato_ponce_commutator",
     "NormReport",

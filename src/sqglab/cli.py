@@ -98,8 +98,7 @@ def initial_condition(grid: Grid2D, kind: str, sigma: float, amplitude: float,
                             - np.exp(-((x1 + off) ** 2 + x2**2) / (2.0 * sigma**2)))
         return SpectralField.from_values(grid, vals)
     if kind == "random":
-        spec = EnsembleSpec(count=1, seed=seed, field_class="band_limited",
-                            amplitude=amplitude)
+        spec = EnsembleSpec(count=1, seed=seed, amplitude=amplitude)
         return make_field(grid, spec, 0)
     raise ConfigurationError(f"unknown initial condition {kind!r}")
 

@@ -1,22 +1,25 @@
-"""Fourier-multiplier operators.
+"""Fourier-multiplier operators, read from one symbol table.
 
-Presets: ``frac_laplacian(s)`` with symbol |k|^s and zero mode 0,
-``bessel(s)`` with symbol (1+|k|^2)^(s/2), ``grad_perp`` with vector symbol
-i(-k2, k1), and the constitutive map ``biot_savart_velocity`` realizing
-u = grad_perp (-Laplace)^(-1+beta/2) theta, i.e. the vector symbol
-i(-k2, k1)|k|^(beta-2) with the k = 0 mode gauged to zero (velocity is
-computed from the mean-free part of the scalar).  Symbols are evaluated
-on the ``rfft2`` layout of the coefficients (``OperatorTable``), so they must
-be those of real operators, symbol(-k) = conj(symbol(k)); odd
-(derivative-like) symbols are zeroed on the unpaired Nyquist lines so real
-fields stay real.
+A ``MultiplierSpec`` names an operator: a preset and its order.  The presets
+are ``frac_laplacian`` (order s: |k|^s, zero at k = 0), ``bessel`` (order s:
+(1+|k|^2)^(s/2)), ``derivative`` (order (a1, a2): (ik1)^a1 (ik2)^a2),
+``gradient`` (vector symbol i(k1, k2)) and ``constitutive`` (order beta in
+(0, 1): the vector symbol i(-k2, k1)|k|^(beta-2) of the constitutive map,
+u the perpendicular gradient of (-Laplace)^(-1+beta/2) theta, with the
+k = 0 mode gauged to zero, so velocity comes from the mean-free part of the
+scalar).
+
+``symbol_array(grid, spec)`` builds each symbol once per (grid, operator), on
+the ``rfft2`` layout of the coefficients (``OperatorTable``), and caches it
+read-only; every operator here multiplies by that array.  The symbols are
+those of real operators, symbol(-k) = conj(symbol(k)); odd (derivative-like)
+symbols are zeroed on the unpaired Nyquist lines so real fields stay real.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,134 +30,89 @@ from .grid import _read_only, operator_table
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """A diagonal Fourier operator: symbol(k1, k2) plus explicit zero-mode value."""
+    """A diagonal Fourier operator, named by its preset and order; hashable,
+    so with the grid it keys the symbol table."""
 
-    name: str
-    symbol: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    zero_mode: complex | None = 0.0
+    preset: str
+    order: float | tuple[int, int] | None = None
+
+    @property
+    def name(self) -> str:
+        """``preset:order``, e.g. ``bessel:2.5`` or ``derivative:1,0``."""
+        if self.order is None:
+            return self.preset
+        order = self.order if isinstance(self.order, tuple) else (self.order,)
+        return f"{self.preset}:" + ",".join(f"{a:g}" for a in order)
 
 
 def frac_laplacian(s: float) -> MultiplierSpec:
-    def sym(k1, k2):
-        ksq = k1 * k1 + k2 * k2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(ksq > 0, ksq ** (s / 2.0), 0.0)
-        return out
-
-    return MultiplierSpec(f"frac_laplacian:{s:g}", sym, zero_mode=0.0)
+    return MultiplierSpec("frac_laplacian", s)
 
 
 def bessel(s: float) -> MultiplierSpec:
-    def sym(k1, k2):
-        return (1.0 + k1 * k1 + k2 * k2) ** (s / 2.0)
-
-    return MultiplierSpec(f"bessel:{s:g}", sym, zero_mode=1.0)
+    return MultiplierSpec("bessel", s)
 
 
-def grad_perp() -> MultiplierSpec:
-    def sym(k1, k2):
-        return np.stack([-1j * k2, 1j * k1])
-
-    return MultiplierSpec("grad_perp", sym, zero_mode=0.0)
-
-
+@functools.lru_cache(maxsize=16)
 def symbol_array(grid, m: MultiplierSpec) -> np.ndarray:
-    """The symbol of ``m`` on the coefficient layout of ``grid``, checked
-    finite, zero mode set per policy.
-
-    Odd (vector) symbols are zeroed on the unpaired Nyquist lines.
-    """
+    """The symbol of ``m`` on the coefficient layout of ``grid`` (cached, read-only)."""
     ops = operator_table(grid)
-    sym = np.array(m.symbol(*np.broadcast_arrays(ops.k1, ops.k2)), dtype=np.complex128)
-    vector_out = sym.ndim == 3
-
-    check = sym.reshape(-1, ops.ksq.size)[:, 1:]  # every wavenumber but k = 0
-    if not np.all(np.isfinite(check)):
-        raise ConfigurationError(f"symbol {m.name!r} not finite at a nonzero wavenumber")
-    if m.zero_mode is None:
-        at_zero = sym[..., 0, 0]
-        if not np.all(np.isfinite(np.atleast_1d(at_zero))):
-            raise ConfigurationError(
-                f"symbol {m.name!r} is singular at k=0 and no zero_mode policy was given"
-            )
+    k1, k2, ksq = ops.k1, ops.k2, ops.ksq
+    if m.preset == "frac_laplacian":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sym = np.where(ksq > 0, ksq ** (m.order / 2.0), 0.0)
+    elif m.preset == "bessel":
+        sym = (1.0 + k1 * k1 + k2 * k2) ** (m.order / 2.0)
+    elif m.preset == "derivative":
+        a1, a2 = m.order
+        sym = (1j * k1) ** a1 * (1j * k2) ** a2
+        if a1 % 2 or a2 % 2:
+            sym = sym * ops.nyquist
+    elif m.preset == "gradient":
+        sym = np.stack(np.broadcast_arrays(1j * k1, 1j * k2)) * ops.nyquist
+    elif m.preset == "constitutive":
+        beta = m.order
+        if not 0.0 < beta < 1.0:
+            raise DomainError(f"beta must lie in (0, 1), got {beta}")
+        with np.errstate(divide="ignore"):
+            radial = np.where(ksq > 0, ksq ** ((beta - 2.0) / 2.0), 0.0)
+        sym = np.stack([-1j * k2 * radial, 1j * k1 * radial]) * ops.nyquist
     else:
-        sym[..., 0, 0] = m.zero_mode
-    if vector_out:
-        sym *= ops.nyquist
-    return sym
+        raise ConfigurationError(f"unknown multiplier preset {m.preset!r}")
+    return _read_only(sym.astype(np.complex128, copy=False))
 
 
 def apply_multiplier(f: SpectralField, m: MultiplierSpec) -> SpectralField:
-    """Multiply the coefficients of ``f`` by the symbol; set k=0 per policy."""
+    """Multiply the coefficients of ``f`` by the symbol of ``m``."""
     sym = symbol_array(f.grid, m)
     if sym.ndim == 3 and f.components != 1:
         raise ConfigurationError("vector-valued symbols act on scalar fields")
     return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
 
 
-@functools.lru_cache(maxsize=4)
-def _constitutive_symbol(grid, beta: float) -> np.ndarray:
-    """i(-k2, k1)|k|^(beta-2), zero at k = 0 and on the Nyquist lines."""
-    ops = operator_table(grid)
-    with np.errstate(divide="ignore"):
-        radial = np.where(ops.ksq > 0, ops.ksq ** ((beta - 2.0) / 2.0), 0.0)
-    return _read_only(np.stack([-1j * ops.k2 * radial, 1j * ops.k1 * radial]) * ops.nyquist)
-
-
-def velocity_symbol(grid, beta: float) -> np.ndarray:
-    """The constitutive symbol of ``grid`` and ``beta`` (cached, read-only);
-    beta must lie in (0, 1)."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    return _constitutive_symbol(grid, beta)
-
-
 def biot_savart_velocity(theta: SpectralField, beta: float) -> SpectralField:
     """Velocity from the constitutive law, as a divergence-free vector field."""
-    symbol = velocity_symbol(theta.grid, beta)
-    if theta.components != 1:
-        raise ConfigurationError("constitutive law takes a scalar field")
-    return SpectralField._adopt(theta.grid, coefficients=symbol * theta.coefficients)
-
-
-# -- derivative helpers -------------------------------------------------------
-
-
-def gradient_coefficients(c: np.ndarray, grid) -> np.ndarray:
-    """The gradient's coefficients from a scalar's coefficients ``c``, which
-    may hold only the layout's first columns (the result holds the same)."""
-    ops = operator_table(grid)
-    m = c.shape[-1]
-    c = c * ops.nyquist[:, :m]
-    return np.stack([1j * ops.k1 * c, 1j * ops.k2[:, :m] * c])
+    return apply_multiplier(theta, MultiplierSpec("constitutive", beta))
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Spectral gradient of a scalar field."""
-    if f.components != 1:
-        raise ConfigurationError("vector-valued symbols act on scalar fields")
-    return SpectralField._adopt(f.grid, coefficients=gradient_coefficients(f.coefficients, f.grid))
+    return apply_multiplier(f, MultiplierSpec("gradient"))
 
 
 def derivative(f: SpectralField, alpha: tuple[int, int]) -> SpectralField:
-    """Mixed partial derivative D^alpha of a scalar field; the unpaired
-    Nyquist lines are zeroed when either order is odd."""
-    a1, a2 = alpha
-    ops = operator_table(f.grid)
-    sym = (1j * ops.k1) ** a1 * (1j * ops.k2) ** a2
-    if a1 % 2 or a2 % 2:
-        sym = sym * ops.nyquist
-    return SpectralField._adopt(f.grid, coefficients=sym * f.coefficients)
+    """Mixed partial derivative D^alpha; the unpaired Nyquist lines are zeroed
+    when either order is odd."""
+    return apply_multiplier(f, MultiplierSpec("derivative", tuple(alpha)))
 
 
 def divergence(u: SpectralField) -> SpectralField:
     """Spectral divergence of a vector field."""
     if u.components != 2:
         raise ConfigurationError("divergence takes a vector field")
-    ops = operator_table(u.grid)
+    sym = symbol_array(u.grid, MultiplierSpec("gradient"))
     c = u.coefficients
-    out = 1j * ops.k1 * c[0] + 1j * ops.k2 * c[1]
-    return SpectralField._adopt(u.grid, coefficients=out * ops.nyquist)
+    return SpectralField._adopt(u.grid, coefficients=sym[0] * c[0] + sym[1] * c[1])
 
 
 def dealiased_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -19,9 +19,8 @@ from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, _require_integer, operator_table
 from .kernels import build_split, convolve_near
-from .multipliers import (apply_multiplier, bessel, biot_savart_velocity, frac_laplacian,
-                          gradient, gradient_coefficients, kato_ponce_commutator, symbol_array,
-                          velocity_symbol)
+from .multipliers import (MultiplierSpec, apply_multiplier, bessel, biot_savart_velocity,
+                          frac_laplacian, gradient, kato_ponce_commutator, symbol_array)
 from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_value
 from .report import VerificationReport
 from .solver import SolverConfig, Trajectory, advection_tendency, simulate
@@ -49,15 +48,11 @@ SPECTRAL_SLOPE = 2.5  # band-limited random fields have |k|^(-SPECTRAL_SLOPE) en
 class EnsembleSpec:
     count: int = 16
     seed: int = 7
-    field_class: str = "band_limited"
     amplitude: float = 1.0
 
     def __post_init__(self):
         _require_integer("count", self.count, 1)
         _require_integer("seed", self.seed, 0)
-        known = ("band_limited", "compact_bump", "radial", "constant_plus_bump")
-        if self.field_class not in known:
-            raise ConfigurationError(f"unknown field class {self.field_class!r}")
 
 
 # -- random field generators ---------------------------------------------------
@@ -73,39 +68,41 @@ def _hermitian_symmetrize(z: np.ndarray, env: np.ndarray) -> np.ndarray:
 
 
 def make_field(grid: Grid2D, spec: EnsembleSpec, trial: int) -> SpectralField:
-    """Deterministic random field of the requested class, sup-norm ~ amplitude."""
+    """Deterministic band-limited random field, sup-norm ~ amplitude."""
     rng = np.random.default_rng([spec.seed, trial, grid.n_side])
     n = grid.n_side
-    if spec.field_class == "band_limited":
-        kmag = operator_table(grid).kmag
-        # the full lattice's normals, so the stream does not depend on the layout
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        k_hi = 0.9 * grid.dealias_k_cutoff
-        env = np.zeros_like(kmag)
-        band = (kmag > 0) & (kmag <= k_hi)
-        env[band] = kmag[band] ** (-SPECTRAL_SLOPE)
-        c = _hermitian_symmetrize(z, env)
-        c[0, 0] = 0.0
-        f = SpectralField._adopt(grid, coefficients=c)
-    else:
-        x1, x2 = grid.coords_centered()
-        vals = np.zeros((n, n))
-        if spec.field_class == "radial":
-            vals = np.exp(-(x1**2 + x2**2) / (2.0 * 0.1**2))
-        else:
-            reach = grid.box_length / 8.0
-            for _ in range(4):
-                cx, cy = rng.uniform(-reach, reach, size=2)
-                sig = rng.uniform(0.4, 0.9)
-                amp = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
-                vals += amp * np.exp(-((x1 - cx) ** 2 + (x2 - cy) ** 2) / (2.0 * sig**2))
-            if spec.field_class == "constant_plus_bump":
-                vals += rng.uniform(0.2, 1.0)
-        f = SpectralField._adopt(grid, values=vals)
+    kmag = operator_table(grid).kmag
+    # the full lattice's normals, so the stream does not depend on the layout
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k_hi = 0.9 * grid.dealias_k_cutoff
+    env = np.zeros_like(kmag)
+    band = (kmag > 0) & (kmag <= k_hi)
+    env[band] = kmag[band] ** (-SPECTRAL_SLOPE)
+    c = _hermitian_symmetrize(z, env)
+    c[0, 0] = 0.0
+    return _normalized(SpectralField._adopt(grid, coefficients=c), spec.amplitude)
+
+
+def _bump_field(grid: Grid2D, spec: EnsembleSpec, trial: int) -> SpectralField:
+    """Deterministic sum of four random Gaussian bumps near the origin,
+    sup-norm ~ amplitude: the compactly concentrated data of lemmas 3.2/3.3."""
+    rng = np.random.default_rng([spec.seed, trial, grid.n_side])
+    x1, x2 = grid.coords_centered()
+    vals = np.zeros((grid.n_side, grid.n_side))
+    reach = grid.box_length / 8.0
+    for _ in range(4):
+        cx, cy = rng.uniform(-reach, reach, size=2)
+        sig = rng.uniform(0.4, 0.9)
+        amp = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        vals += amp * np.exp(-((x1 - cx) ** 2 + (x2 - cy) ** 2) / (2.0 * sig**2))
+    return _normalized(SpectralField._adopt(grid, values=vals), spec.amplitude)
+
+
+def _normalized(f: SpectralField, amplitude: float) -> SpectralField:
     peak = f.linf()
     if peak == 0.0:
         return f
-    return f * (spec.amplitude / peak)
+    return f * (amplitude / peak)
 
 
 # -- shared verdict logic -------------------------------------------------------
@@ -123,14 +120,15 @@ def _outlier_free(values) -> bool:
 
 def _finish(check_id: str, parameters: dict, per_grid_stat: dict, measured: list,
             ceiling: float, details: dict, count: int) -> VerificationReport:
-    stats = list(per_grid_stat.values())
+    stats = list(per_grid_stat.values())  # NaN where a grid measured no ratio
     stability = 0.0
     if len(stats) >= 2 and stats[0] > 0:
         stability = abs(stats[-1] - stats[0]) / stats[0]
     verdict = "pass"
     if count < MIN_TRIALS:
         verdict = "warning"
-    if max(stats) > ceiling or stability > STABILITY_LIMIT or not _outlier_free(measured):
+    if (np.isnan(stats).any() or max(stats) > ceiling or stability > STABILITY_LIMIT
+            or not _outlier_free(measured)):
         verdict = "fail"
     details = dict(details)
     details["per_grid_stat"] = per_grid_stat
@@ -157,6 +155,8 @@ def check_multiplier_bounds(variant: str, params: dict, ensemble: EnsembleSpec,
     lemma_3_1:  ||D_j (-Lap)^(s/2) f||_p / (2^(js) ||D_j f||_p)
     lemma_A_2:  ||D_j u(f)||_p / (2^(j(beta-1)) ||D_j f||_p)
 
+    for each p in ``ps``, which must be 2 or inf.
+
     Each block D_j f and each field derived from it is formed on the columns
     the block's multiplier occupies (``DyadicFamily.delta_band``) and taken to
     samples once, for every p; the samples have the bits of the full-width
@@ -165,6 +165,9 @@ def check_multiplier_bounds(variant: str, params: dict, ensemble: EnsembleSpec,
     if variant not in ("bernstein", "lemma_3_1", "lemma_A_2"):
         raise ConfigurationError(f"unknown variant {variant!r}")
     ps = params.get("ps", (2.0, np.inf))
+    for p in ps:
+        if p not in (2.0, np.inf):
+            raise ConfigurationError(f"block norms are L2 or Linf, not p = {p}")
     betas = params.get("betas", (0.5,))
     s_values = params.get("s_values", (0.7,))
     L = params.get("box_length", 2.0 * np.pi)
@@ -182,11 +185,13 @@ def check_multiplier_bounds(variant: str, params: dict, ensemble: EnsembleSpec,
         # (key parameter, order of the normalizing 2^(j order), the derived
         # field's coefficients from the block's)
         if variant == "bernstein":
-            derived = [(None, 1.0, lambda c: gradient_coefficients(c, grid))]
+            derived = [(None, 1.0, _times(symbol_array(grid, MultiplierSpec("gradient"))))]
         elif variant == "lemma_3_1":
             derived = [(s, s, _times(symbol_array(grid, frac_laplacian(s)))) for s in s_values]
         else:
-            derived = [(beta, beta - 1.0, _times(velocity_symbol(grid, beta))) for beta in betas]
+            derived = [(beta, beta - 1.0,
+                        _times(symbol_array(grid, MultiplierSpec("constitutive", beta))))
+                       for beta in betas]
         grid_ratios = []
         for trial in range(ensemble.count):
             c = make_field(grid, ensemble, trial).coefficients
@@ -321,8 +326,6 @@ def check_velocity_regularity(variant: str, params: dict, ensemble: EnsembleSpec
     per_grid = {}
     details = {}
     skipped = 0
-    bump_spec = EnsembleSpec(count=ensemble.count, seed=ensemble.seed,
-                             field_class="compact_bump", amplitude=ensemble.amplitude)
     for n in n_sides:
         grid = Grid2D(n, L)
         cs = []
@@ -343,7 +346,7 @@ def check_velocity_regularity(variant: str, params: dict, ensemble: EnsembleSpec
                 lhs = classical_holder_norm(f, float(j)).value
                 rhs = uniformly_local_norm(f, j + s, windows, "Hs_ul").value
             else:
-                theta = make_field(grid, bump_spec, trial)
+                theta = _bump_field(grid, ensemble, trial)
                 v = convolve_near(split, theta)
                 if variant == "lemma_3_2":
                     lhs = uniformly_local_norm(v, s, windows, "Hs_ul", homogeneous=True).value

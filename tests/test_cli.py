@@ -51,6 +51,13 @@ class TestVerifyCommand:
         assert manifest["params"]["checks"] == []
         assert (tmp_path / "reports.csv").read_text().startswith("check_id")
 
+    def test_block_norm_p_other_than_2_or_inf_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "verify",
+                                    "params": {"checks": ["bernstein"], "ps": ["3"]}}))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: block norms are L2 or Linf, not p = 3.0" in capsys.readouterr().err
+
     def test_bernstein_single_grid(self, tmp_path):
         rc = main(["verify", "--check", "bernstein", "--n", "128",
                    "--out", str(tmp_path), "--seed", "3"])

@@ -4,9 +4,10 @@ import pytest
 from sqglab.dyadic import project_block
 from sqglab.errors import ConfigurationError, DomainError
 from sqglab.fields import SpectralField
+from sqglab.grid import Grid2D, operator_table
 from sqglab.multipliers import (MultiplierSpec, apply_multiplier, bessel, biot_savart_velocity,
                                 dealiased_product, derivative, divergence, frac_laplacian,
-                                grad_perp, gradient, kato_ponce_commutator)
+                                gradient, kato_ponce_commutator, symbol_array)
 
 from conftest import random_real_field
 
@@ -50,31 +51,100 @@ class TestPresets:
         back = apply_multiplier(once, frac_laplacian(-s))
         assert (back - f).linf() / f.linf() <= 1e-10
 
-    def test_grad_perp_divergence_free(self, grid64):
-        f = random_real_field(grid64, seed=2)
-        u = apply_multiplier(f, grad_perp())
-        assert divergence(u).linf() <= 1e-12 * max(u.linf(), 1.0)
-
     def test_preset_names_and_domain(self, grid64):
         assert frac_laplacian(0.5).name == "frac_laplacian:0.5"
         assert bessel(2).name == "bessel:2"
-        assert grad_perp().name == "grad_perp"
         f = random_real_field(grid64, seed=4)
         with pytest.raises(DomainError):
             biot_savart_velocity(f, 1.5)
         with pytest.raises(ConfigurationError):
             biot_savart_velocity(random_real_field(grid64, seed=4, components=2), 0.25)
 
-    def test_singular_symbol_needs_policy(self, grid64):
-        f = random_real_field(grid64, seed=3)
 
-        def sym(k1, k2):
-            with np.errstate(divide="ignore"):
-                return (k1 * k1 + k2 * k2) ** -0.5
+def written_out_symbols(grid):
+    """(spec, symbol) per preset, each symbol by the expression its operator
+    evaluated before the symbol table: a callable's (k1, k2) on the broadcast
+    layout, then the zero mode set; the derivative's and the constitutive
+    symbol's own expressions; the gradient's factors i k and the Nyquist mask."""
+    ops = operator_table(grid)
+    k1, k2 = np.broadcast_arrays(ops.k1, ops.k2)
+    out = []
+    for s in (0.7, -0.8, 2.0):
+        ksq = k1 * k1 + k2 * k2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sym = np.array(np.where(ksq > 0, ksq ** (s / 2.0), 0.0), dtype=np.complex128)
+        sym[0, 0] = 0.0
+        out.append((frac_laplacian(s), sym))
+    for s in (1.5, 2.5, -1.0):
+        sym = np.array((1.0 + k1 * k1 + k2 * k2) ** (s / 2.0), dtype=np.complex128)
+        sym[0, 0] = 1.0
+        out.append((bessel(s), sym))
+    for a1 in range(4):
+        for a2 in range(4 - a1):
+            sym = (1j * ops.k1) ** a1 * (1j * ops.k2) ** a2
+            if a1 % 2 or a2 % 2:
+                sym = sym * ops.nyquist
+            out.append((MultiplierSpec("derivative", (a1, a2)), sym))
+    out.append((MultiplierSpec("gradient"), np.stack([1j * k1, 1j * k2]) * ops.nyquist))
+    for beta in (0.25, 0.5, 0.75):
+        with np.errstate(divide="ignore"):
+            radial = np.where(ops.ksq > 0, ops.ksq ** ((beta - 2.0) / 2.0), 0.0)
+        sym = np.stack([-1j * ops.k2 * radial, 1j * ops.k1 * radial]) * ops.nyquist
+        out.append((MultiplierSpec("constitutive", beta), sym))
+    return out
 
-        bad = MultiplierSpec("inv", sym, zero_mode=None)
-        with pytest.raises(ConfigurationError):
-            apply_multiplier(f, bad)
+
+class TestSymbolTable:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("box", [2 * np.pi, 16.0])
+    def test_presets_have_the_written_out_bits(self, n, box):
+        grid = Grid2D(n, box)
+        for spec, expect in written_out_symbols(grid):
+            got = symbol_array(grid, spec)
+            assert got.dtype == np.complex128 and got.shape == expect.shape, spec
+            assert got.tobytes() == expect.tobytes(), spec
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[..., 0, 0] = 1.0
+            assert symbol_array(Grid2D(n, box), spec) is got
+
+    def test_operators_apply_the_table(self, grid64):
+        # gradient and divergence match the former per-call expressions up to
+        # the signs of zeros; every other operator to the bit
+        f = random_real_field(grid64, seed=12)
+        u = random_real_field(grid64, seed=13, components=2)
+        ops = operator_table(grid64)
+        table = dict((spec.name, sym) for spec, sym in written_out_symbols(grid64))
+        c = f.coefficients
+        assert (derivative(f, (2, 1)).coefficients.tobytes()
+                == (table["derivative:2,1"] * c).tobytes())
+        assert (biot_savart_velocity(f, 0.25).coefficients.tobytes()
+                == (table["constitutive:0.25"] * c).tobytes())
+        masked = c * ops.nyquist
+        np.testing.assert_array_equal(gradient(f).coefficients,
+                                      np.stack([1j * ops.k1 * masked, 1j * ops.k2 * masked]))
+        cu = u.coefficients
+        np.testing.assert_array_equal(divergence(u).coefficients,
+                                      (1j * ops.k1 * cu[0] + 1j * ops.k2 * cu[1]) * ops.nyquist)
+
+    def test_second_application_builds_nothing(self, grid64):
+        f = random_real_field(grid64, seed=14)
+        applications = [lambda: apply_multiplier(f, frac_laplacian(0.9)),
+                        lambda: apply_multiplier(f, bessel(1.3)),
+                        lambda: biot_savart_velocity(f, 0.35),
+                        lambda: gradient(f),
+                        lambda: derivative(f, (2, 1)),
+                        lambda: divergence(biot_savart_velocity(f, 0.35))]
+        for apply in applications:
+            first = apply()
+            built = symbol_array.cache_info().misses
+            again = apply()
+            assert symbol_array.cache_info().misses == built
+            assert again.coefficients.tobytes() == first.coefficients.tobytes()
+
+    def test_unknown_preset_rejected(self, grid64):
+        with pytest.raises(ConfigurationError, match="unknown multiplier preset 'curl'"):
+            apply_multiplier(random_real_field(grid64, seed=15), MultiplierSpec("curl"))
 
 
 class TestBiotSavart:

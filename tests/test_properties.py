@@ -14,8 +14,8 @@ from sqglab.dyadic import CutoffA, build_partition, project_block
 from sqglab.errors import ConfigurationError
 from sqglab.fields import SpectralField, dealias, full_coefficients, load_field, save_field
 from sqglab.grid import Grid2D, operator_table
-from sqglab.multipliers import (_constitutive_symbol, apply_multiplier, biot_savart_velocity,
-                                divergence, frac_laplacian, gradient)
+from sqglab.multipliers import (MultiplierSpec, apply_multiplier, biot_savart_velocity, divergence,
+                                frac_laplacian, gradient, symbol_array)
 from sqglab.norms import (WindowFamily, _block_bounds, _hs_patch_weight, block_sups, sobolev_norm,
                           uniformly_local_norm, zygmund_norm, zygmund_value)
 from sqglab.solver import FarIntegral, leray_project
@@ -130,7 +130,8 @@ def test_cached_tables_read_only(n):
     fam = build_partition(grid)
     assert build_partition(Grid2D(n)) is fam
     assert fam.block_multiplier(1) is fam.block_multiplier(1)
-    arrays += [_constitutive_symbol(grid, 0.5), fam.block_multiplier(1),
+    constitutive = MultiplierSpec("constitutive", 0.5)
+    arrays += [symbol_array(grid, constitutive), fam.block_multiplier(1),
                fam.lowpass_multiplier(-1)]
     half = (n, n // 2 + 1)  # every table is on (or broadcasts to) the rfft2 layout
     assert all(np.broadcast_shapes(a.shape[-2:], half) == half for a in arrays)
@@ -142,7 +143,7 @@ def test_cached_tables_read_only(n):
     # the cached symbol is the one biot_savart_velocity applies
     f = random_real_field(grid, 1)
     np.testing.assert_array_equal(biot_savart_velocity(f, 0.5).coefficients,
-                                  _constitutive_symbol(grid, 0.5) * f.coefficients)
+                                  symbol_array(grid, constitutive) * f.coefficients)
 
 
 

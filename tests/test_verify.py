@@ -8,9 +8,11 @@ from sqglab.fields import SpectralField, dealiased_samples
 from sqglab.grid import Grid2D, OperatorTable, operator_table
 from sqglab.multipliers import (apply_multiplier, bessel, biot_savart_velocity, gradient,
                                 kato_ponce_commutator)
+from sqglab import verify
 from sqglab.norms import zygmund_norm
 from sqglab.solver import SolverConfig, simulate
-from sqglab.verify import (SPECTRAL_SLOPE, EnsembleSpec, _outlier_free, check_apriori_bounds, check_commutators,
+from sqglab.verify import (SPECTRAL_SLOPE, EnsembleSpec, _bump_field, _finish, _outlier_free,
+                           check_apriori_bounds, check_commutators,
                            check_multiplier_bounds, check_velocity_regularity,
                            _lp_commutator, _u_dot_grad, cumulative_trapezoid, gronwall_envelope,
                            make_field, twin_run_experiment)
@@ -38,10 +40,6 @@ def full_layout_band_limited(grid, spec, trial):
 
 
 class TestEnsembles:
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EnsembleSpec(field_class="fancy")
-
     @pytest.mark.parametrize("count", [16.0, 16.5, 0, True])
     def test_count_must_be_a_positive_integer(self, count):
         with pytest.raises(ConfigurationError, match="count must be an integer >= 1"):
@@ -59,8 +57,8 @@ class TestEnsembles:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_classes_produce_real_normalized_fields(self, grid64):
-        for cls in ("band_limited", "compact_bump", "radial", "constant_plus_bump"):
-            f = make_field(grid64, EnsembleSpec(field_class=cls, amplitude=2.0), 0)
+        for draw in (make_field, _bump_field):
+            f = draw(grid64, EnsembleSpec(amplitude=2.0), 0)
             assert np.isrealobj(f.values)
             assert f.linf() == pytest.approx(2.0, rel=1e-12)
 
@@ -125,6 +123,32 @@ class TestCheckRunners:
         rep = check_multiplier_bounds("bernstein", {"ps": (np.inf,)},
                                       EnsembleSpec(count=4), n_sides=(128,))
         assert rep.verdict == "warning"
+
+    @pytest.mark.parametrize("p", [3.0, 1.0, -np.inf])
+    def test_block_norm_is_l2_or_linf(self, p, monkeypatch):
+        # any other p would be measured in L2 and reported as p
+        monkeypatch.setattr(verify, "make_field", None)  # raising before any work
+        with pytest.raises(ConfigurationError, match=f"not p = {p}"):
+            check_multiplier_bounds("bernstein", {"ps": (2.0, p)}, EnsembleSpec(count=2),
+                                    n_sides=(128,))
+
+    @pytest.mark.parametrize("check, variant, params, n_sides", [
+        (check_commutators, "kato_ponce", {}, (64, 128)),
+        (check_velocity_regularity, "lemma_A_3", {}, (64, 128)),
+        (check_multiplier_bounds, "bernstein", {"ps": (2.0,)}, (128, 256))])
+    def test_a_grid_with_no_ratio_fails(self, check, variant, params, n_sides):
+        # zero fields: every trial (every block) is skipped, so neither the
+        # ceiling nor the refinement drift can be measured
+        rep = check(variant, params, EnsembleSpec(amplitude=0.0), n_sides=n_sides)
+        assert rep.measured == []
+        assert all(np.isnan(v) for v in rep.details["per_grid_stat"].values())
+        assert rep.verdict == "fail"
+
+    @pytest.mark.parametrize("stats", [{64: np.nan, 128: 3.0}, {64: 3.0, 128: np.nan}])
+    def test_one_grid_with_no_ratio_fails(self, stats):
+        # max([nan, 3.0]) is nan, so a NaN first grid would also hide the ceiling
+        rep = _finish("x", {}, stats, [3.0] * 16, 4.0, {}, 16)
+        assert rep.verdict == "fail"
 
     def test_determinism_bitwise(self):
         ens = EnsembleSpec(count=4)
