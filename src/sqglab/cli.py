@@ -137,11 +137,27 @@ def _write_csv(path: Path, header: str, rows):
 # -- command implementations -------------------------------------------------------
 
 
+def _numbers(key: str, values) -> tuple:
+    """The config list ``key`` as floats, "inf" and "oo" read as infinity."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(f"{key} must be a list of numbers, got {values!r}")
+    out = []
+    for x in values:
+        try:
+            if isinstance(x, bool):
+                raise TypeError
+            out.append(np.inf if x in ("inf", "oo") else float(x))
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{key} entries must be numbers, got {x!r}") from None
+    return tuple(out)
+
+
 def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
     checks = p["checks"]
     ens = EnsembleSpec(count=p["count"], seed=cfg.seed)
-    ps = tuple(np.inf if x in ("inf", "oo") else float(x) for x in p["ps"])
+    # every list converted before any check runs
+    ps, betas, s_values = (_numbers(key, p[key]) for key in ("ps", "betas", "s_values"))
     n_sides = tuple(p["n_sides"])
     # each check runs at its own box unless the config names one
     box = {} if p["box_length"] is None else {"box_length": p["box_length"]}
@@ -149,7 +165,7 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     for name in checks:
         if name in ("bernstein", "lemma_3_1", "lemma_A_2"):
             rep = check_multiplier_bounds(
-                name, {"ps": ps, "betas": p["betas"], "s_values": p["s_values"], **box},
+                name, {"ps": ps, "betas": betas, "s_values": s_values, **box},
                 ens, n_sides=n_sides)
         elif name in ("kato_ponce", "holder_commutator"):
             rep = check_commutators(name, {"s": p["s"], "r": p["r"], "beta": p["beta"], **box},

@@ -19,6 +19,7 @@ symbols are zeroed on the unpaired Nyquist lines so real fields stay real.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ class MultiplierSpec:
 
     preset: str
     order: float | tuple[int, int] | None = None
+
+    def __post_init__(self):
+        # a NaN order never equals itself, so it would miss the cache on every
+        # lookup and fill it with symbols no later call can find
+        parts = self.order if isinstance(self.order, tuple) else (self.order,)
+        if not all(a is None or math.isfinite(a) for a in parts):
+            raise ConfigurationError(f"{self.preset} needs a finite order, got {self.order}")
 
     @property
     def name(self) -> str:

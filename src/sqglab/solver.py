@@ -32,7 +32,10 @@ velocity through :func:`frozen_velocity`.  An
 iterate is one pass over the steps: each transport step is followed by the
 reconstruction step of the theta it made, so an iterate keeps u at every
 step (the next iterate transports by it) but theta only at the sample
-times, and the trace holds the samples D_n was measured from.  Where a
+times.  The trace keeps D_n of every iterate and the fields of the last
+iterate only, made once after the loop (theta as the samples its D_n was
+measured from, and u's samples), so its size does not grow with the
+iterate count.  Where a
 step's last stage time is a step time of the previous iterate (a node, where
 the Catmull-Rom weights are a unit vector and the interpolant is the stored
 samples themselves), the frozen velocity's dealiased samples there are
@@ -163,9 +166,9 @@ class Trajectory:
 
 @dataclass
 class IterationTrace:
-    # per n: {"n", "theta", "u"}, lists of fresh fields at the sample times, one
-    # representation each: theta's samples D_n read, u's samples (else coefficients)
-    iterates: list = dc_field(default_factory=list)
+    # the last iterate only, {"n", "theta", "u"}: lists of fresh fields at the
+    # sample times holding samples only, theta's (those D_n read) and u's
+    final: dict = None
     decrements: dict = dc_field(default_factory=dict)  # n -> array of D_n at sample times
     sample_times: np.ndarray = None
     time_bound: float = 0.0
@@ -656,13 +659,11 @@ def polygon_area(points: np.ndarray) -> float:
 
 
 def _trace_entry(n: int, grid: Grid2D, thetas, us) -> dict:
-    """Iterate n's record: fresh fields of one representation each, theta as
-    the samples D_n was measured from and u as its samples if it holds them,
-    else its coefficients."""
+    """Iterate n's record: fresh fields holding samples only, theta's that D_n
+    was measured from and u's (a transported iterate's u holds its samples)."""
     return {"n": n,
             "theta": [SpectralField._adopt(grid, values=v) for v in thetas],
-            "u": [SpectralField._adopt(grid, values=u._values) if u._values is not None
-                  else SpectralField._adopt(grid, coefficients=u._coeffs) for u in us]}
+            "u": [SpectralField._adopt(grid, values=u.values) for u in us]}
 
 
 def picard_iterate(config: SolverConfig, theta0: SpectralField,
@@ -673,7 +674,8 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     theta^1 = S_2 theta0 and u^1 = S_2 u0, both frozen in time; for n >= 1,
     theta^(n+1) solves transport by the frozen u^n from initial data
     S_(n+2) theta0, and u^(n+1) comes from the reconstruction recursion with
-    the far integrand theta^(n+1) u^n.
+    the far integrand theta^(n+1) u^n.  The trace keeps D_n for every n and
+    the fields of iterate ``n_max`` only (``IterationTrace.final``).
     """
     _require_integer("n_max", n_max, 2)
     _require_integer("n_samples", n_samples, 2)  # D_n is read at the last: t_end, not 0
@@ -722,7 +724,6 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     # sample times, u at every step
     th_prev = [smooth_truncate_initial(theta0, 2).values] * len(sample_idx)
     u_prev = [smooth_truncate_initial(u0, 2)] * (n_steps + 1)
-    trace.iterates.append(_trace_entry(1, grid, th_prev, [u_prev[i] for i in sample_idx]))
 
     increase_streak = 0
     prev_dn_final = None
@@ -759,7 +760,6 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
             eta = zygmund_value(dth, config.r - 1.0)
             dn[m] = v + eta
         trace.decrements[n + 1] = dn
-        trace.iterates.append(_trace_entry(n + 1, grid, th_new, [u_new[i] for i in sample_idx]))
 
         if prev_dn_final is not None and dn[-1] >= prev_dn_final:
             increase_streak += 1
@@ -771,4 +771,5 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
 
         th_prev, u_prev = th_new, u_new
 
+    trace.final = _trace_entry(n_max, grid, th_prev, [u_prev[i] for i in sample_idx])
     return trace

@@ -138,6 +138,14 @@ def _finish(check_id: str, parameters: dict, per_grid_stat: dict, measured: list
                               stability=stability, details=details)
 
 
+def _grids(n_sides) -> tuple:
+    """``n_sides`` as a tuple, which must name at least one grid."""
+    n_sides = tuple(n_sides)
+    if not n_sides:
+        raise ConfigurationError("n_sides is empty: a check runs on at least one grid")
+    return n_sides
+
+
 def _block_norm(f: SpectralField, p) -> float:
     if np.isinf(p):
         return f.linf()
@@ -164,6 +172,7 @@ def check_multiplier_bounds(variant: str, params: dict, ensemble: EnsembleSpec,
     """
     if variant not in ("bernstein", "lemma_3_1", "lemma_A_2"):
         raise ConfigurationError(f"unknown variant {variant!r}")
+    n_sides = _grids(n_sides)
     ps = params.get("ps", (2.0, np.inf))
     for p in ps:
         if p not in (2.0, np.inf):
@@ -256,6 +265,7 @@ def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
                       n_sides=(128, 256)) -> VerificationReport:
     if variant not in ("kato_ponce", "holder_commutator"):
         raise ConfigurationError(f"unknown variant {variant!r}")
+    n_sides = _grids(n_sides)
     s = params.get("s", 2.5)
     r = params.get("r", 1.5)
     beta = params.get("beta", 0.5)
@@ -317,6 +327,7 @@ def check_velocity_regularity(variant: str, params: dict, ensemble: EnsembleSpec
                               n_sides=(128, 256)) -> VerificationReport:
     if variant not in ("lemma_A_3", "lemma_3_2", "lemma_3_3", "embedding"):
         raise ConfigurationError(f"unknown variant {variant!r}")
+    n_sides = _grids(n_sides)
     beta = params.get("beta", 0.5)
     r = params.get("r", 1.5)
     s = params.get("s", 1.2)

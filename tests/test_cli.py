@@ -58,6 +58,19 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error: block norms are L2 or Linf, not p = 3.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, check", [("ps", "two", "bernstein"),
+                                                   ("betas", "x", "lemma_A_2"),
+                                                   ("s_values", "x", "lemma_3_1")])
+    def test_non_numeric_list_entry_is_a_config_error(self, tmp_path, capsys, key, value, check):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "verify", "params": {
+            "checks": [check], "n_sides": [128], "count": 2, key: [value]}}))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} entries must be numbers, got {value!r}" in err
+        # converted before any check runs: no report was written
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {"manifest.json"}
+
     def test_bernstein_single_grid(self, tmp_path):
         rc = main(["verify", "--check", "bernstein", "--n", "128",
                    "--out", str(tmp_path), "--seed", "3"])

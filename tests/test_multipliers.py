@@ -142,6 +142,18 @@ class TestSymbolTable:
             assert symbol_array.cache_info().misses == built
             assert again.coefficients.tobytes() == first.coefficients.tobytes()
 
+    @pytest.mark.parametrize("make", [frac_laplacian, bessel,
+                                      lambda order: MultiplierSpec("constitutive", order)])
+    @pytest.mark.parametrize("order", [np.nan, np.inf, -np.inf])
+    def test_non_finite_order_rejected_before_the_cache(self, grid64, make, order):
+        # a NaN order never equals itself: each lookup would miss and add an entry
+        f = random_real_field(grid64, seed=16)
+        before = symbol_array.cache_info()
+        for _ in range(3):
+            with pytest.raises(ConfigurationError, match=f"needs a finite order, got {order}"):
+                apply_multiplier(f, make(order))
+        assert symbol_array.cache_info() == before
+
     def test_unknown_preset_rejected(self, grid64):
         with pytest.raises(ConfigurationError, match="unknown multiplier preset 'curl'"):
             apply_multiplier(random_real_field(grid64, seed=15), MultiplierSpec("curl"))

@@ -1059,7 +1059,7 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
     """Reference Picard sequence in two passes per iterate, every step of both
     iterates kept: all transport steps, then all reconstruction steps.
 
-    Returns the decrements and, per iterate, the samples of theta and u at
+    Returns the decrements and the last iterate's samples of theta and u at
     the sample times."""
     grid = theta0.grid
     dt = solver.cfl_dt(u0, grid, cfg.dt)
@@ -1075,7 +1075,7 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
 
     th_prev = [smooth_truncate_initial(theta0, 2)] * (n_steps + 1)
     u_prev = [smooth_truncate_initial(u0, 2)] * (n_steps + 1)
-    decrements, iterates = {}, [(th_prev, u_prev)]
+    decrements = {}
     for n in range(1, n_max):
         u_interp = frozen_interp(u_prev)
         th_new = [smooth_truncate_initial(theta0, n + 2)]
@@ -1101,10 +1101,9 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
             + zygmund_norm(SpectralField.from_values(grid, th_new[i].values - th_prev[i].values),
                            cfg.r - 1.0).value
             for i in sample_idx])
-        iterates.append((th_new, u_new))
         th_prev, u_prev = th_new, u_new
-    return decrements, [([th[i].values for i in sample_idx], [u[i].values for i in sample_idx])
-                        for th, u in iterates]
+    return decrements, ([th_prev[i].values for i in sample_idx],
+                        [u_prev[i].values for i in sample_idx])
 
 
 class TestPicard:
@@ -1128,22 +1127,22 @@ class TestPicard:
         cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=n_steps * 0.01, n_side=128,
                            box_length=16.0)
         trace = picard_iterate(cfg, theta0, u0=u0, n_max=4, split=picard_split)
-        ref_dn, ref_fields = two_pass_picard(cfg, theta0, u0, 4, picard_split)
+        ref_dn, (thetas, us) = two_pass_picard(cfg, theta0, u0, 4, picard_split)
         assert sorted(trace.decrements) == sorted(ref_dn) == [2, 3, 4]
         assert trace.decrements[4][-1] > 0.0
         for n, dn in ref_dn.items():
             assert np.array_equal(trace.decrements[n], dn)
-        assert len(trace.iterates) == len(ref_fields)
-        for entry, (thetas, us) in zip(trace.iterates, ref_fields):
-            for key, ref in (("theta", thetas), ("u", us)):
-                assert len(entry[key]) == len(ref)
-                assert all(np.array_equal(f.values, v) for f, v in zip(entry[key], ref))
+        assert trace.final["n"] == 4
+        for key, ref in (("theta", thetas), ("u", us)):
+            assert len(trace.final[key]) == len(ref)
+            assert all(np.array_equal(f.values, v) for f, v in zip(trace.final[key], ref))
 
     def test_trace_holds_fresh_fields_of_one_representation(self, picard_grid, picard_split,
                                                             monkeypatch):
         # the fields an iterate computes with (its transported thetas, the
         # velocities it integrates against, the smoothed data) hold both
-        # representations along the way; the trace keeps none of them
+        # representations along the way; the trace keeps none of them, only
+        # fresh fields of the last iterate's samples
         own = []
 
         def recording(fn):
@@ -1160,13 +1159,11 @@ class TestPicard:
             monkeypatch.setattr(solver, name, recording(getattr(solver, name)))
         cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
         trace = picard_iterate(cfg, picard_dipole(picard_grid), n_max=4, split=picard_split)
-        entries = [f for it in trace.iterates for key in ("theta", "u") for f in it[key]]
-        assert len(entries) == 2 * len(trace.iterates) * len(trace.sample_times)
+        assert trace.final["n"] == 4
+        entries = [f for key in ("theta", "u") for f in trace.final[key]]
+        assert len(entries) == 2 * len(trace.sample_times)
         assert not {id(f) for f in own} & {id(f) for f in entries}
-        for f in entries:
-            assert (f._values is None) != (f._coeffs is None)
-        assert all(f._values is not None for it in trace.iterates for f in it["theta"])
-        assert all(f._values is not None for it in trace.iterates[1:] for f in it["u"])
+        assert all(f._values is not None and f._coeffs is None for f in entries)
 
     def test_trace_retains_its_samples_only(self, picard_grid, picard_split, traced_peak):
         theta0 = picard_dipole(picard_grid)
@@ -1174,12 +1171,24 @@ class TestPicard:
         picard_iterate(cfg, theta0, n_max=4, split=picard_split)  # fills the grid's caches
         trace, _, retained = traced_peak(
             lambda: picard_iterate(cfg, theta0, n_max=4, split=picard_split))
-        # per sample of a transported iterate: theta's samples (8 n^2 bytes) and
-        # u's (16 n^2); the smoothed data's samples share one theta sample array
-        # and one u array, 16.25 n^2 bytes, with Python objects under 16 n^2
+        # the last iterate's samples only, per sample time theta's (8 n^2 bytes)
+        # and u's (16 n^2), with the decrements and Python objects under n^2
         per_sample = 24 * 128**2
-        bound = len(trace.decrements) * len(trace.sample_times) * per_sample + 32 * 128**2
-        assert retained <= bound
+        assert retained <= len(trace.sample_times) * per_sample + 128**2
+
+    def test_trace_size_does_not_grow_with_the_iterate_count(self, picard_grid, picard_split,
+                                                             traced_peak):
+        # a longer sequence adds only its decrements, one array of D_n per iterate
+        theta0 = picard_dipole(picard_grid)
+        cfg = SolverConfig(beta=0.5, r=2.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
+        for n_max in (4, 8):  # fills the grid's caches, the smoothing blocks up to n_max + 1
+            picard_iterate(cfg, theta0, n_max=n_max, split=picard_split)
+        retained = {}
+        for n_max in (4, 8):
+            trace, _, retained[n_max] = traced_peak(
+                lambda: picard_iterate(cfg, theta0, n_max=n_max, split=picard_split))
+            assert trace.final["n"] == n_max and len(trace.decrements) == n_max - 1
+        assert abs(retained[8] - retained[4]) < 24 * 128**2
 
     def test_band_limited_data_saturates_projection(self, picard_grid):
         # S_(n+2) theta0 = theta0 for data below block 0, so eta^(n+1)(0) = 0
@@ -1272,7 +1281,7 @@ class TestPicard:
                            box_length=16.0)
         split = build_split(picard_grid, 0.5, oversample=2)
         trace = picard_iterate(cfg, theta0, n_max=4, split=split)
-        assert len(trace.iterates) == 4  # the smoothed data, then 3 transported iterates
+        assert trace.final["n"] == 4  # the smoothed data, then 3 transported iterates
         assert len(calls) == 3 * (2 * n_steps + 1)
 
     def test_theta0_off_the_config_grid_rejected(self, picard_grid, picard_split):

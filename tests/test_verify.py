@@ -132,6 +132,14 @@ class TestCheckRunners:
             check_multiplier_bounds("bernstein", {"ps": (2.0, p)}, EnsembleSpec(count=2),
                                     n_sides=(128,))
 
+    @pytest.mark.parametrize("check, variant", [(check_multiplier_bounds, "bernstein"),
+                                                (check_commutators, "kato_ponce"),
+                                                (check_velocity_regularity, "lemma_A_3")])
+    def test_empty_grid_list_is_a_config_error(self, check, variant, monkeypatch):
+        monkeypatch.setattr(verify, "make_field", None)  # raising before any work
+        with pytest.raises(ConfigurationError, match="n_sides is empty"):
+            check(variant, {}, EnsembleSpec(count=2), n_sides=())
+
     @pytest.mark.parametrize("check, variant, params, n_sides", [
         (check_commutators, "kato_ponce", {}, (64, 128)),
         (check_velocity_regularity, "lemma_A_3", {}, (64, 128)),
