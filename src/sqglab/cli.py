@@ -26,7 +26,7 @@ from .grid import Grid2D, _require_integer
 from .kernels import build_split, verify_fundamental_solution
 from .norms import WindowFamily, classical_holder_norm, sobolev_norm, uniformly_local_norm, zygmund_norm
 from .solver import SolverConfig, picard_iterate, simulate
-from .verify import (EnsembleSpec, check_commutators, check_multiplier_bounds,
+from .verify import (EnsembleSpec, _grids, check_commutators, check_multiplier_bounds,
                      check_velocity_regularity, make_field)
 
 # every parameter a config may set, per command, with its default; the
@@ -156,9 +156,9 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
     checks = p["checks"]
     ens = EnsembleSpec(count=p["count"], seed=cfg.seed)
-    # every list converted before any check runs
+    # every list converted and n_sides checked before any check runs
     ps, betas, s_values = (_numbers(key, p[key]) for key in ("ps", "betas", "s_values"))
-    n_sides = tuple(p["n_sides"])
+    n_sides = _grids(p["n_sides"])
     # each check runs at its own box unless the config names one
     box = {} if p["box_length"] is None else {"box_length": p["box_length"]}
     reports = []

@@ -14,7 +14,8 @@ Conventions shared by all estimators:
   only the value calls ``zygmund_value``, which returns the same bits from
   a bounded search: ||Delta_j f||_inf <= (1/L) sum_k |mult_j(k) c_k|, so a
   block whose weighted bound cannot beat the largest weighted sup found so
-  far is never transformed.
+  far is never transformed.  ``zygmund_values`` reads one field's values at
+  several orders from one set of bounds, each block transformed at most once.
 * The classical Holder seminorm is an upper-bound estimator: a sampled sup
   over grid-pair offsets with |x-y| <= 1 plus the 2||D^b f||_inf bound for
   the far pairs (the two pieces are recorded separately in the report).
@@ -136,30 +137,36 @@ def _block_bounds(f: SpectralField) -> dict:
     return bounds
 
 
-def _zygmund_search(f: SpectralField, r: float, floor: float) -> float:
+def _zygmund_search(f: SpectralField, r: float, floor: float, bounds: dict | None = None,
+                    sups: dict | None = None) -> float:
     """max_j 2^(jr) ||Delta_j f||_inf where that exceeds ``floor``, else a
     number no larger than ``floor``.
 
     Blocks are visited in decreasing order of their weighted bound
-    (:func:`_block_bounds`), and a block is transformed only while its bound,
-    widened by ``ZYGMUND_BOUND_MARGIN``, beats the largest weighted sup found
-    so far (branch and bound): a block that is skipped cannot hold the max.
-    Non-finite bounds prove nothing, so then every block is transformed
-    (``zygmund_norm``).
+    (``bounds``, :func:`_block_bounds` of f when not given), and a block is
+    transformed only while its bound, widened by ``ZYGMUND_BOUND_MARGIN``,
+    beats the largest weighted sup found so far (branch and bound): a block
+    that is skipped cannot hold the max.  ``sups`` holds block sups of f
+    already made: the search starts from their weighted max, and adds each
+    block it transforms.  Non-finite bounds prove nothing, so then every
+    block is transformed (``zygmund_norm``).
     """
-    bounds = _block_bounds(f)
+    bounds = _block_bounds(f) if bounds is None else bounds
     if not all(map(math.isfinite, bounds.values())):
         return zygmund_norm(f, r).value
     fam = build_partition(f.grid)
     ops = operator_table(f.grid)
     c = f.coefficients
+    sups = {} if sups is None else sups
     weighted = sorted(((2.0 ** (j * r) * b, j) for j, b in bounds.items()), reverse=True)
-    best = floor
+    best = max([floor] + [2.0 ** (j * r) * sup for j, sup in sups.items()])
     for bound, j in weighted:
         if bound * (1.0 + ZYGMUND_BOUND_MARGIN) <= best:
             break
-        mult, m = fam.delta_band(j)
-        best = max(best, 2.0 ** (j * r) * ops.sup(c[..., :m], mask=mult))
+        if j not in sups:
+            mult, m = fam.delta_band(j)
+            sups[j] = ops.sup(c[..., :m], mask=mult)
+        best = max(best, 2.0 ** (j * r) * sups[j])
     return best
 
 
@@ -182,6 +189,15 @@ def zygmund_value(fields, r: float) -> float:
         if value is None or v > value:
             value = v
     return value
+
+
+def zygmund_values(f: SpectralField, rs) -> list:
+    """``[zygmund_value(f, r) for r in rs]`` bit for bit, from one computation
+    of the block bounds, each block transformed at most once: a search starts
+    from the sups the searches before it made."""
+    bounds = _block_bounds(f)
+    sups = {}
+    return [_zygmund_search(f, r, 0.0, bounds, sups) for r in rs]
 
 
 # -- classical Holder ---------------------------------------------------------

@@ -22,8 +22,10 @@ predictor's far flux, and the new theta's the predictor and the corrector.
 A step holds only the arrays it still reads: its sums are formed in place
 with the plain expressions' bits, and each temporary is dropped after its
 last read.  A stored sample keeps theta as the samples its norms were
-measured from, shared with the state and without coefficients, and u as
-the state held it (see :class:`Trajectory`).
+measured from, shared with the state and without coefficients; under the
+direct law it keeps theta's coefficients too, and u is their constitutive
+velocity, made on read; under serfati it keeps the state's u (see
+:class:`Trajectory`).
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -141,19 +144,20 @@ class Trajectory:
 
     ``thetas[i]`` holds theta's samples only, the array the recorded norms
     were measured from, shared with the run's state and with no coefficient
-    copy.  ``us[i]`` is the state's own velocity: ``us[0]`` is u0 in the
-    representations it arrived in (coefficients, when ``simulate`` made it),
-    and later entries are stored as coefficients, the constitutive velocity
-    under the direct law and its Leray projection under serfati; reading
-    their samples (as ``flow_map`` does) caches those too.  ``final_state``
-    is the whole last state, theta's coefficients included, and its ``far``
+    copy.  ``us`` is the state's velocity at each sample
+    (:class:`TrajectoryVelocities`): ``us[0]`` is u0 in the representations
+    it arrived in (coefficients, when ``simulate`` made it); later entries
+    are the Leray projection the serfati state stored, and under the direct
+    law the constitutive velocity of the state's theta coefficients, which
+    are kept instead of it and multiplied on read.  ``final_state`` is the
+    whole last state, theta's coefficients and u included, and its ``far``
     integral (kept when the run has a kernel split), which
     ``velocity_serfati`` reads.
     """
 
     times: list = dc_field(default_factory=list)
     thetas: list = dc_field(default_factory=list)
-    us: list = dc_field(default_factory=list)
+    us: "TrajectoryVelocities" = None
     norms: list = dc_field(default_factory=list)  # (t, kind, value)
     diagnostics: dict = dc_field(default_factory=dict)
     final_state: "SimState" = None
@@ -162,6 +166,49 @@ class Trajectory:
         ts = [t for t, k, _ in self.norms if k == kind]
         vs = [v for _, k, v in self.norms if k == kind]
         return np.asarray(ts), np.asarray(vs)
+
+
+class TrajectoryVelocities(Sequence):
+    """u at a trajectory's sample times, as a read-only sequence.
+
+    ``self[0]`` is u0 as it arrived.  A later entry is the state's stored u,
+    or, given ``beta`` (the direct law), ``biot_savart_velocity`` of the
+    state's theta coefficients: the multiply the run made of the same array,
+    so the entry has the bits of the state's u.  Those coefficients are made
+    on each read and not kept.  :meth:`samples` keeps an entry's samples
+    once read, so a second ``flow_map`` transforms nothing.
+    """
+
+    def __init__(self, u0: SpectralField, beta: float | None = None):
+        self._u0 = u0
+        self._beta = beta
+        self._stored = []  # the states' u, or under the direct law their theta coefficients
+        self._samples = {}
+
+    def append(self, state: SimState):
+        self._stored.append(state.u if self._beta is None else state.theta.coefficients)
+
+    def __len__(self) -> int:
+        return 1 + len(self._stored)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        if i == 0:
+            return self._u0
+        if self._beta is None:
+            return self._stored[i - 1]
+        theta = SpectralField._adopt(self._u0.grid, coefficients=self._stored[i - 1])
+        u = biot_savart_velocity(theta, self._beta)
+        return SpectralField._adopt(u.grid, values=self._samples.get(i), coefficients=u.coefficients)
+
+    def samples(self, i: int) -> np.ndarray:
+        """The samples of ``self[i]``, kept after the first read."""
+        i = range(len(self))[i]
+        if i not in self._samples:
+            self._samples[i] = self[i].values
+        return self._samples[i]
 
 
 @dataclass
@@ -459,7 +506,9 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     sample_every = config.sample_every or max(1, n_steps // 64)
 
     recorder = NormRecorder(config.record_norms, grid)
-    traj = Trajectory()
+    # the direct law's u is derived from theta's coefficients on read
+    traj = Trajectory(us=TrajectoryVelocities(
+        u0, config.beta if config.constitutive == "direct" else None))
 
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
     if split is not None:
@@ -471,7 +520,6 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         recorder.record(traj.norms, state.t, state.theta, state.u)
         # theta's samples, which the norms read, shared with the state; no coefficients
         traj.thetas.append(SpectralField._adopt(grid, values=state.theta.values))
-        traj.us.append(state.u)
 
     store(state)
     l2_0 = theta0.l2()
@@ -509,6 +557,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             store(state)
+            traj.us.append(state)
 
     traj.diagnostics = {
         "dt": dt,
@@ -598,7 +647,9 @@ def _bilinear_sample(planes, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
 def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
     """Integrate particle paths dX/dt = u(t, X) with RK4.
 
-    ``u_trajectory`` is either a ``Trajectory`` or a pair (times, fields).
+    ``u_trajectory`` is either a ``Trajectory``, whose velocities' samples
+    are kept after this read (:meth:`TrajectoryVelocities.samples`), or a
+    pair (times, fields).
     Velocity is bilinear in space and Catmull-Rom (cubic) in time; each
     evaluation samples the (at most 4) time nodes at the particles and then
     combines them in time, so it costs O(particles), not O(n^2).  The time
@@ -608,12 +659,14 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
     """
     if isinstance(u_trajectory, Trajectory):
         times = np.asarray(u_trajectory.times)
-        fields = u_trajectory.us
+        us = u_trajectory.us
+        grid = us[0].grid
+        planes = [us.samples(i).reshape(2, -1) for i in range(len(us))]
     else:
         times, fields = u_trajectory
         times = np.asarray(times)
-    grid = fields[0].grid
-    planes = [f.values.reshape(2, -1) for f in fields]
+        grid = fields[0].grid
+        planes = [f.values.reshape(2, -1) for f in fields]
     t_end = times[-1] if t_end is None else t_end
 
     pts = np.asarray(particles, dtype=np.float64).copy()

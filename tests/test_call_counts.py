@@ -55,6 +55,27 @@ def test_direct_biot_savart_calls(monkeypatch, steps):
     assert len(calls) == 5 * steps + 2
 
 
+def test_direct_velocities_derived_on_read(monkeypatch):
+    # the run stores theta's coefficients; each read of us[i], i >= 1, is one
+    # multiply, us[0] (u0) none, and a flow map's samples are made once
+    grid = Grid2D(32)
+    steps = 3
+    calls = count_calls(monkeypatch, multipliers.biot_savart_velocity)
+    cfg = SolverConfig(beta=0.5, dt=0.01, t_end=steps * 0.01, n_side=32, c_existence=0.0,
+                       sample_every=1)
+    traj = simulate(cfg, dipole(grid, 0.6))
+    assert len(calls) == 5 * steps + 2
+    traj.us[0]
+    assert len(calls) == 5 * steps + 2
+    traj.us[-1]
+    assert len(calls) == 5 * steps + 3
+    list(traj.us)
+    assert len(calls) == 6 * steps + 3
+    for _ in range(2):
+        solver.flow_map(traj, np.zeros((1, 2)), 0.01)
+        assert len(calls) == 7 * steps + 3
+
+
 @pytest.mark.parametrize("steps", [1, 3])
 def test_serfati_convolution_calls(monkeypatch, steps):
     # far: the initial integrand, then predictor and corrector per step;

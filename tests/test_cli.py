@@ -71,6 +71,15 @@ class TestVerifyCommand:
         # converted before any check runs: no report was written
         assert {p.name for p in (tmp_path / "out").iterdir()} == {"manifest.json"}
 
+    @pytest.mark.parametrize("check", ["fundamental_solution", "bernstein"])
+    def test_empty_grid_list_is_a_config_error(self, tmp_path, capsys, check):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "verify", "params": {
+            "checks": [check], "n_sides": [], "count": 2}}))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: n_sides is empty" in capsys.readouterr().err
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {"manifest.json"}
+
     def test_bernstein_single_grid(self, tmp_path):
         rc = main(["verify", "--check", "bernstein", "--n", "128",
                    "--out", str(tmp_path), "--seed", "3"])

@@ -8,10 +8,10 @@ from sqglab.dyadic import build_partition, chi_profile, phi_profile
 from sqglab.errors import ConfigurationError, QuadratureBudgetError
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D, operator_table, rfft2
-from sqglab.multipliers import derivative
+from sqglab.multipliers import biot_savart_velocity, derivative
 from sqglab.norms import (HOLDER_PAIR_BUDGET, WindowFamily, _holder_offsets, _hs_patch_weight, _seminorm_near,
                           block_sups, classical_holder_norm, sobolev_norm, uniformly_local_norm,
-                          window_profile, zygmund_norm, zygmund_value)
+                          window_profile, zygmund_norm, zygmund_value, zygmund_values)
 from sqglab.verify import EnsembleSpec, make_field
 
 from conftest import random_real_field
@@ -205,6 +205,26 @@ class TestZygmundValue:
     def test_zero_field(self, grid64):
         for components in (1, 2):
             assert zygmund_value(SpectralField.zeros(grid64, components), 1.5) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rs", [(1.5, 2.5), (2.5, 1.5)])
+    def test_several_orders_transform_each_block_once(self, seed, rs, monkeypatch):
+        # u's C^r and C^(r+1), as check_commutators('holder_commutator') reads
+        # them: the values of the single searches, from no block those would
+        # not transform, and each block transformed once
+        grid = Grid2D(128)
+        u = biot_savart_velocity(make_field(grid, EnsembleSpec(seed=seed), 0), 0.5)
+        u.coefficients
+        table = type(operator_table(grid))
+        sup, blocks = table.sup, []
+        monkeypatch.setattr(table, "sup", lambda self, c, mask=None: (
+            blocks.append(id(mask)), sup(self, c, mask=mask))[1])
+        singles = [zygmund_value(u, r) for r in rs]
+        union = set(blocks)
+        blocks.clear()
+        assert zygmund_values(u, rs) == singles
+        assert len(blocks) == len(set(blocks)) and set(blocks) <= union
+        assert singles == [zygmund_norm(u, r).value for r in rs]
 
 
 class TestClassicalHolder:

@@ -741,13 +741,62 @@ class TestStoredSamples:
         theta0 = dipole(grid128)
         simulate(cfg, theta0)  # fills the grid's caches
         traj, _, retained = traced_peak(lambda: simulate(cfg, theta0))
-        # per sample: theta's samples (n^2 floats) and u's coefficients (2 n (n/2 + 1)
-        # complex); the final state adds theta's coefficients
+        # per sample: theta's samples (n^2 floats) and coefficients (n (n/2 + 1)
+        # complex), from which u is derived on read; at t = 0 theta0 is the
+        # caller's and u0, which the run made, takes that share; the final
+        # state adds its u's coefficients
         samples = len(traj.thetas)
         assert samples == steps + 1
-        per_sample = (n * n + 2 * n * (n // 2 + 1) * 2) * 8
-        bound = samples * per_sample * 1.05 + traj.final_state.theta.coefficients.nbytes
+        per_sample = (n * n + n * (n // 2 + 1) * 2) * 8
+        bound = samples * per_sample * 1.05 + traj.final_state.u.coefficients.nbytes
         assert retained <= bound
+
+    @pytest.mark.parametrize("with_split", [False, True])
+    def test_direct_velocities_have_the_bits_of_the_states_u(self, split128, with_split):
+        # us[i] for i >= 1 is the multiply the run made, of the same theta
+        # coefficients; a samples read keeps the samples, not the coefficients
+        cfg = split_config("direct", 4)
+        theta0 = dipole16(split128.grid)
+        u0 = biot_savart_velocity(theta0, 0.5)
+        traj = simulate(cfg, theta0, u0=u0, split=split128 if with_split else None)
+        states, _ = full_state_run(cfg, theta0, split128)
+        assert traj.us[0] is u0
+        assert len(traj.us) == len(list(traj.us)) == len(states) == 5
+        for i, st in enumerate(states[1:], 1):
+            assert traj.us[i]._values is None
+            for u in (traj.us[i], traj.us[i - len(states)], traj.us[i:i + 1][0]):
+                assert np.array_equal(u.coefficients, st.u.coefficients)
+                assert np.array_equal(u.values, st.u.values)
+            samples = traj.us.samples(i)
+            assert np.array_equal(samples, st.u.values)
+            assert traj.us[i].values is samples
+            assert np.array_equal(traj.us[i].coefficients, st.u.coefficients)
+        with pytest.raises(IndexError):
+            traj.us[len(states)]
+
+    def test_second_flow_map_transforms_nothing(self, grid64, count_planes):
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=64, c_existence=0.0,
+                           sample_every=1)
+        traj = simulate(cfg, dipole(grid64))
+        pts = np.random.default_rng(4).uniform(0.0, grid64.box_length, size=(16, 2))
+        first = flow_map(traj, pts, 0.01)
+        planes = count_planes()
+        assert np.array_equal(flow_map(traj, pts, 0.01), first)
+        assert planes == []
+
+    def test_flow_map_keeps_u_samples_without_coefficients(self, grid128, traced_peak):
+        n, steps = 128, 8
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=steps * 0.01, n_side=n, c_existence=0.0,
+                           sample_every=1)
+        theta0 = dipole(grid128)
+        pts = np.random.default_rng(5).uniform(0.0, grid128.box_length, size=(4, 2))
+        flow_map(simulate(cfg, theta0), pts, 0.01)  # fills the grid's caches
+        traj = simulate(cfg, theta0)
+        _, _, retained = traced_peak(lambda: flow_map(traj, pts, 0.01))
+        # u's samples at every sample time (u0's cached on u0), 2 n^2 floats
+        # each; derived coefficients would add 2 n (n/2 + 1) complex each
+        u_samples = (steps + 1) * 2 * n * n * 8
+        assert u_samples <= retained <= u_samples * 1.05
 
     @pytest.mark.parametrize("mode", ["direct", "serfati"])
     def test_outputs_keep_the_bits_of_full_stored_states(self, split128, mode):
