@@ -42,7 +42,7 @@ from .norms import (
     sobolev_norm,
     uniformly_local_norm,
 )
-from .kernels import CutoffA, KernelSplit, build_split, convolve_near, convolve_far, verify_fundamental_solution
+from .kernels import CutoffA, KernelSplit, build_split, convolve_near, convolve_far
 from .solver import (
     SolverConfig,
     SimState,
@@ -61,6 +61,7 @@ from .verify import (
     check_commutators,
     check_velocity_regularity,
     check_apriori_bounds,
+    verify_fundamental_solution,
 )
 
 __all__ = [

@@ -23,11 +23,10 @@ from . import __version__
 from .errors import ConfigurationError
 from .fields import SpectralField, save_field
 from .grid import Grid2D, _require_integer
-from .kernels import build_split, verify_fundamental_solution
+from .kernels import build_split
 from .norms import WindowFamily, classical_holder_norm, sobolev_norm, uniformly_local_norm, zygmund_norm
 from .solver import SolverConfig, picard_iterate, simulate
-from .verify import (EnsembleSpec, _grids, check_commutators, check_multiplier_bounds,
-                     check_velocity_regularity, make_field)
+from .verify import EnsembleSpec, _grids, make_field, run_check, verify_fundamental_solution
 
 # every parameter a config may set, per command, with its default; the
 # verify box_length None runs each check at its own box
@@ -154,37 +153,20 @@ def _numbers(key: str, values) -> tuple:
 
 def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
-    checks = p["checks"]
     ens = EnsembleSpec(count=p["count"], seed=cfg.seed)
     # every list converted and n_sides checked before any check runs
-    ps, betas, s_values = (_numbers(key, p[key]) for key in ("ps", "betas", "s_values"))
+    params = {key: _numbers(key, p[key]) for key in ("ps", "betas", "s_values")}
+    params.update(s=p["s"], r=p["r"], beta=p["beta"])
     n_sides = _grids(p["n_sides"])
     # each check runs at its own box unless the config names one
-    box = {} if p["box_length"] is None else {"box_length": p["box_length"]}
-    reports = []
-    for name in checks:
-        if name in ("bernstein", "lemma_3_1", "lemma_A_2"):
-            rep = check_multiplier_bounds(
-                name, {"ps": ps, "betas": betas, "s_values": s_values, **box},
-                ens, n_sides=n_sides)
-        elif name in ("kato_ponce", "holder_commutator"):
-            rep = check_commutators(name, {"s": p["s"], "r": p["r"], "beta": p["beta"], **box},
-                                    ens, n_sides=n_sides)
-        elif name in ("lemma_A_3", "lemma_3_2", "lemma_3_3", "embedding"):
-            rep = check_velocity_regularity(
-                name, {"beta": p["beta"], "r": p["r"], "s": p["s"], **box}, ens,
-                n_sides=n_sides)
-        elif name == "fundamental_solution":
-            rep = verify_fundamental_solution(
-                p["beta"], Grid2D(max(n_sides), box.get("box_length", 16.0 * np.pi)))
-        else:
-            raise ConfigurationError(f"unknown check {name!r}")
+    if p["box_length"] is not None:
+        params["box_length"] = p["box_length"]
+    reports, rows = [], []
+    for name in p["checks"]:
+        rep = run_check(name, params, ens, n_sides)
         reports.append(rep)
-        print(rep.summary_line())
-
-    rows = []
-    for rep in reports:
         rows.extend(rep.csv_rows())
+        print(rep.summary_line())
     _write_csv(outdir / "reports.csv", "check_id,param_hash,trial,ratio", rows)
     return 0 if all(r.verdict != "fail" for r in reports) else 1
 
@@ -193,7 +175,7 @@ def _run_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     p = cfg.resolved()
     sc = SolverConfig(beta=p["beta"], r=p["r"], dt=p["dt"], t_end=p["t_end"],
                       constitutive=p["constitutive"], n_side=p["n_side"],
-                      box_length=p["box_length"], record_norms=tuple(p["record_norms"]),
+                      box_length=p["box_length"], record_norms=p["record_norms"],
                       c_existence=p["c_existence"], sample_every=p["sample_every"])
     grid = sc.grid()
     theta0 = initial_condition(grid, p["ic"], p["sigma"], p["amplitude"], cfg.seed)

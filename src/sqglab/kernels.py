@@ -5,9 +5,9 @@ constant for the operator (-Laplace)^(1 - beta/2) in two dimensions,
 
     c_beta = Gamma(beta/2) / (2^(2-beta) * pi * Gamma(1 - beta/2)),
 
-validated numerically by ``verify_fundamental_solution``.  With the radial
-cutoff ``a`` = ``CutoffA(1, 2)`` (1 on B_1, 0 outside B_2; the bump that
-``dyadic`` defines for the whole package) the velocity kernel splits into
+validated numerically by ``verify.verify_fundamental_solution``.  With the
+radial cutoff ``a`` = ``CutoffA(1, 2)`` (1 on B_1, 0 outside B_2; the bump
+that ``dyadic`` defines for the whole package) the velocity kernel splits into
 
     near = grad_perp(a Phi)            (integrable, supported in B_2)
     far  = grad grad_perp((1 - a) Phi) (smooth, decays like |x|^(-beta-2))
@@ -67,8 +67,7 @@ from .dyadic import CutoffA
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, _require_integer, operator_table
-from .multipliers import apply_multiplier, biot_savart_velocity, frac_laplacian
-from .report import VerificationReport
+from .multipliers import biot_savart_velocity
 
 _EPERP = np.array([[0.0, -1.0], [1.0, 0.0]])  # d(x_perp)_i / dx_j
 _AVG_RADIUS = 0.45  # samples this close to a kernel singularity are cell averages
@@ -495,12 +494,7 @@ def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:
     return (u_split - u_direct).linf() / max(u_direct.linf(), 1e-300)
 
 
-# -- fundamental solution validation ------------------------------------------
-
-
-def _gaussian_bump(grid: Grid2D, sigma: float, amp: float = 1.0) -> SpectralField:
-    x1, x2 = grid.coords_centered()
-    return SpectralField.from_values(grid, amp * np.exp(-(x1**2 + x2**2) / (2.0 * sigma**2)))
+# -- the fundamental solution ------------------------------------------------
 
 
 def riesz_transfer(grid: Grid2D, beta: float) -> np.ndarray:
@@ -530,41 +524,3 @@ def riesz_transfer(grid: Grid2D, beta: float) -> np.ndarray:
 def riesz_convolve(theta: SpectralField, beta: float) -> SpectralField:
     """Torus convolution Phi_beta * theta (see ``riesz_transfer``)."""
     return _convolve(riesz_transfer(theta.grid, beta), theta)
-
-
-def verify_fundamental_solution(beta: float, grid: Grid2D) -> VerificationReport:
-    """Check that (-Laplace)^(1-beta/2)(Phi_beta * g) recovers a Gaussian g of
-    width L/20, on n/4, n/2 and n points a side (at least 64).
-
-    The comparison target is g minus its box mean (the torus inverse acts
-    on mean-free functions).  Verdict fails unless the relative L^2 error
-    decreases at every refinement step.
-    """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    sigma = grid.box_length / 20.0
-    errors = []
-    ns = []
-    for divisor in (4, 2, 1):
-        n = max(64, grid.n_side // divisor)
-        sub = Grid2D(n, grid.box_length)
-        g = _gaussian_bump(sub, sigma)
-        pot = riesz_convolve(g, beta)
-        back = apply_multiplier(pot, frac_laplacian(2.0 - beta))
-        target = SpectralField.from_values(sub, g.values - g.mean())
-        err = (back - target).l2() / target.l2()
-        ns.append(n)
-        errors.append(float(err))
-    decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1)
-                     if ns[i + 1] != ns[i])
-    verdict = "pass" if decreasing else "fail"
-    stability = max(errors) / max(min(errors), 1e-300) - 1.0
-    return VerificationReport(
-        check_id=f"fundamental_solution:beta={beta:g}",
-        parameters={"beta": beta, "c_beta": riesz_constant(beta),
-                    "sigma": sigma, "L": grid.box_length, "n_levels": ns},
-        measured=errors,
-        verdict=verdict,
-        stability=stability,
-        details={"errors_by_n": dict(zip(ns, errors))},
-    )

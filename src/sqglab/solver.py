@@ -73,6 +73,7 @@ from .multipliers import biot_savart_velocity, gradient, divergence
 from .norms import WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_value
 
 CFL_NUMBER = 0.5
+PICARD_SAMPLES = 8  # times D_n is recorded at, t = 0 to t_end
 
 
 @dataclass
@@ -417,11 +418,51 @@ def existence_time(u0_linf: float, theta0_cr: float, c: float = 1.0) -> float:
 # -- norm recording -------------------------------------------------------------
 
 
+# the kinds of a norm descriptor kind:target, and their values on a field f
+_NORMS = {
+    "linf": lambda f: f.linf(),
+    "l2": lambda f: f.l2(),
+    "mean": lambda f: f.mean(),
+    "ctilde1": lambda f: classical_holder_norm(f, 1.0).value,
+    "w1inf": lambda f: f.linf() + gradient(f).linf(),  # of theta only: u is not scalar
+    "div": lambda f: divergence(f).linf(),
+}
+# the kinds of a descriptor kind:target:order, and their values at that order
+_ORDERED_NORMS = {
+    "cr": lambda f, order, rec: zygmund_value(f, order),
+    "holder": lambda f, order, rec: classical_holder_norm(f, order).value,
+    "hsul": lambda f, order, rec: uniformly_local_norm(f, order, rec.windows, "Hs_ul").value,
+    "hsul_hom": lambda f, order, rec: uniformly_local_norm(f, order, rec.windows, "Hs_ul",
+                                                          homogeneous=True).value,
+}
+
+
+def _parse_descriptor(desc) -> tuple:
+    """``kind:target[:order]`` as (desc, kind, target, order or None)."""
+    parts = desc.split(":") if isinstance(desc, str) else []
+    ordered = len(parts) == 3
+    if (len(parts) not in (2, 3) or parts[0] not in (_ORDERED_NORMS if ordered else _NORMS)
+            or parts[1] not in ("theta", "u") or parts[:2] == ["w1inf", "u"]):
+        raise ConfigurationError(
+            f"norm descriptor {desc!r} is neither kind:target with a kind of {sorted(_NORMS)} "
+            f"nor kind:target:order with a kind of {sorted(_ORDERED_NORMS)}, where the "
+            f"target is theta or u (theta for w1inf)")
+    try:
+        return desc, parts[0], parts[1], float(parts[2]) if ordered else None
+    except ValueError:
+        raise ConfigurationError(f"norm descriptor {desc!r}: the order must be a number") from None
+
+
 class NormRecorder:
-    """Maps descriptor strings to norm evaluations on (theta, u)."""
+    """Maps descriptor strings to norm evaluations on (theta, u).
+
+    The descriptors are parsed on construction, so a malformed one is a
+    ``ConfigurationError`` before any step runs."""
 
     def __init__(self, descriptors, grid: Grid2D):
-        self.descriptors = list(descriptors)
+        if not isinstance(descriptors, (list, tuple)):
+            raise ConfigurationError(f"record_norms is a list of descriptors, got {descriptors!r}")
+        self.descriptors = [_parse_descriptor(desc) for desc in descriptors]
         self.grid = grid
 
     @functools.cached_property
@@ -429,39 +470,11 @@ class NormRecorder:
         """The unit-scale window family, built on first use."""
         return WindowFamily.build(self.grid)
 
-    def _eval(self, desc: str, theta: SpectralField, u: SpectralField) -> float:
-        parts = desc.split(":")
-        kind, target = parts[0], parts[1]
-        f = theta if target == "theta" else u
-        if kind == "linf":
-            return f.linf()
-        if kind == "l2":
-            return f.l2()
-        if kind == "mean":
-            return f.mean()
-        if kind == "cr":
-            return zygmund_value(f, float(parts[2]))
-        if kind == "holder":
-            return classical_holder_norm(f, float(parts[2])).value
-        if kind == "ctilde1":
-            return classical_holder_norm(f, 1.0).value
-        if kind == "w1inf":
-            g = gradient(f) if f.components == 1 else None
-            if g is None:
-                raise ConfigurationError("w1inf applies to scalar fields")
-            return f.linf() + g.linf()
-        if kind == "hsul":
-            return uniformly_local_norm(f, float(parts[2]), self.windows, "Hs_ul").value
-        if kind == "hsul_hom":
-            return uniformly_local_norm(f, float(parts[2]), self.windows, "Hs_ul",
-                                        homogeneous=True).value
-        if kind == "div":
-            return divergence(f).linf()
-        raise ConfigurationError(f"unknown norm descriptor {desc!r}")
-
     def record(self, out: list, t: float, theta: SpectralField, u: SpectralField):
-        for desc in self.descriptors:
-            out.append((t, desc, self._eval(desc, theta, u)))
+        for desc, kind, target, order in self.descriptors:
+            f = theta if target == "theta" else u
+            out.append((t, desc, _NORMS[kind](f) if order is None
+                        else _ORDERED_NORMS[kind](f, order, self)))
 
 
 # -- simulation ------------------------------------------------------------------
@@ -480,6 +493,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     grid = config.grid()
     if theta0.grid != grid:
         raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
+    recorder = NormRecorder(config.record_norms, grid)
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
     # every read of u0 caches on this wrapper, so u0 is stored as it came
@@ -505,7 +519,6 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     dt = t_stop / n_steps
     sample_every = config.sample_every or max(1, n_steps // 64)
 
-    recorder = NormRecorder(config.record_norms, grid)
     # the direct law's u is derived from theta's coefficients on read
     traj = Trajectory(us=TrajectoryVelocities(
         u0, config.beta if config.constitutive == "direct" else None))
@@ -668,6 +681,8 @@ def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
         grid = fields[0].grid
         planes = [f.values.reshape(2, -1) for f in fields]
     t_end = times[-1] if t_end is None else t_end
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end >= 0):
+        raise ConfigurationError(f"flow_map needs finite dt > 0 and t_end >= 0, got {dt}, {t_end}")
 
     pts = np.asarray(particles, dtype=np.float64).copy()
     L = grid.box_length
@@ -721,7 +736,7 @@ def _trace_entry(n: int, grid: Grid2D, thetas, us) -> dict:
 
 def picard_iterate(config: SolverConfig, theta0: SpectralField,
                    u0: SpectralField | None = None, n_max: int = 8,
-                   split: KernelSplit | None = None, n_samples: int = 8) -> IterationTrace:
+                   split: KernelSplit | None = None) -> IterationTrace:
     """Build the approximating sequence and record the decrements D_n.
 
     theta^1 = S_2 theta0 and u^1 = S_2 u0, both frozen in time; for n >= 1,
@@ -731,7 +746,6 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     the fields of iterate ``n_max`` only (``IterationTrace.final``).
     """
     _require_integer("n_max", n_max, 2)
-    _require_integer("n_samples", n_samples, 2)  # D_n is read at the last: t_end, not 0
     if config.c_existence <= 0:
         raise ConfigurationError(
             f"picard_iterate needs c_existence > 0 for its time bound, got {config.c_existence}")
@@ -753,7 +767,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
     n_steps = max(2, int(round(t_end / dt)))
     dt = t_end / n_steps
     step_times = np.arange(n_steps + 1) * dt
-    sample_idx = np.unique(np.linspace(0, n_steps, n_samples).round().astype(int))
+    sample_idx = np.unique(np.linspace(0, n_steps, PICARD_SAMPLES).round().astype(int))
     sample_times = step_times[sample_idx]
 
     def frozen_interp(fields):

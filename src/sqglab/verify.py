@@ -6,11 +6,17 @@ Each check (a) measures the constant or ratio over a seeded random ensemble,
 refinement, and (c) applies two guards: a declared sanity ceiling per check
 and an outlier rule (no trial may exceed 10x the ensemble median).  Every
 check is deterministic given (seed, parameters).
+
+``VARIANTS`` names every check once, with its family, ceiling and default
+box; ``run_check`` runs one by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,31 +24,73 @@ from .dyadic import build_partition, project_block
 from .errors import ConfigurationError, DomainError
 from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, _require_integer, operator_table
-from .kernels import build_split, convolve_near
+from .kernels import build_split, convolve_near, riesz_constant, riesz_convolve
 from .multipliers import (MultiplierSpec, apply_multiplier, bessel, biot_savart_velocity,
                           frac_laplacian, gradient, kato_ponce_commutator, symbol_array)
 from .norms import (WindowFamily, classical_holder_norm, uniformly_local_norm, zygmund_value,
                     zygmund_values)
-from .report import VerificationReport
 from .solver import SolverConfig, Trajectory, advection_tendency, simulate
 
-# sanity caps per check; the substantive criterion is ensemble stability
-RATIO_CEILINGS = {
-    "bernstein": 4.0,        # two-sided spread C/c
-    "lemma_3_1": 4.0,
-    "lemma_A_2": 4.0,
-    "kato_ponce": 20.0,
-    "holder_commutator": 20.0,
-    "lemma_A_3": 20.0,
-    "lemma_3_2": 20.0,
-    "lemma_3_3": 20.0,
-    "embedding": 20.0,
+
+class Check(NamedTuple):
+    family: str  # the runner: check_<family>, or verify_<family>
+    ceiling: float | None  # a sanity cap per grid; the substantive criterion is stability
+    box: float  # the box length L a check runs at unless its params name one
+
+
+VARIANTS = {
+    "bernstein": Check("multiplier_bounds", 4.0, 2.0 * np.pi),  # a two-sided spread C/c
+    "lemma_3_1": Check("multiplier_bounds", 4.0, 2.0 * np.pi),
+    "lemma_A_2": Check("multiplier_bounds", 4.0, 2.0 * np.pi),
+    "kato_ponce": Check("commutators", 20.0, 2.0 * np.pi),
+    "holder_commutator": Check("commutators", 20.0, 2.0 * np.pi),
+    "lemma_A_3": Check("velocity_regularity", 20.0, 2.0 * np.pi),
+    # lemmas 3.2 and 3.3 read compactly concentrated data in unit windows
+    "lemma_3_2": Check("velocity_regularity", 20.0, 16.0),
+    "lemma_3_3": Check("velocity_regularity", 20.0, 16.0),
+    "embedding": Check("velocity_regularity", 20.0, 2.0 * np.pi),
+    # no ceiling: the verdict is the decrease of its errors under refinement
+    "fundamental_solution": Check("fundamental_solution", None, 16.0 * np.pi),
 }
 STABILITY_LIMIT = 0.5
 OUTLIER_FACTOR = 10.0
 MIN_TRIALS = 16
-DEGENERATE_BLOCK = 1e-14
+DEGENERATE_SCALE = 1e-14  # samples whose block norm or bound is below this are skipped
 SPECTRAL_SLOPE = 2.5  # band-limited random fields have |k|^(-SPECTRAL_SLOPE) envelopes
+
+
+@dataclass
+class VerificationReport:
+    """Measured constants/ratios for one check, with a verdict.
+
+    ``verdict`` is ``"pass"`` iff the max measured ratio stays at or below
+    the declared ceiling and the stability variation across refinement is
+    at most 50% (checks may downgrade to ``"warning"`` on soft conditions).
+    """
+
+    check_id: str
+    parameters: dict = field(default_factory=dict)
+    measured: list = field(default_factory=list)
+    verdict: str = "pass"
+    stability: float = 0.0
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+    def csv_rows(self):
+        blob = json.dumps(self.parameters, sort_keys=True, default=str).encode()
+        param_hash = hashlib.sha1(blob).hexdigest()[:10]
+        for i, m in enumerate(self.measured):
+            yield (self.check_id, param_hash, i, m)
+
+    def summary_line(self) -> str:
+        xs = [m for m in self.measured if m == m]
+        lo = min(xs) if xs else float("nan")
+        hi = max(xs) if xs else float("nan")
+        return (f"{self.check_id}: verdict={self.verdict} trials={len(self.measured)} "
+                f"range=[{lo:.4g}, {hi:.4g}] stability={self.stability:.3f}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +102,22 @@ class EnsembleSpec:
     def __post_init__(self):
         _require_integer("count", self.count, 1)
         _require_integer("seed", self.seed, 0)
+
+
+def run_check(name: str, params: dict, ensemble: EnsembleSpec, n_sides) -> VerificationReport:
+    """Run the check ``name`` of ``VARIANTS`` on the grids ``n_sides``, at its
+    table box unless ``params`` names a ``box_length``; each check reads its
+    own keys of ``params``.  ``fundamental_solution`` runs at the finest grid."""
+    check = VARIANTS.get(name)
+    if check is None:
+        raise ConfigurationError(f"unknown check {name!r}")
+    if check.family == "fundamental_solution":
+        return verify_fundamental_solution(
+            params.get("beta", 0.5),
+            Grid2D(max(_grids(n_sides)), params.get("box_length", check.box)))
+    run = {"multiplier_bounds": check_multiplier_bounds, "commutators": check_commutators,
+           "velocity_regularity": check_velocity_regularity}[check.family]
+    return run(name, params, ensemble, n_sides=n_sides)
 
 
 # -- random field generators ---------------------------------------------------
@@ -147,10 +211,56 @@ def _grids(n_sides) -> tuple:
     return n_sides
 
 
-def _block_norm(f: SpectralField, p) -> float:
-    if np.isinf(p):
-        return f.linf()
-    return f.l2()
+class Ratio(NamedTuple):
+    value: float
+    graded: bool = True  # enters its grid's statistic, not only ``measured``
+    row: dict | None = None  # the multiplier family's row fields, less trial and ratio
+
+
+def _ensemble_check(family_name: str, variant: str, params: dict, ensemble: EnsembleSpec,
+                    n_sides, parameters: dict, on_trial, on_grid=None) -> VerificationReport:
+    """The ensemble loop of the three ratio families, and its report.
+
+    On each grid, ``shared = on_grid(grid, details)`` builds what its trials
+    share (and may record ``details``); each trial's ``on_trial(grid, shared,
+    trial)`` yields samples ``(scale, ratios)``.  A sample whose scale is
+    below ``DEGENERATE_SCALE`` is skipped and counted; otherwise
+    ``ratios()``, called before the next sample is drawn, gives its
+    ``Ratio``s.  A grid's statistic is the spread max/min of its graded
+    ratios for the multiplier family, else their max."""
+    check = VARIANTS.get(variant)
+    if check is None or check.family != family_name:
+        raise ConfigurationError(f"unknown variant {variant!r}")
+    n_sides = _grids(n_sides)
+    L = params.get("box_length", check.box)
+    blocks = family_name == "multiplier_bounds"
+    measured, rows, details, per_grid_stat = [], [], {}, {}
+    skipped = 0
+    for n in n_sides:
+        grid = Grid2D(n, L)
+        shared = on_grid(grid, details) if on_grid else None
+        graded = []
+        for trial in range(ensemble.count):
+            for scale, ratios in on_trial(grid, shared, trial):
+                if scale < DEGENERATE_SCALE:
+                    skipped += 1
+                    continue
+                for ratio in ratios():
+                    value = float(ratio.value)
+                    measured.append(value)
+                    if ratio.graded:
+                        graded.append(value)
+                    if ratio.row is not None and len(rows) < 64:
+                        rows.append({**ratio.row, "trial": trial, "ratio": value})
+        arr = np.asarray(graded)  # NaN where a grid measured no ratio
+        stat = (arr.max() / arr.min() if blocks else arr.max()) if len(arr) else np.nan
+        per_grid_stat[n] = float(stat)
+    details = ({"rows": rows, "skipped_degenerate": skipped} if blocks
+               else {"skipped": skipped, **details})
+    parameters = {**parameters, "n_sides": list(n_sides), "L": L,
+                  "seed": ensemble.seed, "count": ensemble.count}
+    return _finish(f"{family_name}:{variant}", parameters, per_grid_stat, measured, check.ceiling,
+                   details, ensemble.count)
 
 
 # -- multiplier bound checks ------------------------------------------------------
@@ -171,77 +281,48 @@ def check_multiplier_bounds(variant: str, params: dict, ensemble: EnsembleSpec,
     samples once, for every p; the samples have the bits of the full-width
     fields'.
     """
-    if variant not in ("bernstein", "lemma_3_1", "lemma_A_2"):
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    n_sides = _grids(n_sides)
     ps = params.get("ps", (2.0, np.inf))
     for p in ps:
         if p not in (2.0, np.inf):
             raise ConfigurationError(f"block norms are L2 or Linf, not p = {p}")
     betas = params.get("betas", (0.5,))
     s_values = params.get("s_values", (0.7,))
-    L = params.get("box_length", 2.0 * np.pi)
 
-    measured = []
-    rows = []
-    per_grid_spread = {}
-    skipped = 0
-    for n in n_sides:
-        grid = Grid2D(n, L)
-        ops = operator_table(grid)
-        fam = build_partition(grid)
-        if len(fam.measured_range()) < 4:
+    def on_grid(grid, details):
+        if len(build_partition(grid).measured_range()) < 4:
             raise ConfigurationError("need at least 4 realizable blocks")
         # (key parameter, order of the normalizing 2^(j order), the derived
         # field's coefficients from the block's)
         if variant == "bernstein":
-            derived = [(None, 1.0, _times(symbol_array(grid, MultiplierSpec("gradient"))))]
-        elif variant == "lemma_3_1":
-            derived = [(s, s, _times(symbol_array(grid, frac_laplacian(s)))) for s in s_values]
-        else:
-            derived = [(beta, beta - 1.0,
-                        _times(symbol_array(grid, MultiplierSpec("constitutive", beta))))
-                       for beta in betas]
-        grid_ratios = []
-        for trial in range(ensemble.count):
-            c = make_field(grid, ensemble, trial).coefficients
-            for j in fam.measured_range():
-                mult, m = fam.delta_band(j, homogeneous=True)
-                cj = c[..., :m] * mult[:, :m]
-                fj = SpectralField._adopt(grid, values=ops.values(cj))
-                fields = None
-                for p in ps:
-                    base = _block_norm(fj, p)
-                    if base < DEGENERATE_BLOCK:
-                        skipped += 1
-                        continue
-                    if fields is None:
-                        fields = [SpectralField._adopt(grid, values=ops.values(op(cj)))
-                                  for _, _, op in derived]
-                    for (param, order, _), g in zip(derived, fields):
-                        ratio = _block_norm(g, p) / (2.0 ** (j * order) * base)
-                        _push(rows, measured, grid_ratios, ratio, (n, p, param), j, trial)
-        arr = np.asarray(grid_ratios)
-        per_grid_spread[n] = float(arr.max() / arr.min()) if len(arr) else np.nan
-    ceiling = RATIO_CEILINGS[variant]
-    return _finish(f"multiplier_bounds:{variant}",
-                   {"ps": [str(p) for p in ps], "betas": list(betas),
-                    "s_values": list(s_values), "n_sides": list(n_sides), "L": L,
-                    "seed": ensemble.seed, "count": ensemble.count},
-                   per_grid_spread, measured, ceiling,
-                   {"rows": rows[:64], "skipped_degenerate": skipped},
-                   ensemble.count)
+            return [(None, 1.0, _times(symbol_array(grid, MultiplierSpec("gradient"))))]
+        if variant == "lemma_3_1":
+            return [(s, s, _times(symbol_array(grid, frac_laplacian(s)))) for s in s_values]
+        return [(beta, beta - 1.0, _times(symbol_array(grid, MultiplierSpec("constitutive", beta))))
+                for beta in betas]
+
+    def on_trial(grid, derived, trial):
+        ops, fam = operator_table(grid), build_partition(grid)
+        c = make_field(grid, ensemble, trial).coefficients
+        for j in fam.measured_range():
+            mult, m = fam.delta_band(j, homogeneous=True)
+            cj = c[..., :m] * mult[:, :m]
+            fj = SpectralField._adopt(grid, values=ops.values(cj))
+            fields = [SpectralField._adopt(grid, values=ops.values(op(cj))) for _, _, op in derived]
+            for p in ps:
+                norm = SpectralField.linf if np.isinf(p) else SpectralField.l2
+                base = norm(fj)
+                yield base, lambda: [Ratio(norm(g) / (2.0 ** (j * order) * base),
+                                           row={"key": (grid.n_side, p, param), "j": j})
+                                     for (param, order, _), g in zip(derived, fields)]
+
+    return _ensemble_check("multiplier_bounds", variant, params, ensemble, n_sides,
+                           {"ps": [str(p) for p in ps], "betas": list(betas),
+                            "s_values": list(s_values)}, on_trial, on_grid)
 
 
 def _times(symbol: np.ndarray):
     """c -> symbol * c on the columns c holds."""
     return lambda c: symbol[..., :c.shape[-1]] * c
-
-
-def _push(rows, measured, grid_ratios, ratio, key, j, trial):
-    measured.append(float(ratio))
-    grid_ratios.append(float(ratio))
-    rows.append({"key": key, "j": j, "trial": trial, "ratio": float(ratio)})
 
 
 # -- commutator checks -------------------------------------------------------------
@@ -264,62 +345,43 @@ def _lp_commutator(u_samples: np.ndarray, theta: SpectralField, j: int,
 
 def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
                       n_sides=(128, 256)) -> VerificationReport:
-    if variant not in ("kato_ponce", "holder_commutator"):
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    n_sides = _grids(n_sides)
     s = params.get("s", 2.5)
     r = params.get("r", 1.5)
     beta = params.get("beta", 0.5)
-    L = params.get("box_length", 2.0 * np.pi)
     if variant == "kato_ponce" and s <= 0:
         raise DomainError("kato_ponce needs s > 0")
 
-    measured = []
-    per_grid = {}
-    skipped = 0
-    for n in n_sides:
-        grid = Grid2D(n, L)
-        j_max = build_partition(grid).j_max
-        cs = []
-        for trial in range(ensemble.count):
-            f = make_field(grid, ensemble, 2 * trial)
-            g = make_field(grid, ensemble, 2 * trial + 1)
-            if variant == "kato_ponce":
-                comm = kato_ponce_commutator(f, g, s)
-                rhs = (gradient(f).linf() * apply_multiplier(g, bessel(s - 1.0)).l2()
-                       + apply_multiplier(f, bessel(s)).l2() * g.linf())
-                if rhs < 1e-14:
-                    skipped += 1
-                    continue
-                cs.append(comm.l2() / rhs)
-            else:
-                u = biot_savart_velocity(f, beta)
-                theta = g
-                grad_u_inf = max(gradient(u.component(0)).linf(),
-                                 gradient(u.component(1)).linf())
-                theta_cr = zygmund_value(theta, r)
-                u_cr, u_cr1 = zygmund_values(u, (r, r + 1.0))
-                rhs1 = gradient(theta).linf() * u_cr + grad_u_inf * theta_cr
-                rhs2 = theta.linf() * u_cr1 + grad_u_inf * theta_cr
-                if min(rhs1, rhs2) < 1e-14:
-                    skipped += 1
-                    continue
-                u_samples = dealiased_samples(u)  # shared by every commutator of the trial
-                advection = _u_dot_grad(u_samples, theta)
-                # one search over the commutators, made one at a time from the
-                # top block down (the largest comes early and bounds the rest);
-                # rounding is monotone, so max_j (cr_j / rhs) = (max_j cr_j) / rhs
-                cr = zygmund_value((_lp_commutator(u_samples, theta, j, advection)
-                                    for j in reversed(range(-1, j_max))), r)
-                cs.append(cr / rhs1)
-                measured.append(float(cr / rhs2))
-            measured.append(float(cs[-1]))
-        per_grid[n] = float(np.max(cs)) if cs else np.nan
-    ceiling = RATIO_CEILINGS[variant]
-    return _finish(f"commutators:{variant}",
-                   {"s": s, "r": r, "beta": beta, "n_sides": list(n_sides), "L": L,
-                    "seed": ensemble.seed, "count": ensemble.count},
-                   per_grid, measured, ceiling, {"skipped": skipped}, ensemble.count)
+    def on_trial(grid, shared, trial):
+        f = make_field(grid, ensemble, 2 * trial)
+        g = make_field(grid, ensemble, 2 * trial + 1)
+        if variant == "kato_ponce":
+            comm = kato_ponce_commutator(f, g, s)
+            rhs = (gradient(f).linf() * apply_multiplier(g, bessel(s - 1.0)).l2()
+                   + apply_multiplier(f, bessel(s)).l2() * g.linf())
+            yield rhs, lambda: [Ratio(comm.l2() / rhs)]
+            return
+        u = biot_savart_velocity(f, beta)
+        theta = g
+        grad_u_inf = max(gradient(u.component(0)).linf(), gradient(u.component(1)).linf())
+        theta_cr = zygmund_value(theta, r)
+        u_cr, u_cr1 = zygmund_values(u, (r, r + 1.0))
+        rhs1 = gradient(theta).linf() * u_cr + grad_u_inf * theta_cr
+        rhs2 = theta.linf() * u_cr1 + grad_u_inf * theta_cr
+
+        def ratios():
+            u_samples = dealiased_samples(u)  # shared by every commutator of the trial
+            advection = _u_dot_grad(u_samples, theta)
+            # one search over the commutators, made one at a time from the
+            # top block down (the largest comes early and bounds the rest);
+            # rounding is monotone, so max_j (cr_j / rhs) = (max_j cr_j) / rhs
+            cr = zygmund_value((_lp_commutator(u_samples, theta, j, advection)
+                                for j in reversed(range(-1, build_partition(grid).j_max))), r)
+            return [Ratio(cr / rhs2, graded=False), Ratio(cr / rhs1)]
+
+        yield min(rhs1, rhs2), ratios
+
+    return _ensemble_check("commutators", variant, params, ensemble, n_sides,
+                           {"s": s, "r": r, "beta": beta}, on_trial)
 
 
 # -- velocity regularity ------------------------------------------------------------
@@ -327,60 +389,87 @@ def check_commutators(variant: str, params: dict, ensemble: EnsembleSpec,
 
 def check_velocity_regularity(variant: str, params: dict, ensemble: EnsembleSpec,
                               n_sides=(128, 256)) -> VerificationReport:
-    if variant not in ("lemma_A_3", "lemma_3_2", "lemma_3_3", "embedding"):
-        raise ConfigurationError(f"unknown variant {variant!r}")
-    n_sides = _grids(n_sides)
     beta = params.get("beta", 0.5)
     r = params.get("r", 1.5)
     s = params.get("s", 1.2)
-    L = params.get("box_length", 2.0 * np.pi if variant in ("lemma_A_3", "embedding") else 16.0)
+    j = int(params.get("j", 1))
 
-    measured = []
-    per_grid = {}
-    details = {}
-    skipped = 0
-    for n in n_sides:
-        grid = Grid2D(n, L)
-        cs = []
+    def on_grid(grid, details):
         split = None
         windows = WindowFamily.build(grid)
         if variant in ("lemma_3_2", "lemma_3_3"):
             split = build_split(grid, beta, oversample=2)
-            details[f"near_transform_max_n{n}"] = split.near_potential_transform_max()
-        for trial in range(ensemble.count):
-            if variant == "lemma_A_3":
-                g = make_field(grid, ensemble, trial)
-                f = biot_savart_velocity(g, beta)
-                rhs = f.linf() + zygmund_value(g, r)
-                lhs = zygmund_value(f, r + 1.0 - beta)
-            elif variant == "embedding":
-                f = make_field(grid, ensemble, trial)
-                j = int(params.get("j", 1))
-                lhs = classical_holder_norm(f, float(j)).value
-                rhs = uniformly_local_norm(f, j + s, windows, "Hs_ul").value
+            details[f"near_transform_max_n{grid.n_side}"] = split.near_potential_transform_max()
+        return windows, split
+
+    def on_trial(grid, shared, trial):
+        windows, split = shared
+        if variant == "lemma_A_3":
+            g = make_field(grid, ensemble, trial)
+            f = biot_savart_velocity(g, beta)
+            rhs = f.linf() + zygmund_value(g, r)
+            lhs = zygmund_value(f, r + 1.0 - beta)
+        elif variant == "embedding":
+            f = make_field(grid, ensemble, trial)
+            lhs = classical_holder_norm(f, float(j)).value
+            rhs = uniformly_local_norm(f, j + s, windows, "Hs_ul").value
+        else:
+            theta = _bump_field(grid, ensemble, trial)
+            v = convolve_near(split, theta)
+            if variant == "lemma_3_2":
+                lhs = uniformly_local_norm(v, s, windows, "Hs_ul", homogeneous=True).value
+                rhs = (uniformly_local_norm(theta, s - 1.0 + beta, windows, "Hs_ul",
+                                            homogeneous=True).value
+                       + uniformly_local_norm(theta, 2.0, windows, "Lp_ul").value)
             else:
-                theta = _bump_field(grid, ensemble, trial)
-                v = convolve_near(split, theta)
-                if variant == "lemma_3_2":
-                    lhs = uniformly_local_norm(v, s, windows, "Hs_ul", homogeneous=True).value
-                    rhs = (uniformly_local_norm(theta, s - 1.0 + beta, windows, "Hs_ul",
-                                                homogeneous=True).value
-                           + uniformly_local_norm(theta, 2.0, windows, "Lp_ul").value)
-                else:
-                    lhs = uniformly_local_norm(v, s, windows, "Hs_ul").value
-                    rhs = uniformly_local_norm(theta, s - 1.0 + beta, windows, "Hs_ul").value
-            if rhs < 1e-14:
-                skipped += 1
-                continue
-            cs.append(lhs / rhs)
-            measured.append(float(cs[-1]))
-        per_grid[n] = float(np.max(cs)) if cs else np.nan
-    ceiling = RATIO_CEILINGS[variant]
-    return _finish(f"velocity_regularity:{variant}",
-                   {"beta": beta, "r": r, "s": s, "n_sides": list(n_sides), "L": L,
-                    "seed": ensemble.seed, "count": ensemble.count},
-                   per_grid, measured, ceiling,
-                   {"skipped": skipped, **details}, ensemble.count)
+                lhs = uniformly_local_norm(v, s, windows, "Hs_ul").value
+                rhs = uniformly_local_norm(theta, s - 1.0 + beta, windows, "Hs_ul").value
+        yield rhs, lambda: [Ratio(lhs / rhs)]
+
+    return _ensemble_check("velocity_regularity", variant, params, ensemble, n_sides,
+                           {"beta": beta, "r": r, "s": s}, on_trial, on_grid)
+
+
+# -- the kernel's fundamental solution ------------------------------------------------
+
+
+def verify_fundamental_solution(beta: float, grid: Grid2D) -> VerificationReport:
+    """Check that (-Laplace)^(1-beta/2)(Phi_beta * g) recovers a Gaussian g of
+    width L/20, on n/4, n/2 and n points a side (at least 64).
+
+    The comparison target is g minus its box mean (the torus inverse acts
+    on mean-free functions).  Verdict fails unless the relative L^2 error
+    decreases at every refinement step.
+    """
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    sigma = grid.box_length / 20.0
+    errors = []
+    ns = []
+    for divisor in (4, 2, 1):
+        n = max(64, grid.n_side // divisor)
+        sub = Grid2D(n, grid.box_length)
+        x1, x2 = sub.coords_centered()
+        g = SpectralField.from_values(sub, np.exp(-(x1**2 + x2**2) / (2.0 * sigma**2)))
+        pot = riesz_convolve(g, beta)
+        back = apply_multiplier(pot, frac_laplacian(2.0 - beta))
+        target = SpectralField.from_values(sub, g.values - g.mean())
+        err = (back - target).l2() / target.l2()
+        ns.append(n)
+        errors.append(float(err))
+    decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1)
+                     if ns[i + 1] != ns[i])
+    verdict = "pass" if decreasing else "fail"
+    stability = max(errors) / max(min(errors), 1e-300) - 1.0
+    return VerificationReport(
+        check_id=f"fundamental_solution:beta={beta:g}",
+        parameters={"beta": beta, "c_beta": riesz_constant(beta),
+                    "sigma": sigma, "L": grid.box_length, "n_levels": ns},
+        measured=errors,
+        verdict=verdict,
+        stability=stability,
+        details={"errors_by_n": dict(zip(ns, errors))},
+    )
 
 
 # -- Gronwall utility ---------------------------------------------------------------
@@ -421,7 +510,6 @@ def check_apriori_bounds(trajectory: Trajectory, variant: str, params: dict,
     s = params.get("s", 2.5)
     r = params.get("r", 2.5)
     beta = params.get("beta", 0.5)
-    details = {}
     verdict = "pass"
 
     def fit(traj):
@@ -449,9 +537,8 @@ def check_apriori_bounds(trajectory: Trajectory, variant: str, params: dict,
         ratios = uh / (th + uc1)
         return float(ratios.max()), {"ratios": ratios.tolist()}
 
-    k1, extra = fit(trajectory)
+    k1, details = fit(trajectory)
     measured = [k1]
-    details.update(extra)
     stability = 0.0
     if refinement_trajectory is not None:
         k2, extra2 = fit(refinement_trajectory)
@@ -479,6 +566,9 @@ def twin_run_experiment(config: SolverConfig, theta0: SpectralField,
     Lambda comes from a log-linear regression of the gap, K is then the
     smallest prefactor making the bound dominate every sample.
     """
+    if perturbation.linf() == 0.0 or 0.0 in deltas:
+        raise ConfigurationError(f"twin runs need a nonzero perturbation and nonzero deltas, "
+                                 f"got deltas {list(deltas)}")
     base = simulate(config, theta0)
     ts = np.asarray(base.times)
     lams, ks = [], []

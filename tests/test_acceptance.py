@@ -21,13 +21,14 @@ import numpy as np
 from sqglab.dyadic import build_partition, chi_profile, phi_profile, project_block
 from sqglab.fields import SpectralField, dealias
 from sqglab.grid import Grid2D, operator_table
-from sqglab.kernels import build_split, verify_fundamental_solution
+from sqglab.kernels import build_split
 from sqglab.multipliers import apply_multiplier, bessel, biot_savart_velocity, frac_laplacian
 from sqglab.norms import WindowFamily, classical_holder_norm, sobolev_norm, uniformly_local_norm, zygmund_norm
 from sqglab.solver import (SolverConfig, existence_time, picard_iterate, simulate,
                            velocity_serfati)
 from sqglab.verify import (EnsembleSpec, check_apriori_bounds, check_multiplier_bounds,
-                           cumulative_trapezoid, make_field, twin_run_experiment)
+                           cumulative_trapezoid, make_field, twin_run_experiment,
+                           verify_fundamental_solution)
 
 from test_multipliers import pure_mode
 

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sqglab import cli
+from sqglab import verify
 from sqglab.cli import main, validate_config
 from sqglab.errors import ConfigurationError
-from sqglab.report import VerificationReport
+from sqglab.verify import VerificationReport
 
 
 class TestConfigValidation:
@@ -97,13 +97,13 @@ def _record_verify_boxes(monkeypatch) -> dict:
         return VerificationReport(check_id=name)
 
     for check in ("check_multiplier_bounds", "check_commutators", "check_velocity_regularity"):
-        monkeypatch.setattr(cli, check, stub)
+        monkeypatch.setattr(verify, check, stub)
 
     def fundamental(beta, grid):
         boxes["fundamental_solution"] = grid.box_length
         return VerificationReport(check_id="fundamental_solution")
 
-    monkeypatch.setattr(cli, "verify_fundamental_solution", fundamental)
+    monkeypatch.setattr(verify, "verify_fundamental_solution", fundamental)
     return boxes
 
 
@@ -169,6 +169,23 @@ class TestSimulateCommand:
         assert main(args) == 2
         bad = flag[-1] if flag else config["sample_every"]
         assert f"sample_every must be an integer >= 0, got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "norms.csv").exists()
+
+    @pytest.mark.parametrize("flag, config, named", [
+        (["--record", "linf:thetaa"], None, "linf:thetaa"),  # recorded u's sup norm
+        (["--record", "cr:theta"], None, "cr:theta"),  # ended in an IndexError
+        ([], {"record_norms": "linf:theta"}, "linf:theta"),  # a string, not a list
+    ])
+    def test_malformed_norm_descriptor_is_a_config_error(self, tmp_path, capsys, flag,
+                                                         config, named):
+        args = ["simulate", "--n-side", "32", "--dt", "0.01", "--t-end", "0.02", *flag,
+                "--out", str(tmp_path)]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"command": "simulate", "params": config}))
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        assert repr(named) in capsys.readouterr().err
         assert not (tmp_path / "norms.csv").exists()
 
     def test_manifest_round_trip(self, tmp_path):

@@ -15,10 +15,11 @@ from sqglab.kernels import (CutoffA, _far_samples, _mid_samples, _near_samples, 
                             _phi_short_derivs, build_split,
                             convolve_far, convolve_near, far_flux_integral, riesz_constant,
                             riesz_convolve, riesz_transfer, sample_near,
-                            split_consistency_error, verify_fundamental_solution)
+                            split_consistency_error)
 from sqglab.multipliers import (apply_multiplier, biot_savart_velocity, dealiased_product, divergence,
                                 frac_laplacian)
 from sqglab.norms import WindowFamily, window_profile
+from sqglab.verify import verify_fundamental_solution
 
 from conftest import random_real_field
 

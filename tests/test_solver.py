@@ -385,6 +385,21 @@ class TestNormRecorder:
         assert built == [grid64] and rec.windows.scale == 1.0
         assert out[1][2] == out[4][2] > 0.0
 
+    @pytest.mark.parametrize("record, named", [
+        (("linf:thetaa",), "linf:thetaa"),  # an unknown target used to read u
+        (("lnf:theta",), "lnf:theta"),
+        (("cr:theta",), "cr:theta"),  # a missing order used to end in an IndexError
+        (("cr:theta:x",), "cr:theta:x"),
+        ("linf:theta", "linf:theta"),  # a string, not a list of descriptors
+    ])
+    def test_malformed_descriptor_rejected_before_any_step(self, grid64, monkeypatch,
+                                                           record, named):
+        monkeypatch.setattr(solver, "step_transport", None)  # raising on any step
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.02, n_side=64, c_existence=0,
+                           record_norms=record)
+        with pytest.raises(ConfigurationError, match=re.escape(repr(named))):
+            simulate(cfg, random_real_field(grid64, seed=8))
+
 
 class TestSimulate:
     def test_zero_data(self, grid64):
@@ -1049,6 +1064,16 @@ class TestFlowMap:
         for i, t in enumerate(times):
             np.testing.assert_array_equal(_interp_velocity_time(times, u_vals, t), u_vals[i])
 
+    @pytest.mark.parametrize("dt, t_end", [(0.0, 0.05), (np.nan, 0.05), (np.inf, 0.05),
+                                           (-0.01, 0.05), (0.01, -1.0), (0.01, np.nan),
+                                           (0.01, np.inf)])
+    def test_bad_step_or_end_rejected(self, grid64, dt, t_end):
+        # these overflowed, ran a step forward for a negative dt, or
+        # extrapolated the cubic backward in time
+        u = SpectralField.zeros(grid64, 2)
+        with pytest.raises(ConfigurationError, match="finite dt > 0 and t_end >= 0"):
+            flow_map(([0.0, 1.0], [u, u]), np.zeros((1, 2)), dt, t_end)
+
     def test_zero_velocity_fixes_points(self, grid64):
         u = SpectralField.zeros(grid64, 2)
         pts = np.array([[1.0, 2.0], [3.0, 0.5]])
@@ -1360,23 +1385,6 @@ class TestPicard:
         message = f"n_max must be an integer >= 2, got {n_max}"
         with pytest.raises(ConfigurationError, match=message):
             picard_iterate(cfg, theta0, n_max=n_max)
-
-    @pytest.mark.parametrize("n_samples", [0, 1])
-    def test_requires_two_samples(self, picard_grid, n_samples):
-        # one sample would be t = 0 only, where D_n and the ratios would be read
-        theta0 = single_shell_state(picard_grid)
-        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
-        message = f"n_samples must be an integer >= 2, got {n_samples}"
-        with pytest.raises(ConfigurationError, match=message):
-            picard_iterate(cfg, theta0, n_max=2, n_samples=n_samples)
-
-    @pytest.mark.parametrize("n_samples", [3.0, 2.5, True])
-    def test_n_samples_must_be_an_integer(self, picard_grid, n_samples):
-        theta0 = single_shell_state(picard_grid)
-        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=128, box_length=16.0)
-        message = f"n_samples must be an integer >= 2, got {n_samples}"
-        with pytest.raises(ConfigurationError, match=message):
-            picard_iterate(cfg, theta0, n_max=2, n_samples=n_samples)
 
 
 class TestSplitFitsTheRun:

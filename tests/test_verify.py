@@ -359,6 +359,17 @@ class TestAprioriBounds:
 
 
 class TestTwinRun:
+    @pytest.mark.parametrize("scale, deltas", [(0.0, (1e-3, 1e-4)), (1.0, (1e-3, 0.0))])
+    def test_zero_perturbation_rejected_before_the_runs(self, monkeypatch, scale, deltas):
+        # every gap would be 0, leaving the growth fit no point
+        monkeypatch.setattr(verify, "simulate", None)  # raising on any run
+        grid = Grid2D(32)
+        theta0 = make_field(grid, EnsembleSpec(seed=3), 0)
+        pert = make_field(grid, EnsembleSpec(seed=5), 0) * scale
+        cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=32, c_existence=0)
+        with pytest.raises(ConfigurationError, match="nonzero perturbation and nonzero deltas"):
+            twin_run_experiment(cfg, theta0, pert, deltas=deltas)
+
     def test_growth_fit_stable(self):
         grid = Grid2D(128)
         x1, x2 = grid.coords_centered()
