@@ -29,10 +29,10 @@ from .solver import SolverConfig, picard_iterate, simulate
 from .verify import EnsembleSpec, _grids, make_field, run_check, verify_fundamental_solution
 
 # every parameter a config may set, per command, with its default; the
-# verify box_length None runs each check at its own box
+# verify s and box_length None run each check at its own order and box
 DEFAULTS = {
     "verify": {"checks": [], "count": 16, "n_sides": [128, 256], "beta": 0.5,
-               "betas": [0.25, 0.5, 0.75], "s": 2.5, "s_values": [0.3, 0.7], "r": 1.5,
+               "betas": [0.25, 0.5, 0.75], "s": None, "s_values": [0.3, 0.7], "r": 1.5,
                "ps": ["2", "inf"], "box_length": None},
     "simulate": {"beta": 0.5, "n_side": 256, "box_length": 2 * np.pi, "dt": 1e-3,
                  "t_end": 1.0, "constitutive": "direct", "ic": "radial", "sigma": 0.1,
@@ -156,11 +156,12 @@ def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
     ens = EnsembleSpec(count=p["count"], seed=cfg.seed)
     # every list converted and n_sides checked before any check runs
     params = {key: _numbers(key, p[key]) for key in ("ps", "betas", "s_values")}
-    params.update(s=p["s"], r=p["r"], beta=p["beta"])
+    params.update(r=p["r"], beta=p["beta"])
     n_sides = _grids(p["n_sides"])
-    # each check runs at its own box unless the config names one
-    if p["box_length"] is not None:
-        params["box_length"] = p["box_length"]
+    # each check runs at its own order and box unless the config names them
+    for key in ("s", "box_length"):
+        if p[key] is not None:
+            params[key] = p[key]
     reports, rows = [], []
     for name in p["checks"]:
         rep = run_check(name, params, ens, n_sides)

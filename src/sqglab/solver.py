@@ -21,31 +21,19 @@ first step); its dealiased samples serve the transport step and the
 predictor's far flux, and the new theta's the predictor and the corrector.
 A step holds only the arrays it still reads: its sums are formed in place
 with the plain expressions' bits, and each temporary is dropped after its
-last read.  A stored sample keeps theta as the samples its norms were
-measured from, shared with the state and without coefficients; under the
-direct law it keeps theta's coefficients too, and u is their constitutive
-velocity, made on read; under serfati it keeps the state's u (see
-:class:`Trajectory`).
+last read.  A stored direct-law sample keeps one array, the state's theta
+coefficients, and theta and u are made of it on read; a serfati sample
+keeps theta as the samples its norms were measured from, shared with the
+state, and the state's u (see :class:`Trajectory`).
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
 reconstruction on samples and steps theta by the previous iterate's
-velocity through :func:`frozen_velocity`.  An
-iterate is one pass over the steps: each transport step is followed by the
-reconstruction step of the theta it made, so an iterate keeps u at every
-step (the next iterate transports by it) but theta only at the sample
-times.  The trace keeps D_n of every iterate and the fields of the last
-iterate only, made once after the loop (theta as the samples its D_n was
-measured from, and u's samples), so its size does not grow with the
-iterate count.  Where a
-step's last stage time is a step time of the previous iterate (a node, where
-the Catmull-Rom weights are a unit vector and the interpolant is the stored
-samples themselves), the frozen velocity's dealiased samples there are
-those of the previous iterate's u at that step, and its far flux takes them
-instead of making them again (iterates after the second, whose u holds
-samples only).  Stage times accumulate t + dt, which can miss a step time
-by an ulp: at the bench Picard run's seed 1, 5 of its 16 steps (k = 6, 7,
-12, 13 and 14) land off their node and make their own.
+velocity through :func:`frozen_velocity`.  An iterate is one pass over the
+steps, each transport step followed by the reconstruction step of the
+theta it made, so it keeps u at every step but theta only at the sample
+times; the trace keeps D_n of every iterate and the fields of the last one
+only (:class:`IterationTrace`).
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -139,26 +127,46 @@ class SimState:
     theta0_linf: float = 0.0
 
 
+class TrajectoryFields(Sequence):
+    """A trajectory's fields at its sample times, read-only.  An entry stored
+    as a field is returned as it is; one stored as an array (a direct-law
+    state's theta coefficients) is made into a fresh field by ``read`` on
+    each read, so no read caches anything on the trajectory."""
+
+    def __init__(self, read=None):
+        self._read = read
+        self._stored = []
+
+    def append(self, entry):
+        self._stored.append(entry)
+
+    def __len__(self) -> int:
+        return len(self._stored)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        entry = self._stored[i]
+        return entry if isinstance(entry, SpectralField) else self._read(entry)
+
+
 @dataclass
 class Trajectory:
     """Fields and norms of a ``simulate`` run at its sample times.
 
-    ``thetas[i]`` holds theta's samples only, the array the recorded norms
-    were measured from, shared with the run's state and with no coefficient
-    copy.  ``us`` is the state's velocity at each sample
-    (:class:`TrajectoryVelocities`): ``us[0]`` is u0 in the representations
-    it arrived in (coefficients, when ``simulate`` made it); later entries
-    are the Leray projection the serfati state stored, and under the direct
-    law the constitutive velocity of the state's theta coefficients, which
-    are kept instead of it and multiplied on read.  ``final_state`` is the
-    whole last state, theta's coefficients and u included, and its ``far``
-    integral (kept when the run has a kernel split), which
-    ``velocity_serfati`` reads.
+    Under the direct law a sample keeps one array, its state's theta
+    coefficients (shared): ``thetas[i]`` holds them and ``us[i]`` (i >= 1)
+    is their constitutive velocity, with the bits of the state's u, both
+    made on read (:class:`TrajectoryFields`).  Under serfati ``thetas[i]``
+    holds the samples the norms were measured from, shared with the state,
+    and ``us[i]`` is the state's Leray projection.  ``us[0]`` is u0 as it
+    arrived.  ``final_state`` is the whole last state, with its ``far``
+    integral when the run has a kernel split, which ``velocity_serfati`` reads.
     """
 
     times: list = dc_field(default_factory=list)
-    thetas: list = dc_field(default_factory=list)
-    us: "TrajectoryVelocities" = None
+    thetas: TrajectoryFields = dc_field(default_factory=TrajectoryFields)
+    us: TrajectoryFields = dc_field(default_factory=TrajectoryFields)
     norms: list = dc_field(default_factory=list)  # (t, kind, value)
     diagnostics: dict = dc_field(default_factory=dict)
     final_state: "SimState" = None
@@ -167,49 +175,6 @@ class Trajectory:
         ts = [t for t, k, _ in self.norms if k == kind]
         vs = [v for _, k, v in self.norms if k == kind]
         return np.asarray(ts), np.asarray(vs)
-
-
-class TrajectoryVelocities(Sequence):
-    """u at a trajectory's sample times, as a read-only sequence.
-
-    ``self[0]`` is u0 as it arrived.  A later entry is the state's stored u,
-    or, given ``beta`` (the direct law), ``biot_savart_velocity`` of the
-    state's theta coefficients: the multiply the run made of the same array,
-    so the entry has the bits of the state's u.  Those coefficients are made
-    on each read and not kept.  :meth:`samples` keeps an entry's samples
-    once read, so a second ``flow_map`` transforms nothing.
-    """
-
-    def __init__(self, u0: SpectralField, beta: float | None = None):
-        self._u0 = u0
-        self._beta = beta
-        self._stored = []  # the states' u, or under the direct law their theta coefficients
-        self._samples = {}
-
-    def append(self, state: SimState):
-        self._stored.append(state.u if self._beta is None else state.theta.coefficients)
-
-    def __len__(self) -> int:
-        return 1 + len(self._stored)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        if i == 0:
-            return self._u0
-        if self._beta is None:
-            return self._stored[i - 1]
-        theta = SpectralField._adopt(self._u0.grid, coefficients=self._stored[i - 1])
-        u = biot_savart_velocity(theta, self._beta)
-        return SpectralField._adopt(u.grid, values=self._samples.get(i), coefficients=u.coefficients)
-
-    def samples(self, i: int) -> np.ndarray:
-        """The samples of ``self[i]``, kept after the first read."""
-        i = range(len(self))[i]
-        if i not in self._samples:
-            self._samples[i] = self[i].values
-        return self._samples[i]
 
 
 @dataclass
@@ -257,28 +222,38 @@ def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralF
     return SpectralField._adopt(theta.grid, coefficients=c)
 
 
-def leray_project(u: SpectralField) -> SpectralField:
-    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients.
-
-    Every product lands in the one output array; the operations and their
-    order are those of the plain expression, so the bits are too.
-    """
-    ops = operator_table(u.grid)
-    k1, k2 = ops.k1, ops.k2
+def leray_project(u: SpectralField, *, overwrite: bool = False) -> SpectralField:
+    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients:
+    formed in a copy of u's coefficients or, with ``overwrite`` (as scipy's
+    ``overwrite_x``: the caller gives u up), in u's own array.  Rows go in
+    blocks with two block-sized scratch arrays; each coefficient sees the
+    plain expression's operations in its order, so it has its bits."""
+    grid = u.grid
     c = u.coefficients
-    out = np.empty_like(c)
-    div = out[0]  # (k . c) / |k|^2 lives in out[0] until the last product
-    np.multiply(k1, c[0], out=div)
-    np.multiply(k2, c[1], out=out[1])
-    div += out[1]
-    with np.errstate(invalid="ignore"):
-        div /= ops.ksq
-    div[0, 0] = 0.0
-    np.multiply(k2, div, out=out[1])
-    np.subtract(c[1], out[1], out=out[1])
-    np.multiply(k1, div, out=out[0])
-    np.subtract(c[0], out[0], out=out[0])
-    return SpectralField._adopt(u.grid, coefficients=out)
+    if overwrite:
+        c.flags.writeable = True
+    else:
+        c = c.copy()
+    ops = operator_table(grid)
+    k1, k2 = ops.k1, ops.k2
+    rows = min(32, grid.n_side)  # per block
+    scratch = np.empty((2, rows, c.shape[-1]), dtype=np.complex128)
+    for lo in range(0, grid.n_side, rows):
+        block = slice(lo, lo + rows)
+        c0, c1 = c[0, block], c[1, block]
+        div, prod = scratch[:, :len(c0)]
+        np.multiply(k1[block], c0, out=div)
+        np.multiply(k2, c1, out=prod)
+        div += prod
+        with np.errstate(invalid="ignore"):
+            div /= ops.ksq[block]
+        if lo == 0:
+            div[0, 0] = 0.0
+        np.multiply(k2, div, out=prod)
+        c1 -= prod
+        np.multiply(k1[block], div, out=div)
+        c0 -= div
+    return SpectralField._adopt(grid, coefficients=c)
 
 
 def cfl_dt(u: SpectralField, grid: Grid2D, dt: float) -> float:
@@ -383,9 +358,10 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
     coefficients only, and costs no transform when its inputs hold
     coefficients.
 
-    Formed in one fresh array w, in this order: w = u0 + near, then w = w -
-    acc, each sum in the representation ``SpectralField`` arithmetic chooses
-    for it; so the bits are those of ``u0 + near - acc``.
+    Formed in one array w, the near convolution's own (a fresh field this
+    call made and nothing else reads), in this order: w = u0 + near, then
+    w = w - acc, each sum in the representation ``SpectralField``
+    arithmetic chooses for it; so the bits are those of ``u0 + near - acc``.
     """
     far = state.far
     if far is not None and abs(far.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
@@ -393,8 +369,9 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
     # theta - theta0 is read once, by the convolution, and dies with it
     near = convolve_near(split, SpectralField._adopt(
         u0.grid, coefficients=state.theta.coefficients - theta0.coefficients))
-    kind, a, b = u0._operands(near)
-    w = a + b
+    kind, a, w = u0._operands(near)
+    w.flags.writeable = True  # near's array, private to this call
+    np.add(a, w, out=w)
     if far is not None:
         kind, w, acc = _operands_into(w, kind, far.acc)
         np.subtract(w, acc, out=w)
@@ -498,7 +475,8 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         u0 = biot_savart_velocity(theta0, config.beta)
     # every read of u0 caches on this wrapper, so u0 is stored as it came
     u0_read = u0._shallow()
-    if config.constitutive == "direct":
+    direct = config.constitutive == "direct"
+    if direct:
         gap = (u0_read - biot_savart_velocity(theta0, config.beta)).linf()
         if gap > 1e-6 * max(u0_read.linf(), 1e-300):
             raise ConfigurationError(
@@ -506,7 +484,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             )
     if split is not None:
         split.check_fits(grid, config.beta)
-    elif config.constitutive == "serfati":
+    elif not direct:
         split = build_split(grid, config.beta)
 
     dt = cfl_dt(u0_read, grid, config.dt)
@@ -519,28 +497,32 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     dt = t_stop / n_steps
     sample_every = config.sample_every or max(1, n_steps // 64)
 
-    # the direct law's u is derived from theta's coefficients on read
-    traj = Trajectory(us=TrajectoryVelocities(
-        u0, config.beta if config.constitutive == "direct" else None))
+    traj = Trajectory()
+    if direct:  # a sample keeps theta's coefficients only; theta and u are made on read
+        theta_of = functools.partial(SpectralField._adopt, grid, None)  # coefficients -> field
+        traj.thetas = TrajectoryFields(theta_of)
+        traj.us = TrajectoryFields(lambda c: biot_savart_velocity(theta_of(c), config.beta))
 
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
     if split is not None:
         state.far = FarIntegral(SpectralField.zeros(grid, components=2),
                                 convolve_far(split, theta0, u0_read))
 
-    def store(state: SimState):
+    def store(state: SimState, u):
         traj.times.append(state.t)
         recorder.record(traj.norms, state.t, state.theta, state.u)
-        # theta's samples, which the norms read, shared with the state; no coefficients
-        traj.thetas.append(SpectralField._adopt(grid, values=state.theta.values))
+        # direct: theta's coefficients; serfati: the samples the norms read
+        traj.thetas.append(state.theta.coefficients if direct
+                           else SpectralField._adopt(grid, values=state.theta.values))
+        traj.us.append(u)
 
-    store(state)
+    store(state, u0)
     l2_0 = theta0.l2()
-    if config.constitutive == "serfati":
+    if not direct:
         u_adv = leray_project(u0_read)  # the first step's; later steps advect by state.u
 
     for k in range(n_steps):
-        if config.constitutive == "direct":
+        if direct:
             new = step_transport(
                 state, lambda t, th: dealiased_samples(biot_savart_velocity(th, config.beta)), dt)
             new.u = biot_savart_velocity(new.theta, config.beta)
@@ -565,12 +547,13 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             new.far = state.far.advance(dt, integ)
             # the reconstruction is divergence-free in the continuum; project
             # away the sampling residue so the state velocity stays solenoidal,
-            # and advect the next step by that stored projection
-            new.u = u_adv = leray_project(velocity_serfati(new, u0_read, theta0, split))
+            # in the reconstruction's own array, and advect the next step by
+            # that stored projection
+            new.u = u_adv = leray_project(velocity_serfati(new, u0_read, theta0, split),
+                                          overwrite=True)
         state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            store(state)
-            traj.us.append(state)
+            store(state, state.theta.coefficients if direct else state.u)
 
     traj.diagnostics = {
         "dt": dt,
@@ -658,42 +641,56 @@ def _bilinear_sample(planes, pts: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 
 def flow_map(u_trajectory, particles, dt: float, t_end: float | None = None):
-    """Integrate particle paths dX/dt = u(t, X) with RK4.
+    """Integrate particle paths dX/dt = u(t, X) with RK4 from t = 0 to
+    ``t_end``, at most the last sample time (its default).
 
-    ``u_trajectory`` is either a ``Trajectory``, whose velocities' samples
-    are kept after this read (:meth:`TrajectoryVelocities.samples`), or a
-    pair (times, fields).
+    ``u_trajectory`` is a ``Trajectory`` (its ``us``) or a pair (times,
+    fields); ``particles`` is a finite (m, 2) array.
     Velocity is bilinear in space and Catmull-Rom (cubic) in time; each
     evaluation samples the (at most 4) time nodes at the particles and then
     combines them in time, so it costs O(particles), not O(n^2).  The time
     weights are computed once per distinct time: a step's two midpoint
-    stages share them, and its end time is the next step's start.
+    stages share them, and its end time is the next step's start.  A node's
+    velocity samples are made when a step first needs them, through a
+    shallow read that caches nothing on the stored or caller's field, and
+    dropped once the window has passed the node, so about 5 are held.
     Returns an array of positions (n_times, n_particles, 2) including t=0.
     """
-    if isinstance(u_trajectory, Trajectory):
-        times = np.asarray(u_trajectory.times)
-        us = u_trajectory.us
-        grid = us[0].grid
-        planes = [us.samples(i).reshape(2, -1) for i in range(len(us))]
-    else:
-        times, fields = u_trajectory
-        times = np.asarray(times)
-        grid = fields[0].grid
-        planes = [f.values.reshape(2, -1) for f in fields]
+    times, fields = ((u_trajectory.times, u_trajectory.us)
+                     if isinstance(u_trajectory, Trajectory) else u_trajectory)
+    times = np.asarray(times, dtype=np.float64)
+    grid = fields[0].grid
     t_end = times[-1] if t_end is None else t_end
     if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_end) and t_end >= 0):
         raise ConfigurationError(f"flow_map needs finite dt > 0 and t_end >= 0, got {dt}, {t_end}")
+    if t_end > times[-1] + 1e-12 * max(1.0, abs(times[-1])):
+        raise ConfigurationError(
+            f"flow_map t_end={t_end} lies past the trajectory's last time {times[-1]}")
+    try:
+        pts = np.array(particles, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"flow_map particles are not an array of numbers: {exc}") from None
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+        raise ConfigurationError(f"flow_map particles must be a finite (m, 2) array, got shape "
+                                 f"{pts.shape} with {np.count_nonzero(~np.isfinite(pts))} not finite")
 
-    pts = np.asarray(particles, dtype=np.float64).copy()
     L = grid.box_length
     out = [pts.copy()]
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps
     t = 0.0
 
+    kept = {}  # node index -> its velocity samples as (2, n^2) planes
+
     def nodes(tq):
+        # the clamp absorbs the ulp by which accumulated steps overshoot t_end
         idx, w = _catmull_rom_weights(times, min(tq, times[-1]))
-        return [planes[i] for i in idx], w[None]
+        for i in [i for i in kept if i < idx[0]]:  # passed: later times read later nodes
+            del kept[i]
+        for i in idx:
+            if i not in kept:
+                kept[i] = fields[i]._shallow().values.reshape(2, -1)
+        return [kept[i] for i in idx], w[None]
 
     def vel(node, p):
         at, w = node

@@ -57,7 +57,7 @@ def test_direct_biot_savart_calls(monkeypatch, steps):
 
 def test_direct_velocities_derived_on_read(monkeypatch):
     # the run stores theta's coefficients; each read of us[i], i >= 1, is one
-    # multiply, us[0] (u0) none, and a flow map's samples are made once
+    # multiply, us[0] (u0) none, and every flow map reads each node once
     grid = Grid2D(32)
     steps = 3
     calls = count_calls(monkeypatch, multipliers.biot_savart_velocity)
@@ -71,9 +71,9 @@ def test_direct_velocities_derived_on_read(monkeypatch):
     assert len(calls) == 5 * steps + 3
     list(traj.us)
     assert len(calls) == 6 * steps + 3
-    for _ in range(2):
+    for i in range(2):
         solver.flow_map(traj, np.zeros((1, 2)), 0.01)
-        assert len(calls) == 7 * steps + 3
+        assert len(calls) == (7 + i) * steps + 3
 
 
 @pytest.mark.parametrize("steps", [1, 3])

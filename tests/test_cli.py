@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sqglab import verify
+from sqglab import cli, verify
 from sqglab.cli import main, validate_config
 from sqglab.errors import ConfigurationError
 from sqglab.verify import VerificationReport
@@ -137,6 +137,39 @@ class TestVerifyBoxLength:
         assert boxes == {**dict.fromkeys(self.CHECKS[:-1]),
                          "fundamental_solution": 16.0 * np.pi}
         assert manifest["box_length"] is None
+
+
+class TestVerifyOrder:
+    """Each check runs at its own s unless the config names one."""
+
+    # the library's defaults: check_commutators 2.5, check_velocity_regularity 1.2
+    CHECKS = {"kato_ponce": 2.5, "embedding": 1.2, "lemma_3_2": 1.2, "lemma_3_3": 1.2}
+
+    def _orders(self, monkeypatch, tmp_path, *flags) -> tuple[dict, dict]:
+        reports = []
+
+        def recording(*args):
+            reports.append(verify.run_check(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_check", recording)
+        checks = [arg for name in self.CHECKS for arg in ("--check", name)]
+        assert main(["verify", *checks, "--n", "128", "--count", "2", *flags,
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())["params"]
+        return {rep.check_id.split(":")[1]: rep.parameters["s"] for rep in reports}, manifest
+
+    def test_default_leaves_each_check_its_own_order(self, monkeypatch, tmp_path):
+        # every check ran at s = 2.5, the Kato-Ponce order: embedding compared
+        # C^1 with H^3.5_ul and failed on stability
+        orders, manifest = self._orders(monkeypatch, tmp_path)
+        assert orders == self.CHECKS
+        assert manifest["s"] is None
+
+    def test_given_order_reaches_every_check(self, monkeypatch, tmp_path):
+        orders, manifest = self._orders(monkeypatch, tmp_path, "--s", "1.7")
+        assert orders == dict.fromkeys(self.CHECKS, 1.7)
+        assert manifest["s"] == 1.7
 
 
 class TestSimulateCommand:

@@ -534,6 +534,15 @@ class TestFundamentalSolution:
         assert rep.verdict == "pass"
         assert rep.measured[-1] <= 1e-2
 
+    def test_stability_does_not_read_the_decrease_as_drift(self):
+        # the decreasing errors were reported as stability = max/min - 1, so a
+        # passing run printed stability=11.301 beside the other checks' drift
+        rep = verify_fundamental_solution(0.5, Grid2D(256, 16 * np.pi))
+        errs = rep.measured
+        assert rep.verdict == "pass" and errs[0] > errs[-1]
+        assert rep.stability == 0.0 and "stability=0.000" in rep.summary_line()
+        assert rep.details["error_ratio"] == max(errs) / min(errs) > 1.0
+
     def test_linearity_of_residual(self):
         # residual operator is linear: antisymmetric input pair -> antisymmetric residuals
         g = Grid2D(128, 16 * np.pi)
