@@ -136,8 +136,9 @@ class OperatorTable:
     columns 0..n/2; c_(-k) = conj(c_k) determines the rest.  ``k1`` (shape
     (n, 1)) and ``k2`` (shape (1, n/2 + 1)) are the wavenumbers, signed with
     the Nyquist index at -n/2, and broadcast to the layout.  ``ksq`` and
-    ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask, zero from
-    column ``dealias_columns`` = floor(n/3) + 1 on, and
+    ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask, True on
+    the dealias box (:meth:`box`): rows ``dealias_rows``, the indices -K..K
+    with K = floor(n/3), and columns 0..K, ``dealias_columns`` = K + 1 of them.
     ``nyquist`` is False on the unpaired Nyquist lines (row n/2, column n/2).
     ``multiplicity`` (shape (1, n/2 + 1)) is 1 on columns 0 and n/2 and 2 on
     the others, which stand for their unstored mirrors as well, so
@@ -157,6 +158,7 @@ class OperatorTable:
         self.kmag = _read_only(np.sqrt(self.ksq))
         keep = np.abs(m) <= grid.dealias_index_cutoff
         self.dealias = _read_only(np.logical_and.outer(keep, keep[:half]))
+        self.dealias_rows = range(-grid.dealias_index_cutoff, grid.dealias_index_cutoff + 1)
         self.dealias_columns = grid.dealias_index_cutoff + 1
         paired = m != -(n // 2)
         self.nyquist = _read_only(np.logical_and.outer(paired, paired[:half]))
@@ -167,6 +169,16 @@ class OperatorTable:
         self.sample_scale = (n * n / grid.box_length) / (n * n)
         self._zero_row = _read_only(scipy.fft.rfft(np.zeros(n), workers=_FFT_WORKERS))
         self._scratch = _Scratch()
+
+    def box(self, c: np.ndarray) -> np.ndarray:
+        """A fresh copy of the dealias box of coefficients c, shape (..., 2K + 1, K + 1)."""
+        return c[..., self.dealias_rows, :self.dealias_columns]
+
+    def unbox(self, box: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """A fresh copy of coefficients ``rest``, their dealias box replaced by ``box``."""
+        c = rest.copy()
+        c[..., self.dealias_rows, :self.dealias_columns] = box
+        return c
 
     def values(self, c: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Real samples of coefficients c (times ``mask``), shape (..., n, n):

@@ -21,10 +21,11 @@ first step); its dealiased samples serve the transport step and the
 predictor's far flux, and the new theta's the predictor and the corrector.
 A step holds only the arrays it still reads: its sums are formed in place
 with the plain expressions' bits, and each temporary is dropped after its
-last read.  A stored direct-law sample keeps one array, the state's theta
-coefficients, and theta and u are made of it on read; a serfati sample
-keeps theta as the samples its norms were measured from, shared with the
-state, and the state's u (see :class:`Trajectory`).
+last read.  A step adds only dealiased terms, so a stored sample after
+t = 0 keeps its array's 2/3-rule box and a read fills the rest in from
+t = 0 (:class:`Trajectory`): a direct-law sample the box of the state's
+theta coefficients, which theta and u are made of on read; a serfati
+sample theta's samples that its norms read, shared, and u's box.
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
@@ -129,9 +130,10 @@ class SimState:
 
 class TrajectoryFields(Sequence):
     """A trajectory's fields at its sample times, read-only.  An entry stored
-    as a field is returned as it is; one stored as an array (a direct-law
-    state's theta coefficients) is made into a fresh field by ``read`` on
-    each read, so no read caches anything on the trajectory."""
+    as a field is returned as it is; one stored as an array (theta0's
+    coefficients, or the dealias box of a later sample's) is made into a
+    fresh field by ``read`` on each read, which fills a box in from t = 0
+    (``OperatorTable.unbox``), so no read caches anything on the trajectory."""
 
     def __init__(self, read=None):
         self._read = read
@@ -154,14 +156,16 @@ class TrajectoryFields(Sequence):
 class Trajectory:
     """Fields and norms of a ``simulate`` run at its sample times.
 
-    Under the direct law a sample keeps one array, its state's theta
-    coefficients (shared): ``thetas[i]`` holds them and ``us[i]`` (i >= 1)
-    is their constitutive velocity, with the bits of the state's u, both
-    made on read (:class:`TrajectoryFields`).  Under serfati ``thetas[i]``
-    holds the samples the norms were measured from, shared with the state,
-    and ``us[i]`` is the state's Leray projection.  ``us[0]`` is u0 as it
-    arrived.  ``final_state`` is the whole last state, with its ``far``
-    integral when the run has a kernel split, which ``velocity_serfati`` reads.
+    A sample after t = 0 keeps the dealias box (``OperatorTable.box``) of
+    the coefficients it stores, the only ones a step changes (signed zeros
+    aside); a read (:class:`TrajectoryFields`) fills the rest in from t = 0.
+    Under the direct law ``thetas[0]`` holds theta0's coefficients and
+    ``thetas[i]`` its state's box, of which ``us[i]`` (i >= 1) is the
+    constitutive velocity; under serfati ``thetas[i]`` holds the samples the
+    norms read, shared with the state, and ``us[i]`` the box of the state's
+    Leray projection, filled from u0's, the last being ``final_state.u``.
+    ``us[0]`` is u0 as it arrived.  ``final_state`` is the whole last state,
+    with the ``far`` integral that ``velocity_serfati`` reads under a split.
     """
 
     times: list = dc_field(default_factory=list)
@@ -256,8 +260,8 @@ def leray_project(u: SpectralField, *, overwrite: bool = False) -> SpectralField
     return SpectralField._adopt(grid, coefficients=c)
 
 
-def cfl_dt(u: SpectralField, grid: Grid2D, dt: float) -> float:
-    umax = u.linf()
+def cfl_dt(u: SpectralField | float, grid: Grid2D, dt: float) -> float:
+    umax = u if isinstance(u, float) else u.linf()
     if umax == 0.0:
         return dt
     return min(dt, CFL_NUMBER * grid.spacing / umax)
@@ -475,10 +479,12 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         u0 = biot_savart_velocity(theta0, config.beta)
     # every read of u0 caches on this wrapper, so u0 is stored as it came
     u0_read = u0._shallow()
+    ops = operator_table(grid)
+    u0_linf = ops.sup(u0_read.coefficients)  # makes no samples of u0 to keep alive
     direct = config.constitutive == "direct"
     if direct:
         gap = (u0_read - biot_savart_velocity(theta0, config.beta)).linf()
-        if gap > 1e-6 * max(u0_read.linf(), 1e-300):
+        if gap > 1e-6 * max(u0_linf, 1e-300):
             raise ConfigurationError(
                 f"u0 inconsistent with theta0 under the direct law (rel gap {gap:.2e})"
             )
@@ -487,10 +493,10 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     elif not direct:
         split = build_split(grid, config.beta)
 
-    dt = cfl_dt(u0_read, grid, config.dt)
+    dt = cfl_dt(u0_linf, grid, config.dt)
     t_stop = config.t_end
     if config.c_existence > 0:
-        t_reach = existence_time(u0_read.linf(), zygmund_value(theta0, config.r),
+        t_reach = existence_time(u0_linf, zygmund_value(theta0, config.r),
                                  config.c_existence)
         t_stop = min(t_stop, t_reach)
     n_steps = max(1, int(round(t_stop / dt)))
@@ -498,25 +504,30 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     sample_every = config.sample_every or max(1, n_steps // 64)
 
     traj = Trajectory()
-    if direct:  # a sample keeps theta's coefficients only; theta and u are made on read
-        theta_of = functools.partial(SpectralField._adopt, grid, None)  # coefficients -> field
+    if direct:  # theta's coefficients, theta0's whole; theta and u are made on read
+        c0 = theta0.coefficients
+
+        def theta_of(c):
+            return SpectralField._adopt(grid, coefficients=c if c is c0 else ops.unbox(c, c0))
         traj.thetas = TrajectoryFields(theta_of)
         traj.us = TrajectoryFields(lambda c: biot_savart_velocity(theta_of(c), config.beta))
+    else:  # the box of u's projection, filled in from u0's, made by the run's call
+        traj.us = TrajectoryFields(lambda c: SpectralField._adopt(
+            grid, coefficients=ops.unbox(c, leray_project(u0._shallow()).coefficients)))
 
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
     if split is not None:
         state.far = FarIntegral(SpectralField.zeros(grid, components=2),
                                 convolve_far(split, theta0, u0_read))
 
-    def store(state: SimState, u):
+    def store(state: SimState, theta, u):
         traj.times.append(state.t)
         recorder.record(traj.norms, state.t, state.theta, state.u)
-        # direct: theta's coefficients; serfati: the samples the norms read
-        traj.thetas.append(state.theta.coefficients if direct
-                           else SpectralField._adopt(grid, values=state.theta.values))
+        traj.thetas.append(theta)
         traj.us.append(u)
 
-    store(state, u0)
+    # direct: theta's coefficients; serfati: the samples the norms read
+    store(state, c0 if direct else SpectralField._adopt(grid, values=theta0.values), u0)
     l2_0 = theta0.l2()
     if not direct:
         u_adv = leray_project(u0_read)  # the first step's; later steps advect by state.u
@@ -531,15 +542,17 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         else:
             # u_adv's dealiased samples serve the transport step and the
             # predictor's far flux; the new theta's, predictor and corrector.
-            # Each is dropped after its last read, as are the predicted
-            # integral (read by u_star) and u_star (read by the corrector)
+            # Each is dropped after its last read, as are the predictor's
+            # integrand (u_star reads the predicted sum alone), that sum
+            # (read by u_star) and u_star (read by the corrector)
             adv = dealiased_samples(u_adv)
             new = step_transport(state, lambda t, th: adv, dt)
             theta_samples = dealiased_samples(new.theta)
             # the new-boundary integrand: predicted with u_adv, corrected with u_star
-            new.far = state.far.advance(dt, convolve_far(
+            pred = state.far.advance(dt, convolve_far(
                 split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv))
-            del adv
+            new.far = FarIntegral(pred.acc, None, pred.t)
+            del adv, pred
             u_star = velocity_serfati(new, u0_read, theta0, split)
             new.far = None
             integ = convolve_far(split, new.theta, u_star, theta_samples=theta_samples)
@@ -553,7 +566,12 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                                           overwrite=True)
         state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            store(state, state.theta.coefficients if direct else state.u)
+            if direct:  # one box, which theta and u are both made of
+                theta = u = ops.box(state.theta.coefficients)
+            else:  # the last sample shares the final state's u
+                theta = SpectralField._adopt(grid, values=state.theta.values)
+                u = state.u if k == n_steps - 1 else ops.box(state.u.coefficients)
+            store(state, theta, u)
 
     traj.diagnostics = {
         "dt": dt,
