@@ -26,7 +26,8 @@ from .grid import Grid2D, _require_integer
 from .kernels import build_split
 from .norms import WindowFamily, classical_holder_norm, sobolev_norm, uniformly_local_norm, zygmund_norm
 from .solver import SolverConfig, picard_iterate, simulate
-from .verify import EnsembleSpec, _grids, make_field, run_check, verify_fundamental_solution
+from .verify import (EnsembleSpec, _grids, gaussian_dipole, make_field, run_check,
+                     verify_fundamental_solution)
 
 # every parameter a config may set, per command, with its default; the
 # verify s and box_length None run each check at its own order and box
@@ -93,9 +94,7 @@ def initial_condition(grid: Grid2D, kind: str, sigma: float, amplitude: float,
         return SpectralField.from_values(grid, amplitude * np.cos(X * grid.k_fundamental))
     if kind == "bump":
         off = max(2.0 * sigma, grid.box_length / 16.0)
-        vals = amplitude * (np.exp(-((x1 - off) ** 2 + x2**2) / (2.0 * sigma**2))
-                            - np.exp(-((x1 + off) ** 2 + x2**2) / (2.0 * sigma**2)))
-        return SpectralField.from_values(grid, vals)
+        return gaussian_dipole(grid, off, 2.0 * sigma**2, amplitude)
     if kind == "random":
         spec = EnsembleSpec(count=1, seed=seed, amplitude=amplitude)
         return make_field(grid, spec, 0)

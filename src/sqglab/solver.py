@@ -461,6 +461,15 @@ class NormRecorder:
 # -- simulation ------------------------------------------------------------------
 
 
+def _check_initial_data(grid: Grid2D, theta0: SpectralField, u0: SpectralField | None):
+    """Reject a theta0 or u0 off the run's grid, or a u0 that is not a velocity."""
+    if theta0.grid != grid:
+        raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
+    if u0 is not None and (u0.grid != grid or u0.components != 2):
+        raise ConfigurationError(f"u0 must be a velocity on {grid}, got a "
+                                 f"{u0.components}-component field on {u0.grid}")
+
+
 def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | None = None,
              split: KernelSplit | None = None) -> Trajectory:
     """Advance the system to min(t_end, existence-time estimate).
@@ -472,8 +481,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     state for identity-consistency measurements.
     """
     grid = config.grid()
-    if theta0.grid != grid:
-        raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
+    _check_initial_data(grid, theta0, u0)
     recorder = NormRecorder(config.record_norms, grid)
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
@@ -765,8 +773,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         raise ConfigurationError(
             f"picard_iterate needs c_existence > 0 for its time bound, got {config.c_existence}")
     grid = config.grid()
-    if theta0.grid != grid:
-        raise ConfigurationError(f"theta0 on {theta0.grid} passed to a run on {grid}")
+    _check_initial_data(grid, theta0, u0)
     if u0 is None:
         u0 = biot_savart_velocity(theta0, config.beta)
     u0 = u0._shallow()  # what the reads compute caches here, not on the caller's u0

@@ -1,9 +1,10 @@
 """Static guard on the check table.
 
-``verify.VARIANTS`` names every check once, with its family, sanity ceiling
-and default box.  No other module of the package spells a check's name, so
-a new check is one table entry plus its math in ``sqglab/verify.py``; and
-every entry runs through ``sqglab verify --check NAME`` to its family.
+``verify.VARIANTS`` names every check once: a ratio check with its family,
+sanity ceiling and default box, an acceptance criterion with its runner.
+No other module of the package spells a check's name, so a new check is
+one table entry plus its math in ``sqglab/verify.py``; and every entry runs
+through ``sqglab verify --check NAME`` to its family or runner.
 """
 
 import ast
@@ -56,18 +57,34 @@ def test_every_check_dispatches_to_its_family(name, monkeypatch, tmp_path):
     calls = []
 
     def stub(family):
-        def run(first, *args, **kwargs):
-            calls.append((family, first))
+        def run(*args, **kwargs):
+            calls.append((family, args[0] if args else None))
             return verify.VerificationReport(check_id=family)
         return run
 
     for family in ("multiplier_bounds", "commutators", "velocity_regularity"):
         monkeypatch.setattr(verify, f"check_{family}", stub(family))
     monkeypatch.setattr(verify, "verify_fundamental_solution", stub("fundamental_solution"))
+    check = verify.VARIANTS[name]
+    for other, entry in verify.VARIANTS.items():
+        if isinstance(entry, verify.Criterion):  # no criterion runs here
+            monkeypatch.setitem(verify.VARIANTS, other, verify.Criterion(stub(other)))
     assert main(["verify", "--check", name, "--n", "64", "--out", str(tmp_path)]) == 0
-    family = verify.VARIANTS[name].family
-    # the ratio checks take the name first; the fundamental solution, beta
-    assert calls == [(family, 0.5 if family == "fundamental_solution" else name)]
+    if isinstance(check, verify.Criterion):  # it reads no params, ensemble or grids
+        assert calls == [(name, None)]
+    else:  # the ratio checks take the name first; the fundamental solution, beta
+        assert calls == [(check.family, 0.5 if check.family == "fundamental_solution" else name)]
+
+
+def test_criterion_runs_from_the_command_line(tmp_path, capsys):
+    assert main(["verify", "--check", "criterion_01", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("1 partition of unity: verdict=pass trials=1 ")
+
+
+def test_failing_criterion_exits_1(monkeypatch, tmp_path):
+    failing = verify.Criterion(lambda: verify.VerificationReport(check_id="1", verdict="fail"))
+    monkeypatch.setitem(verify.VARIANTS, "criterion_01", failing)
+    assert main(["verify", "--check", "criterion_01", "--out", str(tmp_path)]) == 1
 
 
 def test_unknown_check_is_a_config_error(tmp_path, capsys):

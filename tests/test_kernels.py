@@ -19,7 +19,7 @@ from sqglab.kernels import (CutoffA, _far_samples, _mid_samples, _near_samples, 
 from sqglab.multipliers import (apply_multiplier, biot_savart_velocity, dealiased_product, divergence,
                                 frac_laplacian)
 from sqglab.norms import WindowFamily, window_profile
-from sqglab.verify import verify_fundamental_solution
+from sqglab.verify import gaussian_dipole, verify_fundamental_solution
 
 from conftest import random_real_field
 
@@ -504,10 +504,7 @@ class TestSplitConsistency:
         for n in (256, 512):
             g = Grid2D(n, 16.0)
             split = build_split(g, 0.5)
-            x1, x2 = g.coords_centered()
-            th = (np.exp(-((x1 - 1.5) ** 2 + x2**2) / 1.28)
-                  - np.exp(-((x1 + 1.5) ** 2 + x2**2) / 1.28))
-            errs[n] = split_consistency_error(split, SpectralField.from_values(g, th))
+            errs[n] = split_consistency_error(split, gaussian_dipole(g, 1.5, 1.28))
         assert errs[512] <= 1e-3
         assert errs[512] < errs[256]  # improving under refinement
 

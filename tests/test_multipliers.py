@@ -9,16 +9,9 @@ from sqglab.multipliers import (MultiplierSpec, apply_multiplier, bessel, biot_s
                                 dealiased_product, derivative, divergence, frac_laplacian,
                                 gradient, kato_ponce_commutator, symbol_array)
 
+from sqglab.verify import pure_mode
+
 from conftest import random_real_field
-
-
-def pure_mode(grid, m1, m2, amplitude=1.0):
-    """Exact single cosine mode cos(k.x), built in coefficient space."""
-    n = grid.n_side
-    c = np.zeros((n, n), dtype=complex)
-    c[m1 % n, m2 % n] = amplitude * grid.box_length / 2.0
-    c[-m1 % n, -m2 % n] = amplitude * grid.box_length / 2.0
-    return SpectralField.from_coefficients(grid, c[:, : n // 2 + 1])
 
 
 class TestPresets:
@@ -26,7 +19,7 @@ class TestPresets:
     def test_frac_laplacian_eigenfunction(self, grid64, s):
         X, _ = grid64.coords()
         for k in (1, 3):
-            f = pure_mode(grid64, k, 0)
+            f = pure_mode(grid64, k)
             out = apply_multiplier(f, frac_laplacian(s))
             expect = float(k) ** s * np.cos(k * X)
             rel = np.abs(out.values - expect).max() / float(k) ** s
@@ -162,7 +155,7 @@ class TestSymbolTable:
 class TestBiotSavart:
     def test_unit_mode(self, grid64):
         X, _ = grid64.coords()
-        theta = pure_mode(grid64, 1, 0)
+        theta = pure_mode(grid64, 1)
         for beta in (0.25, 0.5, 0.75):
             u = biot_savart_velocity(theta, beta)
             assert np.abs(u.values[0]).max() <= 1e-12
@@ -171,7 +164,7 @@ class TestBiotSavart:
     def test_mode_two_closed_form(self, grid64):
         # gain |k|^(beta-1): amplitude 2^(-1/2) at |k|=2, beta=1/2
         X, _ = grid64.coords()
-        theta = pure_mode(grid64, 2, 0)
+        theta = pure_mode(grid64, 2)
         u = biot_savart_velocity(theta, 0.5)
         expect = -(2.0 ** (-0.5)) * np.sin(2 * X)
         assert np.abs(u.values[1] - expect).max() <= 1e-12 * 2.0 ** (-0.5)

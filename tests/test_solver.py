@@ -19,6 +19,7 @@ from sqglab.solver import (FarIntegral, SimState, SolverConfig, _interp_velocity
                            existence_time, flow_map, frozen_velocity, leray_project,
                            picard_iterate, polygon_area, simulate, step_transport,
                            velocity_serfati)
+from sqglab.verify import gaussian_dipole
 
 from conftest import random_real_field
 
@@ -449,11 +450,7 @@ class TestSimulate:
             simulate(cfg, theta0, u0=bad)
 
     def test_divergence_free_and_conservation(self):
-        grid = Grid2D(128)
-        x1, x2 = grid.coords_centered()
-        theta0 = SpectralField.from_values(
-            grid, np.exp(-((x1 - 0.5) ** 2 + x2**2) / 0.18)
-            - np.exp(-((x1 + 0.5) ** 2 + x2**2) / 0.18))
+        theta0 = gaussian_dipole(Grid2D(128), 0.5, 0.18)
         cfg = SolverConfig(beta=0.5, dt=2e-3, t_end=0.2, n_side=128, c_existence=0,
                            record_norms=("linf:theta", "l2:theta", "div:u"))
         traj = simulate(cfg, theta0)
@@ -482,10 +479,7 @@ def split128():
 
 
 def dipole16(grid):
-    x1, x2 = grid.coords_centered()
-    return SpectralField.from_values(
-        grid, np.exp(-((x1 - 1.5) ** 2 + x2**2) / 1.28)
-        - np.exp(-((x1 + 1.5) ** 2 + x2**2) / 1.28))
+    return gaussian_dipole(grid, 1.5, 1.28)
 
 
 def split_config(mode, steps, dt=0.0125):
@@ -582,10 +576,7 @@ class TestSerfati:
         # same initial data, the two constitutive laws agree over a short run
         grid = Grid2D(128, 16.0)
         split = build_split(grid, 0.5, oversample=2)
-        x1, x2 = grid.coords_centered()
-        theta0 = SpectralField.from_values(
-            grid, np.exp(-((x1 - 1.2) ** 2 + x2**2) / 0.72)
-            - np.exp(-((x1 + 1.2) ** 2 + x2**2) / 0.72))
+        theta0 = gaussian_dipole(grid, 1.2, 0.72)
         kw = dict(beta=0.5, dt=0.02, t_end=0.3, n_side=128, box_length=16.0,
                   c_existence=0.0, record_norms=("linf:theta",))
         direct = simulate(SolverConfig(constitutive="direct", **kw), theta0, split=split)
@@ -1339,10 +1330,7 @@ def picard_split(picard_grid):
 
 
 def picard_dipole(grid):
-    x1, x2 = grid.coords_centered()
-    return SpectralField.from_values(
-        grid, 0.8 * (np.exp(-((x1 - 1.6) ** 2 + x2**2) / 1.28)
-                     - np.exp(-((x1 + 1.6) ** 2 + x2**2) / 1.28)))
+    return gaussian_dipole(grid, 1.6, 1.28, 0.8)
 
 
 def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
@@ -1502,10 +1490,7 @@ class TestPicard:
             assert trace.decrements[n].max() <= 1e-8
 
     def test_generic_contraction(self, picard_grid):
-        x1, x2 = picard_grid.coords_centered()
-        theta0 = SpectralField.from_values(
-            picard_grid, 0.8 * (np.exp(-((x1 - 1.6) ** 2 + x2**2) / 1.28)
-                                - np.exp(-((x1 + 1.6) ** 2 + x2**2) / 1.28)))
+        theta0 = picard_dipole(picard_grid)
         u0 = biot_savart_velocity(theta0, 0.5)
         from sqglab.norms import zygmund_norm
         T = existence_time(u0.linf(), zygmund_norm(theta0, 2.5).value, 1.0)
@@ -1642,3 +1627,18 @@ class TestSplitFitsTheRun:
         cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, n_side=256, box_length=32.0)
         with pytest.raises(ConfigurationError, match=message):
             picard_iterate(cfg, theta0, n_max=2, split=split)
+
+
+@pytest.mark.parametrize("run", [simulate, picard_iterate], ids=lambda run: run.__name__)
+@pytest.mark.parametrize("u0_grid, components", [
+    # a serfati run took the first u0 to the end; the second ended in numpy's
+    # broadcast error, the scalar in convolve_far's (scalar, vector) message
+    (Grid2D(128, 32.0), 2), (Grid2D(64, 16.0), 2), (Grid2D(128, 16.0), 1),
+], ids=["other_box", "other_n", "scalar"])
+def test_u0_must_be_a_velocity_on_the_run_grid(run, u0_grid, components, picard_grid):
+    cfg = SolverConfig(beta=0.5, dt=0.01, t_end=0.05, constitutive="serfati", n_side=128,
+                       box_length=16.0)
+    message = re.escape(f"u0 must be a velocity on {picard_grid}, got a "
+                        f"{components}-component field on {u0_grid}")
+    with pytest.raises(ConfigurationError, match=message):
+        run(cfg, picard_dipole(picard_grid), u0=SpectralField.zeros(u0_grid, components))

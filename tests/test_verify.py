@@ -15,9 +15,8 @@ from sqglab.verify import (SPECTRAL_SLOPE, EnsembleSpec, _bump_field, _finish, _
                            check_apriori_bounds, check_commutators,
                            check_multiplier_bounds, check_velocity_regularity,
                            _lp_commutator, _u_dot_grad, cumulative_trapezoid, gronwall_envelope,
-                           make_field, twin_run_experiment)
-
-from test_multipliers import pure_mode
+                           gaussian_dipole, make_field, pure_mode,
+                           twin_run_experiment)
 
 
 def full_layout_band_limited(grid, spec, trial):
@@ -83,7 +82,7 @@ class TestEnsembles:
 class TestSingleModeRatios:
     def test_bernstein_exactly_one(self, grid128):
         for j in (1, 2, 3):
-            f = pure_mode(grid128, 2**j, 0)
+            f = pure_mode(grid128, 2**j)
             fj = project_block(f, j, "homogeneous")
             for p_inf in (True, False):
                 num = gradient(fj).linf() if p_inf else gradient(fj).l2()
@@ -94,7 +93,7 @@ class TestSingleModeRatios:
         from sqglab.multipliers import apply_multiplier, frac_laplacian
         s = 0.7
         for j in (1, 2):
-            f = pure_mode(grid128, 2**j, 0)
+            f = pure_mode(grid128, 2**j)
             fj = project_block(f, j, "homogeneous")
             num = apply_multiplier(fj, frac_laplacian(s)).linf()
             assert num / (2.0 ** (j * s) * fj.linf()) == pytest.approx(1.0, abs=1e-10)
@@ -102,7 +101,7 @@ class TestSingleModeRatios:
     def test_lemma_A_2_exactly_one(self, grid128):
         beta = 0.5
         for j in (1, 2):
-            f = pure_mode(grid128, 2**j, 0)
+            f = pure_mode(grid128, 2**j)
             fj = project_block(f, j, "homogeneous")
             u = biot_savart_velocity(fj, beta)
             ratio = u.linf() / (2.0 ** (j * (beta - 1.0)) * fj.linf())
@@ -359,9 +358,11 @@ class TestAprioriBounds:
 
 
 class TestTwinRun:
-    @pytest.mark.parametrize("scale, deltas", [(0.0, (1e-3, 1e-4)), (1.0, (1e-3, 0.0))])
+    @pytest.mark.parametrize("scale, deltas", [(0.0, (1e-3, 1e-4)), (1.0, (1e-3, 0.0)),
+                                               (1.0, (1e-3, np.nan)), (1.0, (np.inf,))])
     def test_zero_perturbation_rejected_before_the_runs(self, monkeypatch, scale, deltas):
-        # every gap would be 0, leaving the growth fit no point
+        # every gap would be 0, leaving the growth fit no point; a NaN or
+        # infinite delta used to fail in the perturbed run, after the base run
         monkeypatch.setattr(verify, "simulate", None)  # raising on any run
         grid = Grid2D(32)
         theta0 = make_field(grid, EnsembleSpec(seed=3), 0)
@@ -372,10 +373,7 @@ class TestTwinRun:
 
     def test_growth_fit_stable(self):
         grid = Grid2D(128)
-        x1, x2 = grid.coords_centered()
-        theta0 = SpectralField.from_values(
-            grid, np.exp(-((x1 - 0.5) ** 2 + x2**2) / 0.18)
-            - np.exp(-((x1 + 0.5) ** 2 + x2**2) / 0.18))
+        theta0 = gaussian_dipole(grid, 0.5, 0.18)
         pert = make_field(grid, EnsembleSpec(seed=5), 0)
         cfg = SolverConfig(beta=0.5, dt=5e-3, t_end=0.2, n_side=128, c_existence=0,
                            record_norms=("linf:theta",), sample_every=5)
