@@ -4,8 +4,9 @@ Run:  python demos/04_kernel_split.py
 """
 import numpy as np
 
-from sqglab import Grid2D, SpectralField, build_split, verify_fundamental_solution
+from sqglab import Grid2D, build_split, verify_fundamental_solution
 from sqglab.kernels import far_flux_integral, split_consistency_error
+from sqglab.verify import gaussian_dipole
 
 beta = 0.5
 grid = Grid2D(256, 16.0)
@@ -28,8 +29,7 @@ print(np.round(disc_sum, 5))
 print(np.round(far_flux_integral(beta, split.c_beta, R), 5))
 
 # Split consistency: near + mid convolution reproduces the multiplier velocity.
-th = np.exp(-((x1 - 1.5) ** 2 + x2**2) / 1.0) - np.exp(-((x1 + 1.5) ** 2 + x2**2) / 1.0)
-err = split_consistency_error(split, SpectralField.from_values(grid, th))
+err = split_consistency_error(split, gaussian_dipole(grid, 1.5, 1.0))
 print(f"\nsplit consistency (near+far routes vs multiplier): {err:.2e}")
 
 # Phi_beta really is the fundamental solution, with the classical constant.

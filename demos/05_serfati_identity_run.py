@@ -6,17 +6,14 @@ velocity routes are compared.  Halving dt quarters the gap (trapezoid).
 
 Run:  python demos/05_serfati_identity_run.py
 """
-import numpy as np
-
-from sqglab import Grid2D, SpectralField, SolverConfig, build_split, simulate, velocity_serfati
+from sqglab import Grid2D, SolverConfig, build_split, simulate, velocity_serfati
 from sqglab.multipliers import biot_savart_velocity
+from sqglab.verify import gaussian_dipole
 
 beta = 0.5
 grid = Grid2D(256, 16.0)
 split = build_split(grid, beta)
-x1, x2 = grid.coords_centered()
-theta0 = SpectralField.from_values(
-    grid, np.exp(-((x1 - 1.5) ** 2 + x2**2) / 1.28) - np.exp(-((x1 + 1.5) ** 2 + x2**2) / 1.28))
+theta0 = gaussian_dipole(grid, 1.5, 1.28)
 
 for dt in (0.025, 0.0125):
     cfg = SolverConfig(beta=beta, dt=dt, t_end=0.5, n_side=256, box_length=16.0,

@@ -4,14 +4,12 @@ Run:  python demos/06_picard_iteration.py
 """
 import numpy as np
 
-from sqglab import Grid2D, SpectralField, SolverConfig, existence_time, picard_iterate, zygmund_norm
+from sqglab import Grid2D, SolverConfig, existence_time, picard_iterate, zygmund_norm
 from sqglab.multipliers import biot_savart_velocity
+from sqglab.verify import gaussian_dipole
 
 grid = Grid2D(128, 16.0)
-x1, x2 = grid.coords_centered()
-theta0 = SpectralField.from_values(
-    grid, 0.8 * (np.exp(-((x1 - 1.6) ** 2 + x2**2) / 1.28)
-                 - np.exp(-((x1 + 1.6) ** 2 + x2**2) / 1.28)))
+theta0 = gaussian_dipole(grid, 1.6, 1.28, 0.8)
 u0 = biot_savart_velocity(theta0, 0.5)
 
 T = existence_time(u0.linf(), zygmund_norm(theta0, 2.5).value, 1.0)

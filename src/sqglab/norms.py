@@ -348,13 +348,6 @@ class WindowFamily:
         pts = pts or (self.patch_pts if self.patch_pts else self.grid.n_side)
         return window_profile(self._patch_coords(pts), self.scale)
 
-    def profile_fd_bound(self, order: int = 4) -> float:
-        """Max |finite difference of given order| of the profile along a ray."""
-        rho = np.arange(0.0, 3.0 * self.scale, self.grid.spacing)
-        p = window_profile(rho, self.scale)
-        d = np.diff(p, n=order) / self.grid.spacing**order
-        return float(np.abs(d).max())
-
     @functools.cached_property
     def _window(self) -> np.ndarray:
         """The profile ``iter_patches`` multiplies by, built once per family and

@@ -22,10 +22,10 @@ predictor's far flux, and the new theta's the predictor and the corrector.
 A step holds only the arrays it still reads: its sums are formed in place
 with the plain expressions' bits, and each temporary is dropped after its
 last read.  A step adds only dealiased terms, so a stored sample after
-t = 0 keeps its array's 2/3-rule box and a read fills the rest in from
-t = 0 (:class:`Trajectory`): a direct-law sample the box of the state's
-theta coefficients, which theta and u are made of on read; a serfati
-sample theta's samples that its norms read, shared, and u's box.
+t = 0 keeps the 2/3-rule box of its arrays and a read fills the rest in
+from t = 0 (:class:`Trajectory`): under both laws the box of the state's
+theta coefficients, of which a direct-law u is made on read; under serfati
+also the box of u.
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
@@ -129,10 +129,10 @@ class SimState:
 
 
 class TrajectoryFields(Sequence):
-    """A trajectory's fields at its sample times, read-only.  An entry stored
-    as a field is returned as it is; one stored as an array (theta0's
-    coefficients, or the dealias box of a later sample's) is made into a
-    fresh field by ``read`` on each read, which fills a box in from t = 0
+    """A trajectory's fields at its sample times, read-only.  A field (u0, or
+    serfati's last u) is returned as it is; an array (theta0's coefficients,
+    or the dealias box of a later sample's) is made into a fresh field by
+    ``read`` on each read, which fills a box in from t = 0
     (``OperatorTable.unbox``), so no read caches anything on the trajectory."""
 
     def __init__(self, read=None):
@@ -159,10 +159,9 @@ class Trajectory:
     A sample after t = 0 keeps the dealias box (``OperatorTable.box``) of
     the coefficients it stores, the only ones a step changes (signed zeros
     aside); a read (:class:`TrajectoryFields`) fills the rest in from t = 0.
-    Under the direct law ``thetas[0]`` holds theta0's coefficients and
-    ``thetas[i]`` its state's box, of which ``us[i]`` (i >= 1) is the
-    constitutive velocity; under serfati ``thetas[i]`` holds the samples the
-    norms read, shared with the state, and ``us[i]`` the box of the state's
+    ``thetas[0]`` holds theta0's coefficients and ``thetas[i]`` the box of
+    its state's.  Under the direct law ``us[i]`` (i >= 1) is the constitutive
+    velocity of ``thetas[i]``; under serfati it holds the box of the state's
     Leray projection, filled from u0's, the last being ``final_state.u``.
     ``us[0]`` is u0 as it arrived.  ``final_state`` is the whole last state,
     with the ``far`` integral that ``velocity_serfati`` reads under a split.
@@ -511,13 +510,12 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     dt = t_stop / n_steps
     sample_every = config.sample_every or max(1, n_steps // 64)
 
-    traj = Trajectory()
-    if direct:  # theta's coefficients, theta0's whole; theta and u are made on read
-        c0 = theta0.coefficients
+    c0 = theta0.coefficients  # theta is stored as theta0's, then as its box
 
-        def theta_of(c):
-            return SpectralField._adopt(grid, coefficients=c if c is c0 else ops.unbox(c, c0))
-        traj.thetas = TrajectoryFields(theta_of)
+    def theta_of(c):
+        return SpectralField._adopt(grid, coefficients=c if c is c0 else ops.unbox(c, c0))
+    traj = Trajectory(thetas=TrajectoryFields(theta_of))
+    if direct:  # u is made of theta's box on read
         traj.us = TrajectoryFields(lambda c: biot_savart_velocity(theta_of(c), config.beta))
     else:  # the box of u's projection, filled in from u0's, made by the run's call
         traj.us = TrajectoryFields(lambda c: SpectralField._adopt(
@@ -534,14 +532,14 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
         traj.thetas.append(theta)
         traj.us.append(u)
 
-    # direct: theta's coefficients; serfati: the samples the norms read
-    store(state, c0 if direct else SpectralField._adopt(grid, values=theta0.values), u0)
+    store(state, c0, u0)
     l2_0 = theta0.l2()
     if not direct:
         u_adv = leray_project(u0_read)  # the first step's; later steps advect by state.u
 
     for k in range(n_steps):
         if direct:
+            state.u = None  # every stage makes its own velocity
             new = step_transport(
                 state, lambda t, th: dealiased_samples(biot_savart_velocity(th, config.beta)), dt)
             new.u = biot_savart_velocity(new.theta, config.beta)
@@ -574,10 +572,10 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                                           overwrite=True)
         state = new
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            if direct:  # one box, which theta and u are both made of
-                theta = u = ops.box(state.theta.coefficients)
-            else:  # the last sample shares the final state's u
-                theta = SpectralField._adopt(grid, values=state.theta.values)
+            theta = ops.box(state.theta.coefficients)
+            if direct:  # u is made of theta's box
+                u = theta
+            else:  # its projection's box; the last sample shares the final state's u
                 u = state.u if k == n_steps - 1 else ops.box(state.u.coefficients)
             store(state, theta, u)
 

@@ -313,10 +313,6 @@ class TestWindows:
         wf = WindowFamily.build(grid128)
         assert wf.covering_radius() <= wf.scale
 
-    def test_profile_smoothness(self, grid128):
-        wf = WindowFamily.build(grid128)
-        assert np.isfinite(wf.profile_fd_bound(order=4))
-
     @pytest.mark.parametrize("components", [1, 2])
     def test_full_box_patches_have_the_bits_of_the_rolled_profile(self, grid64, components):
         windows = WindowFamily.build(grid64, 1.0)
