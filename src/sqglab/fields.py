@@ -189,13 +189,16 @@ class SpectralField:
 # -- module operations -------------------------------------------------------
 
 
-def _operands_into(w: np.ndarray, kind: str,
-                   f: SpectralField) -> tuple[str, np.ndarray, np.ndarray]:
+def _operands_into(w: np.ndarray, kind: str | None,
+                   f: SpectralField | np.ndarray) -> tuple[str | None, np.ndarray, np.ndarray]:
     """:meth:`SpectralField._operands` of a field holding only ``w``, a fresh
     array of representation ``kind`` that the caller owns, and ``f``: the
     representation, w there (fresh samples of w if it moves to samples) and
     f's array.  The caller writes the operation over the returned w, so a
-    chain of sums makes one array and has the bits of the field arithmetic."""
+    chain of sums makes one array and has the bits of the field arithmetic.
+    An array f (a dealias box) is taken as it is, with w and ``kind``."""
+    if isinstance(f, np.ndarray):
+        return kind, w, f
     if kind == "coefficients" and f._coeffs is not None:
         return kind, w, f._coeffs
     if kind == "coefficients":

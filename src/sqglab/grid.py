@@ -7,7 +7,8 @@ index n_side/2, and quadratic products are protected by the 2/3 rule
 (modes with max(|k1|, |k2|) above two thirds of the Nyquist wavenumber
 are zeroed).  Coefficients live in the layout of ``rfft2``: rows 0..n-1,
 columns 0..n/2.  The spectral arrays of a grid are built once, in that
-layout, cached and read-only (``operator_table``).
+layout (the wavenumbers also on the dealias box), cached and read-only
+(``operator_table``).
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ class OperatorTable:
     ``kmag`` are |k|^2 and |k|; ``dealias`` is the 2/3-rule mask, True on
     the dealias box (:meth:`box`): rows ``dealias_rows``, the indices -K..K
     with K = floor(n/3), and columns 0..K, ``dealias_columns`` = K + 1 of them.
+    ``box_k1``, ``box_k2`` and ``box_ksq`` are ``k1``, ``k2`` and ``ksq`` on
+    the box, whose k = 0 mode sits at row K, column 0.
     ``nyquist`` is False on the unpaired Nyquist lines (row n/2, column n/2).
     ``multiplicity`` (shape (1, n/2 + 1)) is 1 on columns 0 and n/2 and 2 on
     the others, which stand for their unstored mirrors as well, so
@@ -160,6 +163,9 @@ class OperatorTable:
         self.dealias = _read_only(np.logical_and.outer(keep, keep[:half]))
         self.dealias_rows = range(-grid.dealias_index_cutoff, grid.dealias_index_cutoff + 1)
         self.dealias_columns = grid.dealias_index_cutoff + 1
+        self.box_k1 = _read_only(self.k1[self.dealias_rows])
+        self.box_k2 = _read_only(self.k2[:, :self.dealias_columns])
+        self.box_ksq = _read_only(self.box(self.ksq))
         paired = m != -(n // 2)
         self.nyquist = _read_only(np.logical_and.outer(paired, paired[:half]))
         multiplicity = np.full((1, half), 2.0)
@@ -174,11 +180,28 @@ class OperatorTable:
         """A fresh copy of the dealias box of coefficients c, shape (..., 2K + 1, K + 1)."""
         return c[..., self.dealias_rows, :self.dealias_columns]
 
-    def unbox(self, box: np.ndarray, rest: np.ndarray) -> np.ndarray:
-        """A fresh copy of coefficients ``rest``, their dealias box replaced by ``box``."""
-        c = rest.copy()
+    def unbox(self, box: np.ndarray, rest: np.ndarray | None = None) -> np.ndarray:
+        """A fresh copy of coefficients ``rest`` (zeros if None), their dealias
+        box replaced by ``box``."""
+        if rest is None:
+            c = np.zeros(box.shape[:-2] + (self.n_side, self.n_side // 2 + 1), dtype=np.complex128)
+        else:
+            c = rest.copy()
         c[..., self.dealias_rows, :self.dealias_columns] = box
         return c
+
+    def box_product(self, a: np.ndarray, box: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``box(a) * box`` for a table or coefficients a on the rfft2 layout,
+        without a copy of a's box: each half of the box's rows is multiplied
+        by the rows of a it stands for.  ``out``, an array of the product's
+        shape, is written and returned in place of a new one."""
+        n, K = self.n_side, self.dealias_columns - 1
+        if out is None:
+            out = np.empty(np.broadcast_shapes(a.shape[:-2], box.shape[:-2]) + box.shape[-2:],
+                           dtype=np.result_type(a, box))
+        np.multiply(a[..., n - K:, :K + 1], box[..., :K, :], out=out[..., :K, :])
+        np.multiply(a[..., :K + 1, :K + 1], box[..., K:, :], out=out[..., K:, :])
+        return out
 
     def values(self, c: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """Real samples of coefficients c (times ``mask``), shape (..., n, n):
@@ -197,6 +220,23 @@ class OperatorTable:
         makes the returned samples, so the call makes no other array.
         """
         out = self._unscaled_values(c, mask)
+        out *= self.sample_scale
+        return out
+
+    def box_values(self, box: np.ndarray) -> np.ndarray:
+        """Real samples of the dealias box ``box`` (shape (..., 2K + 1, K + 1)),
+        with the bits of ``values(c, mask=dealias)`` of any c whose box it is.
+
+        The box is copied into the rows of this thread's buffer that it
+        covers, the other rows of its columns are zeroed, and the transforms
+        run as in :meth:`values`, the column pass on the box's columns only.
+        """
+        buf, head = self._buffer(box.shape[:-2], self.dealias_columns)
+        n, K = self.n_side, self.dealias_columns - 1
+        head[..., :K + 1, :] = box[..., K:, :]  # rows 0..K
+        head[..., K + 1:n - K, :] = 0.0
+        head[..., n - K:, :] = box[..., :K, :]  # rows -K..-1
+        out = self._inverse(buf, head)
         out *= self.sample_scale
         return out
 
@@ -239,16 +279,21 @@ class OperatorTable:
                 np.multiply(src, mask[..., :m], out=head)
             if skip_zero and not head.any():
                 return None
-            cols = scipy.fft.ifftn(head, axes=(-2,), norm="forward", overwrite_x=True,
-                                   workers=_FFT_WORKERS)
-            if not np.may_share_memory(cols, head):  # overwrite_x permits, not promises
-                head[...] = cols
-        else:
-            # real c takes scipy's real-input column pass, whose bits differ
-            # from the complex pass on the same numbers
-            head[...] = scipy.fft.ifftn(src if mask is None else src * mask[..., :m],
-                                        axes=(-2,), norm="forward", workers=_FFT_WORKERS)
+            return self._inverse(buf, head)
+        # real c takes scipy's real-input column pass, whose bits differ
+        # from the complex pass on the same numbers
+        head[...] = scipy.fft.ifftn(src if mask is None else src * mask[..., :m],
+                                    axes=(-2,), norm="forward", workers=_FFT_WORKERS)
         return scipy.fft.irfft(buf, n=n, norm="forward", workers=_FFT_WORKERS)
+
+    def _inverse(self, buf: np.ndarray, head: np.ndarray) -> np.ndarray:
+        """Unscaled samples of the complex buffer ``buf``, zero beyond its
+        columns ``head``: the column pass in place on ``head``, then the rows."""
+        cols = scipy.fft.ifftn(head, axes=(-2,), norm="forward", overwrite_x=True,
+                               workers=_FFT_WORKERS)
+        if not np.may_share_memory(cols, head):  # overwrite_x permits, not promises
+            head[...] = cols
+        return scipy.fft.irfft(buf, n=self.n_side, norm="forward", workers=_FFT_WORKERS)
 
     def _buffer(self, lead: tuple, m: int) -> tuple[np.ndarray, np.ndarray]:
         """This thread's buffer for lead shape ``lead``, zero from column m on,
@@ -274,6 +319,21 @@ class OperatorTable:
         c = rfft2(v) if rows is None else self.rfft2_rows(v, rows)
         c *= self.box_length / (self.n_side * self.n_side)
         return c
+
+    def box_coefficients(self, v: np.ndarray) -> np.ndarray:
+        """The dealias box of ``coefficients(v) * dealias``, shape (..., 2K + 1,
+        K + 1), from real samples v of shape (..., n, n).
+
+        The row transforms run on every row and the column pass on the box's
+        columns only.  Each column is transformed on its own, so the box has
+        the bits of ``coefficients(v)`` there (the mask is 1 on it).
+        """
+        m = self.dealias_columns
+        rows = scipy.fft.rfft(v, axis=-1, workers=_FFT_WORKERS)
+        cols = scipy.fft.fftn(rows[..., :m], axes=(-2,), overwrite_x=True, workers=_FFT_WORKERS)
+        box = self.box(cols)
+        box *= self.box_length / (self.n_side * self.n_side)
+        return box
 
     def rfft2_rows(self, v: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """rfft2 of (..., n, n) samples that vanish off ``rows`` (distinct row

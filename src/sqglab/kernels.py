@@ -435,8 +435,19 @@ def _convolve(transfer: np.ndarray, theta: SpectralField) -> SpectralField:
     return SpectralField._adopt(theta.grid, coefficients=transfer * theta.coefficients)
 
 
-def convolve_near(split: KernelSplit, theta: SpectralField) -> SpectralField:
-    """Periodic convolution of the near kernel with a scalar field."""
+def convolve_near(split: KernelSplit, theta: SpectralField | np.ndarray):
+    """Periodic convolution of the near kernel with a scalar field.
+
+    ``theta`` may also be the dealias box of a scalar's coefficients
+    (``OperatorTable.box``); the transfer acts mode by mode, so the result is
+    then the box of the convolution's coefficients, with their bits.
+    """
+    if isinstance(theta, np.ndarray):
+        ops = operator_table(split.grid)
+        if theta.shape != ops.box_ksq.shape:
+            raise ConfigurationError(f"convolve_near takes a scalar's dealias box, shape "
+                                     f"{ops.box_ksq.shape}; got {theta.shape}")
+        return ops.box_product(split._near_transfer, theta)
     if theta.components != 1:
         raise ConfigurationError("convolve_near takes a scalar field")
     return _convolve(split._near_transfer, theta)
@@ -449,18 +460,22 @@ def convolve_mid(split: KernelSplit, theta: SpectralField) -> SpectralField:
     return _convolve(split._mid_transfer, theta)
 
 
-def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField, *,
-                 theta_samples: np.ndarray | None = None,
-                 u_samples: np.ndarray | None = None) -> SpectralField:
+def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField | None = None, *,
+                 theta_samples: np.ndarray | None = None, u_samples: np.ndarray | None = None,
+                 box: bool = False):
     """Far-field contraction: component i is sum_j far_ij * (theta u_j).
 
     Computed as mid * div(theta u), with the flux theta u dealiased.  A
     caller that already holds ``dealiased_samples`` of theta or u passes
     them, and the contraction skips those transforms; the result has the
-    same bits either way.
+    same bits either way.  Given ``u_samples``, u itself is not read.  The
+    result is zero outside the dealias box: a coefficient field, or with
+    ``box`` the box of its coefficients (``OperatorTable.box``).
     """
-    if theta.components != 1 or u.components != 2:
+    if theta.components != 1 or (u is not None and u.components != 2):
         raise ConfigurationError("convolve_far takes (scalar, vector)")
+    if u is None and u_samples is None:
+        raise ConfigurationError("convolve_far takes the velocity u or its dealiased samples")
     if theta_samples is None:
         theta_samples = dealiased_samples(theta)
     if u_samples is None:
@@ -471,20 +486,15 @@ def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField, *,
         product *= theta_samples
     else:
         product = theta_samples * u_samples
-    # dealias, divergence and the mid transfer's product, each with its own
-    # operations, on the dealias box's columns only; the result overwrites
-    # the flux's coefficients and is zero beyond those columns
-    ops = operator_table(u.grid)
-    m = ops.dealias_columns
-    out = ops.coefficients(product)
+    # the divergence and the mid transfer's product, each with its own
+    # operations, on the dealias box only, where the mask is 1; the result
+    # overwrites the flux's box
+    ops = operator_table(theta.grid)
+    flux = ops.box_coefficients(product)
     del product
-    flux = out[..., :m]
-    flux *= ops.dealias[:, :m]
-    div = (1j * ops.k1) * flux[0] + (1j * ops.k2[:, :m]) * flux[1]
-    div *= ops.nyquist[:, :m]
-    np.multiply(split._mid_transfer[..., :m], div, out=flux)
-    out[..., m:] = 0.0
-    return SpectralField._adopt(u.grid, coefficients=out)
+    div = (1j * ops.box_k1) * flux[0] + (1j * ops.box_k2) * flux[1]
+    ops.box_product(split._mid_transfer, div, out=flux)
+    return flux if box else SpectralField._adopt(theta.grid, coefficients=ops.unbox(flux))
 
 
 def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:

@@ -15,17 +15,22 @@ projection removes the sampling residue so transport stays conservative
 reconstruction is linear, so it is formed on coefficients: the kernel
 convolutions return coefficient fields, and the far accumulator, the
 reconstructed velocity and its projection live in coefficients, taken to
-samples only where a caller reads them.  A serfati step advects by the
-projection the previous step stored (u0 is projected once, before the
-first step); its dealiased samples serve the transport step and the
-predictor's far flux, and the new theta's the predictor and the corrector.
-A step holds only the arrays it still reads: its sums are formed in place
-with the plain expressions' bits, and each temporary is dropped after its
-last read.  A step adds only dealiased terms, so a stored sample after
-t = 0 keeps the 2/3-rule box of its arrays and a read fills the rest in
-from t = 0 (:class:`Trajectory`): under both laws the box of the state's
-theta coefficients, of which a direct-law u is made on read; under serfati
-also the box of u.
+samples only where a caller reads them.  Every term a step adds is
+dealiased, so outside the 2/3-rule box (``OperatorTable.box``) the far
+integral is zero and the velocity is its t = 0 value: ``simulate`` keeps
+the far integral, and under serfati the reconstruction and its projection,
+as boxes for the whole run, and makes the whole final state once, after
+the last step.  A serfati step advects by the projection's box the
+previous step made (u0's box is projected before the first step); its
+dealiased samples serve the transport step and the predictor's far flux,
+u_star's the corrector's, and the new theta's the predictor and the
+corrector.  A step holds only the arrays it still reads: its sums are
+formed in place with the plain expressions' bits, and each temporary,
+the previous state among them, is dropped after its last read.  So a
+stored sample after t = 0 keeps the box of its arrays and a read fills the
+rest in from t = 0 (:class:`Trajectory`): under both laws the box of the
+state's theta coefficients, of which a direct-law u is made on read; under
+serfati also the box of u.
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
@@ -97,26 +102,33 @@ class SolverConfig:
 @dataclass(frozen=True)
 class FarIntegral:
     """int_0^t far *. (theta u) dtau by the trapezoid rule: the sum ``acc`` and
-    the integrand ``prev`` at ``t``.  Its sums are ``SpectralField`` sums, so
-    they stay in the representation of the integrands."""
+    the integrand ``prev`` at ``t``.  Both are fields, whose sums are
+    ``SpectralField`` sums and so stay in the representation of the
+    integrands, or both are dealias boxes of coefficients (``simulate``'s
+    loop), summed as arrays."""
 
-    acc: SpectralField
-    prev: SpectralField
+    acc: SpectralField | np.ndarray
+    prev: SpectralField | np.ndarray
     t: float = 0.0
 
-    def advance(self, dt: float, integ: SpectralField) -> "FarIntegral":
+    def advance(self, dt: float, integ: SpectralField | np.ndarray) -> "FarIntegral":
         """The integral at t + dt, acc + 0.5 dt (prev + integ).
 
         Formed in one fresh array w, in this order: w = prev + integ, w *=
-        0.5 dt, w = acc + w, each sum in the representation ``SpectralField``
-        arithmetic chooses for it; so the bits are the plain expression's.
+        0.5 dt, w = acc + w, each sum of fields in the representation
+        ``SpectralField`` arithmetic chooses for it; so the bits are the plain
+        expression's.
         """
-        kind, prev, new = self.prev._operands(integ)
+        if isinstance(integ, SpectralField):
+            kind, prev, new = self.prev._operands(integ)
+        else:
+            kind, prev, new = None, self.prev, integ
         w = prev + new
         w *= 0.5 * dt
         kind, w, acc = _operands_into(w, kind, self.acc)
         np.add(acc, w, out=w)
-        return FarIntegral(SpectralField._adopt(integ.grid, **{kind: w}), integ, self.t + dt)
+        acc = w if kind is None else SpectralField._adopt(integ.grid, **{kind: w})
+        return FarIntegral(acc, integ, self.t + dt)
 
 
 @dataclass
@@ -205,43 +217,41 @@ def advection_tendency(theta: SpectralField, u_samples: np.ndarray) -> SpectralF
     """-dealias(u . grad theta), products formed in physical space.
 
     ``u_samples`` are the dealiased velocity samples,
-    ``fields.dealiased_samples(u)``.  The dealiased gradient goes to samples
-    through two real inverse transforms and the product comes back through
-    one real forward transform.  The gradient is formed on the columns of
-    the dealias box only.
+    ``fields.dealiased_samples(u)``.  The dealiased gradient is formed on the
+    dealias box and goes to samples through two real inverse transforms
+    (``OperatorTable.box_values``); the product comes back through one real
+    forward transform whose column pass covers the box only
+    (``OperatorTable.box_coefficients``).  The result is zero outside the box.
     """
     ops = operator_table(theta.grid)
-    m = ops.dealias_columns
-    th = theta.coefficients[:, :m] * ops.dealias[:, :m]
+    th = ops.box(theta.coefficients)
     grad = np.empty((2,) + th.shape, dtype=np.complex128)
-    np.multiply(1j * ops.k1, th, out=grad[0])
-    np.multiply(1j * ops.k2[:, :m], th, out=grad[1])
-    adv = ops.values(grad)  # products and sign in place: no further n^2 temporaries
+    np.multiply(1j * ops.box_k1, th, out=grad[0])
+    np.multiply(1j * ops.box_k2, th, out=grad[1])
+    adv = ops.box_values(grad)  # products and sign in place: no further n^2 temporaries
+    del th, grad  # not read again: a step's working set peaks in the transforms below
     adv *= u_samples
     adv[0] += adv[1]
     np.negative(adv[0], out=adv[0])
-    c = ops.coefficients(adv[0])
-    c *= ops.dealias
-    return SpectralField._adopt(theta.grid, coefficients=c)
+    box = ops.box_coefficients(adv[0])
+    del adv
+    return SpectralField._adopt(theta.grid, coefficients=ops.unbox(box))
 
 
-def leray_project(u: SpectralField, *, overwrite: bool = False) -> SpectralField:
-    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients:
-    formed in a copy of u's coefficients or, with ``overwrite`` (as scipy's
-    ``overwrite_x``: the caller gives u up), in u's own array.  Rows go in
-    blocks with two block-sized scratch arrays; each coefficient sees the
-    plain expression's operations in its order, so it has its bits."""
-    grid = u.grid
-    c = u.coefficients
-    if overwrite:
-        c.flags.writeable = True
+def _project(c: np.ndarray, ops) -> np.ndarray:
+    """c - k (k . c) / |k|^2 in place on vector coefficients c of the grid
+    of ``ops`` (its ``OperatorTable``), whole or a dealias box; the k = 0
+    mode is kept.  Rows go in blocks with two block-sized scratch arrays;
+    each coefficient sees the plain expression's operations in its order, so
+    it has its bits."""
+    n_rows = c.shape[-2]
+    if n_rows == ops.n_side:
+        k1, k2, ksq, zero_row = ops.k1, ops.k2, ops.ksq, 0
     else:
-        c = c.copy()
-    ops = operator_table(grid)
-    k1, k2 = ops.k1, ops.k2
-    rows = min(32, grid.n_side)  # per block
+        k1, k2, ksq, zero_row = ops.box_k1, ops.box_k2, ops.box_ksq, ops.dealias_columns - 1
+    rows = min(32, n_rows)  # per block
     scratch = np.empty((2, rows, c.shape[-1]), dtype=np.complex128)
-    for lo in range(0, grid.n_side, rows):
+    for lo in range(0, n_rows, rows):
         block = slice(lo, lo + rows)
         c0, c1 = c[0, block], c[1, block]
         div, prod = scratch[:, :len(c0)]
@@ -249,14 +259,28 @@ def leray_project(u: SpectralField, *, overwrite: bool = False) -> SpectralField
         np.multiply(k2, c1, out=prod)
         div += prod
         with np.errstate(invalid="ignore"):
-            div /= ops.ksq[block]
-        if lo == 0:
-            div[0, 0] = 0.0
+            div /= ksq[block]
+        if lo <= zero_row < lo + rows:
+            div[zero_row - lo, 0] = 0.0
         np.multiply(k2, div, out=prod)
         c1 -= prod
         np.multiply(k1[block], div, out=div)
         c0 -= div
-    return SpectralField._adopt(grid, coefficients=c)
+    return c
+
+
+def leray_project(u: SpectralField, *, overwrite: bool = False) -> SpectralField:
+    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients:
+    formed in a copy of u's coefficients or, with ``overwrite`` (as scipy's
+    ``overwrite_x``: the caller gives u up), in u's own array
+    (:func:`_project`, the one projection, which ``simulate`` also applies
+    to dealias boxes)."""
+    c = u.coefficients
+    if overwrite:
+        c.flags.writeable = True
+    else:
+        c = c.copy()
+    return SpectralField._adopt(u.grid, coefficients=_project(c, operator_table(u.grid)))
 
 
 def cfl_dt(u: SpectralField | float, grid: Grid2D, dt: float) -> float:
@@ -345,12 +369,28 @@ def step_transport(state: SimState, velocity, dt: float) -> SimState:
     inc += tendency(y, t + dt)  # k4
     inc *= dt / 6.0
     # samples advance by the increment's samples (the one transform the blow-up
-    # check needs), so a zero tendency leaves them bit for bit unchanged
-    values = operator_table(grid).values(inc)
+    # check needs), so a zero tendency leaves them bit for bit unchanged; the
+    # increment is zero outside the dealias box, so they are its box's
+    ops = operator_table(grid)
+    values = ops.box_values(ops.box(inc))
     np.add(th.values, values, out=values)
     new_theta = SpectralField._adopt(grid, values=values, coefficients=np.add(c, inc, out=inc))
     _check_blowup(new_theta, state)
     return SimState(t=t + dt, theta=new_theta, theta0_linf=state.theta0_linf)
+
+
+def _reconstruct(u0: np.ndarray, near: np.ndarray, acc, kind: str | None = None):
+    """u0 + near - acc, the serfati reconstruction, formed in ``near``'s array
+    (which the caller gives up), in this order: w = u0 + near, then w = w -
+    acc.  The arrays are whole coefficients or samples, of representation
+    ``kind``, or dealias boxes (``kind`` None); ``acc`` may be None, an array
+    of w's shape, or a field, whose representation the difference is then
+    taken in as ``SpectralField`` arithmetic would.  Returns (kind, w)."""
+    w = np.add(u0, near, out=near)
+    if acc is not None:
+        kind, w, acc = _operands_into(w, kind, acc)
+        np.subtract(w, acc, out=w)
+    return kind, w
 
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
@@ -361,10 +401,10 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
     coefficients only, and costs no transform when its inputs hold
     coefficients.
 
-    Formed in one array w, the near convolution's own (a fresh field this
-    call made and nothing else reads), in this order: w = u0 + near, then
-    w = w - acc, each sum in the representation ``SpectralField``
-    arithmetic chooses for it; so the bits are those of ``u0 + near - acc``.
+    Formed by :func:`_reconstruct` in the near convolution's array (a fresh
+    field this call made and nothing else reads), each sum in the
+    representation ``SpectralField`` arithmetic chooses for it; so the bits
+    are those of ``u0 + near - acc``.
     """
     far = state.far
     if far is not None and abs(far.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
@@ -374,10 +414,7 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
         u0.grid, coefficients=state.theta.coefficients - theta0.coefficients))
     kind, a, w = u0._operands(near)
     w.flags.writeable = True  # near's array, private to this call
-    np.add(a, w, out=w)
-    if far is not None:
-        kind, w, acc = _operands_into(w, kind, far.acc)
-        np.subtract(w, acc, out=w)
+    kind, w = _reconstruct(a, w, None if far is None else far.acc, kind)
     return SpectralField._adopt(u0.grid, **{kind: w})
 
 
@@ -443,6 +480,7 @@ class NormRecorder:
         if not isinstance(descriptors, (list, tuple)):
             raise ConfigurationError(f"record_norms is a list of descriptors, got {descriptors!r}")
         self.descriptors = [_parse_descriptor(desc) for desc in descriptors]
+        self.reads_u = any(target == "u" for _, _, target, _ in self.descriptors)
         self.grid = grid
 
     @functools.cached_property
@@ -475,9 +513,9 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
 
     Records the requested norms at the sample cadence and returns the full
     trajectory (fields stored at sample times).  Passing a kernel split
-    with the direct law keeps the state's far integral (``far``) up to date
-    along the run, so ``velocity_serfati`` can be evaluated on the final
-    state for identity-consistency measurements.
+    with the direct law integrates the far term along the run and gives the
+    final state its integral (``far``), so ``velocity_serfati`` can be
+    evaluated on it for identity-consistency measurements.
     """
     grid = config.grid()
     _check_initial_data(grid, theta0, u0)
@@ -522,62 +560,81 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             grid, coefficients=ops.unbox(c, leray_project(u0._shallow()).coefficients)))
 
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
-    if split is not None:
-        state.far = FarIntegral(SpectralField.zeros(grid, components=2),
-                                convolve_far(split, theta0, u0_read))
+    # the far integral's sum and integrand, kept as dealias boxes for the run
+    far = None if split is None else FarIntegral(np.zeros((2,) + ops.box_ksq.shape, dtype=complex),
+                                                  convolve_far(split, theta0, u0_read, box=True))
 
     def store(state: SimState, theta, u):
         traj.times.append(state.t)
-        recorder.record(traj.norms, state.t, state.theta, state.u)
         traj.thetas.append(theta)
         traj.us.append(u)
+        # between its steps a serfati run holds u as a box: its norms read the sample
+        recorder.record(traj.norms, state.t, state.theta,
+                        traj.us[-1] if state.u is None and recorder.reads_u else state.u)
 
     store(state, c0, u0)
     l2_0 = theta0.l2()
     if not direct:
-        u_adv = leray_project(u0_read)  # the first step's; later steps advect by state.u
+        # u0's box, theta0's, and the box of the projection that advects the
+        # next step: the reconstruction and its projection live on the box
+        u0_box, c0_box = ops.box(u0_read.coefficients), ops.box(c0)
+        u_box = _project(u0_box.copy(), ops)
 
     for k in range(n_steps):
-        if direct:
-            state.u = None  # every stage makes its own velocity
-            new = step_transport(
+        state.u = None  # no stage reads it
+        if direct:  # every stage makes its own velocity
+            state = step_transport(
                 state, lambda t, th: dealiased_samples(biot_savart_velocity(th, config.beta)), dt)
-            new.u = biot_savart_velocity(new.theta, config.beta)
-            if split is not None:
-                new.far = state.far.advance(dt, convolve_far(split, new.theta, new.u))
+            state.u = biot_savart_velocity(state.theta, config.beta)
+            if far is not None:
+                far = far.advance(dt, convolve_far(split, state.theta, state.u, box=True))
         else:
-            # u_adv's dealiased samples serve the transport step and the
-            # predictor's far flux; the new theta's, predictor and corrector.
-            # Each is dropped after its last read, as are the predictor's
-            # integrand (u_star reads the predicted sum alone), that sum
-            # (read by u_star) and u_star (read by the corrector)
-            adv = dealiased_samples(u_adv)
-            new = step_transport(state, lambda t, th: adv, dt)
-            theta_samples = dealiased_samples(new.theta)
-            # the new-boundary integrand: predicted with u_adv, corrected with u_star
-            pred = state.far.advance(dt, convolve_far(
-                split, new.theta, u_adv, theta_samples=theta_samples, u_samples=adv))
-            new.far = FarIntegral(pred.acc, None, pred.t)
-            del adv, pred
-            u_star = velocity_serfati(new, u0_read, theta0, split)
-            new.far = None
-            integ = convolve_far(split, new.theta, u_star, theta_samples=theta_samples)
+            # the advecting samples serve the transport step and the predictor's
+            # far flux; the new theta's, predictor and corrector.  Each array is
+            # dropped after its last read: the previous state with the step,
+            # the predictor's integrand once its sum is formed, that sum once
+            # u_star reads it, and u_star (kept as its samples only) once the
+            # corrector's flux is formed
+            adv = ops.box_values(u_box)
+            state = step_transport(state, lambda t, th: adv, dt)
+            theta_samples = dealiased_samples(state.theta)
+            # the new-boundary integrand: predicted with the advecting velocity,
+            # corrected with u_star
+            acc = far.advance(dt, convolve_far(split, state.theta, theta_samples=theta_samples,
+                                               u_samples=adv, box=True)).acc
+            del adv
+            dtheta = ops.box(state.theta.coefficients)
+            dtheta -= c0_box  # theta - theta0, which both near convolutions read
+            u_star = ops.box_values(_reconstruct(u0_box, convolve_near(split, dtheta), acc)[1])
+            del acc
+            integ = convolve_far(split, state.theta, theta_samples=theta_samples,
+                                 u_samples=u_star, box=True)
             del u_star, theta_samples
-            new.far = state.far.advance(dt, integ)
+            far = far.advance(dt, integ)
             # the reconstruction is divergence-free in the continuum; project
-            # away the sampling residue so the state velocity stays solenoidal,
-            # in the reconstruction's own array, and advect the next step by
-            # that stored projection
-            new.u = u_adv = leray_project(velocity_serfati(new, u0_read, theta0, split),
-                                          overwrite=True)
-        state = new
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            # away the sampling residue, in the reconstruction's own array, so
+            # the velocity advecting the next step stays solenoidal
+            u_box = _project(_reconstruct(u0_box, convolve_near(split, dtheta), far.acc)[1], ops)
+            del dtheta
+        if (k + 1) % sample_every == 0 and k < n_steps - 1:
             theta = ops.box(state.theta.coefficients)
-            if direct:  # u is made of theta's box
-                u = theta
-            else:  # its projection's box; the last sample shares the final state's u
-                u = state.u if k == n_steps - 1 else ops.box(state.u.coefficients)
-            store(state, theta, u)
+            store(state, theta, theta if direct else u_box)  # direct: u is made of theta's box
+
+    # the whole final state, made once, each box dropped when its whole array
+    # is made: outside the dealias box the far integral is zero and serfati's
+    # u is u0's projection
+    if far is not None:
+        state.far = FarIntegral(SpectralField._adopt(grid, coefficients=ops.unbox(far.acc)),
+                                SpectralField._adopt(grid, coefficients=ops.unbox(far.prev)),
+                                far.t)
+        del far
+    if not direct:  # the last sample shares it
+        del u0_box, c0_box
+        state.u = SpectralField._adopt(
+            grid, coefficients=ops.unbox(u_box, leray_project(u0_read).coefficients))
+        del u_box
+    theta = ops.box(state.theta.coefficients)
+    store(state, theta, theta if direct else state.u)
 
     traj.diagnostics = {
         "dt": dt,
@@ -795,9 +852,11 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         return frozen_velocity(lambda t: SpectralField._adopt(
             grid, values=_interp_velocity_time(step_times, vals, min(t, t_end))))
 
+    ops = operator_table(grid)
+
     def far_samples(theta, u, u_samples=None):  # as samples only, so the sums are on samples
-        return SpectralField._adopt(
-            grid, values=convolve_far(split, theta, u, u_samples=u_samples).values)
+        return SpectralField._adopt(grid, values=ops.box_values(
+            convolve_far(split, theta, u, u_samples=u_samples, box=True)))
 
     keep = set(sample_idx.tolist())
     trace = IterationTrace(sample_times=sample_times, time_bound=t_bound)

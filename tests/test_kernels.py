@@ -478,6 +478,24 @@ class TestConvolutions:
         assert not beyond.view(np.float64).any()
         assert not np.signbit(beyond.view(np.float64)).any()
 
+    def test_box_forms_are_the_boxes_of_the_fields(self, split128_raw):
+        # a box in (near) or asked for (far) gives the dealias box of the
+        # field's coefficients; the far flux needs u or its samples
+        g = split128_raw.grid
+        ops = operator_table(g)
+        theta = random_real_field(g, seed=13)
+        u = random_real_field(g, seed=14, components=2)
+        near = convolve_near(split128_raw, theta).coefficients
+        assert np.array_equal(convolve_near(split128_raw, ops.box(theta.coefficients)),
+                              ops.box(near))
+        far = convolve_far(split128_raw, theta, u).coefficients
+        assert np.array_equal(convolve_far(split128_raw, theta, u, box=True), ops.box(far))
+        assert np.array_equal(far, ops.unbox(ops.box(far)))  # zero outside the box
+        with pytest.raises(ConfigurationError):
+            convolve_near(split128_raw, theta.coefficients)
+        with pytest.raises(ConfigurationError):
+            convolve_far(split128_raw, theta, theta_samples=dealiased_samples(theta))
+
     def test_far_peak_memory(self, split256, traced_peak):
         # the flux's samples (16 n^2 bytes) and the coefficients that become
         # the result (16 n^2), with temporaries on the dealias columns only

@@ -133,8 +133,17 @@ def test_cached_tables_read_only(n):
     constitutive = MultiplierSpec("constitutive", 0.5)
     arrays += [symbol_array(grid, constitutive), fam.block_multiplier(1),
                fam.lowpass_multiplier(-1)]
-    half = (n, n // 2 + 1)  # every table is on (or broadcasts to) the rfft2 layout
-    assert all(np.broadcast_shapes(a.shape[-2:], half) == half for a in arrays)
+    # every table is on (or broadcasts to) the rfft2 layout, but the box_*
+    # ones, which are their namesakes on the dealias box
+    half = (n, n // 2 + 1)
+    assert all(np.broadcast_shapes(a.shape[-2:], half) == half
+               for name, a in vars(ops).items() if isinstance(a, np.ndarray)
+               and not name.startswith("box_"))
+    assert all(np.broadcast_shapes(a.shape[-2:], half) == half for a in arrays[-3:])
+    for name in ("box_k1", "box_k2", "box_ksq"):
+        whole = np.broadcast_to(getattr(ops, name[4:]), half)
+        assert np.array_equal(np.broadcast_to(getattr(ops, name), ops.box(whole).shape),
+                              ops.box(whole))
     assert ops.ksq.shape == half and ops.k2.shape == ops.multiplicity.shape == (1, n // 2 + 1)
     for a in arrays:
         assert not a.flags.writeable
@@ -264,6 +273,31 @@ def test_row_pruned_coefficients_have_the_bits_of_rfft2(n, data, seed, lead, box
     expected *= box / (n * n)
     got = operator_table(Grid2D(n, box)).coefficients(full[..., rows, :], rows=rows)
     assert got.tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([16, 32, 64]), st.floats(0.5, 40.0), st.sampled_from([(), (2,)]), seeds,
+       st.booleans())
+def test_box_transforms_are_the_masked_whole_layout_ones(n, box, lead, seed, dirty):
+    # box_values against values(c, mask=dealias) of a c whose box it is;
+    # box_coefficients against coefficients(v) * dealias on every entry of
+    # the layout, apart from signed zeros; either worker count
+    ops = operator_table(Grid2D(n, box))
+    rng = np.random.default_rng(seed)
+    shape = lead + (n, n // 2 + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = rng.standard_normal(lead + (n, n))
+    K = n // 3
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid_module, "_FFT_WORKERS", workers)
+            if dirty:  # a whole-width call leaves every column of the buffer written
+                ops.values(c)
+            samples = ops.box_values(ops.box(c))
+            assert np.array_equal(samples, ops.values(c, mask=ops.dealias))
+            coeffs = ops.box_coefficients(v)
+            assert coeffs.shape == lead + (2 * K + 1, K + 1)
+            assert np.array_equal(ops.unbox(coeffs), ops.coefficients(v) * ops.dealias)
 
 
 # -- field arithmetic: the representation rule ---------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -627,33 +628,42 @@ class TestSerfati:
         assert sum(planes) - one <= 22
 
     def test_serfati_sample_reuse_is_bit_for_bit(self, split128, monkeypatch):
-        # the same run with every far flux taking theta and u to samples itself
+        # each step hands convolve_far the dealiased samples it holds, of the
+        # advecting velocity or u_star (made from their boxes) and of the new
+        # theta, and no velocity field; a flux made from such samples has the
+        # bits of the flux made from the fields
         grid = split128.grid
-        theta0 = dipole16(grid)
-        reused = simulate(split_config("serfati", 3), theta0, split=split128).final_state
-
+        ops = operator_table(grid)
         passing = []
 
-        def own_samples(split, theta, u, **passed):
-            passing.append(bool(passed))
-            return convolve_far(split, theta, u)
+        def passed(split, theta, u=None, **kw):
+            passing.append((u is None, sorted(kw)))
+            return convolve_far(split, theta, u, **kw)
 
-        monkeypatch.setattr(solver, "convolve_far", own_samples)
-        own = simulate(split_config("serfati", 3), theta0, split=split128).final_state
+        monkeypatch.setattr(solver, "convolve_far", passed)
+        st = simulate(split_config("serfati", 3), dipole16(grid), split=split128).final_state
         # the initial integrand has no samples at hand; each step's two do
-        assert passing == [False] + [True] * 6
-        for a, b in ((reused.theta, own.theta), (reused.u, own.u),
-                     (reused.far.acc, own.far.acc), (reused.far.prev, own.far.prev)):
-            assert np.array_equal(a.coefficients, b.coefficients)
+        held = ["box", "theta_samples", "u_samples"]
+        assert passing == [(False, ["box"])] + [(True, held)] * 6
+        theta, u = st.theta, st.u
+        theta_samples = dealiased_samples(theta)
+        u_samples = ops.box_values(ops.box(u.coefficients))
+        from_fields = convolve_far(split128, theta, u).coefficients
+        kw = dict(theta_samples=theta_samples, u_samples=u_samples)
+        assert np.array_equal(convolve_far(split128, theta, **kw).coefficients, from_fields)
+        assert np.array_equal(convolve_far(split128, theta, box=True, **kw), ops.box(from_fields))
+        with pytest.raises(ConfigurationError):
+            convolve_far(split128, theta, theta_samples=theta_samples)
 
     def test_serfati_projects_once_per_step(self, split128, monkeypatch):
-        # u0 once before the loop, then the state's velocity once per step: the
-        # next step advects by that stored projection
+        # one projection, on the dealias box of u0 before the loop and of the
+        # state's velocity once per step (the next step advects by it), then
+        # on the whole u0 once, whose projection fills in the final u
         n = 3
-        counts = count_public_calls(monkeypatch, solver.leray_project)
+        counts = count_public_calls(monkeypatch, solver.leray_project, solver._project)
         traj = simulate(split_config("serfati", n), dipole16(split128.grid), split=split128)
         assert traj.diagnostics["n_steps"] == n
-        assert counts == {"leray_project": n + 1}
+        assert counts == {"leray_project": 1, "_project": n + 2}
         u = traj.final_state.u
         gap = (solver.leray_project(u) - u).linf()
         assert gap <= 1e-15 * u.linf()
@@ -969,35 +979,50 @@ class TestWorkingSet:
         return peak / (2 * n * (n // 2 + 1) * 16)
 
     def test_serfati_solve_peak(self, split128, traced_peak):
-        # the whole peak of a warm solve, samples included (11.97 V measured);
-        # a trajectory that kept theta's samples in place of their box read
-        # 12.29 V.  Above what the solve retained, a fresh array per sum, with
-        # the predicted integral, the advecting samples and u_star alive into
-        # the corrector, read 8.3 V; a reconstruction and its projection
-        # formed in fresh arrays beside the near convolution, 4.99 V; the
-        # predicted integrand alive while u_star is formed, 4.49 V; this
-        # layout, 4.75 V
+        # the whole peak of a warm solve, samples included (9.68 V measured).
+        # Earlier layouts read: the far integral, reconstruction and
+        # projection on the whole layout, with the previous state's theta and
+        # u alive through the step, 11.97 V; theta's samples kept in place of
+        # their box, 12.29 V.  Above what the solve retained: a fresh array
+        # per sum, with the predicted integral, the advecting samples and
+        # u_star alive into the corrector, 8.3 V; a reconstruction and its
+        # projection formed in fresh arrays beside the near convolution,
+        # 4.99 V; the predicted integrand alive while u_star is formed,
+        # 4.49 V; the whole-layout step, 4.75 V
         peak = self.warm_solve(split128, "serfati", traced_peak)
-        assert peak <= 12
+        assert peak <= 9.75
 
     def test_u_star_is_formed_without_the_predicted_integrand(self, split128, monkeypatch):
         # u_star reads the predicted integral's sum alone, so the predictor's
-        # integrand, one vector field, is gone by then; the state's
-        # reconstruction keeps the corrected one, the next step's prev
-        kept = []
-        reconstruct = solver.velocity_serfati
-        monkeypatch.setattr(solver, "velocity_serfati", lambda state, *args: kept.append(
-            state.far.prev is not None) or reconstruct(state, *args))
+        # integrand, one box, is gone by then; the state's reconstruction
+        # keeps the corrected one, the next step's prev.  Integrand 0 is
+        # t = 0's; step j's predictor makes integrand 2j - 1, its corrector 2j
+        made, alive = [], []
+        far, reconstruct = solver.convolve_far, solver._reconstruct
+
+        def far_made(*args, **kw):
+            out = far(*args, **kw)
+            made.append(weakref.ref(out))
+            return out
+
+        def reconstruct_seen(*args):
+            alive.append([i for i, ref in enumerate(made) if ref() is not None])
+            return reconstruct(*args)
+
+        monkeypatch.setattr(solver, "convolve_far", far_made)
+        monkeypatch.setattr(solver, "_reconstruct", reconstruct_seen)
         simulate(split_config("serfati", 3), dipole16(split128.grid), split=split128)
-        assert kept == [False, True] * 3
+        assert alive == [[0], [2], [2], [4], [4], [6]]
 
     def test_direct_solve_peak(self, split128, traced_peak):
         # the whole peak of a direct solve with a split, samples included
-        # (9.64 V measured): a step that held the previous state's u read
-        # 10.65 V, a trajectory that kept theta's samples beside its
-        # coefficients 12.96 V, one that kept whole coefficients 11.97 V
+        # (7.49 V measured): a step that kept the previous state's theta, a
+        # tendency and far flux formed on the whole layout and the far
+        # integral kept whole read 9.64 V, a step that also held the previous
+        # state's u 10.65 V, a trajectory that kept theta's samples beside
+        # its coefficients 12.96 V, one that kept whole coefficients 11.97 V
         peak = self.warm_solve(split128, "direct", traced_peak)
-        assert peak <= 9.7
+        assert peak <= 7.55
 
 
 class TestPlainExpressions:
