@@ -67,9 +67,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if key not in allowed_top:
             raise ConfigurationError(f"unknown config key {key!r}")
     command = doc.get("command")
-    if command not in DEFAULTS:
+    if not isinstance(command, str) or command not in DEFAULTS:
         raise ConfigurationError(f"unknown or missing command {command!r}")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"params is an object of parameter values, got {params!r}")
     for key in params:
         if key not in DEFAULTS[command]:
             raise ConfigurationError(f"unknown parameter {key!r} for command {command!r}")
@@ -277,6 +279,20 @@ def _add_options(sp, **types):
         sp.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object in the config file ``path``."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise ConfigurationError(f"config file {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config file {path} holds a JSON {type(doc).__name__}, "
+                                 f"not an object")
+    return doc
+
+
 def _collect_overrides(args, keys) -> dict:
     out = {}
     for key in keys:
@@ -327,22 +343,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    doc = {"command": args.command, "params": {}}
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        doc.setdefault("command", args.command)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    out_flag = args.out or doc.get("output_dir") or os.environ.get("OUTPUT_DIR") or "."
-    doc["output_dir"] = out_flag
-    overrides = _collect_overrides(args, DEFAULTS.get(doc.get("command", args.command), ()))
-    doc.setdefault("params", {}).update(overrides)
-
     try:
+        doc = _read_config(args.config) if args.config else {}
+        doc.setdefault("command", args.command)
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        doc["output_dir"] = args.out or doc.get("output_dir") or os.environ.get("OUTPUT_DIR") or "."
         cfg = validate_config(doc)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    cfg.params.update(_collect_overrides(args, DEFAULTS[cfg.command]))
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -49,9 +49,11 @@ the structure the integration by parts produces, so no far transfer is
 stored.  The flux theta u is formed from the dealiased samples of its
 factors (``fields.dealiased_samples``); a caller that already holds them,
 as the serfati step does, passes them to ``convolve_far``, which then
-transforms only the flux, with the same bits.  ``KernelSplit.near`` and
-``.far``, the plain one-period samplings of the analytic kernels, are
-computed on first read; no solve or convolution reads them.
+transforms only the flux, with the same bits, and returns the dealias box
+of the contraction's coefficients, outside which it is zero.
+``KernelSplit.near`` and ``.far``, the plain one-period samplings of the
+analytic kernels, are computed on first read; no solve or convolution
+reads them.
 """
 
 from __future__ import annotations
@@ -461,16 +463,16 @@ def convolve_mid(split: KernelSplit, theta: SpectralField) -> SpectralField:
 
 
 def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField | None = None, *,
-                 theta_samples: np.ndarray | None = None, u_samples: np.ndarray | None = None,
-                 box: bool = False):
+                 theta_samples: np.ndarray | None = None,
+                 u_samples: np.ndarray | None = None) -> np.ndarray:
     """Far-field contraction: component i is sum_j far_ij * (theta u_j).
 
     Computed as mid * div(theta u), with the flux theta u dealiased.  A
     caller that already holds ``dealiased_samples`` of theta or u passes
     them, and the contraction skips those transforms; the result has the
     same bits either way.  Given ``u_samples``, u itself is not read.  The
-    result is zero outside the dealias box: a coefficient field, or with
-    ``box`` the box of its coefficients (``OperatorTable.box``).
+    result is zero outside the dealias box, so it is returned as the box of
+    its coefficients (``OperatorTable.box``), shape (2, 2K + 1, K + 1).
     """
     if theta.components != 1 or (u is not None and u.components != 2):
         raise ConfigurationError("convolve_far takes (scalar, vector)")
@@ -493,8 +495,7 @@ def convolve_far(split: KernelSplit, theta: SpectralField, u: SpectralField | No
     flux = ops.box_coefficients(product)
     del product
     div = (1j * ops.box_k1) * flux[0] + (1j * ops.box_k2) * flux[1]
-    ops.box_product(split._mid_transfer, div, out=flux)
-    return flux if box else SpectralField._adopt(theta.grid, coefficients=ops.unbox(flux))
+    return ops.box_product(split._mid_transfer, div, out=flux)
 
 
 def split_consistency_error(split: KernelSplit, theta: SpectralField) -> float:

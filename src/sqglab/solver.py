@@ -12,16 +12,16 @@ step boundaries.  In serfati mode the advecting field is additionally Leray-
 projected: the reconstruction is divergence-free in the continuum, and the
 projection removes the sampling residue so transport stays conservative
 (the raw reconstruction is what ``velocity_serfati`` returns).  The
-reconstruction is linear, so it is formed on coefficients: the kernel
-convolutions return coefficient fields, and the far accumulator, the
-reconstructed velocity and its projection live in coefficients, taken to
-samples only where a caller reads them.  Every term a step adds is
-dealiased, so outside the 2/3-rule box (``OperatorTable.box``) the far
-integral is zero and the velocity is its t = 0 value: ``simulate`` keeps
-the far integral, and under serfati the reconstruction and its projection,
-as boxes for the whole run, and makes the whole final state once, after
-the last step.  A serfati step advects by the projection's box the
-previous step made (u0's box is projected before the first step); its
+reconstruction is linear, so it is formed on coefficients.  Every term a
+step adds is dealiased, so outside the 2/3-rule box (``OperatorTable.box``)
+the far integral is zero and the velocity is its t = 0 value.  So
+``convolve_far`` returns the box of its coefficients, and ``simulate``
+keeps the far integral (two plain arrays, summed as arrays) as boxes for
+the whole run, and under serfati also the reconstruction and its
+projection.  The final state keeps the far integral's boxes, which
+``velocity_serfati`` reads; the whole final u is made once, after the last
+step.  A serfati step advects by the projection's box the previous step
+made (u0's box is projected before the first step); its
 dealiased samples serve the transport step and the predictor's far flux,
 u_star's the corrector's, and the new theta's the predictor and the
 corrector.  A step holds only the arrays it still reads: its sums are
@@ -34,12 +34,12 @@ serfati also the box of u.
 A transport step takes its velocity one way: ``velocity(t, theta)`` returns
 the dealiased samples advecting the stage ``theta`` at time ``t``, and the
 caller sets the new state's u.  The Picard sequence keeps its
-reconstruction on samples and steps theta by the previous iterate's
-velocity through :func:`frozen_velocity`.  An iterate is one pass over the
-steps, each transport step followed by the reconstruction step of the
-theta it made, so it keeps u at every step but theta only at the sample
-times; the trace keeps D_n of every iterate and the fields of the last one
-only (:class:`IterationTrace`).
+reconstruction and far integral on samples and steps theta by the
+previous iterate's velocity through :func:`frozen_velocity`.  An iterate
+is one pass over the steps, each transport step followed by the
+reconstruction step of the theta it made, so it keeps u at every step but
+theta only at the sample times; the trace keeps D_n of every iterate and
+the fields of the last one only (:class:`IterationTrace`).
 
 The approximation sequence follows the iteration the existence proof
 uses: theta^(n+1) solves transport by the frozen previous velocity from
@@ -60,7 +60,7 @@ import numpy as np
 
 from .dyadic import smooth_truncate_initial
 from .errors import ConfigurationError, DomainError, SimulationError
-from .fields import SpectralField, _operands_into, dealiased_samples
+from .fields import SpectralField, dealiased_samples
 from .grid import Grid2D, _require_integer, abs_max, operator_table
 from .kernels import KernelSplit, build_split, convolve_far, convolve_near
 from .multipliers import biot_savart_velocity, gradient, divergence
@@ -102,33 +102,22 @@ class SolverConfig:
 @dataclass(frozen=True)
 class FarIntegral:
     """int_0^t far *. (theta u) dtau by the trapezoid rule: the sum ``acc`` and
-    the integrand ``prev`` at ``t``.  Both are fields, whose sums are
-    ``SpectralField`` sums and so stay in the representation of the
-    integrands, or both are dealias boxes of coefficients (``simulate``'s
-    loop), summed as arrays."""
+    the integrand ``prev`` at ``t``, arrays of one shape summed as arrays:
+    dealias boxes of coefficients in ``simulate``, samples in
+    ``picard_iterate``."""
 
-    acc: SpectralField | np.ndarray
-    prev: SpectralField | np.ndarray
+    acc: np.ndarray
+    prev: np.ndarray
     t: float = 0.0
 
-    def advance(self, dt: float, integ: SpectralField | np.ndarray) -> "FarIntegral":
-        """The integral at t + dt, acc + 0.5 dt (prev + integ).
-
-        Formed in one fresh array w, in this order: w = prev + integ, w *=
-        0.5 dt, w = acc + w, each sum of fields in the representation
-        ``SpectralField`` arithmetic chooses for it; so the bits are the plain
-        expression's.
-        """
-        if isinstance(integ, SpectralField):
-            kind, prev, new = self.prev._operands(integ)
-        else:
-            kind, prev, new = None, self.prev, integ
-        w = prev + new
+    def advance(self, dt: float, integ: np.ndarray) -> "FarIntegral":
+        """The integral at t + dt, acc + 0.5 dt (prev + integ), formed in one
+        fresh array w in this order: w = prev + integ, w *= 0.5 dt, w = acc +
+        w; so the bits are the plain expression's."""
+        w = self.prev + integ
         w *= 0.5 * dt
-        kind, w, acc = _operands_into(w, kind, self.acc)
-        np.add(acc, w, out=w)
-        acc = w if kind is None else SpectralField._adopt(integ.grid, **{kind: w})
-        return FarIntegral(acc, integ, self.t + dt)
+        np.add(self.acc, w, out=w)
+        return FarIntegral(w, integ, self.t + dt)
 
 
 @dataclass
@@ -175,8 +164,9 @@ class Trajectory:
     its state's.  Under the direct law ``us[i]`` (i >= 1) is the constitutive
     velocity of ``thetas[i]``; under serfati it holds the box of the state's
     Leray projection, filled from u0's, the last being ``final_state.u``.
-    ``us[0]`` is u0 as it arrived.  ``final_state`` is the whole last state,
-    with the ``far`` integral that ``velocity_serfati`` reads under a split.
+    ``us[0]`` is u0 as it arrived.  ``final_state`` is the whole last state;
+    under a split its ``far`` integral holds the dealias boxes that
+    ``velocity_serfati`` reads.
     """
 
     times: list = dc_field(default_factory=list)
@@ -269,18 +259,12 @@ def _project(c: np.ndarray, ops) -> np.ndarray:
     return c
 
 
-def leray_project(u: SpectralField, *, overwrite: bool = False) -> SpectralField:
-    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients:
-    formed in a copy of u's coefficients or, with ``overwrite`` (as scipy's
-    ``overwrite_x``: the caller gives u up), in u's own array
-    (:func:`_project`, the one projection, which ``simulate`` also applies
-    to dealias boxes)."""
-    c = u.coefficients
-    if overwrite:
-        c.flags.writeable = True
-    else:
-        c = c.copy()
-    return SpectralField._adopt(u.grid, coefficients=_project(c, operator_table(u.grid)))
+def leray_project(u: SpectralField) -> SpectralField:
+    """c - k (k . c) / |k|^2, the divergence-free part, on coefficients,
+    formed in a copy of u's coefficients (:func:`_project`, the one
+    projection, which ``simulate`` also applies to dealias boxes)."""
+    return SpectralField._adopt(
+        u.grid, coefficients=_project(u.coefficients.copy(), operator_table(u.grid)))
 
 
 def cfl_dt(u: SpectralField | float, grid: Grid2D, dt: float) -> float:
@@ -379,32 +363,24 @@ def step_transport(state: SimState, velocity, dt: float) -> SimState:
     return SimState(t=t + dt, theta=new_theta, theta0_linf=state.theta0_linf)
 
 
-def _reconstruct(u0: np.ndarray, near: np.ndarray, acc, kind: str | None = None):
-    """u0 + near - acc, the serfati reconstruction, formed in ``near``'s array
-    (which the caller gives up), in this order: w = u0 + near, then w = w -
-    acc.  The arrays are whole coefficients or samples, of representation
-    ``kind``, or dealias boxes (``kind`` None); ``acc`` may be None, an array
-    of w's shape, or a field, whose representation the difference is then
-    taken in as ``SpectralField`` arithmetic would.  Returns (kind, w)."""
+def _reconstruct(u0: np.ndarray, near: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """u0 + near - acc, the serfati reconstruction on arrays of one shape,
+    formed in ``near``'s array (which the caller gives up), in this order: w
+    = u0 + near, then w = w - acc."""
     w = np.add(u0, near, out=near)
-    if acc is not None:
-        kind, w, acc = _operands_into(w, kind, acc)
-        np.subtract(w, acc, out=w)
-    return kind, w
+    return np.subtract(w, acc, out=w)
 
 
 def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
                      split: KernelSplit) -> SpectralField:
     """Reconstructed velocity u0 + near*(theta - theta0) - the far integral.
 
-    Linear in its terms, so it is formed on coefficients: the result holds
-    coefficients only, and costs no transform when its inputs hold
-    coefficients.
-
-    Formed by :func:`_reconstruct` in the near convolution's array (a fresh
-    field this call made and nothing else reads), each sum in the
-    representation ``SpectralField`` arithmetic chooses for it; so the bits
-    are those of ``u0 + near - acc``.
+    Linear in its terms, so it is formed on coefficients, in this order: w =
+    u0 + near, then the dealias box of w minus the far integral, a box as
+    ``simulate`` keeps it (outside the box the integral is zero).  The
+    result holds coefficients only, with the bits of ``u0 + near - acc`` on
+    whole coefficients; it costs no transform when u0 holds coefficients,
+    and caches nothing on u0.
     """
     far = state.far
     if far is not None and abs(far.t - state.t) > 1e-9 * max(1.0, abs(state.t)):
@@ -412,10 +388,11 @@ def velocity_serfati(state: SimState, u0: SpectralField, theta0: SpectralField,
     # theta - theta0 is read once, by the convolution, and dies with it
     near = convolve_near(split, SpectralField._adopt(
         u0.grid, coefficients=state.theta.coefficients - theta0.coefficients))
-    kind, a, w = u0._operands(near)
-    w.flags.writeable = True  # near's array, private to this call
-    kind, w = _reconstruct(a, w, None if far is None else far.acc, kind)
-    return SpectralField._adopt(u0.grid, **{kind: w})
+    w = u0._shallow().coefficients + near.coefficients
+    if far is not None:
+        ops = operator_table(u0.grid)
+        w = ops.unbox(ops.box(w) - far.acc, w)
+    return SpectralField._adopt(u0.grid, coefficients=w)
 
 
 # -- existence time -------------------------------------------------------------
@@ -562,7 +539,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf())
     # the far integral's sum and integrand, kept as dealias boxes for the run
     far = None if split is None else FarIntegral(np.zeros((2,) + ops.box_ksq.shape, dtype=complex),
-                                                  convolve_far(split, theta0, u0_read, box=True))
+                                                  convolve_far(split, theta0, u0_read))
 
     def store(state: SimState, theta, u):
         traj.times.append(state.t)
@@ -587,7 +564,7 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
                 state, lambda t, th: dealiased_samples(biot_savart_velocity(th, config.beta)), dt)
             state.u = biot_savart_velocity(state.theta, config.beta)
             if far is not None:
-                far = far.advance(dt, convolve_far(split, state.theta, state.u, box=True))
+                far = far.advance(dt, convolve_far(split, state.theta, state.u))
         else:
             # the advecting samples serve the transport step and the predictor's
             # far flux; the new theta's, predictor and corrector.  Each array is
@@ -601,34 +578,27 @@ def simulate(config: SolverConfig, theta0: SpectralField, u0: SpectralField | No
             # the new-boundary integrand: predicted with the advecting velocity,
             # corrected with u_star
             acc = far.advance(dt, convolve_far(split, state.theta, theta_samples=theta_samples,
-                                               u_samples=adv, box=True)).acc
+                                               u_samples=adv)).acc
             del adv
             dtheta = ops.box(state.theta.coefficients)
             dtheta -= c0_box  # theta - theta0, which both near convolutions read
-            u_star = ops.box_values(_reconstruct(u0_box, convolve_near(split, dtheta), acc)[1])
+            u_star = ops.box_values(_reconstruct(u0_box, convolve_near(split, dtheta), acc))
             del acc
             integ = convolve_far(split, state.theta, theta_samples=theta_samples,
-                                 u_samples=u_star, box=True)
+                                 u_samples=u_star)
             del u_star, theta_samples
             far = far.advance(dt, integ)
             # the reconstruction is divergence-free in the continuum; project
             # away the sampling residue, in the reconstruction's own array, so
             # the velocity advecting the next step stays solenoidal
-            u_box = _project(_reconstruct(u0_box, convolve_near(split, dtheta), far.acc)[1], ops)
+            u_box = _project(_reconstruct(u0_box, convolve_near(split, dtheta), far.acc), ops)
             del dtheta
         if (k + 1) % sample_every == 0 and k < n_steps - 1:
             theta = ops.box(state.theta.coefficients)
             store(state, theta, theta if direct else u_box)  # direct: u is made of theta's box
 
-    # the whole final state, made once, each box dropped when its whole array
-    # is made: outside the dealias box the far integral is zero and serfati's
-    # u is u0's projection
-    if far is not None:
-        state.far = FarIntegral(SpectralField._adopt(grid, coefficients=ops.unbox(far.acc)),
-                                SpectralField._adopt(grid, coefficients=ops.unbox(far.prev)),
-                                far.t)
-        del far
-    if not direct:  # the last sample shares it
+    state.far = far  # its boxes, which velocity_serfati reads
+    if not direct:  # the whole final u, made once; the last sample shares it
         del u0_box, c0_box
         state.u = SpectralField._adopt(
             grid, coefficients=ops.unbox(u_box, leray_project(u0_read).coefficients))
@@ -854,9 +824,8 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
 
     ops = operator_table(grid)
 
-    def far_samples(theta, u, u_samples=None):  # as samples only, so the sums are on samples
-        return SpectralField._adopt(grid, values=ops.box_values(
-            convolve_far(split, theta, u, u_samples=u_samples, box=True)))
+    def far_samples(theta, u, u_samples=None):  # the far integral is summed on samples
+        return ops.box_values(convolve_far(split, theta, u, u_samples=u_samples))
 
     keep = set(sample_idx.tolist())
     trace = IterationTrace(sample_times=sample_times, time_bound=t_bound)
@@ -879,7 +848,8 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
         u_new = [smooth_truncate_initial(u0, n + 2)]
         th_new = [th_init.values]  # theta at the sample times, which start at step 0
         state = SimState(t=0.0, theta=th_init, theta0_linf=theta0.linf())
-        far = FarIntegral(SpectralField.zeros(grid, components=2), far_samples(th_init, u_prev[0]))
+        far = FarIntegral(np.zeros((2, grid.n_side, grid.n_side)),
+                          far_samples(th_init, u_prev[0]))
         for k in range(1, n_steps + 1):
             # transport step k, then reconstruction step k from its theta
             state = step_transport(state, u_interp, dt)
@@ -894,7 +864,7 @@ def picard_iterate(config: SolverConfig, theta0: SpectralField,
             near = convolve_near(split, state.theta - th_init)
             # u0 + near - acc, in one array
             w = np.add(u_new[0].values, near.values)
-            np.subtract(w, far.acc.values, out=w)
+            np.subtract(w, far.acc, out=w)
             u_new.append(SpectralField._adopt(grid, values=w))
             if k in keep:
                 th_new.append(state.theta.values)

@@ -5,7 +5,8 @@ import pytest
 import scipy.fft
 
 from sqglab.fields import SpectralField
-from sqglab.grid import Grid2D
+from sqglab.grid import Grid2D, operator_table
+from sqglab.kernels import convolve_far
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +71,13 @@ def random_real_field(grid, seed=0, components=1):
     n = grid.n_side
     shape = (n, n) if components == 1 else (2, n, n)
     return SpectralField.from_values(grid, rng.standard_normal(shape))
+
+
+def unboxed(grid, box):
+    """The coefficient field whose dealias box is ``box``, zero outside it."""
+    return SpectralField._adopt(grid, coefficients=operator_table(grid).unbox(box))
+
+
+def far_field(split, theta, u=None, **kw):
+    """``convolve_far``'s dealias box made into its coefficient field."""
+    return unboxed(theta.grid, convolve_far(split, theta, u, **kw))

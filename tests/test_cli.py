@@ -27,6 +27,21 @@ class TestConfigValidation:
         bad.write_text(json.dumps({"command": "fly"}))
         assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "is not JSON"),
+        ("[1, 2]", "holds a JSON list, not an object"),
+        (None, "cannot read config file"),
+        ('{"command": "simulate", "params": [1]}', "params is an object of parameter values"),
+    ])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, text, message):
+        # a file that is missing, not JSON or not an object is a config error, not a traceback
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
     def test_cli_reports_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"command": "simulate", "params": {"nope": 1}}))

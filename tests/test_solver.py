@@ -22,7 +22,7 @@ from sqglab.solver import (FarIntegral, SimState, SolverConfig, _interp_velocity
                            velocity_serfati)
 from sqglab.verify import gaussian_dipole
 
-from conftest import random_real_field
+from conftest import far_field, random_real_field, unboxed
 
 
 def dipole(grid, separation=0.6, amplitude=1.0):
@@ -489,11 +489,12 @@ def split_config(mode, steps, dt=0.0125):
 
 
 def plain_reconstruction(state, u0, theta0, split):
-    """u0 + near * (theta - theta0) - accumulator, by plain field arithmetic."""
+    """u0 + near * (theta - theta0) - accumulator, by plain field arithmetic
+    with the accumulator's box made whole."""
     dtheta = SpectralField._adopt(u0.grid,
                                   coefficients=state.theta.coefficients - theta0.coefficients)
     u = u0 + convolve_near(split, dtheta)
-    return u if state.far is None else u - state.far.acc
+    return u if state.far is None else u - unboxed(u0.grid, state.far.acc)
 
 
 def bits(a):
@@ -518,28 +519,26 @@ def values_space_reconstruction(state, u0, theta0, split):
     """u0 + near * (theta - theta0) - accumulator, every sum formed on samples."""
     grid = u0.grid
     near = convolve_near(split, SpectralField.from_values(grid, state.theta.values - theta0.values))
-    return SpectralField.from_values(grid, u0.values + near.values - state.far.acc.values)
+    return SpectralField.from_values(grid, u0.values + near.values - state.far.acc)
 
 
 def values_space_serfati_run(theta0, split, dt, n_steps):
     """The serfati loop of ``simulate`` with the reconstruction, its trapezoid
     accumulator and every sum formed on samples."""
-    grid, n = theta0.grid, theta0.grid.n_side
+    n = theta0.grid.n_side
     u0 = biot_savart_velocity(theta0, 0.5)
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf(),
-                     far=FarIntegral(SpectralField.from_values(grid, np.zeros((2, n, n))),
-                                     convolve_far(split, theta0, u0)))
+                     far=FarIntegral(np.zeros((2, n, n)), far_field(split, theta0, u0).values))
 
-    def leg(far, integ):
-        acc = far.acc.values + 0.5 * dt * (far.prev.values + integ.values)
-        return FarIntegral(SpectralField.from_values(grid, acc), integ, far.t + dt)
+    def leg(far, theta, u):
+        integ = far_field(split, theta, u).values
+        return FarIntegral(far.acc + 0.5 * dt * (far.prev + integ), integ, far.t + dt)
 
     for _ in range(n_steps):
         u_adv = leray_project(state.u)
         new = step_transport(state, held(u_adv), dt)
-        new.far = leg(state.far, convolve_far(split, new.theta, u_adv))
-        new.far = leg(state.far, convolve_far(
-            split, new.theta, values_space_reconstruction(new, u0, theta0, split)))
+        new.far = leg(state.far, new.theta, u_adv)
+        new.far = leg(state.far, new.theta, values_space_reconstruction(new, u0, theta0, split))
         new.u = leray_project(values_space_reconstruction(new, u0, theta0, split))
         state = new
     return state, u0
@@ -556,8 +555,8 @@ class TestSerfati:
         x1, x2 = grid.coords_centered()
         theta0 = SpectralField.from_values(grid, np.exp(-(x1**2 + x2**2) / 0.5))
         u0 = biot_savart_velocity(theta0, 0.5)
-        st = SimState(t=0.0, theta=theta0, u=u0,
-                      far=FarIntegral(SpectralField.zeros(grid, 2), SpectralField.zeros(grid, 2)),
+        box = np.zeros((2,) + operator_table(grid).box_ksq.shape, dtype=complex)
+        st = SimState(t=0.0, theta=theta0, u=u0, far=FarIntegral(box, box),
                       theta0_linf=theta0.linf())
         out = velocity_serfati(st, u0, theta0, split)
         assert (out - u0).linf() == 0.0
@@ -567,9 +566,8 @@ class TestSerfati:
         split = build_split(grid, 0.5, oversample=2)
         theta0 = SpectralField.zeros(grid)
         u0 = SpectralField.zeros(grid, 2)
-        st = SimState(t=0.5, theta=theta0, u=u0,
-                      far=FarIntegral(SpectralField.zeros(grid, 2), SpectralField.zeros(grid, 2)),
-                      theta0_linf=1.0)
+        box = np.zeros((2,) + operator_table(grid).box_ksq.shape, dtype=complex)
+        st = SimState(t=0.5, theta=theta0, u=u0, far=FarIntegral(box, box), theta0_linf=1.0)
         with pytest.raises(SimulationError):
             velocity_serfati(st, u0, theta0, split)
 
@@ -585,6 +583,13 @@ class TestSerfati:
         gap = (direct.thetas[-1] - serf.thetas[-1]).linf() / theta0.linf()
         assert gap <= 5e-3
         assert divergence(serf.final_state.u).linf() <= 1e-6
+
+    @pytest.mark.parametrize("mode", ["direct", "serfati"])
+    def test_final_far_integral_is_its_boxes(self, split128, mode):
+        far = simulate(split_config(mode, 2), dipole16(split128.grid),
+                       split=split128).final_state.far
+        K = split128.grid.dealias_index_cutoff
+        assert far.acc.shape == far.prev.shape == (2, 2 * K + 1, K + 1)
 
     def test_leray_projection_idempotent_divfree(self, grid64):
         u = random_real_field(grid64, seed=5, components=2)
@@ -643,15 +648,14 @@ class TestSerfati:
         monkeypatch.setattr(solver, "convolve_far", passed)
         st = simulate(split_config("serfati", 3), dipole16(grid), split=split128).final_state
         # the initial integrand has no samples at hand; each step's two do
-        held = ["box", "theta_samples", "u_samples"]
-        assert passing == [(False, ["box"])] + [(True, held)] * 6
+        held = ["theta_samples", "u_samples"]
+        assert passing == [(False, [])] + [(True, held)] * 6
         theta, u = st.theta, st.u
         theta_samples = dealiased_samples(theta)
         u_samples = ops.box_values(ops.box(u.coefficients))
-        from_fields = convolve_far(split128, theta, u).coefficients
+        from_fields = convolve_far(split128, theta, u)
         kw = dict(theta_samples=theta_samples, u_samples=u_samples)
-        assert np.array_equal(convolve_far(split128, theta, **kw).coefficients, from_fields)
-        assert np.array_equal(convolve_far(split128, theta, box=True, **kw), ops.box(from_fields))
+        assert np.array_equal(convolve_far(split128, theta, **kw), from_fields)
         with pytest.raises(ConfigurationError):
             convolve_far(split128, theta, theta_samples=theta_samples)
 
@@ -675,8 +679,8 @@ class TestSerfati:
         st = traj.final_state
         ref, u0 = values_space_serfati_run(theta0, split128, traj.diagnostics["dt"],
                                            traj.diagnostics["n_steps"])
-        assert rel_gap(st.far.acc, ref.far.acc) <= 1e-13
-        assert rel_gap(st.far.prev, ref.far.prev) <= 1e-13
+        for got, want in ((st.far.acc, ref.far.acc), (st.far.prev, ref.far.prev)):
+            assert rel_gap(unboxed(grid, got), SpectralField.from_values(grid, want)) <= 1e-13
         assert rel_gap(st.u, ref.u) <= 1e-13
         assert rel_gap(velocity_serfati(st, traj.us[0], theta0, split128),
                        values_space_reconstruction(ref, u0, theta0, split128)) <= 1e-13
@@ -687,13 +691,13 @@ class TestSerfati:
         traj = simulate(split_config("direct", 3), theta0, split=split128)
         dt = traj.diagnostics["dt"]
         acc = np.zeros((2, grid.n_side, grid.n_side))
-        prev = convolve_far(split128, theta0, traj.us[0]).values
+        prev = far_field(split128, theta0, traj.us[0]).values
         for th, u in zip(traj.thetas[1:], traj.us[1:]):
-            integ = convolve_far(split128, th, u).values
+            integ = far_field(split128, th, u).values
             acc = acc + 0.5 * dt * (prev + integ)
             prev = integ
         expected = SpectralField.from_values(grid, acc)
-        assert rel_gap(traj.final_state.far.acc, expected) <= 1e-13
+        assert rel_gap(unboxed(grid, traj.final_state.far.acc), expected) <= 1e-13
 
 
 def full_state_run(cfg, theta0, split):
@@ -708,8 +712,8 @@ def full_state_run(cfg, theta0, split):
     dt = cfg.t_end / n_steps
     recorder = solver.NormRecorder(cfg.record_norms, grid)
     state = SimState(t=0.0, theta=theta0, u=u0, theta0_linf=theta0.linf(),
-                     far=FarIntegral(SpectralField.zeros(grid, components=2),
-                                     convolve_far(split, theta0, u0)))
+                     far=FarIntegral(np.zeros((2,) + operator_table(grid).box_ksq.shape,
+                                              dtype=complex), convolve_far(split, theta0, u0)))
 
     def leg(far, integ):
         return FarIntegral(far.acc + 0.5 * dt * (far.prev + integ), integ, far.t + dt)
@@ -866,8 +870,8 @@ class TestStoredSamples:
         # read 1.73, and a whole projection beside them 2.74
         final = traj.final_state
         assert len(traj.us) == steps + 1 and traj.us[-1] is final.u
-        kept = (traj.us[0], final.theta, final.u, final.far.acc, final.far.prev)
-        words = (retained - sum(f.coefficients.nbytes for f in kept)) / 8
+        kept = sum(f.coefficients.nbytes for f in (traj.us[0], final.theta, final.u))
+        words = (retained - kept - final.far.acc.nbytes - final.far.prev.nbytes) / 8
         assert words <= 1.05 * (4 / 9 + 8 / 9) * n * n * len(traj.thetas)
 
     @pytest.mark.parametrize("with_split", [False, True])
@@ -1026,43 +1030,62 @@ class TestWorkingSet:
 
 
 class TestPlainExpressions:
-    """The sums formed in place have the bits of the plain expressions, in
-    the representations field arithmetic chooses.  ``step_transport``'s
-    reference is ``reference_rk4_step``, in the Hypothesis test above and
-    in the serfati leg of ``full_state_run``."""
+    """The sums formed in place have the bits of the plain expressions.
+    ``step_transport``'s reference is ``reference_rk4_step``, in the
+    Hypothesis test above and in the serfati leg of ``full_state_run``."""
 
-    @pytest.mark.parametrize("acc_kind", ["both", "values", "coefficients"])
-    @pytest.mark.parametrize("integ_kind", ["coefficients", "values"])
-    def test_far_integral_advance(self, grid64, acc_kind, integ_kind):
-        # coefficient integrands as simulate's, sample integrands as Picard's;
-        # an accumulator of the other representation moves the sum to samples
-        def field(seed):
-            return holding(random_real_field(grid64, seed=seed, components=2), integ_kind)
+    # the accumulator has its integrands' form: boxes of coefficients as
+    # simulate's, samples as Picard's
+    @pytest.mark.parametrize("integ_kind, acc_kind", [("coefficients", "coefficients"),
+                                                      ("values", "values")])
+    def test_far_integral_advance(self, grid64, integ_kind, acc_kind):
+        ops = operator_table(grid64)
 
-        far = FarIntegral(holding(random_real_field(grid64, seed=1, components=2), acc_kind),
-                          field(2))
+        def integrand(seed):
+            f = random_real_field(grid64, seed=seed, components=2)
+            return ops.box(f.coefficients) if integ_kind == "coefficients" else f.values
+
+        far = FarIntegral(integrand(1), integrand(2))
         for k in range(3):
-            integ = field(3 + k)
-            expected = far.acc._shallow() + 0.5 * 0.0125 * (far.prev._shallow()
-                                                            + integ._shallow())
+            integ = integrand(3 + k)
+            expected = far.acc + 0.5 * 0.0125 * (far.prev + integ)
             far = far.advance(0.0125, integ)
-            assert_same_field(far.acc, expected)
+            assert np.array_equal(bits(far.acc), bits(expected))
             assert far.prev is integ
 
     @pytest.mark.parametrize("u0_kind", ["coefficients", "values"])
-    @pytest.mark.parametrize("acc_kind", ["coefficients", "values", None])
+    @pytest.mark.parametrize("acc_kind", ["coefficients", None])
     def test_velocity_serfati(self, split128, u0_kind, acc_kind):
+        # formed on u0's coefficients, whichever representation u0 holds, and
+        # caching nothing on u0; the far integral is the run's (boxes of
+        # coefficients) or none
         grid = split128.grid
         theta0 = dipole16(grid)
         st = simulate(split_config("serfati", 3), theta0, split=split128).final_state
+        if acc_kind is None:
+            st = dataclasses.replace(st, far=None)
         u0 = holding(biot_savart_velocity(theta0, 0.5), u0_kind)
-        far = None if acc_kind is None else FarIntegral(holding(st.far.acc, acc_kind),
-                                                       st.far.prev, st.far.t)
-        st = dataclasses.replace(st, far=far)
-        plain_state = dataclasses.replace(st, far=None if far is None else FarIntegral(
-            far.acc._shallow(), far.prev, far.t))
-        expected = plain_reconstruction(plain_state, u0._shallow(), theta0, split128)
+        held_values, held_coeffs = u0._values, u0._coeffs
+        expected = plain_reconstruction(st, holding(u0._shallow(), "coefficients"), theta0,
+                                        split128)
         assert_same_field(velocity_serfati(st, u0, theta0, split128), expected)
+        assert u0._values is held_values and u0._coeffs is held_coeffs
+
+    def test_velocity_serfati_takes_the_whole_near_term(self, split128):
+        # theta differs from theta0 outside the dealias box as well: the near
+        # term enters whole, and the far integral's box only inside the box
+        grid = split128.grid
+        ops = operator_table(grid)
+        theta0, theta = random_real_field(grid, seed=21), random_real_field(grid, seed=22)
+        box = ops.box(random_real_field(grid, seed=23, components=2).coefficients)
+        st = SimState(t=0.25, theta=theta, far=FarIntegral(box, box, 0.25))
+        u0 = biot_savart_velocity(theta0, 0.5)
+        got = velocity_serfati(st, u0, theta0, split128)
+        assert_same_field(got, plain_reconstruction(st, u0, theta0, split128))
+        outside = ~ops.dealias
+        near = convolve_near(split128, theta - theta0).coefficients[:, outside]
+        assert np.abs(near).min() > 0
+        assert np.all(got.coefficients[:, outside] != u0.coefficients[:, outside])
 
 
 def count_public_calls(monkeypatch, *functions):
@@ -1380,9 +1403,9 @@ def two_pass_picard(cfg, theta0, u0, n_max, split, n_samples=8):
 
         u_new = [smooth_truncate_initial(u0, n + 2)]
         acc = SpectralField.zeros(grid, components=2)
-        integ_prev = convolve_far(split, th_new[0], u_prev[0])
+        integ_prev = far_field(split, th_new[0], u_prev[0])
         for k in range(1, n_steps + 1):
-            integ = convolve_far(split, th_new[k], u_prev[k])
+            integ = far_field(split, th_new[k], u_prev[k])
             acc = SpectralField.from_values(
                 grid, acc.values + 0.5 * dt * (integ_prev.values + integ.values))
             integ_prev = integ

@@ -89,24 +89,6 @@ class TestSingleModeRatios:
                 den = fj.linf() if p_inf else fj.l2()
                 assert num / (2.0**j * den) == pytest.approx(1.0, abs=1e-10)
 
-    def test_lemma_3_1_exactly_one(self, grid128):
-        from sqglab.multipliers import apply_multiplier, frac_laplacian
-        s = 0.7
-        for j in (1, 2):
-            f = pure_mode(grid128, 2**j)
-            fj = project_block(f, j, "homogeneous")
-            num = apply_multiplier(fj, frac_laplacian(s)).linf()
-            assert num / (2.0 ** (j * s) * fj.linf()) == pytest.approx(1.0, abs=1e-10)
-
-    def test_lemma_A_2_exactly_one(self, grid128):
-        beta = 0.5
-        for j in (1, 2):
-            f = pure_mode(grid128, 2**j)
-            fj = project_block(f, j, "homogeneous")
-            u = biot_savart_velocity(fj, beta)
-            ratio = u.linf() / (2.0 ** (j * (beta - 1.0)) * fj.linf())
-            assert ratio == pytest.approx(1.0, abs=1e-10)
-
 
 class TestCheckRunners:
     def test_unknown_variants_rejected(self):
